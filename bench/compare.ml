@@ -7,206 +7,35 @@
    than the threshold (default 20%), 2 = usage or parse error.  Rows are
    matched by name under the given prefixes; --prefix is repeatable, and
    when absent the gate covers "kernel/", "bdd/", "eijk/" and "hash/".
-   The
-   per-row delta table is always printed, gate pass or fail.  Rows
+   The per-row delta table is always printed, gate pass or fail.  Rows
    missing on either side are reported but do not fail the gate (new
-   benchmarks appear, old ones get renamed).  Used as an optional gate in
-   the verify flow; it has no library dependencies, so the JSON below is
-   parsed by hand (the emitter in [Obs.Json] is write-only by design). *)
+   benchmarks appear, old ones get renamed).  Files are read with
+   [Obs.Json.parse], the same reader the serve daemon uses. *)
 
-(* ------------------------------------------------------------------ *)
-(* A minimal JSON reader (objects, arrays, strings, numbers, literals)  *)
-(* ------------------------------------------------------------------ *)
+module J = Obs.Json
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else fail ("expected " ^ word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | None -> fail "unterminated escape"
-          | Some c ->
-              advance ();
-              (match c with
-              | '"' -> Buffer.add_char buf '"'
-              | '\\' -> Buffer.add_char buf '\\'
-              | '/' -> Buffer.add_char buf '/'
-              | 'n' -> Buffer.add_char buf '\n'
-              | 'r' -> Buffer.add_char buf '\r'
-              | 't' -> Buffer.add_char buf '\t'
-              | 'b' -> Buffer.add_char buf '\b'
-              | 'f' -> Buffer.add_char buf '\012'
-              | 'u' ->
-                  if !pos + 4 > n then fail "truncated \\u escape";
-                  let hex = String.sub s !pos 4 in
-                  pos := !pos + 4;
-                  let code =
-                    try int_of_string ("0x" ^ hex)
-                    with _ -> fail "bad \\u escape"
-                  in
-                  (* names in bench files are ASCII; anything else keeps a
-                     replacement character *)
-                  if code < 128 then Buffer.add_char buf (Char.chr code)
-                  else Buffer.add_char buf '?'
-              | _ -> fail "unknown escape");
-              go ())
-      | Some c ->
-          advance ();
-          Buffer.add_char buf c;
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
-    let tok = String.sub s start (!pos - start) in
-    match float_of_string_opt tok with
-    | Some f -> f
-    | None -> fail ("bad number " ^ tok)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else
-          let rec fields acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                fields ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          fields []
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elems (v :: acc)
-            | Some ']' ->
-                advance ();
-                List (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elems []
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-(* ------------------------------------------------------------------ *)
-(* Micro-bench schema access                                           *)
-(* ------------------------------------------------------------------ *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
-
-(* name -> ns_per_run for every benchmark row in the file *)
+(* name -> ns_per_run for every benchmark row in the file; the emitter
+   writes a whole-number [ns_per_run] as an [Int] *)
 let rows_of_file path =
   let j =
-    try parse (read_file path) with
+    try J.of_file path with
     | Sys_error e ->
         Printf.eprintf "compare: cannot read %s: %s\n" path e;
         exit 2
-    | Parse_error e ->
+    | J.Parse_error e ->
         Printf.eprintf "compare: cannot parse %s: %s\n" path e;
         exit 2
   in
   match j with
-  | Obj fields -> (
-      match List.assoc_opt "benchmarks" fields with
-      | Some (List rows) ->
+  | J.Obj _ -> (
+      match J.member "benchmarks" j with
+      | Some (J.List rows) ->
           List.filter_map
-            (function
-              | Obj r -> (
-                  match
-                    (List.assoc_opt "name" r, List.assoc_opt "ns_per_run" r)
-                  with
-                  | Some (Str name), Some (Num ns) -> Some (name, ns)
-                  | _ -> None)
+            (fun r ->
+              match (J.member "name" r, J.member "ns_per_run" r) with
+              | Some (J.Str name), Some (J.Float ns) -> Some (name, ns)
+              | Some (J.Str name), Some (J.Int ns) ->
+                  Some (name, float_of_int ns)
               | _ -> None)
             rows
       | _ ->

@@ -5,8 +5,9 @@
     made every in-flight deadline fire immediately (or never) across an
     NTP step or manual clock change; {!now} reads
     [clock_gettime(CLOCK_MONOTONIC)] instead, whose epoch is arbitrary
-    but whose advance is steady.  Wall-clock timestamps for logs and
-    reported [wall_s] values stay on [Unix.gettimeofday]. *)
+    but whose advance is steady.  A serve response's [wall_s] is a
+    difference of two {!now} readings, taken on the same clock as the
+    request's deadline. *)
 
 val now : unit -> float
 (** Seconds on the current source (monotonic by default).  Only

@@ -242,9 +242,8 @@ let locked sh f =
   Mutex.lock sh.sh_mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock sh.sh_mu) f
 
-(* One lock-free pass over the per-shard atomics. *)
-(* One pass over the shards, no intermediate snapshots: this runs once
-   per response. *)
+(* One lock-free pass over the per-shard atomics, no intermediate
+   snapshots: this runs once per response. *)
 let counters_total t =
   let hits = ref 0
   and misses = ref 0
@@ -391,21 +390,11 @@ let error_line ?id code msg =
 
 let error_response ?id code msg = Rendered (error_line ?id code msg)
 
-(* Byte-identical to [Obs.Json.to_string (Float f)] (shortest decimal
-   that reads back exactly), inlined because the warm path emits one
-   per response. *)
-let json_float f =
-  if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity then
-    "null"
-  else
-    let s = Printf.sprintf "%.15g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
-
-(* [wall_s] is a microsecond-granularity measurement ([gettimeofday]),
-   so it is emitted as fixed six-decimal seconds with integer
-   arithmetic — [Printf "%.15g"] cost ~0.5us per response, a real
-   fraction of a warm hit.  Out-of-range values fall back to the exact
-   renderer. *)
+(* [wall_s] is a difference of two {!Logic.Clock.now} readings, reported
+   to the microsecond, so it is emitted as fixed six-decimal seconds
+   with integer arithmetic — [Printf "%.15g"] cost ~0.5us per response,
+   a real fraction of a warm hit.  Out-of-range values fall back to the
+   exact renderer. *)
 let wall_string w =
   if w >= 0.0 && w < 1e6 then begin
     let us = int_of_float ((w *. 1e6) +. 0.5) in
@@ -414,7 +403,7 @@ let wall_string w =
     let pad = String.make (6 - String.length fs) '0' in
     String.concat "" [ string_of_int sec; "."; pad; fs ]
   end
-  else json_float w
+  else Obs.Json.to_string (Obs.Json.Float w)
 
 (* The per-entry constant fields, rendered to JSON fragments (no outer
    braces) exactly as [Obs.Json.to_string] would emit them inline:
@@ -442,7 +431,9 @@ let render_entry_fields ~blif ~theorem ~gates ~ffs =
   ( String.sub s 1 (String.length s - 2),
     String.sub t 1 (String.length t - 2) )
 
-let ok_response t ~id ~echo ~hit ~cacheable ~digest ?cert ~(e : entry) ~wall_s
+(* [t0m] is the request's {!Logic.Clock.now} reading on arrival: the
+   one clock that bounds its deadline also times its [wall_s]. *)
+let ok_response t ~id ~echo ~hit ~cacheable ~digest ?cert ~(e : entry) ~t0m
     () =
   (* The counter snapshot is taken here, lock-free, after this
      request's own bumps landed — rendering never touches a shard
@@ -457,15 +448,16 @@ let ok_response t ~id ~echo ~hit ~cacheable ~digest ?cert ~(e : entry) ~wall_s
       ok_digest = digest;
       ok_cert = cert;
       ok_snap = counters_total t;
-      ok_wall = wall_s;
+      ok_wall = Logic.Clock.now () -. t0m;
     }
 
-(* Feed the pieces of a response, in emission order, to [f] — shared by
-   the string renderer and the channel writer so the two spellings
-   cannot drift.  Everything is emitted from scalars: the warm path
-   builds no intermediate JSON tree, and the only response-sized string
-   it touches ([e_fields]) is the one shared by the cache entry. *)
-let response_pieces r (f : string -> unit) =
+(* Append a response to [buf], the one renderer behind both
+   [handle_line] and the channel writer.  Everything is emitted from
+   scalars: the warm path builds no intermediate JSON tree, and the only
+   response-sized string it touches ([e_fields]) is the one shared by
+   the cache entry. *)
+let add_response buf r =
+  let f = Buffer.add_string buf in
   match r with
   | Rendered s -> f s
   | Ok_body
@@ -522,17 +514,6 @@ let response_pieces r (f : string -> unit) =
       f (wall_string ok_wall);
       f "}"
 
-let render_response = function
-  | Rendered s -> s
-  | Ok_body { ok_e; ok_echo; _ } as r ->
-      let cap =
-        if ok_echo then String.length ok_e.e_fields + 256 else 320
-      in
-      let buf = Buffer.create cap in
-      response_pieces r (Buffer.add_string buf);
-      Buffer.contents buf
-
-
 (* ------------------------------------------------------------------ *)
 (* The request pipeline                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -551,7 +532,7 @@ let remember_text t tkey digest e =
 (* Kernel work, run inside a pool task.  [keyfp] is present for cacheable
    (maximal-cut) requests: the worker inserts the finished entry itself,
    so concurrent requests can already hit it. *)
-let run_and_respond t (req : request) circuit keyfp ~deadline ~t0 =
+let run_and_respond t (req : request) circuit keyfp ~deadline ~t0m =
   try
     let cut =
       match req.cut with
@@ -626,14 +607,10 @@ let run_and_respond t (req : request) circuit keyfp ~deadline ~t0 =
         remember_text t tkey (Fingerprint.digest fp) e;
         ok_response t ~id:req.id ~echo:req.echo ~hit:false ~cacheable:true
           ~digest:(Some (Fingerprint.digest fp))
-          ?cert ~e
-          ~wall_s:(Unix.gettimeofday () -. t0)
-          ()
+          ?cert ~e ~t0m ()
     | None ->
         ok_response t ~id:req.id ~echo:req.echo ~hit:false ~cacheable:false
-          ~digest:None ?cert ~e
-          ~wall_s:(Unix.gettimeofday () -. t0)
-          ()
+          ~digest:None ?cert ~e ~t0m ()
   with e ->
     let code, msg = error_of_exn e in
     error_response ?id:req.id code msg
@@ -647,118 +624,103 @@ type pending =
   | Queued of Obs.Json.t option * response Parallel.Pool.future
   | Batch of pending list
 
-(* The front door runs in the calling thread: protocol parse, netlist
-   parse, validation and the cache lookup.  A hit (or any trust-boundary
-   rejection) is answered without touching the pool; only kernel work is
-   dispatched. *)
-let submit_request t ~t0 ~t0m (req : request) =
-  (
-      (* Deadlines are monotonic arithmetic: [t0m] came from
-         {!Logic.Clock.now}, so a wall-clock step (NTP, manual reset)
-         cannot expire — or resurrect — an in-flight request.  [t0]
-         stays wall-clock and is only ever reported, never compared. *)
-      let deadline = t0m +. req.deadline_s in
-      match
-        match req.cut with
-        | Gates _ ->
-            (* Explicit gate lists name signal indices of this
-               particular representation — never served from (or
-               stored into) the caches. *)
-            let circuit = Blif.of_string req.blif in
-            Circuit.validate circuit;
-            `Run
-              (fun () -> run_and_respond t req circuit None ~deadline ~t0)
-        | Maximal -> (
-            let level_tag =
-              match req.level with
-              | Hash.Embed.Bit_level -> "bit"
-              | Hash.Embed.Rt_level -> "rt"
-            in
-            (* L1: byte-identical repeat?  Answered before the BLIF
-               is even parsed. *)
-            let tkey = level_tag ^ "\x00" ^ req.blif in
-            let tsh = shard_for t tkey in
-            let text_hit =
-              locked tsh (fun () ->
-                  match Lru.find tsh.sh_text tkey with
-                  | Some (digest, e) ->
-                      bump tsh.sh_counters.Obs.Cache.hits;
-                      Some (digest, e)
-                  | None -> None)
-            in
-            match text_hit with
-            | Some (digest, e) ->
-                `Hit
-                  (if req.cert then
-                     error_response ?id:req.id Cert_unavailable
-                       "result served from cache; no proof was replayed \
-                        for this request, so no certificate exists"
-                   else
-                     ok_response t ~id:req.id ~echo:req.echo ~hit:true
-                       ~cacheable:true ~digest:(Some digest) ~e
-                       ~wall_s:(Unix.gettimeofday () -. t0)
-                       ())
-            | None -> (
-                let circuit = Blif.of_string req.blif in
-                let fp = Fingerprint.of_circuit circuit in
-                let key = Fingerprint.digest fp ^ "/" ^ level_tag in
-                let fsh = shard_for t key in
-                let cached =
-                  locked fsh (fun () ->
-                      match Lru.find fsh.sh_cache key with
-                      | Some e
-                        when String.equal e.e_canon (Fingerprint.canon fp)
-                        ->
-                          bump fsh.sh_counters.Obs.Cache.hits;
-                          Some e
-                      | Some _ | None ->
-                          bump fsh.sh_counters.Obs.Cache.misses;
-                          None)
-                in
-                match cached with
-                | Some e ->
-                    (* remember the spelling for next time (after
-                       releasing the fingerprint shard — L1 lives in
-                       its own shard and locks never nest) *)
-                    remember_text t tkey (Fingerprint.digest fp) e;
-                    `Hit
-                      (if req.cert then
-                         error_response ?id:req.id Cert_unavailable
-                           "result served from cache; no proof was \
-                            replayed for this request, so no \
-                            certificate exists"
-                       else
-                         ok_response t ~id:req.id ~echo:req.echo ~hit:true
-                           ~cacheable:true
-                           ~digest:(Some (Fingerprint.digest fp))
-                           ~e
-                           ~wall_s:(Unix.gettimeofday () -. t0)
-                           ())
-                | None ->
-                    `Run
-                      (fun () ->
-                        run_and_respond t req circuit
-                          (Some (key, fp, tkey))
-                          ~deadline ~t0)))
-      with
-      | `Hit resp -> Immediate resp
-      | `Run thunk -> (
-          match Parallel.Pool.submit ~deadline t.pool thunk with
-          | fut -> Queued (req.id, fut)
-          | exception Parallel.Pool.Shutdown ->
-              Immediate
-                (error_response ?id:req.id Shutdown
-                   "server is shutting down"))
-      | exception e ->
-          let code, msg = error_of_exn e in
-          Immediate (error_response ?id:req.id code msg))
+(* A cache hit.  A certificate request cannot be honoured by one: no
+   proof ran for it, and the server will not fabricate one. *)
+let hit_response t (req : request) ~digest e ~t0m =
+  if req.cert then
+    error_response ?id:req.id Cert_unavailable
+      "result served from cache; no proof was replayed for this request, \
+       so no certificate exists"
+  else
+    ok_response t ~id:req.id ~echo:req.echo ~hit:true ~cacheable:true
+      ~digest:(Some digest) ~e ~t0m ()
 
-let submit_json t ~t0 ~t0m json =
+(* The front door runs in the calling thread: netlist parse, validation
+   and the cache lookup.  A hit (or any trust-boundary rejection) is
+   answered without touching the pool; only kernel work is dispatched.
+   Deadlines are monotonic arithmetic: [t0m] came from
+   {!Logic.Clock.now}, so a wall-clock step (NTP, manual reset) cannot
+   expire — or resurrect — an in-flight request. *)
+let submit_request t ~t0m (req : request) =
+  let deadline = t0m +. req.deadline_s in
+  match
+    match req.cut with
+    | Gates _ ->
+        (* Explicit gate lists name signal indices of this particular
+           representation — never served from (or stored into) the
+           caches. *)
+        let circuit = Blif.of_string req.blif in
+        Circuit.validate circuit;
+        `Run (fun () -> run_and_respond t req circuit None ~deadline ~t0m)
+    | Maximal -> (
+        let level_tag =
+          match req.level with
+          | Hash.Embed.Bit_level -> "bit"
+          | Hash.Embed.Rt_level -> "rt"
+        in
+        (* L1: the same decoded BLIF text at the same level?  Answered
+           before the BLIF is even parsed, however the JSON line around
+           it was spelled. *)
+        let tkey = level_tag ^ "\x00" ^ req.blif in
+        let tsh = shard_for t tkey in
+        let text_hit =
+          locked tsh (fun () ->
+              match Lru.find tsh.sh_text tkey with
+              | Some (digest, e) ->
+                  bump tsh.sh_counters.Obs.Cache.hits;
+                  Some (digest, e)
+              | None -> None)
+        in
+        match text_hit with
+        | Some (digest, e) -> `Hit (hit_response t req ~digest e ~t0m)
+        | None -> (
+            let circuit = Blif.of_string req.blif in
+            let fp = Fingerprint.of_circuit circuit in
+            let digest = Fingerprint.digest fp in
+            let key = digest ^ "/" ^ level_tag in
+            let fsh = shard_for t key in
+            let cached =
+              locked fsh (fun () ->
+                  match Lru.find fsh.sh_cache key with
+                  | Some e when String.equal e.e_canon (Fingerprint.canon fp)
+                    ->
+                      bump fsh.sh_counters.Obs.Cache.hits;
+                      Some e
+                  | Some _ | None ->
+                      bump fsh.sh_counters.Obs.Cache.misses;
+                      None)
+            in
+            match cached with
+            | Some e ->
+                (* remember the spelling for next time (after releasing
+                   the fingerprint shard — L1 lives in its own shard and
+                   locks never nest) *)
+                remember_text t tkey digest e;
+                `Hit (hit_response t req ~digest e ~t0m)
+            | None ->
+                `Run
+                  (fun () ->
+                    run_and_respond t req circuit
+                      (Some (key, fp, tkey))
+                      ~deadline ~t0m)))
+  with
+  | `Hit resp -> Immediate resp
+  | `Run thunk -> (
+      match Parallel.Pool.submit ~deadline t.pool thunk with
+      | fut -> Queued (req.id, fut)
+      | exception Parallel.Pool.Shutdown ->
+          Immediate
+            (error_response ?id:req.id Shutdown "server is shutting down"))
+  | exception e ->
+      let code, msg = error_of_exn e in
+      Immediate (error_response ?id:req.id code msg)
+
+let submit_json t ~t0m json =
   match parse_request t json with
   | Error msg ->
       Immediate
         (error_response ?id:(Obs.Json.member "id" json) Bad_request msg)
-  | Ok req -> submit_request t ~t0 ~t0m req
+  | Ok req -> submit_request t ~t0m req
 
 (* A {"batch": [...]} line amortizes per-line protocol overhead for
    fleets of small circuits: one read, one parse, one response write —
@@ -767,375 +729,14 @@ let submit_json t ~t0 ~t0m json =
    failing on its own. *)
 let max_batch = 4096
 
-(* ------------------------------------------------------------------ *)
-(* Fast-path request scanner                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* A zero-tree scanner for the dominant request shape: a flat object of
-   ["id"] (int), ["blif"] (string), ["level"] ("bit"/"rt") and ["echo"]
-   (bool) members — or a ["batch"] of such objects.  It builds the
-   [request] records directly, skipping the JSON tree that
-   [Obs.Json.parse] allocates per request (the largest single cost left
-   on a warm cache hit).  On anything unusual — other members, other
-   value shapes, [\u] escapes, duplicate members, syntax it is unsure
-   about — it raises [Slow] and the line takes the general parse path.
-   The scanner accepts a strict subset of the lines the parser accepts
-   and builds identical [request] records for them (both feed the same
-   [submit_request]), so it can never change an answer — only skip
-   allocation. *)
-
-exception Slow
-
-(* What the scanner produces per request: the L1 text key is built
-   directly (level tag, NUL, decoded BLIF) so a warm hit never
-   materializes the BLIF as its own string; a miss slices it back out
-   of the key. *)
-type scanned_req = {
-  sq_tkey : string;
-  sq_taglen : int;
-  sq_id : Obs.Json.t option;
-  sq_level : Hash.Embed.level;
-  sq_echo : bool;
-}
-
-type scanned_line =
-  | Scanned_one of scanned_req
-  | Scanned_batch of scanned_req list
-
-let scan_line t line : scanned_line option =
-  let n = String.length line in
-  let pos = ref 0 in
-  let bail () = raise_notrace Slow in
-  let skip_ws () =
-    while
-      !pos < n
-      &&
-      match String.unsafe_get line !pos with
-      | ' ' | '\t' | '\n' | '\r' -> true
-      | _ -> false
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    if !pos < n && String.unsafe_get line !pos = c then incr pos else bail ()
-  in
-  (* member name: plain lowercase letters, no escapes; compared in
-     place, no allocation *)
-  let scan_name () =
-    expect '"';
-    let start = !pos in
-    while
-      !pos < n
-      &&
-      match String.unsafe_get line !pos with
-      | 'a' .. 'z' | '_' -> true
-      | _ -> false
-    do
-      incr pos
-    done;
-    if !pos < n && String.unsafe_get line !pos = '"' then begin
-      let len = !pos - start in
-      incr pos;
-      (start, len)
-    end
-    else bail ()
-  in
-  let name_eq (start, len) w =
-    String.length w = len
-    &&
-    let rec go i =
-      i = len
-      || String.unsafe_get line (start + i) = String.unsafe_get w i
-         && go (i + 1)
-    in
-    go 0
-  in
-  (* string value: same acceptance as the parser minus [\u] escapes
-     (those bail).  No-escape strings are one [String.sub]; escaped ones
-     decode into an exactly-sized scratch, no growth copies. *)
-  let scan_string () =
-    expect '"';
-    let start = !pos in
-    let i = ref start and esc = ref false in
-    let rec seek () =
-      if !i >= n then bail ()
-      else
-        match String.unsafe_get line !i with
-        | '"' -> ()
-        | '\\' ->
-            esc := true;
-            i := !i + 2;
-            seek ()
-        | _ ->
-            incr i;
-            seek ()
-    in
-    seek ();
-    let stop = !i in
-    pos := stop + 1;
-    if not !esc then String.sub line start (stop - start)
-    else begin
-      let out = Bytes.create (stop - start) in
-      let o = ref 0 and j = ref start in
-      while !j < stop do
-        let c = String.unsafe_get line !j in
-        if c = '\\' then begin
-          (* [seek] jumped escapes in pairs, so the escape char of any
-             backslash in [start, stop) is itself inside the span *)
-          let d =
-            match String.unsafe_get line (!j + 1) with
-            | '"' -> '"'
-            | '\\' -> '\\'
-            | '/' -> '/'
-            | 'b' -> '\b'
-            | 'f' -> '\012'
-            | 'n' -> '\n'
-            | 'r' -> '\r'
-            | 't' -> '\t'
-            | _ -> bail ()
-          in
-          Bytes.unsafe_set out !o d;
-          incr o;
-          j := !j + 2
-        end
-        else begin
-          Bytes.unsafe_set out !o c;
-          incr o;
-          incr j
-        end
-      done;
-      Bytes.sub_string out 0 !o
-    end
-  in
-  (* like [scan_string], but only locates the span: [(start, stop,
-     nesc)] with [pos] past the closing quote.  Every accepted escape
-     decodes 2 bytes to 1, so the decoded length is [stop - start -
-     nesc]. *)
-  let scan_raw_string () =
-    expect '"';
-    let start = !pos in
-    let i = ref start and nesc = ref 0 in
-    let rec seek () =
-      if !i >= n then bail ()
-      else
-        match String.unsafe_get line !i with
-        | '"' -> ()
-        | '\\' ->
-            incr nesc;
-            i := !i + 2;
-            seek ()
-        | _ ->
-            incr i;
-            seek ()
-    in
-    seek ();
-    let stop = !i in
-    pos := stop + 1;
-    (start, stop, !nesc)
-  in
-  (* the L1 key, decoded straight into place: tag, NUL, BLIF bytes *)
-  let build_key tag (start, stop, nesc) =
-    let tl = String.length tag in
-    let out = Bytes.create (tl + 1 + (stop - start - nesc)) in
-    Bytes.blit_string tag 0 out 0 tl;
-    Bytes.unsafe_set out tl '\x00';
-    if nesc = 0 then Bytes.blit_string line start out (tl + 1) (stop - start)
-    else begin
-      let o = ref (tl + 1) and j = ref start in
-      while !j < stop do
-        let c = String.unsafe_get line !j in
-        if c = '\\' then begin
-          (* [seek] jumped escapes in pairs, so the escape char of any
-             backslash in [start, stop) is itself inside the span *)
-          let d =
-            match String.unsafe_get line (!j + 1) with
-            | '"' -> '"'
-            | '\\' -> '\\'
-            | '/' -> '/'
-            | 'b' -> '\b'
-            | 'f' -> '\012'
-            | 'n' -> '\n'
-            | 'r' -> '\r'
-            | 't' -> '\t'
-            | _ -> bail ()
-          in
-          Bytes.unsafe_set out !o d;
-          incr o;
-          j := !j + 2
-        end
-        else begin
-          Bytes.unsafe_set out !o c;
-          incr o;
-          incr j
-        end
-      done
-    end;
-    Bytes.unsafe_to_string out
-  in
-  let scan_int () =
-    let start = !pos in
-    if !pos < n && String.unsafe_get line !pos = '-' then incr pos;
-    let d0 = !pos in
-    while
-      !pos < n
-      && match String.unsafe_get line !pos with '0' .. '9' -> true | _ -> false
-    do
-      incr pos
-    done;
-    if !pos = d0 then bail ();
-    (* a fraction or exponent would make the parser produce a float *)
-    if
-      !pos < n
-      && match String.unsafe_get line !pos with '.' | 'e' | 'E' -> true | _ -> false
-    then bail ();
-    match int_of_string (String.sub line start (!pos - start)) with
-    | v -> v
-    | exception Failure _ -> bail ()
-  in
-  let scan_bool () =
-    if !pos + 4 <= n && String.sub line !pos 4 = "true" then begin
-      pos := !pos + 4;
-      true
-    end
-    else if !pos + 5 <= n && String.sub line !pos 5 = "false" then begin
-      pos := !pos + 5;
-      false
-    end
-    else bail ()
-  in
-  (* [parse_request] would clamp the default the same way; a
-     non-positive default errors there, so bail. *)
-  let default_dl =
-    if t.default_deadline_s > 0.0 then Stdlib.min t.default_deadline_s 3600.0
-    else -1.0
-  in
-  (* the flat members of one request object; '{' and leading ws already
-     consumed, positioned at the first member's opening quote *)
-  let scan_obj_rest () =
-    if default_dl <= 0.0 then bail ();
-    let id = ref None and blif = ref None in
-    let level = ref None and echo = ref None in
-    let rec members () =
-      let nm = scan_name () in
-      skip_ws ();
-      expect ':';
-      skip_ws ();
-      (if name_eq nm "blif" then begin
-         if !blif <> None then bail ();
-         blif := Some (scan_raw_string ())
-       end
-       else if name_eq nm "id" then begin
-         if !id <> None then bail ();
-         id := Some (Obs.Json.Int (scan_int ()))
-       end
-       else if name_eq nm "echo" then begin
-         if !echo <> None then bail ();
-         echo := Some (scan_bool ())
-       end
-       else if name_eq nm "level" then begin
-         if !level <> None then bail ();
-         level :=
-           Some
-             (match scan_string () with
-             | "bit" -> Hash.Embed.Bit_level
-             | "rt" -> Hash.Embed.Rt_level
-             | _ -> bail ())
-       end
-       else bail ());
-      skip_ws ();
-      if !pos >= n then bail ()
-      else
-        match String.unsafe_get line !pos with
-        | ',' ->
-            incr pos;
-            skip_ws ();
-            members ()
-        | '}' -> incr pos
-        | _ -> bail ()
-    in
-    members ();
-    match !blif with
-    | None -> bail () (* "missing field: blif" is the slow path's line *)
-    | Some span ->
-        let level =
-          match !level with Some l -> l | None -> Hash.Embed.Bit_level
-        in
-        let tag =
-          match level with
-          | Hash.Embed.Bit_level -> "bit"
-          | Hash.Embed.Rt_level -> "rt"
-        in
-        {
-          sq_tkey = build_key tag span;
-          sq_taglen = String.length tag;
-          sq_id = !id;
-          sq_level = level;
-          sq_echo = (match !echo with Some b -> b | None -> true);
-        }
-  in
-  let scan_obj () =
-    expect '{';
-    skip_ws ();
-    if !pos < n && String.unsafe_get line !pos = '}' then bail ()
-    else scan_obj_rest ()
-  in
-  let top () =
-    skip_ws ();
-    expect '{';
-    skip_ws ();
-    if !pos < n && String.unsafe_get line !pos = '}' then bail ();
-    let save = !pos in
-    let nm = scan_name () in
-    if name_eq nm "batch" then begin
-      skip_ws ();
-      expect ':';
-      skip_ws ();
-      expect '[';
-      skip_ws ();
-      let items = ref [] and count = ref 0 in
-      (if !pos < n && String.unsafe_get line !pos = ']' then incr pos
-       else
-         let rec elems () =
-           skip_ws ();
-           let r = scan_obj () in
-           items := r :: !items;
-           incr count;
-           if !count > max_batch then bail ();
-           skip_ws ();
-           if !pos >= n then bail ()
-           else
-             match String.unsafe_get line !pos with
-             | ',' ->
-                 incr pos;
-                 elems ()
-             | ']' -> incr pos
-             | _ -> bail ()
-         in
-         elems ());
-      skip_ws ();
-      expect '}';
-      skip_ws ();
-      if !pos <> n then bail ();
-      Scanned_batch (List.rev !items)
-    end
-    else begin
-      pos := save;
-      let req = scan_obj_rest () in
-      skip_ws ();
-      if !pos <> n then bail ();
-      Scanned_one req
-    end
-  in
-  match top () with v -> Some v | exception Slow -> None
-
-let submit_line_slow t ~t0 ~t0m line =
+let submit_line t line =
+  let t0m = Logic.Clock.now () in
   match Obs.Json.parse line with
   | exception Obs.Json.Parse_error msg ->
       Immediate (error_response Bad_request msg)
   | json -> (
       match Obs.Json.member "batch" json with
-      | None -> submit_json t ~t0 ~t0m json
+      | None -> submit_json t ~t0m json
       | Some (Obs.Json.List items) ->
           if List.length items > max_batch then
             Immediate
@@ -1153,62 +754,13 @@ let submit_line_slow t ~t0 ~t0m line =
                          (error_response
                             ?id:(Obs.Json.member "id" item)
                             Bad_request "batches do not nest")
-                   | None -> submit_json t ~t0 ~t0m item)
+                   | None -> submit_json t ~t0m item)
                  items)
       | Some _ ->
           Immediate
             (error_response
                ?id:(Obs.Json.member "id" json)
                Bad_request "bad field: batch (expected a list of requests)"))
-
-(* The fast lane for a scanned request: probe the text cache with the
-   key the scanner already built; on a miss, slice the BLIF back out of
-   the key and take the ordinary [submit_request] road (whose own L1
-   probe misses again without bumping any counter). *)
-let submit_scanned t ~t0 ~t0m (sq : scanned_req) =
-  let tsh = shard_for t sq.sq_tkey in
-  let text_hit =
-    locked tsh (fun () ->
-        match Lru.find tsh.sh_text sq.sq_tkey with
-        | Some (digest, e) ->
-            bump tsh.sh_counters.Obs.Cache.hits;
-            Some (digest, e)
-        | None -> None)
-  in
-  match text_hit with
-  | Some (digest, e) ->
-      Immediate
-        (ok_response t ~id:sq.sq_id ~echo:sq.sq_echo ~hit:true ~cacheable:true
-           ~digest:(Some digest) ~e
-           ~wall_s:(Unix.gettimeofday () -. t0)
-           ())
-  | None ->
-      let blif =
-        String.sub sq.sq_tkey (sq.sq_taglen + 1)
-          (String.length sq.sq_tkey - sq.sq_taglen - 1)
-      in
-      submit_request t ~t0 ~t0m
-        {
-          id = sq.sq_id;
-          blif;
-          level = sq.sq_level;
-          cut = Maximal;
-          deadline_s = Stdlib.min t.default_deadline_s 3600.0;
-          echo = sq.sq_echo;
-          (* the scanner bails to the slow parser on any unknown
-             member, so a request carrying "cert" never reaches the
-             scanned fast lane *)
-          cert = false;
-        }
-
-let submit_line t line =
-  let t0 = Unix.gettimeofday () in
-  let t0m = Logic.Clock.now () in
-  match scan_line t line with
-  | Some (Scanned_one sq) -> submit_scanned t ~t0 ~t0m sq
-  | Some (Scanned_batch sqs) ->
-      Batch (List.map (submit_scanned t ~t0 ~t0m) sqs)
-  | None -> submit_line_slow t ~t0 ~t0m line
 
 let await_queued id fut =
   match Parallel.Pool.await fut with
@@ -1220,41 +772,16 @@ let await_queued id fut =
       let code, msg = error_of_exn e in
       error_response ?id code msg
 
-let rec collect = function
-  | Immediate r -> render_response r
-  | Queued (id, fut) -> render_response (await_queued id fut)
-  | Batch ps ->
-      (* one pre-sized buffer: the parts are ~20KB each, and building
-         the array line by [^]/[String.concat] would copy the megabyte
-         of a full batch three times over on the major heap *)
-      let parts = List.map collect ps in
-      let total =
-        List.fold_left (fun a s -> a + String.length s + 1) 1 parts
-      in
-      let buf = Buffer.create (total + 1) in
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i s ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf s)
-        parts;
-      Buffer.add_char buf ']';
-      Buffer.contents buf
-
-let handle_line t line = collect (submit_line t line)
-
-(* Channel-side twin of [collect]: awaits in the same order but
-   appends every piece to a caller-owned scratch buffer, so the warm
-   socket path never allocates a response-sized string (and a batch
-   never materializes its potentially megabyte array line as a string).
-   The per-connection writer reuses one scratch buffer for every line:
-   after the first response the warm path allocates nothing
-   response-sized at all, and the channel is touched once per line
-   instead of once per JSON piece. *)
+(* Await a submitted line's responses in request order and append them
+   to [buf] — a batch as one JSON array.  The per-connection writer
+   reuses one scratch buffer for every line: after the first response
+   the warm path allocates nothing response-sized at all (a batch never
+   materializes its potentially megabyte array line as a string), and
+   the channel is touched once per line instead of once per JSON
+   piece. *)
 let rec add_pending buf = function
-  | Immediate r -> response_pieces r (Buffer.add_string buf)
-  | Queued (id, fut) ->
-      response_pieces (await_queued id fut) (Buffer.add_string buf)
+  | Immediate r -> add_response buf r
+  | Queued (id, fut) -> add_response buf (await_queued id fut)
   | Batch ps ->
       Buffer.add_char buf '[';
       List.iteri
@@ -1264,9 +791,13 @@ let rec add_pending buf = function
         ps;
       Buffer.add_char buf ']'
 
+let handle_line t line =
+  let buf = Buffer.create 1024 in
+  add_pending buf (submit_line t line);
+  Buffer.contents buf
+
 (* Requests pipeline through the pool; responses come back in request
-   order (a pending queue, drained as the head resolves). *)
-(* The reader (this thread) parses lines and dispatches; a writer
+   order.  The reader (this thread) parses lines and dispatches; a writer
    thread awaits each pending response in request order and emits it
    the moment it resolves.  Splitting the two is what lets an
    interactive client see its response while the reader is blocked on

@@ -23,8 +23,9 @@
     answered from the proof cache no proof was replayed, and rather
     than fabricate evidence the server answers an error with code
     ["cert_unavailable"] (retry against a cold cache, or via a
-    gate-list cut, to force a run).  Certificate requests always take
-    the slow parse path and are never served by the scanned fast lane.
+    gate-list cut, to force a run).  This holds at both cache levels and
+    whatever the spelling of the request line: a certificate request
+    that hits the cache always answers ["cert_unavailable"].
 
     A successful response carries [status = "ok"], the retimed netlist
     as BLIF text (["blif"]), the kernel theorem (["theorem"]),
@@ -51,10 +52,12 @@
     Only [maximal]-cut requests are cached: the maximal cut is a
     function of the circuit alone, so the (fingerprint, level) pair
     fully determines the result.  The cache is two-level.  An
-    exact-text front cache — keyed on the level-tagged raw BLIF bytes
-    themselves, so the table's key equality is the byte comparison and
-    a hash collision can only cost a bucket scan, never a wrong
-    answer — answers byte-identical repeats without parsing; behind it,
+    exact-text front cache — keyed on the level-tagged BLIF bytes as
+    decoded from the JSON string, so the table's key equality is the
+    byte comparison and a hash collision can only cost a bucket scan,
+    never a wrong answer — answers repeats of the same BLIF text
+    without parsing it, however the request line around it is spelled;
+    behind it,
     the fingerprint cache requires
     digest {e and} full canonical-form equality ({!Fingerprint.equal}'s
     contract), so a digest collision can only cause a spurious miss.

@@ -114,9 +114,8 @@ let test_echo_elision () =
   Fun.protect ~finally:(fun () -> Serve.shutdown srv) @@ fun () ->
   let b = blif_of 3 in
   let terse = request ~extra:[ ("echo", J.Bool false) ] 1 b in
-  (* echo:false elides blif+theorem on both the miss and the hit path
-     (the hit goes through the fast-path scanner), everything else
-     stays *)
+  (* echo:false elides blif+theorem on both the miss and the hit path,
+     everything else stays *)
   List.iter
     (fun (label, hit) ->
       let j = parse (Serve.handle_line srv terse) in
@@ -347,6 +346,172 @@ let test_batch_rejects () =
   match parse (Serve.handle_line srv "{\"batch\": []}") with
   | J.List [] -> ()
   | _ -> Alcotest.fail "empty batch should answer []"
+
+let test_batch_bounds () =
+  let srv = mk_server () in
+  Fun.protect ~finally:(fun () -> Serve.shutdown srv) @@ fun () ->
+  let junk_batch n =
+    "{\"batch\":["
+    ^ String.concat "," (List.init n (fun _ -> "{\"blif\":\"x\"}"))
+    ^ "]}"
+  in
+  (* one item over the bound: a single line-level rejection *)
+  let j = parse (Serve.handle_line srv (junk_batch 4097)) in
+  Alcotest.(check string) "oversized batch rejected" "bad_request"
+    (error_code j);
+  (match Option.bind (J.member "error" j) (J.member "message") with
+  | Some (J.Str m) ->
+      check "message names the bound" true
+        (String.starts_with ~prefix:"batch too large" m)
+  | _ -> Alcotest.fail "error without message");
+  expect_error srv "{\"batch\": \"x\"}" "bad_request";
+  (* exactly at the bound: every item answered in its own slot *)
+  match parse (Serve.handle_line srv (junk_batch 4096)) with
+  | J.List items ->
+      check_int "4096 responses" 4096 (List.length items);
+      check "every junk item is an invalid netlist" true
+        (List.for_all (fun i -> error_code i = "invalid_netlist") items)
+  | _ -> Alcotest.fail "a full batch should answer an array"
+
+(* --- one spelling, one answer --------------------------------------- *)
+
+(* A JSON string literal for [s], each character spelled one of the ways
+   the grammar allows: raw where legal, a short escape where one exists,
+   or a [\u00XX] escape. *)
+let gen_json_string s =
+  let open QCheck.Gen in
+  let spell c =
+    let u = Printf.sprintf "\\u%04x" (Char.code c) in
+    match c with
+    | '"' -> oneofl [ "\\\""; u ]
+    | '\\' -> oneofl [ "\\\\"; u ]
+    | '/' -> oneofl [ "/"; "\\/"; u ]
+    | '\n' -> oneofl [ "\\n"; u ]
+    | '\t' -> oneofl [ "\\t"; u ]
+    | c when Char.code c < 0x20 -> return u
+    | c -> oneofl [ String.make 1 c; u ]
+  in
+  let+ parts = flatten_l (List.map spell (List.of_seq (String.to_seq s))) in
+  "\"" ^ String.concat "" parts ^ "\""
+
+(* One request line for [members] (name, JSON text of the value): the
+   members in any order, whitespace around every [:] and [,], names and
+   string values re-spelled character by character. *)
+let gen_spelling members =
+  let open QCheck.Gen in
+  let ws = oneofl [ ""; " "; "\t"; "  " ] in
+  let member (k, v) =
+    let+ parts =
+      flatten_l [ ws; gen_json_string k; ws; return ":"; ws; v; ws ]
+    in
+    String.concat "" parts
+  in
+  let* order = shuffle_l members in
+  let+ ms = flatten_l (List.map member order) in
+  "{" ^ String.concat "," ms ^ "}"
+
+(* What must not depend on the spelling: everything but the echoed id,
+   the timing and the cache counters. *)
+let spelling_invariant j =
+  let drop keys = function
+    | J.Obj fs -> J.Obj (List.filter (fun (k, _) -> not (List.mem k keys)) fs)
+    | j -> j
+  in
+  match drop [ "id"; "wall_s" ] j with
+  | J.Obj fs ->
+      J.Obj
+        (List.map
+           (fun (k, v) ->
+             if k = "cache" then
+               ( k,
+                 drop
+                   [ "hits"; "misses"; "evictions"; "insertions"; "entries" ]
+                   v )
+             else (k, v))
+           fs)
+  | j -> j
+
+let test_one_spelling_one_answer () =
+  (* one shard of two entries per level, so the LRU order is global *)
+  let srv = mk_server ~cache_capacity:2 ~shards:1 () in
+  Fun.protect ~finally:(fun () -> Serve.shutdown srv) @@ fun () ->
+  (* a comment line gives the BLIF a '/' to spell as "\/" *)
+  let blif = "# fig2/2\n" ^ blif_of 2 in
+  let canonical =
+    J.to_string
+      (J.Obj
+         [
+           ("id", J.Int 1);
+           ("blif", J.Str blif);
+           ("level", J.Str "bit");
+           ("echo", J.Bool true);
+         ])
+  in
+  (* Leave the circuit in the exact-text (L1) cache but not in the
+     fingerprint (L2) cache: an L1 hit refreshes only L1's recency, so
+     the next miss evicts the circuit from L2 and another one from L1.
+     From then on a spelling hits only if its L1 key is the decoded
+     BLIF, not the raw line. *)
+  Alcotest.(check string) "canonical miss" "ok"
+    (status (parse (Serve.handle_line srv canonical)));
+  ignore (parse (Serve.handle_line srv (request 2 (blif_of 3))));
+  let reference = parse (Serve.handle_line srv canonical) in
+  check "canonical repeat hits" true (cache_bool "hit" reference);
+  let j = parse (Serve.handle_line srv (request 3 (blif_of 4))) in
+  check_int "one eviction per level" 2 (cache_int "evictions" j);
+  let prop line =
+    let j = parse (Serve.handle_line srv line) in
+    cache_bool "hit" j && spelling_invariant j = spelling_invariant reference
+  in
+  QCheck.Test.check_exn
+    ~rand:(Random.State.make [| 0x5e11 |])
+    (QCheck.Test.make ~count:200 ~name:"every spelling answers alike"
+       (QCheck.make ~print:Fun.id
+          (gen_spelling
+             [
+               ("id", QCheck.Gen.return "1");
+               ("blif", gen_json_string blif);
+               ("level", gen_json_string "bit");
+               ("echo", QCheck.Gen.return "true");
+             ]))
+       prop);
+  (* a certificate request hitting the cache is refused however it is
+     spelled *)
+  expect_error srv
+    ("{ \"cert\" : true , \"blif\":" ^ J.to_string (J.Str blif) ^ "}")
+    "cert_unavailable";
+  (* the hits above came from L1 alone: the circuit really left L2, so
+     a renamed copy of it (new text, same fingerprint) misses *)
+  let renamed =
+    String.concat "\n"
+      (List.map
+         (fun l -> if l = ".model fig2_rt_2_bits" then ".model other" else l)
+         (String.split_on_char '\n' blif))
+  in
+  check "renamed copy misses L2" false
+    (cache_bool "hit" (parse (Serve.handle_line srv (request 4 renamed))))
+
+(* --- timing --------------------------------------------------------- *)
+
+let test_wall_s_one_clock () =
+  let srv = mk_server () in
+  Fun.protect
+    ~finally:(fun () ->
+      Logic.Clock.use_monotonic ();
+      Serve.shutdown srv)
+  @@ fun () ->
+  let b = blif_of 2 in
+  ignore (parse (Serve.handle_line srv (request 1 b)));
+  (* every reading of the injected clock is a second after the last *)
+  let ticks = Atomic.make 0 in
+  Logic.Clock.set_source (fun () ->
+      float_of_int (Atomic.fetch_and_add ticks 1));
+  let j = parse (Serve.handle_line srv (request 2 b)) in
+  check "hit" true (cache_bool "hit" j);
+  match J.member "wall_s" j with
+  | Some (J.Float w) -> check "wall_s read from Logic.Clock" true (w >= 1.0)
+  | Some (J.Int w) -> check "wall_s read from Logic.Clock" true (w >= 1)
+  | _ -> Alcotest.fail "ok response without a numeric wall_s"
 
 (* --- sharded counters ----------------------------------------------- *)
 
@@ -579,6 +744,11 @@ let suite =
     Alcotest.test_case "batch order and isolation" `Quick
       test_batch_order_and_isolation;
     Alcotest.test_case "batch rejections" `Quick test_batch_rejects;
+    Alcotest.test_case "batch size bound" `Quick test_batch_bounds;
+    Alcotest.test_case "one spelling, one answer" `Quick
+      test_one_spelling_one_answer;
+    Alcotest.test_case "wall_s on the deadline clock" `Quick
+      test_wall_s_one_clock;
     Alcotest.test_case "sharded counters aggregate" `Quick
       test_sharded_counters;
     Alcotest.test_case "interleaved socket clients" `Quick
