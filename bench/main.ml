@@ -46,25 +46,10 @@ let deadline =
 let max_n = min 63 (max 1 (env_int "BENCH_MAX_N" 63))
 let jobs = max 1 (env_int "BENCH_JOBS" (Domain.recommended_domain_count ()))
 
-(* BENCH_REORDER=off|auto|sift selects the dynamic variable reordering
-   mode every manager is created with (including the per-domain reused
-   ones).  Same fallback discipline as the numeric knobs: unreadable
-   values mean the default, and the JSON header echoes what was
-   resolved. *)
-let reorder =
-  match Sys.getenv_opt "BENCH_REORDER" with
-  | Some v -> (
-      match Bdd.reorder_mode_of_string_opt v with
-      | Some mode -> mode
-      | None -> Bdd.Off)
-  | None -> Bdd.Off
-
-let () = Bdd.set_default_reorder reorder
-
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Logic.Clock.now () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, Logic.Clock.now () -. t0)
 
 let fmt_time ok t = if ok then Printf.sprintf "%8.2f" t else "       -"
 
@@ -82,7 +67,7 @@ let engine_cell (r : Engines.Common.report) =
 let hash_run level c cut =
   let budget = Engines.Common.budget_of_seconds deadline in
   let k0 = Engines.Common.kernel_now () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Logic.Clock.now () in
   let status =
     match Hash.Synthesis.retime ~budget level c cut with
     | (_ : Hash.Synthesis.step) -> "ok"
@@ -91,7 +76,7 @@ let hash_run level c cut =
   in
   {
     Obs.engine = "hash";
-    wall_s = Unix.gettimeofday () -. t0;
+    wall_s = Logic.Clock.now () -. t0;
     status;
     snap = Obs.empty;
     kern = Obs.kernel_delta ~before:k0 ~after:(Engines.Common.kernel_now ());
@@ -114,7 +99,6 @@ let write_table_json path table rows_json =
          ("deadline_s", Obs.Json.Float deadline);
          ("max_n", Obs.Json.Int max_n);
          ("jobs", Obs.Json.Int jobs);
-         ("reorder", Obs.Json.Str (Bdd.reorder_mode_to_string reorder));
          ("bdd_domain_created", Obs.Json.Int created);
          ("bdd_domain_reused", Obs.Json.Int reused);
          ("rows", Obs.Json.List rows_json);
@@ -334,21 +318,6 @@ let bdd_ite_storm () =
   done;
   ignore (Bdd.exists m [ 0; 2; 4; 6; 8; 10 ] !f)
 
-(* The sifting machinery end to end: build the classic pairing function
-   OR_i (x_i AND x_(8+i)) under the interleaving-hostile order
-   x0..x15 (exponential at 2^8 nodes), then sift it down to the linear
-   form.  Reordering is forced off during the build so the row measures
-   one deliberate sift, not the auto trigger. *)
-let bdd_reorder_sift () =
-  let m = Bdd.manager () in
-  Bdd.set_reorder m Bdd.Off;
-  let h = 8 in
-  let f = ref (Bdd.zero m) in
-  for i = 0 to h - 1 do
-    f := Bdd.or_ m !f (Bdd.and_ m (Bdd.var m i) (Bdd.var m (h + i)))
-  done;
-  Bdd.sift m
-
 (* Run one Bechamel group and return its (name, ns/run) estimates.  The
    micro rows are grouped kernel/* | bdd/* | hash/* so that the compare
    gate can hold each subsystem to the regression threshold separately. *)
@@ -462,7 +431,6 @@ let micro () =
           (Staged.stage (fun () ->
                let m = Bdd.manager () in
                ignore (Engines.Symbolic.product m pg pr)));
-        Test.make ~name:"reorder-sift" (Staged.stage bdd_reorder_sift);
       ]
   in
   (* the van Eijk classing front-end: packed-signature simulation of the
@@ -554,11 +522,7 @@ let cert_bench () =
   Printf.printf "%-8s %10s %10s %9s %10s %10s %9s %9s %9s %8s\n" "name"
     "synth(ms)" "record(ms)" "over(%)" "eijk(ms)" "replay(ms)" "rpl/eijk"
     "rpl/syn" "emit(ms)" "bytes";
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
+  let time f = snd (time f) in
   let min_of reps f =
     let best = ref infinity in
     for _ = 1 to reps do

@@ -16,15 +16,10 @@ type t = int
    per-call generation stamp instead of being cleared with
    [Hashtbl.reset].
 
-   Variable order.  Nodes store their *variable*, and a separate
-   level_of/var_at permutation gives each variable its current depth.
-   The unique-table key (var, low, high) is therefore stable under
-   reordering, which lets [swap_adjacent] rewrite the nodes of one level
-   in place: a node keeps its id — and ids denote functions, so every
-   live [t] in client hands and every ite computed-table entry stays
-   valid across a reorder. *)
-
-type reorder_mode = Off | Auto | Sift
+   Variable order.  The order is fixed: a node's level is its variable
+   id, so callers choose the order by choosing the numbering.  Nodes are
+   append-only and never rewritten, so an id denotes one function for
+   the manager's lifetime and any snapshot of the store is consistent. *)
 
 type ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -44,21 +39,15 @@ let ba_blit_prefix (src : ba) (dst : ba) n =
       (Bigarray.Array1.sub dst 0 n)
 
 type manager = {
-  (* node store: variable, children, same-variable chain, and internal
-     parent reference counts (the chain and the refcounts exist for the
-     reordering machinery) *)
+  (* node store: variable and children *)
   mutable var_arr : ba;
   mutable low_arr : ba;
   mutable high_arr : ba;
-  mutable chain_arr : ba;
-  mutable ref_arr : ba;
   mutable next : int;
   (* unique table: open-addressed, power-of-two capacity, entries are node
-     ids (0 = empty slot, 1 = tombstone left by a reordering delete; real
-     nodes start at id 2) *)
+     ids (0 = empty slot; real nodes start at id 2) *)
   mutable u_tab : ba;
   mutable u_mask : int;
-  mutable u_tombs : int;
   (* ite computed table: direct-mapped, 4 ints per entry (f, g, h, result);
      f = -1 marks an empty entry *)
   mutable c_tab : ba;
@@ -70,32 +59,6 @@ type manager = {
   mutable generation : int;
   (* scratch bitmask for the variable set of [exists] *)
   mutable vset : Bytes.t;
-  (* variable order: level_of and var_at are inverse permutations over
-     [0, n_vars); var_head chains every node of a variable so a swap
-     touches one level's nodes only; var_live counts the nodes of a
-     variable with at least one internal parent (the size metric the
-     sifting driver minimises — roots have no internal parent and are
-     not counted, which is a deliberate approximation: the package has
-     no external reference tracking) *)
-  mutable n_vars : int;
-  mutable level_of : int array;
-  mutable var_at : int array;
-  mutable var_head : int array;
-  mutable var_live : int array;
-  mutable live : int;
-  (* dynamic-reordering policy *)
-  mutable reorder : reorder_mode;
-  mutable reorder_floor : int;
-  mutable reorder_mult : int;
-  mutable last_reorder_nodes : int;
-  (* depth of in-flight traversals: a reorder request arriving while an
-     operation walks the graph is deferred to the outermost return *)
-  mutable in_op : int;
-  mutable reorder_pending : bool;
-  (* chain nodes visited by swap_adjacent since the current sift pass
-     began — the driver's work budget (chains keep dead nodes, so swap
-     cost is invisible to the live-population metric) *)
-  mutable reorder_work : int;
   counters : Obs.Counters.t;
 }
 
@@ -103,67 +66,15 @@ let unique_init_bits = 12
 let cache_init_bits = 12
 let cache_max_bits = 20
 
-(* (growth floor, growth multiplier): a sift is triggered when the node
-   population passes the floor and has multiplied since the last one. *)
-let reorder_params = function
-  | Off -> (max_int, 1)
-  | Auto -> (65_536, 4)
-  | Sift -> (16_384, 2)
-
-(* No automatic sift above this population: reordering pays when it
-   catches a bad order early; on a blowup-bound manager a pass would
-   stall an engine (there is no deadline poll inside [sift]) to reorder
-   garbage.  Past the ceiling the order is what it is.  (An explicit
-   [sift] call is not subject to the ceiling.) *)
-let reorder_ceiling = 500_000
-
-(* Per-pass work budget for the sifting driver, in chain nodes visited
-   by [swap_adjacent].  Variable chains retain dead nodes and every
-   rewrite allocates, so an unbounded pass on a churned manager can do
-   orders of magnitude more work than the live population suggests; the
-   budget caps a pass at well under a second regardless. *)
-let sift_work_cap = 1_000_000
-
-(* Process-wide default mode for newly created/shared managers; the bench
-   harness sets it from BENCH_REORDER before any engine runs. *)
-let default_mode = Atomic.make Off
-let set_default_reorder r = Atomic.set default_mode r
-let default_reorder () = Atomic.get default_mode
-
-let reorder_mode_to_string = function
-  | Off -> "off"
-  | Auto -> "auto"
-  | Sift -> "sift"
-
-let reorder_mode_of_string_opt = function
-  | "off" -> Some Off
-  | "auto" -> Some Auto
-  | "sift" -> Some Sift
-  | _ -> None
-
-let set_reorder m r =
-  let floor, mult = reorder_params r in
-  m.reorder <- r;
-  m.reorder_floor <- floor;
-  m.reorder_mult <- mult;
-  if r = Off then m.reorder_pending <- false
-
-let reorder_of m = m.reorder
-
 let manager () =
   let n = 1024 in
-  let r = Atomic.get default_mode in
-  let floor, mult = reorder_params r in
   {
     var_arr = ba_create n;
     low_arr = ba_create n;
     high_arr = ba_create n;
-    chain_arr = ba_create n;
-    ref_arr = ba_create n;
     next = 2;
     u_tab = ba_create (1 lsl unique_init_bits);
     u_mask = (1 lsl unique_init_bits) - 1;
-    u_tombs = 0;
     c_tab =
       (let c = ba_create (4 lsl cache_init_bits) in
        Bigarray.Array1.fill c (-1);
@@ -176,19 +87,6 @@ let manager () =
     m_mask = (1 lsl cache_init_bits) - 1;
     generation = 0;
     vset = Bytes.empty;
-    n_vars = 0;
-    level_of = Array.make 64 0;
-    var_at = Array.make 64 0;
-    var_head = Array.make 64 0;
-    var_live = Array.make 64 0;
-    live = 0;
-    reorder = r;
-    reorder_floor = floor;
-    reorder_mult = mult;
-    last_reorder_nodes = 0;
-    in_op = 0;
-    reorder_pending = false;
-    reorder_work = 0;
     counters = Obs.Counters.create ();
   }
 
@@ -198,10 +96,6 @@ let is_zero _ f = f = 0
 let is_one _ f = f = 1
 let equal (a : t) (b : t) = a = b
 
-(* Forward reference that ties the recursive knot mk -> trigger -> sift ->
-   swap -> mk without one giant [let rec]. *)
-let sift_ref : (manager -> unit) ref = ref (fun _ -> ())
-
 (* Mix three ints into a well-spread non-negative hash without allocating.
    Multiplications wrap, which is fine for hashing. *)
 let hash3 a b c =
@@ -210,66 +104,10 @@ let hash3 a b c =
   (h lxor (h lsr 16)) land max_int
 
 (* ------------------------------------------------------------------ *)
-(* Variable registry                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Levels and variables are both dense in [0, n_vars), so a variable
-   first seen now always enters at level = its own id; only variables
-   created before a reorder can sit elsewhere. *)
-let ensure_var m v =
-  if v < 0 then invalid_arg "Bdd: negative variable";
-  let cap = Array.length m.level_of in
-  if v >= cap then begin
-    let cap' = max (v + 1) (2 * cap) in
-    let extend a =
-      let a' = Array.make cap' 0 in
-      Array.blit a 0 a' 0 cap;
-      a'
-    in
-    m.level_of <- extend m.level_of;
-    m.var_at <- extend m.var_at;
-    m.var_head <- extend m.var_head;
-    m.var_live <- extend m.var_live
-  end;
-  for i = m.n_vars to v do
-    m.level_of.(i) <- i;
-    m.var_at.(i) <- i;
-    m.var_head.(i) <- 0;
-    m.var_live.(i) <- 0
-  done;
-  if v >= m.n_vars then m.n_vars <- v + 1
-
-(* ------------------------------------------------------------------ *)
-(* Internal reference counts                                           *)
-(* ------------------------------------------------------------------ *)
-
-let incref m f =
-  if f >= 2 then begin
-    let r = m.ref_arr.%(f) in
-    m.ref_arr.%(f) <- r + 1;
-    if r = 0 then begin
-      let v = m.var_arr.%(f) in
-      m.var_live.(v) <- m.var_live.(v) + 1;
-      m.live <- m.live + 1
-    end
-  end
-
-let decref m f =
-  if f >= 2 then begin
-    let r = m.ref_arr.%(f) - 1 in
-    m.ref_arr.%(f) <- r;
-    if r = 0 then begin
-      let v = m.var_arr.%(f) in
-      m.var_live.(v) <- m.var_live.(v) - 1;
-      m.live <- m.live - 1
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Unique table                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* raw insert into a fresh (tombstone-free) table *)
+(* raw insert into a fresh table *)
 let unique_insert_raw m id =
   let mask = m.u_mask and tab = m.u_tab in
   let h =
@@ -281,16 +119,11 @@ let unique_insert_raw m id =
   done;
   tab.%(!i) <- id
 
-(* Rebuild the table from the node store (doubling or just purging
-   tombstones).  Every allocated id is present in the table whenever this
-   can run — swap_adjacent computes its mk calls *before* unlinking the
-   node being rewritten, precisely so a rebuild here re-keys from
-   consistent fields. *)
-let unique_rebuild m ~grow =
-  let cap = (m.u_mask + 1) lsl (if grow then 1 else 0) in
+(* Rebuild the table at twice the capacity from the node store. *)
+let unique_grow m =
+  let cap = (m.u_mask + 1) lsl 1 in
   m.u_tab <- ba_create cap;
   m.u_mask <- cap - 1;
-  m.u_tombs <- 0;
   for id = 2 to m.next - 1 do
     unique_insert_raw m id
   done
@@ -305,9 +138,7 @@ let grow_nodes m =
   in
   m.var_arr <- extend m.var_arr;
   m.low_arr <- extend m.low_arr;
-  m.high_arr <- extend m.high_arr;
-  m.chain_arr <- extend m.chain_arr;
-  m.ref_arr <- extend m.ref_arr
+  m.high_arr <- extend m.high_arr
 
 (* Grow the lossy caches in step with the node population so recursions
    over large graphs keep their memoisation effective.  Entries are
@@ -348,61 +179,28 @@ let cache_grow m =
   end
 
 (* Probe for [(v, lo, hi)]: returns the node id when interned already, or
-   [-slot - 2] with [slot] the slot to insert at (the first tombstone on
-   the probe path if any, else the empty slot that ended it). *)
-let rec u_probe m v lo hi i tomb =
+   [-slot - 2] with [slot] the empty slot that ended the probe. *)
+let rec u_probe m v lo hi i =
   let id = m.u_tab.%(i) in
-  if id = 0 then if tomb >= 0 then -tomb - 2 else -i - 2
-  else if id = 1 then
-    u_probe m v lo hi ((i + 1) land m.u_mask) (if tomb >= 0 then tomb else i)
+  if id = 0 then -i - 2
   else if m.var_arr.%(id) = v && m.low_arr.%(id) = lo && m.high_arr.%(id) = hi
   then id
-  else u_probe m v lo hi ((i + 1) land m.u_mask) tomb
+  else u_probe m v lo hi ((i + 1) land m.u_mask)
 
-(* Unlink [id] (keyed by its *current* fields) leaving a tombstone, so
-   later probe chains that ran through this slot stay unbroken. *)
-let u_delete m id =
-  let mask = m.u_mask and tab = m.u_tab in
-  let h = hash3 m.var_arr.%(id) m.low_arr.%(id) m.high_arr.%(id) land mask in
-  let i = ref h and guard = ref (mask + 1) in
-  while tab.%(!i) <> id do
-    decr guard;
-    if !guard < 0 then invalid_arg "Bdd: unique table corrupt";
-    i := (!i + 1) land mask
-  done;
-  tab.%(!i) <- 1;
-  m.u_tombs <- m.u_tombs + 1
-
+(* keep the load factor under ~0.7 *)
 let check_load m =
-  if 10 * (m.next - 2 + m.u_tombs) >= 7 * (m.u_mask + 1) then begin
-    let grow = 10 * (m.next - 2) >= 4 * (m.u_mask + 1) in
-    unique_rebuild m ~grow;
-    if grow then cache_grow m
+  if 10 * (m.next - 2) >= 7 * (m.u_mask + 1) then begin
+    unique_grow m;
+    cache_grow m
   end
-
-(* Re-insert a node rewritten by swap_adjacent under its new key. *)
-let u_insert m id =
-  let p =
-    u_probe m m.var_arr.%(id) m.low_arr.%(id) m.high_arr.%(id)
-      (hash3 m.var_arr.%(id) m.low_arr.%(id) m.high_arr.%(id) land m.u_mask)
-      (-1)
-  in
-  (* the caller guarantees the key is fresh *)
-  let slot = -p - 2 in
-  if m.u_tab.%(slot) = 1 then m.u_tombs <- m.u_tombs - 1;
-  m.u_tab.%(slot) <- id;
-  check_load m
-
-let request_reorder m =
-  if m.in_op = 0 then !sift_ref m else m.reorder_pending <- true
 
 let mk m v lo hi =
   if lo = hi then lo
   else begin
-    if v >= m.n_vars then ensure_var m v;
+    if v < 0 then invalid_arg "Bdd: negative variable";
     let cnt = m.counters in
     cnt.Obs.Counters.mk_calls <- cnt.Obs.Counters.mk_calls + 1;
-    let p = u_probe m v lo hi (hash3 v lo hi land m.u_mask) (-1) in
+    let p = u_probe m v lo hi (hash3 v lo hi land m.u_mask) in
     if p >= 0 then begin
       cnt.Obs.Counters.unique_hits <- cnt.Obs.Counters.unique_hits + 1;
       p
@@ -415,22 +213,8 @@ let mk m v lo hi =
       m.var_arr.%(id) <- v;
       m.low_arr.%(id) <- lo;
       m.high_arr.%(id) <- hi;
-      m.ref_arr.%(id) <- 0;
-      incref m lo;
-      incref m hi;
-      m.chain_arr.%(id) <- m.var_head.(v);
-      m.var_head.(v) <- id;
-      let slot = -p - 2 in
-      if m.u_tab.%(slot) = 1 then m.u_tombs <- m.u_tombs - 1;
-      m.u_tab.%(slot) <- id;
-      (* keep the load factor under ~0.7 *)
+      m.u_tab.%(-p - 2) <- id;
       check_load m;
-      if
-        m.reorder <> Off
-        && m.next - 2 >= m.reorder_floor
-        && m.next - 2 <= reorder_ceiling
-        && (m.next - 2) / m.reorder_mult >= m.last_reorder_nodes
-      then request_reorder m;
       id
     end
   end
@@ -438,166 +222,18 @@ let mk m v lo hi =
 let var m i = mk m i 0 1
 let nvar m i = mk m i 1 0
 
-let level_node m f =
-  if f < 2 then max_int else Array.unsafe_get m.level_of m.var_arr.%(f)
+(* the variable a node branches on; terminals sit below every variable *)
+let top_var m f = if f < 2 then max_int else m.var_arr.%(f)
 
 let cofactors m f v =
   if f < 2 || m.var_arr.%(f) <> v then (f, f)
   else (m.low_arr.%(f), m.high_arr.%(f))
 
 (* ------------------------------------------------------------------ *)
-(* Reordering: swap-adjacent-levels primitive and the sifting driver    *)
-(* ------------------------------------------------------------------ *)
-
-(* Exchange levels [l] and [l+1].  Nodes are rewritten in place: a node
-   of the upper variable x whose function depends on the lower variable y
-   becomes the y-node (y ? (x ? f11 : f01) : (x ? f10 : f00)) — same id,
-   same function, so every client handle and computed-table entry
-   survives.  Key safety: the rewritten node's new key (y, nl, nh) cannot
-   collide with an existing y-node, because nl or nh is an x-node, and
-   before the swap no y-node could have an x-node child (x was above y);
-   and two rewritten nodes cannot share a key because they denote
-   distinct functions. *)
-let swap_adjacent m l =
-  if l < 0 || l >= m.n_vars - 1 then invalid_arg "Bdd.swap_adjacent";
-  m.in_op <- m.in_op + 1;
-  let x = m.var_at.(l) and y = m.var_at.(l + 1) in
-  let old_chain = m.var_head.(x) in
-  (* mk below pushes freshly created x-nodes onto this new chain *)
-  m.var_head.(x) <- 0;
-  let id = ref old_chain in
-  while !id <> 0 do
-    let f = !id in
-    m.reorder_work <- m.reorder_work + 1;
-    let nxt = m.chain_arr.%(f) in
-    let f0 = m.low_arr.%(f) and f1 = m.high_arr.%(f) in
-    let y0 = f0 >= 2 && m.var_arr.%(f0) = y in
-    let y1 = f1 >= 2 && m.var_arr.%(f1) = y in
-    if y0 || y1 then begin
-      let f00 = if y0 then m.low_arr.%(f0) else f0 in
-      let f01 = if y0 then m.high_arr.%(f0) else f0 in
-      let f10 = if y1 then m.low_arr.%(f1) else f1 in
-      let f11 = if y1 then m.high_arr.%(f1) else f1 in
-      (* new cofactors first: mk may rebuild the unique table, which
-         re-keys every node from its fields — f still carries its old
-         key here, which keeps that rebuild consistent *)
-      let nl = mk m x f00 f10 in
-      let nh = mk m x f01 f11 in
-      u_delete m f;
-      incref m nl;
-      incref m nh;
-      decref m f0;
-      decref m f1;
-      if m.ref_arr.%(f) > 0 then begin
-        m.var_live.(x) <- m.var_live.(x) - 1;
-        m.var_live.(y) <- m.var_live.(y) + 1
-      end;
-      m.var_arr.%(f) <- y;
-      m.low_arr.%(f) <- nl;
-      m.high_arr.%(f) <- nh;
-      u_insert m f;
-      m.chain_arr.%(f) <- m.var_head.(y);
-      m.var_head.(y) <- f
-    end
-    else begin
-      m.chain_arr.%(f) <- m.var_head.(x);
-      m.var_head.(x) <- f
-    end;
-    id := nxt
-  done;
-  m.var_at.(l) <- y;
-  m.var_at.(l + 1) <- x;
-  m.level_of.(x) <- l + 1;
-  m.level_of.(y) <- l;
-  let cnt = m.counters in
-  cnt.Obs.Counters.reorder_swaps <- cnt.Obs.Counters.reorder_swaps + 1;
-  m.in_op <- m.in_op - 1
-
-(* Rudell sifting over the live population.  Each selected variable is
-   moved to every level (down then up), the level minimising the live
-   node count is kept, with a 1.2x growth abort per direction.  The
-   metric counts nodes with at least one internal parent — external
-   roots are invisible to it — and allocation is never reclaimed, so
-   this is an approximation; it is the semantics that are exact. *)
-let max_sift_vars = 64
-
-let sift m =
-  if m.n_vars >= 2 then begin
-    m.in_op <- m.in_op + 1;
-    let cnt = m.counters in
-    cnt.Obs.Counters.sift_passes <- cnt.Obs.Counters.sift_passes + 1;
-    let nv = m.n_vars in
-    let vars = Array.init nv (fun i -> i) in
-    Array.sort (fun a b -> compare m.var_live.(b) m.var_live.(a)) vars;
-    let n_sift = min nv max_sift_vars in
-    m.reorder_work <- 0;
-    (try
-       for k = 0 to n_sift - 1 do
-         let v = vars.(k) in
-         if m.var_live.(v) > 0 then begin
-           let best = ref m.live and best_l = ref m.level_of.(v) in
-           (try
-              while m.level_of.(v) < nv - 1 do
-                swap_adjacent m m.level_of.(v);
-                if m.live < !best then begin
-                  best := m.live;
-                  best_l := m.level_of.(v)
-                end;
-                if 5 * m.live > 6 * !best then raise Exit;
-                if m.reorder_work > sift_work_cap then raise Exit
-              done
-            with Exit -> ());
-           (try
-              while m.level_of.(v) > 0 do
-                swap_adjacent m (m.level_of.(v) - 1);
-                if m.live < !best then begin
-                  best := m.live;
-                  best_l := m.level_of.(v)
-                end;
-                if 5 * m.live > 6 * !best then raise Exit;
-                if m.reorder_work > sift_work_cap then raise Exit
-              done
-            with Exit -> ());
-           (* always finish parking the variable at its best level, even
-              when the work budget just ran out *)
-           while m.level_of.(v) > !best_l do
-             swap_adjacent m (m.level_of.(v) - 1)
-           done;
-           while m.level_of.(v) < !best_l do
-             swap_adjacent m m.level_of.(v)
-           done;
-           if m.reorder_work > sift_work_cap then raise Stdlib.Exit
-         end
-       done
-     with Stdlib.Exit -> ());
-    m.last_reorder_nodes <- m.next - 2;
-    m.reorder_pending <- false;
-    m.in_op <- m.in_op - 1
-  end
-  else begin
-    m.reorder_pending <- false;
-    m.last_reorder_nodes <- max m.last_reorder_nodes (m.next - 2)
-  end
-
-let () = sift_ref := sift
-
-let n_vars m = m.n_vars
-let order m = Array.to_list (Array.sub m.var_at 0 m.n_vars)
-let live_nodes m = m.live
-
-(* ------------------------------------------------------------------ *)
-(* Operation wrappers: defer a pending reorder past in-flight traversals *)
-(* ------------------------------------------------------------------ *)
-
-let leave m =
-  m.in_op <- m.in_op - 1;
-  if m.reorder_pending && m.in_op = 0 then !sift_ref m
-
-(* ------------------------------------------------------------------ *)
 (* ite with argument normalization and a packed computed table          *)
 (* ------------------------------------------------------------------ *)
 
-let rec ite_rec m f g h =
+let rec ite m f g h =
   (* [ite f f h = ite f 1 h] and [ite f g f = ite f g 0]: rewriting first
      lets the commutative canonicalization below see the simple form. *)
   let g = if g = f then 1 else g in
@@ -623,14 +259,13 @@ let rec ite_rec m f g h =
     end
     else begin
       cnt.Obs.Counters.cache_misses <- cnt.Obs.Counters.cache_misses + 1;
-      (* branch on the variable earliest in the current order *)
-      let lmin = min (level_node m f) (min (level_node m g) (level_node m h)) in
-      let v = m.var_at.(lmin) in
+      (* branch on the smallest variable, the earliest in the order *)
+      let v = min (top_var m f) (min (top_var m g) (top_var m h)) in
       let f0, f1 = cofactors m f v in
       let g0, g1 = cofactors m g v in
       let h0, h1 = cofactors m h v in
-      let lo = ite_rec m f0 g0 h0 in
-      let hi = ite_rec m f1 g1 h1 in
+      let lo = ite m f0 g0 h0 in
+      let hi = ite m f1 g1 h1 in
       let r = mk m v lo hi in
       (* m.c_tab may have been replaced by a grow during the recursion *)
       let s = 4 * (hash3 f g h land m.c_mask) in
@@ -642,16 +277,6 @@ let rec ite_rec m f g h =
       r
     end
   end
-
-let ite m f g h =
-  m.in_op <- m.in_op + 1;
-  match ite_rec m f g h with
-  | r ->
-      leave m;
-      r
-  | exception e ->
-      m.in_op <- m.in_op - 1;
-      raise e
 
 let not_ m f = ite m f 0 1
 let and_ m f g = ite m f g 0
@@ -690,111 +315,79 @@ let memo_store m gen f r =
   m_tab.%(s + 2) <- r
 
 let restrict m f v b =
-  ensure_var m v;
-  m.in_op <- m.in_op + 1;
-  let work () =
-    let lv = m.level_of.(v) in
-    let gen = new_generation m in
-    let rec go f =
-      if f < 2 then f
+  let gen = new_generation m in
+  let rec go f =
+    if f < 2 then f
+    else
+      let r0 = memo_find m gen f in
+      if r0 >= 0 then r0
       else
-        let r0 = memo_find m gen f in
-        if r0 >= 0 then r0
-        else
-          let r =
-            let fv = m.var_arr.%(f) in
-            if m.level_of.(fv) > lv then f
-            else if fv = v then if b then m.high_arr.%(f) else m.low_arr.%(f)
-            else mk m fv (go m.low_arr.%(f)) (go m.high_arr.%(f))
-          in
-          memo_store m gen f r;
-          r
-    in
-    go f
+        let r =
+          let fv = m.var_arr.%(f) in
+          if fv > v then f
+          else if fv = v then if b then m.high_arr.%(f) else m.low_arr.%(f)
+          else mk m fv (go m.low_arr.%(f)) (go m.high_arr.%(f))
+        in
+        memo_store m gen f r;
+        r
   in
-  match work () with
-  | r ->
-      leave m;
-      r
-  | exception e ->
-      m.in_op <- m.in_op - 1;
-      raise e
+  go f
 
 let exists m vars f =
-  m.in_op <- m.in_op + 1;
-  let work () =
-    (* membership of the quantified set via a bitmask: O(1) per node with
-       no per-node list traversal *)
-    let maxv = List.fold_left max (-1) vars in
-    let bytes = (maxv + 8) / 8 in
-    if Bytes.length m.vset < bytes then m.vset <- Bytes.make (bytes + 16) '\000'
-    else Bytes.fill m.vset 0 (Bytes.length m.vset) '\000';
-    List.iter
-      (fun v ->
-        if v >= 0 then
-          Bytes.unsafe_set m.vset (v lsr 3)
-            (Char.unsafe_chr
-               (Char.code (Bytes.unsafe_get m.vset (v lsr 3))
-               lor (1 lsl (v land 7)))))
-      vars;
-    let vset = m.vset in
-    let nbits = 8 * Bytes.length vset in
-    let in_set v =
-      v < nbits
-      && Char.code (Bytes.unsafe_get vset (v lsr 3)) land (1 lsl (v land 7))
-         <> 0
-    in
-    let gen = new_generation m in
-    let rec go f =
-      if f < 2 then f
-      else
-        let r0 = memo_find m gen f in
-        if r0 >= 0 then r0
-        else
-          let v = m.var_arr.%(f) in
-          let lo = m.low_arr.%(f) and hi = m.high_arr.%(f) in
-          let r =
-            if in_set v then or_ m (go lo) (go hi) else mk m v (go lo) (go hi)
-          in
-          memo_store m gen f r;
-          r
-    in
-    go f
+  (* membership of the quantified set via a bitmask: O(1) per node with
+     no per-node list traversal *)
+  let maxv = List.fold_left max (-1) vars in
+  let bytes = (maxv + 8) / 8 in
+  if Bytes.length m.vset < bytes then m.vset <- Bytes.make (bytes + 16) '\000'
+  else Bytes.fill m.vset 0 (Bytes.length m.vset) '\000';
+  List.iter
+    (fun v ->
+      if v >= 0 then
+        Bytes.unsafe_set m.vset (v lsr 3)
+          (Char.unsafe_chr
+             (Char.code (Bytes.unsafe_get m.vset (v lsr 3))
+             lor (1 lsl (v land 7)))))
+    vars;
+  let vset = m.vset in
+  let nbits = 8 * Bytes.length vset in
+  let in_set v =
+    v < nbits
+    && Char.code (Bytes.unsafe_get vset (v lsr 3)) land (1 lsl (v land 7))
+       <> 0
   in
-  match work () with
-  | r ->
-      leave m;
-      r
-  | exception e ->
-      m.in_op <- m.in_op - 1;
-      raise e
+  let gen = new_generation m in
+  let rec go f =
+    if f < 2 then f
+    else
+      let r0 = memo_find m gen f in
+      if r0 >= 0 then r0
+      else
+        let v = m.var_arr.%(f) in
+        let lo = m.low_arr.%(f) and hi = m.high_arr.%(f) in
+        let r =
+          if in_set v then or_ m (go lo) (go hi) else mk m v (go lo) (go hi)
+        in
+        memo_store m gen f r;
+        r
+  in
+  go f
 
 let compose m f sigma =
-  m.in_op <- m.in_op + 1;
-  let work () =
-    let gen = new_generation m in
-    let rec go f =
-      if f < 2 then f
+  let gen = new_generation m in
+  let rec go f =
+    if f < 2 then f
+    else
+      let r0 = memo_find m gen f in
+      if r0 >= 0 then r0
       else
-        let r0 = memo_find m gen f in
-        if r0 >= 0 then r0
-        else
-          let v = m.var_arr.%(f) in
-          let lo = go m.low_arr.%(f) and hi = go m.high_arr.%(f) in
-          let fv = match sigma v with Some g -> g | None -> mk m v 0 1 in
-          let r = ite_rec m fv hi lo in
-          memo_store m gen f r;
-          r
-    in
-    go f
+        let v = m.var_arr.%(f) in
+        let lo = go m.low_arr.%(f) and hi = go m.high_arr.%(f) in
+        let fv = match sigma v with Some g -> g | None -> mk m v 0 1 in
+        let r = ite m fv hi lo in
+        memo_store m gen f r;
+        r
   in
-  match work () with
-  | r ->
-      leave m;
-      r
-  | exception e ->
-      m.in_op <- m.in_op - 1;
-      raise e
+  go f
 
 (* ------------------------------------------------------------------ *)
 (* Freeze / share: read-only snapshots for the domain pool              *)
@@ -809,22 +402,12 @@ type frozen = {
   z_var : ba;
   z_low : ba;
   z_high : ba;
-  z_chain : ba;
-  z_ref : ba;
   z_next : int;
   z_u_tab : ba;
   z_u_mask : int;
-  z_u_tombs : int;
-  z_n_vars : int;
-  z_level_of : int array;
-  z_var_at : int array;
-  z_var_head : int array;
-  z_var_live : int array;
-  z_live : int;
 }
 
 let freeze m =
-  if m.in_op <> 0 then invalid_arg "Bdd.freeze: operation in flight";
   let copy_nodes (a : ba) =
     let c = ba_create (max 2 m.next) in
     ba_blit_prefix a c m.next;
@@ -834,21 +417,12 @@ let freeze m =
     z_var = copy_nodes m.var_arr;
     z_low = copy_nodes m.low_arr;
     z_high = copy_nodes m.high_arr;
-    z_chain = copy_nodes m.chain_arr;
-    z_ref = copy_nodes m.ref_arr;
     z_next = m.next;
     z_u_tab =
       (let c = ba_create (m.u_mask + 1) in
        ba_blit_prefix m.u_tab c (m.u_mask + 1);
        c);
     z_u_mask = m.u_mask;
-    z_u_tombs = m.u_tombs;
-    z_n_vars = m.n_vars;
-    z_level_of = Array.sub m.level_of 0 m.n_vars;
-    z_var_at = Array.sub m.var_at 0 m.n_vars;
-    z_var_head = Array.sub m.var_head 0 m.n_vars;
-    z_var_live = Array.sub m.var_live 0 m.n_vars;
-    z_live = m.live;
   }
 
 let share z =
@@ -863,28 +437,16 @@ let share z =
   let cache_entries =
     min (1 lsl cache_max_bits) (max (1 lsl cache_init_bits) u_cap)
   in
-  let r = Atomic.get default_mode in
-  let floor, mult = reorder_params r in
-  let copy_order a =
-    (* at least the manager() default capacity so tiny snapshots do not
-       pin the order arrays small *)
-    let c = Array.make (max 64 (Array.length a)) 0 in
-    Array.blit a 0 c 0 (Array.length a);
-    c
-  in
   {
     var_arr = extend z.z_var;
     low_arr = extend z.z_low;
     high_arr = extend z.z_high;
-    chain_arr = extend z.z_chain;
-    ref_arr = extend z.z_ref;
     next = z.z_next;
     u_tab =
       (let c = ba_create u_cap in
        ba_blit_prefix z.z_u_tab c u_cap;
        c);
     u_mask = z.z_u_mask;
-    u_tombs = z.z_u_tombs;
     c_tab =
       (let c = ba_create (4 * cache_entries) in
        Bigarray.Array1.fill c (-1);
@@ -897,19 +459,6 @@ let share z =
     m_mask = cache_entries - 1;
     generation = 0;
     vset = Bytes.empty;
-    n_vars = z.z_n_vars;
-    level_of = copy_order z.z_level_of;
-    var_at = copy_order z.z_var_at;
-    var_head = copy_order z.z_var_head;
-    var_live = copy_order z.z_var_live;
-    live = z.z_live;
-    reorder = r;
-    reorder_floor = floor;
-    reorder_mult = mult;
-    last_reorder_nodes = max 0 (z.z_next - 2);
-    in_op = 0;
-    reorder_pending = false;
-    reorder_work = 0;
     counters = Obs.Counters.create ();
   }
 

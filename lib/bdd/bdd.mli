@@ -5,29 +5,25 @@
     off-heap [Bigarray] buffers, so the OCaml GC never scans them.  Node
     identifiers are stable for the lifetime of the manager, and semantic
     equality of functions is identifier equality — the property the
-    symbolic model checker's fixed-point test relies on.  Identifiers
-    denote functions, so they stay valid across dynamic variable
-    reordering too.
+    symbolic model checker's fixed-point test relies on.
 
-    Variables are identified by small non-negative integers.  The
-    variable order is initially the natural integer order (callers choose
-    a good starting order by choosing the numbering, e.g. interleaving
-    current- and next-state bits); {!swap_adjacent} and {!sift} permute
-    it afterwards, and managers created under a non-{!Off}
-    {!reorder_mode} re-sift themselves as they grow. *)
+    Variables are identified by non-negative integers, and the variable
+    order is the integer order, fixed for the manager's lifetime: callers
+    choose a good order by choosing the numbering (e.g. interleaving
+    current- and next-state bits). *)
 
 type manager
 type t
 (** A BDD node within some manager. *)
 
 val manager : unit -> manager
-(** A fresh empty manager, with the process-wide default
-    {!reorder_mode} applied. *)
+(** A fresh empty manager. *)
 
 val zero : manager -> t
 val one : manager -> t
 val var : manager -> int -> t
-(** The function [fun env -> env.(i)]. *)
+(** The function [fun env -> env.(i)].
+    @raise Invalid_argument if [i] is negative. *)
 
 val nvar : manager -> int -> t
 (** The negated variable. *)
@@ -57,51 +53,6 @@ val compose : manager -> t -> (int -> t option) -> t
     defined) for variable [i] in [f].  Used for functional image
     computation and for van Eijk's dependency elimination. *)
 
-(** {1 Dynamic variable reordering} *)
-
-type reorder_mode =
-  | Off  (** never reorder (the default) *)
-  | Auto  (** sift when the population quadruples past a high floor *)
-  | Sift  (** sift aggressively: every doubling past a low floor *)
-
-val reorder_mode_of_string_opt : string -> reorder_mode option
-(** Parses ["off"], ["auto"], ["sift"] (the BENCH_REORDER values). *)
-
-val reorder_mode_to_string : reorder_mode -> string
-
-val set_default_reorder : reorder_mode -> unit
-(** Process-wide mode applied to managers created by {!manager} and
-    {!share} from now on (an [Atomic], so safe to read from pool
-    domains). *)
-
-val default_reorder : unit -> reorder_mode
-val set_reorder : manager -> reorder_mode -> unit
-val reorder_of : manager -> reorder_mode
-
-val swap_adjacent : manager -> int -> unit
-(** Exchange the variables at levels [l] and [l+1].  Nodes are rewritten
-    in place: every [t] in client hands still denotes the same boolean
-    function afterwards.  @raise Invalid_argument if [l] is not in
-    [0, n_vars - 1). *)
-
-val sift : manager -> unit
-(** One pass of Rudell sifting: the most populous variables are each
-    moved through the whole order and left at their best level, with a
-    1.2x growth abort.  Semantics-preserving (see {!swap_adjacent});
-    triggered automatically by growth under {!Auto}/{!Sift}, deferred
-    past any in-flight operation. *)
-
-val n_vars : manager -> int
-(** Number of registered variables (= number of levels). *)
-
-val order : manager -> int list
-(** The current variable order, outermost level first. *)
-
-val live_nodes : manager -> int
-(** Nodes with at least one internal parent — the population metric the
-    sifting driver minimises.  Roots held only by the client are not
-    counted. *)
-
 (** {1 Freeze / share for the domain pool} *)
 
 type frozen
@@ -110,15 +61,13 @@ type frozen
 
 val freeze : manager -> frozen
 (** Snapshot the manager.  The manager itself is untouched and remains
-    usable.  @raise Invalid_argument if called from inside an operation
-    callback (e.g. a [compose] sigma). *)
+    usable. *)
 
 val share : frozen -> manager
 (** A fresh manager seeded from the snapshot by memcpy: it starts with
-    the snapshot's nodes, unique table and variable order, then grows
-    privately.  Node ids of the frozen prefix keep their meaning in
-    every sharing manager.  The process-wide default {!reorder_mode} is
-    applied; counters start at zero. *)
+    the snapshot's nodes and unique table, then grows privately.  Node
+    ids of the frozen prefix keep their meaning in every sharing
+    manager.  Counters start at zero. *)
 
 (** {1 Inspection} *)
 
@@ -130,14 +79,14 @@ val size : manager -> t -> int
     "size of the BDDs"). *)
 
 val node_count : manager -> int
-(** Total nodes allocated in the manager (monotone — reordering
-    rewrites nodes in place but never reclaims allocation). *)
+(** Total nodes allocated in the manager (monotone: nodes are never
+    reclaimed). *)
 
 val stats : manager -> Obs.snapshot
 (** Engine counters: hash-consing calls, unique-table and computed-table
-    hit/miss counts, reorder swaps and sift passes, and the peak node
-    count (equal to {!node_count}, which is monotone).  Counters are
-    cumulative over the manager's lifetime. *)
+    hit/miss counts, and the peak node count (equal to {!node_count},
+    which is monotone).  Counters are cumulative over the manager's
+    lifetime. *)
 
 val eval : manager -> t -> (int -> bool) -> bool
 (** Evaluate under an assignment. *)

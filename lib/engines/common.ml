@@ -147,9 +147,9 @@ let () =
 let observe ~engine f =
   let k0 = kernel_now () in
   let g0 = Obs.Gcstats.now () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Logic.Clock.now () in
   let result, extra = try f () with Out_of_budget -> (Timeout, []) in
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let wall_s = Logic.Clock.now () -. t0 in
   let gc = Obs.Gcstats.delta ~before:g0 ~after:(Obs.Gcstats.now ()) in
   {
     engine;
@@ -165,7 +165,7 @@ let observe_bdd ~engine f =
   let k0 = kernel_now () in
   let s0 = Bdd.stats m in
   let g0 = Obs.Gcstats.now () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Logic.Clock.now () in
   let result, extra =
     try f m with
     | Out_of_budget -> (Timeout, [])
@@ -173,7 +173,7 @@ let observe_bdd ~engine f =
         release_manager m;
         raise e
   in
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let wall_s = Logic.Clock.now () -. t0 in
   let gc = Obs.Gcstats.delta ~before:g0 ~after:(Obs.Gcstats.now ()) in
   let r =
     {

@@ -109,7 +109,10 @@ let classes_of_sigs s n =
   done;
   List.rev !out
 
-let candidate_classes ?(sim_cycles = 96) ca cb =
+(* Random-simulation cycles that seed the candidate classes. *)
+let sim_cycles = 96
+
+let candidate_classes ca cb =
   if not (Common.same_interface ca cb) then
     Common.interface_mismatch "Eijk: interface mismatch";
   let na = n_signals ca and nb = n_signals cb in
@@ -132,7 +135,6 @@ type ctx = {
   plain_bdds : Bdd.t array;
   step_bdds : Bdd.t array;
   state_only : int array;  (* memo: -1 unknown / 0 no / 1 yes *)
-  debug : bool;
 }
 
 let norm m b inverted = if inverted then Bdd.not_ m b else b
@@ -153,7 +155,7 @@ let is_state_only ctx u =
    signature candidate classes, the optional dependency elimination, and
    the base/current/next signal BDD arrays.  Raises
    [Common.Out_of_budget]. *)
-let make_ctx ~debug ~exploit_dependencies ~sim_cycles m budget ca cb =
+let make_ctx ~exploit_dependencies m budget ca cb =
   if not (Common.same_interface ca cb) then
     Common.interface_mismatch "Eijk: interface mismatch";
   Common.arm_nodes budget m;
@@ -281,7 +283,6 @@ let make_ctx ~debug ~exploit_dependencies ~sim_cycles m budget ca cb =
       plain_bdds;
       step_bdds;
       state_only = Array.make n (-1);
-      debug;
     }
   in
   (ctx, classes0)
@@ -570,18 +571,6 @@ let step_round ctx parent alive constraints =
               roots_order := r :: !roots_order)
     end
   done;
-  if ctx.debug then begin
-    let nreps = Hashtbl.length bucket in
-    let biggest = ref 0 in
-    Hashtbl.iter
-      (fun (_, kb) _ ->
-        let s = Bdd.size m kb in
-        if s > !biggest then biggest := s)
-      bucket;
-    Format.eprintf "  step: %d groups, %d reps, biggest step bdd %d nodes@."
-      (Hashtbl.length groups) nreps !biggest
-  end;
-  let cmp_count = ref 0 in
   let changed = ref false in
   List.iter
     (fun r ->
@@ -593,7 +582,6 @@ let step_round ctx parent alive constraints =
               List.partition
                 (fun (kb2, _) ->
                   Common.check_nodes ctx.budget m;
-                  incr cmp_count;
                   equal_under ctx constraints kb kb2)
                 rest
             in
@@ -611,9 +599,6 @@ let step_round ctx parent alive constraints =
         (fun rep -> if Hashtbl.find bsize rep = 1 then alive.(rep) <- false)
         leaders)
     (List.rev !roots_order);
-  if ctx.debug then
-    Format.eprintf "  step: %d under-A comparisons, %d nodes@." !cmp_count
-      (Bdd.node_count m);
   !changed
 
 let refine_uf ctx classes0 =
@@ -630,45 +615,21 @@ let refine_uf ctx classes0 =
               parent.(u) <- rep)
             members)
     classes0;
-  if ctx.debug then
-    Format.eprintf "initial classes: %d@." (List.length classes0);
   let try_mono = ref true in
   let stable = ref false in
   while not !stable do
     Common.check_nodes ctx.budget ctx.m;
-    let t0 = if ctx.debug then Unix.gettimeofday () else 0.0 in
     (* 1. base split: members must agree in the initial state *)
     let ch1 =
       split_round ctx parent alive (fun u ->
           norm ctx.m ctx.base_bdds.(u) ctx.inv.(u))
     in
     let cls1 = live_classes parent alive n in
-    let t1 = if ctx.debug then Unix.gettimeofday () else 0.0 in
-    if ctx.debug then
-      Format.eprintf "  base split done: %d classes, %d nodes@."
-        (List.length cls1) (Bdd.node_count ctx.m);
     (* 2. the candidate invariant from the post-base classes *)
     let a_inv = invariant_of ctx ~try_mono cls1 in
-    let t2 = if ctx.debug then Unix.gettimeofday () else 0.0 in
-    if ctx.debug then
-      Format.eprintf "  invariant done (%s), %.2fs, %d nodes@."
-        (match a_inv with
-        | Mono _ -> "mono"
-        | Conjuncts cs -> Printf.sprintf "%d conjuncts" (List.length cs))
-        (t2 -. t1)
-        (Bdd.node_count ctx.m);
     (* 3. step split: members must agree one cycle later, on states
        satisfying A *)
     let ch2 = step_round ctx parent alive a_inv in
-    if ctx.debug then
-      Format.eprintf
-        "round: after base %d classes, after step %d \
-         (base %.2fs, invariant %.2fs, step %.2fs, %d nodes)@."
-        (List.length cls1)
-        (List.length (live_classes parent alive n))
-        (t1 -. t0) (t2 -. t1)
-        (Unix.gettimeofday () -. t2)
-        (Bdd.node_count ctx.m);
     stable := not (ch1 || ch2)
   done;
   live_classes parent alive n
@@ -758,12 +719,9 @@ let refine_list ctx classes0 =
   done;
   !classes
 
-let refine_both_for_tests ?(sim_cycles = 96) budget ca cb =
+let refine_both_for_tests budget ca cb =
   let m = Bdd.manager () in
-  let ctx, classes0 =
-    make_ctx ~debug:false ~exploit_dependencies:false ~sim_cycles m budget ca
-      cb
-  in
+  let ctx, classes0 = make_ctx ~exploit_dependencies:false m budget ca cb in
   let canon cls =
     cls
     |> List.map (fun c ->
@@ -778,10 +736,8 @@ let refine_both_for_tests ?(sim_cycles = 96) budget ca cb =
 
 (* The correspondence computation over a caller-supplied manager (so the
    caller can snapshot kernel counters).  Raises [Common.Out_of_budget]. *)
-let equiv_m ~debug ~exploit_dependencies ~sim_cycles m budget ca cb =
-  let ctx, classes0 =
-    make_ctx ~debug ~exploit_dependencies ~sim_cycles m budget ca cb
-  in
+let equiv_m ~exploit_dependencies m budget ca cb =
+  let ctx, classes0 = make_ctx ~exploit_dependencies m budget ca cb in
   let classes = refine_uf ctx classes0 in
   let na = n_signals ca in
   (* ---- conclude ---- *)
@@ -806,36 +762,22 @@ let equiv_m ~debug ~exploit_dependencies ~sim_cycles m budget ca cb =
         (Hashtbl.find_opt class_of s, Hashtbl.find_opt class_of (na + sb))
       with
       | Some (c1, i1), Some (c2, i2) when c1 = c2 && i1 = i2 -> ()
-      | r ->
+      | _ ->
           if
-            equal_under ctx final_inv ctx.plain_bdds.(s)
-              ctx.plain_bdds.(na + sb)
-          then begin
-            if debug then
-              Format.eprintf "output %d proved by direct check under A@." j
-          end
-          else begin
-            if debug then
-              Format.eprintf "output %d unmatched (%s)@." j
-                (match r with
-                | None, None -> "both unclassed"
-                | None, _ -> "A unclassed"
-                | _, None -> "B unclassed"
-                | Some _, Some _ -> "different class/polarity");
-            ok := false
-          end)
+            not
+              (equal_under ctx final_inv ctx.plain_bdds.(s)
+                 ctx.plain_bdds.(na + sb))
+          then ok := false)
     ca.outputs;
   if !ok then (Common.Equivalent, List.length classes)
   else
     ( Common.Inconclusive "outputs not in a common inductive class",
       List.length classes )
 
-let equiv ?(debug = false) ?(exploit_dependencies = false) ?(sim_cycles = 96)
-    budget ca cb =
+let equiv ?(exploit_dependencies = false) budget ca cb =
   let m = Common.domain_manager () in
   let r =
-    try fst (equiv_m ~debug ~exploit_dependencies ~sim_cycles m budget ca cb)
-    with
+    try fst (equiv_m ~exploit_dependencies m budget ca cb) with
     | Common.Out_of_budget -> Common.Timeout
     | e ->
         Common.release_manager m;
@@ -846,11 +788,8 @@ let equiv ?(debug = false) ?(exploit_dependencies = false) ?(sim_cycles = 96)
 
 let equiv_star budget ca cb = equiv ~exploit_dependencies:true budget ca cb
 
-let equiv_report ?(debug = false) ?(exploit_dependencies = false)
-    ?(sim_cycles = 96) budget ca cb =
+let equiv_report ?(exploit_dependencies = false) budget ca cb =
   let engine = if exploit_dependencies then "eijk_star" else "eijk" in
   Common.observe_bdd ~engine (fun m ->
-      let r, classes =
-        equiv_m ~debug ~exploit_dependencies ~sim_cycles m budget ca cb
-      in
+      let r, classes = equiv_m ~exploit_dependencies m budget ca cb in
       (r, [ ("inductive_classes", float_of_int classes) ]))

@@ -28,9 +28,7 @@
     test suite. *)
 
 val equiv :
-  ?debug:bool ->
   ?exploit_dependencies:bool ->
-  ?sim_cycles:int ->
   Common.budget -> Circuit.t -> Circuit.t -> Common.result
 (** Plain van Eijk ([exploit_dependencies] defaults to [false]).  Both
     circuits must be pure bit-level with matching interfaces. *)
@@ -39,20 +37,17 @@ val equiv_star : Common.budget -> Circuit.t -> Circuit.t -> Common.result
 (** [equiv ~exploit_dependencies:true]. *)
 
 val equiv_report :
-  ?debug:bool ->
   ?exploit_dependencies:bool ->
-  ?sim_cycles:int ->
   Common.budget -> Circuit.t -> Circuit.t -> Common.report
 (** Like {!equiv}, with wall time and kernel counters; [extra] carries
     [inductive_classes] (surviving classes at the fixpoint). *)
 
-val candidate_classes : ?sim_cycles:int -> Circuit.t -> Circuit.t -> int * int
+val candidate_classes : Circuit.t -> Circuit.t -> int * int
 (** [(classes, members)] of the simulation-seeded candidate partition
     (packed signatures only, no BDD work) — the benchmark's microscope on
     the classing front-end.  Deterministic for a given pair. *)
 
 val refine_both_for_tests :
-  ?sim_cycles:int ->
   Common.budget -> Circuit.t -> Circuit.t ->
   (int * bool) list list * (int * bool) list list
 (** Run the union-find refiner and the retained list-based reference

@@ -12,8 +12,6 @@ module Counters = struct
     mutable cache_misses : int;
     mutable memo_hits : int;
     mutable memo_misses : int;
-    mutable reorder_swaps : int;
-    mutable sift_passes : int;
   }
 
   let create () =
@@ -25,8 +23,6 @@ module Counters = struct
       cache_misses = 0;
       memo_hits = 0;
       memo_misses = 0;
-      reorder_swaps = 0;
-      sift_passes = 0;
     }
 
   let reset c =
@@ -36,9 +32,7 @@ module Counters = struct
     c.cache_hits <- 0;
     c.cache_misses <- 0;
     c.memo_hits <- 0;
-    c.memo_misses <- 0;
-    c.reorder_swaps <- 0;
-    c.sift_passes <- 0
+    c.memo_misses <- 0
 end
 
 type snapshot = {
@@ -49,8 +43,6 @@ type snapshot = {
   cache_misses : int;
   memo_hits : int;
   memo_misses : int;
-  reorder_swaps : int;
-  sift_passes : int;
   peak_nodes : int;
 }
 
@@ -63,8 +55,6 @@ let empty =
     cache_misses = 0;
     memo_hits = 0;
     memo_misses = 0;
-    reorder_swaps = 0;
-    sift_passes = 0;
     peak_nodes = 0;
   }
 
@@ -77,8 +67,6 @@ let snapshot ?(peak_nodes = 0) (c : Counters.t) =
     cache_misses = c.Counters.cache_misses;
     memo_hits = c.Counters.memo_hits;
     memo_misses = c.Counters.memo_misses;
-    reorder_swaps = c.Counters.reorder_swaps;
-    sift_passes = c.Counters.sift_passes;
     peak_nodes;
   }
 
@@ -94,8 +82,6 @@ let add a b =
     cache_misses = a.cache_misses + b.cache_misses;
     memo_hits = a.memo_hits + b.memo_hits;
     memo_misses = a.memo_misses + b.memo_misses;
-    reorder_swaps = a.reorder_swaps + b.reorder_swaps;
-    sift_passes = a.sift_passes + b.sift_passes;
     peak_nodes = a.peak_nodes + b.peak_nodes;
   }
 
@@ -112,8 +98,6 @@ let snapshot_delta ~before ~after =
     cache_misses = after.cache_misses - before.cache_misses;
     memo_hits = after.memo_hits - before.memo_hits;
     memo_misses = after.memo_misses - before.memo_misses;
-    reorder_swaps = after.reorder_swaps - before.reorder_swaps;
-    sift_passes = after.sift_passes - before.sift_passes;
     peak_nodes = after.peak_nodes - before.peak_nodes;
   }
 
@@ -717,8 +701,6 @@ let snapshot_json s =
       ("cache_misses", Json.Int s.cache_misses);
       ("memo_hits", Json.Int s.memo_hits);
       ("memo_misses", Json.Int s.memo_misses);
-      ("reorder_swaps", Json.Int s.reorder_swaps);
-      ("sift_passes", Json.Int s.sift_passes);
       ("peak_nodes", Json.Int s.peak_nodes);
       ("cache_hit_rate", Json.Float (hit_rate s));
     ]

@@ -15,8 +15,6 @@ module Counters : sig
     mutable cache_misses : int;  (** ite computed-table misses *)
     mutable memo_hits : int;  (** exists/compose/restrict memo hits *)
     mutable memo_misses : int;  (** exists/compose/restrict memo misses *)
-    mutable reorder_swaps : int;  (** adjacent-level swaps executed *)
-    mutable sift_passes : int;  (** sifting passes over the order *)
   }
 
   val create : unit -> t
@@ -31,8 +29,6 @@ type snapshot = {
   cache_misses : int;
   memo_hits : int;
   memo_misses : int;
-  reorder_swaps : int;
-  sift_passes : int;
   peak_nodes : int;
 }
 

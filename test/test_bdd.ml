@@ -290,41 +290,8 @@ let test_size () =
   Alcotest.(check int) "var size" 1 (Bdd.size m (Bdd.var m 0))
 
 (* ------------------------------------------------------------------ *)
-(* Dynamic reordering and freeze/share                                  *)
+(* Freeze/share and table growth                                        *)
 (* ------------------------------------------------------------------ *)
-
-(* Node ids denote functions, so any amount of adjacent-level swapping
-   and sifting must leave every previously returned id evaluating
-   exactly as before — and the manager canonical (rebuilding the
-   expression finds the same node). *)
-let prop_reorder_semantics =
-  QCheck.Test.make ~count:60
-    ~name:"swap/sift preserve semantics and canonicity"
-    (QCheck.make QCheck.Gen.(pair (gen_expr nvars) (int_bound 1000)))
-    (fun (e, seed) ->
-      let m = Bdd.manager () in
-      Bdd.set_reorder m Bdd.Off;
-      let b = build m e in
-      let st = Random.State.make [| seed; 0x51f7 |] in
-      let nv = Bdd.n_vars m in
-      if nv >= 2 then
-        for _ = 1 to 30 do
-          Bdd.swap_adjacent m (Random.State.int st (nv - 1))
-        done;
-      Bdd.sift m;
-      let b2 = build m e in
-      Bdd.equal b b2 && all_envs (fun env -> Bdd.eval m b env = eval env e))
-
-(* The same property through the automatic trigger: a manager in [Sift]
-   mode reorders whenever it pleases mid-operation, and the caller must
-   not be able to tell (except through the counters). *)
-let prop_auto_sift_semantics =
-  QCheck.Test.make ~count:40 ~name:"auto sift mode is semantically invisible"
-    (QCheck.make (gen_expr nvars)) (fun e ->
-      let m = Bdd.manager () in
-      Bdd.set_reorder m Bdd.Sift;
-      let b = build m e in
-      all_envs (fun env -> Bdd.eval m b env = eval env e))
 
 (* Freeze/share: ids minted before the freeze keep their meaning in
    every sharing manager, growth of a sharing manager never disturbs the
@@ -335,10 +302,7 @@ let prop_freeze_share =
     (QCheck.make QCheck.Gen.(pair (gen_expr nvars) (gen_expr nvars)))
     (fun (e1, e2) ->
       let m = Bdd.manager () in
-      Bdd.set_reorder m Bdd.Off;
       let b1 = build m e1 in
-      Bdd.sift m;
-      (* the snapshot carries the sifted order *)
       let m2 = Bdd.share (Bdd.freeze m) in
       let ok_shared = all_envs (fun env -> Bdd.eval m2 b1 env = eval env e1) in
       let b2 = build m2 e2 in
@@ -346,6 +310,60 @@ let prop_freeze_share =
       let ok_orig = all_envs (fun env -> Bdd.eval m b1 env = eval env e1) in
       let ok_canon = Bdd.equal (build m2 e1) b1 in
       ok_shared && ok_grown && ok_orig && ok_canon)
+
+(* The pairing function OR_i (x_i AND x_(h+i)) under the natural order
+   keeps every x_0..x_(h-1) prefix distinct, so its BDD has ~2^(h+1)
+   nodes.  At h = 12 building it allocates over 11470 nodes, 0.7 of a
+   16384-slot table: the node store doubles from 1024 four times, and
+   the unique table and the caches double from 4096 three times. *)
+let pairing_vars = 24
+
+let build_pairing m =
+  let h = pairing_vars / 2 in
+  let f = ref (Bdd.zero m) in
+  for i = 0 to h - 1 do
+    f := Bdd.or_ m !f (Bdd.and_ m (Bdd.var m i) (Bdd.var m (h + i)))
+  done;
+  !f
+
+let eval_pairing env =
+  let h = pairing_vars / 2 in
+  List.exists (fun i -> env i && env (h + i)) (List.init h Fun.id)
+
+let test_growth () =
+  let m = Bdd.manager () in
+  let f = build_pairing m in
+  let n = Bdd.node_count m in
+  check "unique table grew three times" true (n > 11470);
+  check "rebuild finds the same id" true (Bdd.equal f (build_pairing m));
+  Alcotest.(check int) "rebuild allocates nothing" n (Bdd.node_count m);
+  let st = Random.State.make [| 0x9a11 |] in
+  let envs =
+    List.init 256 (fun _ ->
+        let a = Array.init pairing_vars (fun _ -> Random.State.bool st) in
+        Array.get a)
+  in
+  List.iter
+    (fun env -> check "eval agrees" (eval_pairing env) (Bdd.eval m f env))
+    envs;
+  let m2 = Bdd.share (Bdd.freeze m) in
+  List.iter
+    (fun env ->
+      check "shared eval agrees" (eval_pairing env) (Bdd.eval m2 f env))
+    envs;
+  check "shared rebuild finds the same id" true
+    (Bdd.equal f (build_pairing m2));
+  Alcotest.(check int) "shared rebuild allocates nothing" n
+    (Bdd.node_count m2)
+
+(* A negative variable is rejected before anything is allocated. *)
+let test_negative_var () =
+  let m = Bdd.manager () in
+  ignore (Bdd.var m 0);
+  let n = Bdd.node_count m in
+  Alcotest.check_raises "rejected" (Invalid_argument "Bdd: negative variable")
+    (fun () -> ignore (Bdd.var m (-1)));
+  Alcotest.(check int) "no node allocated" n (Bdd.node_count m)
 
 let suite =
   [
@@ -356,8 +374,6 @@ let suite =
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_compose;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_exists_multi;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_compose_multi;
-    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_reorder_semantics;
-    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_auto_sift_semantics;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_freeze_share;
     Alcotest.test_case "truth-table exhaustive (3 vars)" `Quick
       test_truth_table_exhaustive;
@@ -367,4 +383,7 @@ let suite =
     Alcotest.test_case "support" `Quick test_support;
     Alcotest.test_case "any_sat" `Quick test_any_sat;
     Alcotest.test_case "size" `Quick test_size;
+    Alcotest.test_case "growth: store, unique table, caches, share" `Quick
+      test_growth;
+    Alcotest.test_case "negative variable" `Quick test_negative_var;
   ]
