@@ -369,7 +369,7 @@ let micro () =
   let aconv_e = Hash.Embed.embed Hash.Embed.Rt_level subst_c in
   (* a ground boolean chain with distinct nodes at every level (a balanced
      tree would collapse under hash-consing); normalising it repeatedly
-     exercises the persistent rewrite memo's hit path *)
+     outside a HASH step exercises the rewrite memo's hit path *)
   let ground_chain =
     let t = ref (Boolean.bool_const true) in
     for i = 0 to 199 do
@@ -384,7 +384,10 @@ let micro () =
   let pg = Fig2.gate 12 in
   let pr = Forward.retime pg (Cut.maximal pg) in
   (* HASH end-to-end rows: the full certified retime of a small RT-level
-     circuit, and the embedding step alone at bit level *)
+     circuit, and the embedding step alone at bit level.  Every retime
+     run is a whole step from cold memos: the step releases its
+     normaliser memo tables when it returns, so no run replays the
+     previous run's memoised theorems. *)
   let hash_c = Fig2.rt 8 in
   let hash_cut = Cut.maximal hash_c in
   let embed_c = Fig2.gate 12 in
@@ -489,11 +492,7 @@ let micro () =
    the same table-2 row.  Synthesis and recorded runs are timed in
    *interleaved pairs* (synth, record, synth, record, ...) and the
    minima compared, so slow windows on a loaded machine hit both
-   series alike; the rewrite memos are invalidated before every run,
-   recorded or not, so both sides pay the same cold-memo cost
-   (recording invalidates them at [start_recording] to keep traces
-   self-contained; handing the plain runs warm memos would overstate
-   the overhead).
+   series alike.
 
    Replay is gated at <= 5% of the cheapest post-synthesis
    verification baseline (van Eijk on the same circuit pair).  That is
@@ -577,10 +576,8 @@ let cert_bench () =
           let synths = Array.make cert_pairs 0.0 in
           let recs = Array.make cert_pairs 0.0 in
           for i = 0 to cert_pairs - 1 do
-            Logic.Memo.invalidate_domain ();
             synths.(i) <-
               time (fun () -> ignore (Hash.Synthesis.retime level c cut));
-            Logic.Memo.invalidate_domain ();
             recs.(i) <-
               time (fun () ->
                   Logic.Kernel.start_recording ();

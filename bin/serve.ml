@@ -47,6 +47,15 @@ let run socket tcp jobs cache shards max_conns deadline =
   let stop_signals = [ Sys.sigint; Sys.sigterm ] in
   if socket <> None || tcp <> None then
     ignore (Thread.sigmask Unix.SIG_BLOCK stop_signals);
+  (* Every HASH step frees its normaliser memos when it returns
+     ([Logic.Conv.with_step]), so most of what the daemon promotes dies
+     when its step ends and the live heap stays small (about 50 MiB on
+     the service benchmark's mixed workload).  At the default major-GC
+     pace (space_overhead 120) that garbage piled up to four to eight
+     times the live heap, by an amount that changed from run to run with
+     the timing of requests; at 80 the peak RSS is about half as high
+     and varies far less (EXPERIMENTS.md, "Steady peak RSS"). *)
+  Gc.set { (Gc.get ()) with space_overhead = 80 };
   let t =
     Serve.create ~jobs ~cache_capacity:cache ~shards
       ~default_deadline_s:deadline ()

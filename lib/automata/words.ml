@@ -191,7 +191,7 @@ let eval_rewrites =
   @ Boolean.not_clauses @ Boolean.xor_clauses @ Boolean.eq_bool_clauses
   @ Boolean.cond_clauses
 
-(* Partial application: the normalisation memo persists across calls. *)
+(* Partial application: one memo table, shared within each step. *)
 let word_eval_conv =
   Conv.memo_top_depth_conv
     (Conv.orelsec (Conv.rewrs_conv eval_rewrites) Pairs.let_proj_conv)

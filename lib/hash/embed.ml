@@ -138,5 +138,5 @@ let embed level (c : Circuit.t) =
 
 let mk_automaton_of e = Automata.Theory.mk_automaton e.fd e.q
 
-(* Partial application: the normalisation memo persists across calls. *)
+(* Partial application: one memo table, shared within each step. *)
 let circuit_norm_conv = Conv.memo_top_depth_conv Pairs.let_proj_conv

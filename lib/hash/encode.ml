@@ -42,7 +42,7 @@ let permute_netlist (c : Circuit.t) p =
   Array.iter (fun (nm, s) -> output b nm map.(s)) c.outputs;
   finish b
 
-(* Partial application: the normalisation memo persists across calls. *)
+(* Partial application: one memo table, shared within each step. *)
 let proj_eta_conv =
   Conv.memo_top_depth_conv
     (Conv.orelsec Pairs.let_proj_conv (Conv.rewr_conv Pairs.pair_eta))
@@ -52,14 +52,15 @@ let permute_registers level c p =
     Errors.invalid_cut "Encode.permute_registers: not a permutation";
   if Array.length p <> Array.length c.Circuit.registers then
     Errors.invalid_cut "Encode.permute_registers: wrong permutation size";
-  let t0 = Unix.gettimeofday () in
+  Conv.with_step ignore @@ fun () ->
+  let t0 = Clock.now () in
   let n = Array.length p in
   let inv = Array.make n 0 in
   Array.iteri (fun r j -> inv.(j) <- r) p;
   let permuted = permute_netlist c p in
   let e1 = Embed.embed level c in
   let e2 = Embed.embed level permuted in
-  let t1 = Unix.gettimeofday () in
+  let t1 = Clock.now () in
   (* enc : old state -> new state; dec : its inverse *)
   let s1 = e1.Embed.s_var in
   let enc_tm =
@@ -101,7 +102,7 @@ let permute_registers level c p =
   let th_open = Boolean.prove_hyp h_inst inst_thm in
   if Kernel.hyp th_open <> [] then
     Errors.join_mismatch "hypothesis of ENCODE_THM was not discharged";
-  let t2 = Unix.gettimeofday () in
+  let t2 = Clock.now () in
   (* join: the right-hand side is the embedding of the permuted netlist *)
   let rhs_auto = snd (Term.dest_eq (Kernel.concl th_open)) in
   let auto_fd2, encq = Term.dest_comb rhs_auto in
@@ -123,7 +124,7 @@ let permute_registers level c p =
     Kernel.mk_comb_rule (Drule.ap_term auto_const th_fd2) th_init
   in
   let theorem = Kernel.trans th_open th_join in
-  let t3 = Unix.gettimeofday () in
+  let t3 = Clock.now () in
   {
     Synthesis.before = c;
     after = permuted;

@@ -11,12 +11,12 @@ let simp_conv =
     (Conv.orelsec (Conv.rewrs_conv simp_rewrites) Pairs.let_proj_conv)
 
 let resynthesize ?budget level c =
-  Conv.with_poll (Synthesis.budget_poll budget) @@ fun () ->
-  let t0 = Unix.gettimeofday () in
+  Conv.with_step (Synthesis.budget_poll budget) @@ fun () ->
+  let t0 = Clock.now () in
   let simplified = Simplify.constant_prop c in
   let e1 = Embed.embed level c in
   let e2 = Embed.embed level simplified in
-  let t1 = Unix.gettimeofday () in
+  let t1 = Clock.now () in
   (* |- !i s. fd1 i s = fd2 i s *)
   let i = e1.Embed.i_var and s = e1.Embed.s_var in
   let app fd = Term.mk_comb (Term.mk_comb fd i) s in
@@ -50,7 +50,7 @@ let resynthesize ?budget level c =
   let theorem = Boolean.prove_hyp hyp_thm inst_thm in
   if Kernel.hyp theorem <> [] then
     Errors.join_mismatch "hypothesis of COMB_EQUIV was not discharged";
-  let t2 = Unix.gettimeofday () in
+  let t2 = Clock.now () in
   {
     Synthesis.before = c;
     after = simplified;

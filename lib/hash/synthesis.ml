@@ -17,13 +17,11 @@ type step = {
   timings : timings;
 }
 
-let now () = Unix.gettimeofday ()
-
 let eval_conv = Automata.Words.word_eval_conv
 
 (* Budget enforcement: phase boundaries call [check] directly; inside the
    long normalisation runs the installed Conv poll hook checks the clock
-   every 256 memo misses (polling gettimeofday per node would dominate). *)
+   every 256 memo misses (reading the clock per node would dominate). *)
 let budget_check budget () =
   match budget with None -> () | Some b -> Engines.Common.check b
 
@@ -38,10 +36,10 @@ let budget_poll budget =
 
 let retime_common ?budget level c cut_opt gates =
   let check = budget_check budget in
-  Conv.with_poll (budget_poll budget) @@ fun () ->
-  let t0 = now () in
+  Conv.with_step (budget_poll budget) @@ fun () ->
+  let t0 = Clock.now () in
   let e = Embed.embed level c in
-  let t1 = now () in
+  let t1 = Clock.now () in
   check ();
   (* the cut record is untrusted control data from the heuristic: audit
      it against the (just validated) netlist before the kernel sees it,
@@ -56,7 +54,7 @@ let retime_common ?budget level c cut_opt gates =
     | Some cut -> Split.split e cut
     | None -> Split.split_gates e gates
   in
-  let t2 = now () in
+  let t2 = Clock.now () in
   check ();
   (* step 2: instantiate the universal retiming theorem *)
   let tyin =
@@ -84,7 +82,7 @@ let retime_common ?budget level c cut_opt gates =
     Drule.ap_thm (Drule.ap_term auto_const sp.Split.split_thm) e.Embed.q
   in
   let th_ab = Kernel.trans th_a th_univ in
-  let t3 = now () in
+  let t3 = Clock.now () in
   check ();
   (* step 3: join — the right-hand side equals the embedding of the
      conventionally retimed netlist *)
@@ -105,7 +103,7 @@ let retime_common ?budget level c cut_opt gates =
     Errors.join_mismatch
       "derived combinational part differs from the retimed netlist";
   let th_fd2 = Kernel.trans thn1 (Drule.sym thn2) in
-  let t4 = now () in
+  let t4 = Clock.now () in
   check ();
   (* step 4: evaluate the new initial state f(q) *)
   let rhs_auto = snd (Term.dest_eq (Kernel.concl th_ab)) in
@@ -121,7 +119,7 @@ let retime_common ?budget level c cut_opt gates =
     Kernel.mk_comb_rule (Drule.ap_term auto_const' th_fd2) th_init
   in
   let theorem = Kernel.trans th_ab th_c in
-  let t5 = now () in
+  let t5 = Clock.now () in
   {
     before = c;
     after = retimed;

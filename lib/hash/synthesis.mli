@@ -37,7 +37,7 @@ val budget_check : Engines.Common.budget option -> unit -> unit
     {!Resynth}. *)
 
 val budget_poll : Engines.Common.budget option -> unit -> unit
-(** A cheap poll hook for {!Logic.Conv.with_poll}: checks the clock every
+(** A cheap poll hook for {!Logic.Conv.with_step}: checks the clock every
     256 calls. *)
 
 val retime : ?budget:Engines.Common.budget -> Embed.level -> Circuit.t -> Cut.t -> step

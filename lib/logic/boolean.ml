@@ -477,7 +477,7 @@ let eval_rewrites =
   and_clauses @ or_clauses @ not_clauses @ xor_clauses @ eq_bool_clauses
   @ cond_clauses
 
-(* Partial application: the normalisation memo persists across calls. *)
+(* Partial application: one memo table, shared within each step. *)
 let bool_eval_conv = Conv.memo_top_depth_conv (Conv.rewrs_conv eval_rewrites)
 
 (* Publish the derived theorems proof recording may meet as inputs

@@ -87,19 +87,25 @@ let rewrite_conv ths = top_depth_conv (rewrs_conv ths)
 let poll_key = Domain.DLS.new_key (fun () -> ref (fun () -> ()))
 let poll () = !(Domain.DLS.get poll_key) ()
 
-let with_poll hook f =
+let with_step hook f =
   let cell = Domain.DLS.get poll_key in
   let saved = !cell in
   cell := hook;
-  Fun.protect ~finally:(fun () -> cell := saved) f
+  Fun.protect
+    ~finally:(fun () ->
+      cell := saved;
+      Memo.release_domain ())
+    f
 
 let memo_top_depth_conv c =
-  (* The memo is allocated once per *partial application* and persists
-     across calls: rewrite sets are context-independent, so a cached
-     [|- t = t'] stays valid forever.  Generation bumps (wholesale
-     invalidation when the table outgrows its cap) happen only between
-     top-level calls — evicting entries mid-recursion could re-expand
-     shared dag spines exponentially.
+  (* The memo is allocated once per *partial application* and shared by
+     every call inside one HASH step (split, join and f(q) normalise
+     overlapping terms): rewrite sets are context-independent, so a
+     cached [|- t = t'] stays valid.  [with_step] releases it when the
+     step returns; a caller outside any step keeps it until it outgrows
+     its cap.  Releases happen only between top-level calls — evicting
+     entries mid-recursion could re-expand shared dag spines
+     exponentially.
 
      One table per domain (keyed per partial application): cached
      theorems mention terms, and terms must not cross domains, so a

@@ -63,20 +63,23 @@ val rewrite_conv : thm list -> conv
 val memo_top_depth_conv : conv -> conv
 (** Like [top_depth_conv], but memoised on interned node ids, so
     dag-shared subterms are converted once.  The memo table is allocated
-    at {e partial application} and persists across calls — bind the result
-    ([let my_conv = memo_top_depth_conv c]) to share normalisation work
-    between invocations.  The table is generation-stamped: once it
-    outgrows its cap, the next top-level call bumps the generation and
-    lazily invalidates all entries (see {!Memo}).  Each domain gets its
-    own table (cached theorems mention terms, which never cross domains).
-    The base conversion must be context-independent (true for all rewrite
-    sets used here). *)
+    at {e partial application} — bind the result
+    ([let my_conv = memo_top_depth_conv c]) — and shared by every call
+    until it is released: when the enclosing {!with_step} returns, or,
+    for a caller outside any step, at the first call after it outgrows
+    its cap (see {!Memo}).  Each domain gets its own table (cached
+    theorems mention terms, which never cross domains).  The base
+    conversion must be context-independent (true for all rewrite sets
+    used here). *)
 
-val with_poll : (unit -> unit) -> (unit -> 'a) -> 'a
-(** [with_poll hook f] runs [f ()] with [hook] installed as the
-    normaliser's poll function (called once per memo miss inside
-    {!memo_top_depth_conv}); the previous hook is restored on exit.  The
-    synthesis layer uses this to enforce time budgets. *)
+val with_step : (unit -> unit) -> (unit -> 'a) -> 'a
+(** [with_step hook f] runs [f ()] as one HASH step: [hook] is installed
+    as the normaliser's poll function (called once per memo miss inside
+    {!memo_top_depth_conv}), and when [f] returns or raises the previous
+    hook is restored and every memo table of the calling domain is
+    released ({!Memo.release_domain}), so no theorem cached by the step
+    outlives it.  The synthesis layer uses the hook to enforce time
+    budgets. *)
 
 val memo_stats : unit -> int * int
 (** [(hits, misses)] accumulated across all conversion memo tables of the

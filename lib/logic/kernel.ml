@@ -400,7 +400,7 @@ let start_recording () =
      inputs with no recorded derivation; drop them now.  Any that slip
      through anyway (foreign epoch) poison the trace rather than
      corrupt it. *)
-  Memo.invalidate_domain ();
+  Memo.release_domain ();
   let ep = 1 + Atomic.fetch_and_add epoch_ctr 1 in
   let rs =
     match st.r_spare with

@@ -1,25 +1,22 @@
-(* Generation-stamped memo tables keyed on interned node ids, mirroring
-   the BDD engine's operation caches.  Unlike those, entries are never
-   evicted within a generation: the conversion memo protects against
-   exponential re-expansion of shared dag spines, so a lossy direct-mapped
-   cache would be unsound performance-wise.  Instead, when a table's live
-   population crosses its cap the generation counter is bumped, which
-   lazily invalidates every entry; stale slots are reused by later inserts
-   (replacing slot contents never breaks open-addressing probe chains —
-   only emptying a slot would) and dropped wholesale at the next resize.
+(* Memo tables keyed on interned node ids.  Unlike the BDD engine's
+   operation caches, entries are never evicted while a table is in use:
+   the conversion memo protects against exponential re-expansion of
+   shared dag spines, so a lossy direct-mapped cache would be unsound
+   performance-wise.  Instead a table is released wholesale — back to its
+   initial arrays, so no cached theorem stays reachable — when the HASH
+   step that filled it returns (see [Conv.with_step]), or when it crosses
+   its cap at a top-level call boundary.
 
-   Generation bumps must only happen between top-level calls of the
-   memoised function (see [new_call]), never mid-recursion. *)
+   Releases must only happen between top-level calls of the memoised
+   function, never mid-recursion. *)
 
 type 'a t = {
-  mutable keys : int array; (* -1 = never used *)
-  mutable gens : int array;
+  mutable keys : int array; (* -1 = empty *)
   mutable vals : 'a option array;
   mutable mask : int;
-  mutable live : int; (* entries stamped with the current generation *)
-  mutable occupied : int; (* slots with keys.(i) >= 0, any generation *)
-  mutable gen : int;
-  cap : int; (* live entries allowed before a generation bump *)
+  mutable count : int;
+  bits : int;
+  cap : int; (* entries allowed before [new_call] releases the table *)
 }
 
 (* Hit/miss counters across all memo tables, for Obs snapshots.  The
@@ -39,18 +36,25 @@ let c_key =
 
 let counters () = Domain.DLS.get c_key
 
-(* Every table created on a domain registers an invalidator closure in
-   that domain's DLS list, so the kernel can drop all memoised theorems
-   at [Kernel.start_recording] (a memo hit would otherwise hand back a
-   theorem proved before the trace began — an unresolvable input).
-   Invalidation reuses the generation-bump mechanism, so it must only be
-   requested between top-level calls of the memoised functions, like
-   [new_call]. *)
-let inv_key : (unit -> unit) list ref Domain.DLS.key =
+let release t =
+  if t.count > 0 then begin
+    let size = 1 lsl t.bits in
+    t.keys <- Array.make size (-1);
+    t.vals <- Array.make size None;
+    t.mask <- size - 1;
+    t.count <- 0
+  end
+
+(* Every table created on a domain registers its release closure in that
+   domain's DLS list, so a HASH step can drop all its memoised theorems
+   when it returns, and [Kernel.start_recording] can drop theorems proved
+   before the trace began (a memo hit would otherwise hand back an
+   unresolvable input). *)
+let rel_key : (unit -> unit) list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
-let invalidate_domain () =
-  List.iter (fun f -> f ()) !(Domain.DLS.get inv_key)
+let release_domain () =
+  List.iter (fun f -> f ()) !(Domain.DLS.get rel_key)
 
 let hash_key k =
   let h = k * 0x9e3779b9 in
@@ -62,28 +66,18 @@ let create ?(bits = 10) ?(cap = 2_000_000) () =
   let t =
     {
       keys = Array.make size (-1);
-      gens = Array.make size 0;
       vals = Array.make size None;
       mask = size - 1;
-      live = 0;
-      occupied = 0;
-      gen = 0;
+      count = 0;
+      bits;
       cap;
     }
   in
-  let invs = Domain.DLS.get inv_key in
-  invs :=
-    (fun () ->
-      t.gen <- t.gen + 1;
-      t.live <- 0)
-    :: !invs;
+  let rels = Domain.DLS.get rel_key in
+  rels := (fun () -> release t) :: !rels;
   t
 
-let new_call t =
-  if t.live > t.cap then begin
-    t.gen <- t.gen + 1;
-    t.live <- 0
-  end
+let new_call t = if t.count > t.cap then release t
 
 let find t id =
   let mask = t.mask in
@@ -94,7 +88,7 @@ let find t id =
       c.misses <- c.misses + 1;
       None
     end
-    else if k = id && t.gens.(i) = t.gen then begin
+    else if k = id then begin
       c.hits <- c.hits + 1;
       t.vals.(i)
     end
@@ -103,23 +97,18 @@ let find t id =
   go (hash_key id land mask)
 
 let resize t =
-  let old_keys = t.keys and old_gens = t.gens and old_vals = t.vals in
+  let old_keys = t.keys and old_vals = t.vals in
   let size = 2 * Array.length old_keys in
   let keys = Array.make size (-1) in
-  let gens = Array.make size 0 in
   let vals = Array.make size None in
   let mask = size - 1 in
-  let occupied = ref 0 in
-  (* only current-generation entries survive a resize *)
   Array.iteri
     (fun i k ->
-      if k >= 0 && old_gens.(i) = t.gen then begin
+      if k >= 0 then begin
         let rec place j =
           if keys.(j) < 0 then begin
             keys.(j) <- k;
-            gens.(j) <- t.gen;
-            vals.(j) <- old_vals.(i);
-            incr occupied
+            vals.(j) <- old_vals.(i)
           end
           else place ((j + 1) land mask)
         in
@@ -127,28 +116,17 @@ let resize t =
       end)
     old_keys;
   t.keys <- keys;
-  t.gens <- gens;
   t.vals <- vals;
-  t.mask <- mask;
-  t.occupied <- !occupied
+  t.mask <- mask
 
 let add t id v =
   let rec go i =
     let k = t.keys.(i) in
     if k < 0 then begin
       t.keys.(i) <- id;
-      t.gens.(i) <- t.gen;
       t.vals.(i) <- Some v;
-      t.occupied <- t.occupied + 1;
-      t.live <- t.live + 1;
-      if t.occupied * 10 > Array.length t.keys * 7 then resize t
-    end
-    else if t.gens.(i) <> t.gen then begin
-      (* reuse a stale slot in place *)
-      t.keys.(i) <- id;
-      t.gens.(i) <- t.gen;
-      t.vals.(i) <- Some v;
-      t.live <- t.live + 1
+      t.count <- t.count + 1;
+      if t.count * 10 > Array.length t.keys * 7 then resize t
     end
     else if k = id then t.vals.(i) <- Some v
     else go ((i + 1) land t.mask)

@@ -386,3 +386,100 @@ let suite = suite @ [
       test_encode_composes_with_retiming;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_permute;
   ]
+
+(* ------------------------------------------------------------------ *)
+(* Step scope: memo tables and timings                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Each HASH step releases the normaliser's memo tables when it returns
+   or raises, so a long-lived process (the serve daemon) does not retain
+   the terms and theorems of every circuit it has retimed. *)
+let test_step_releases_memos () =
+  let s298 seed =
+    Iwls.synth ~name:"s298" ~ffs:14 ~gates:119 ~ins:3 ~outs:6 ~seed
+  in
+  let retime ?budget c =
+    Hash.Synthesis.retime ?budget Hash.Embed.Bit_level c (Cut.maximal c)
+  in
+  let live () =
+    Gc.full_major ();
+    (Term.stats ()).Term.live_nodes
+  in
+  let c0 = s298 1000 in
+  let first = Kernel.string_of_thm (retime c0).Hash.Synthesis.theorem in
+  let n0 = live () in
+  for seed = 1001 to 1020 do
+    ignore (retime (s298 seed))
+  done;
+  let expired = Engines.Common.budget_of_seconds (-1.0) in
+  Alcotest.check_raises "expired budget" Engines.Common.Out_of_budget
+    (fun () -> ignore (retime ~budget:expired (s298 1021)));
+  (* one s298-profile step's memos hold about 3.4 k term nodes *)
+  let grown = live () - n0 in
+  if grown > 1000 then
+    Alcotest.failf "20 retimed circuits left %d live term nodes behind" grown;
+  let again = retime c0 in
+  Alcotest.(check string)
+    "same theorem as the first time" first
+    (Kernel.string_of_thm again.Hash.Synthesis.theorem);
+  check "check accepts" true (Hash.Synthesis.check again)
+
+(* A step that raises mid-normalisation leaves no memo entry behind:
+   the next step re-derives exactly as many terms as a cold one. *)
+let test_raising_step_releases () =
+  let fd = (Hash.Embed.embed Hash.Embed.Bit_level (Fig2.gate 8)).Hash.Embed.fd in
+  let misses f =
+    let _, m0 = Conv.memo_stats () in
+    f ();
+    let _, m1 = Conv.memo_stats () in
+    m1 - m0
+  in
+  let norm () =
+    ignore (Conv.with_step ignore (fun () -> Hash.Embed.circuit_norm_conv fd))
+  in
+  let cold = misses norm in
+  check "normalisation misses" true (cold > 20);
+  let polls = ref 0 in
+  let hook () =
+    incr polls;
+    if !polls = cold / 2 then raise Engines.Common.Out_of_budget
+  in
+  Alcotest.check_raises "budget hook fires" Engines.Common.Out_of_budget
+    (fun () ->
+      ignore (Conv.with_step hook (fun () -> Hash.Embed.circuit_norm_conv fd)));
+  Alcotest.(check int) "cold again" cold (misses norm)
+
+(* Step timings come from [Logic.Clock]: with a source that advances one
+   second per read, every measured phase spans at least one read. *)
+let test_step_timings_clock () =
+  let t = ref 0.0 in
+  Clock.set_source (fun () ->
+      t := !t +. 1.0;
+      !t);
+  Fun.protect ~finally:Clock.use_monotonic @@ fun () ->
+  let at_least_one name v =
+    if v < 1.0 then Alcotest.failf "%s = %g, expected >= 1.0" name v
+  in
+  let c = Fig2.gate 4 in
+  let timings (s : Hash.Synthesis.step) = s.timings in
+  let tm = timings (Hash.Synthesis.retime Hash.Embed.Bit_level c (Cut.maximal c)) in
+  List.iter
+    (fun (n, v) -> at_least_one n v)
+    [ ("t_embed", tm.t_embed); ("t_split", tm.t_split);
+      ("t_apply", tm.t_apply); ("t_join", tm.t_join); ("t_init", tm.t_init) ];
+  let tm = timings (Hash.Resynth.resynthesize Hash.Embed.Bit_level c) in
+  at_least_one "resynth t_embed" tm.t_embed;
+  at_least_one "resynth t_apply" tm.t_apply;
+  let tm = timings (Hash.Encode.reverse_registers Hash.Embed.Bit_level c) in
+  at_least_one "encode t_embed" tm.t_embed;
+  at_least_one "encode t_apply" tm.t_apply;
+  at_least_one "encode t_join" tm.t_join
+
+let suite = suite @ [
+    Alcotest.test_case "a step leaves no memo behind" `Quick
+      test_step_releases_memos;
+    Alcotest.test_case "a raising step releases its memos" `Quick
+      test_raising_step_releases;
+    Alcotest.test_case "step timings on the monotonic clock" `Quick
+      test_step_timings_clock;
+  ]
