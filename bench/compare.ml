@@ -6,7 +6,8 @@
    Exit codes: 0 = no regression, 1 = at least one row regressed by more
    than the threshold (default 20%), 2 = usage or parse error.  Rows are
    matched by name under the given prefixes; --prefix is repeatable, and
-   when absent the gate covers "kernel/", "bdd/", "eijk/" and "hash/".
+   when absent the gate covers "kernel/", "bdd/", "eijk/", "hash/" and
+   "netlist/".
    The per-row delta table is always printed, gate pass or fail.  Rows
    missing on either side are reported but do not fail the gate (new
    benchmarks appear, old ones get renamed).  Files are read with
@@ -72,7 +73,7 @@ let () =
   parse_args (List.tl (Array.to_list Sys.argv));
   let prefixes =
     match List.rev !prefixes with
-    | [] -> [ "kernel/"; "bdd/"; "eijk/"; "hash/" ]
+    | [] -> [ "kernel/"; "bdd/"; "eijk/"; "hash/"; "netlist/" ]
     | ps -> ps
   in
   match List.rev !files with

@@ -319,8 +319,9 @@ let bdd_ite_storm () =
   ignore (Bdd.exists m [ 0; 2; 4; 6; 8; 10 ] !f)
 
 (* Run one Bechamel group and return its (name, ns/run) estimates.  The
-   micro rows are grouped kernel/* | bdd/* | hash/* so that the compare
-   gate can hold each subsystem to the regression threshold separately. *)
+   micro rows are grouped kernel/* | bdd/* | eijk/* | hash/* | netlist/*
+   so that the compare gate can hold each subsystem to the regression
+   threshold separately. *)
 let run_group tests =
   let open Bechamel in
   let open Toolkit in
@@ -459,9 +460,22 @@ let micro () =
                ignore (Hash.Embed.embed Hash.Embed.Bit_level embed_c)));
       ]
   in
+  (* the serve front door on an s1423-sized request: the BLIF reader and
+     the fingerprint every request that misses the exact-text cache runs *)
+  let front_text = Blif.to_string (Lazy.force (Iwls.find "s1423").Iwls.circuit) in
+  let front_c = Blif.of_string front_text in
+  let netlist_tests =
+    Test.make_grouped ~name:"netlist"
+      [
+        Test.make ~name:"blif-parse-s1423"
+          (Staged.stage (fun () -> ignore (Blif.of_string front_text)));
+        Test.make ~name:"fingerprint-s1423"
+          (Staged.stage (fun () -> ignore (Fingerprint.of_circuit front_c)));
+      ]
+  in
   let estimates =
     List.concat_map run_group
-      [ kernel_tests; bdd_tests; eijk_tests; hash_tests ]
+      [ kernel_tests; bdd_tests; eijk_tests; hash_tests; netlist_tests ]
   in
   Obs.Json.to_file "BENCH_micro.json"
     (Obs.Json.Obj

@@ -53,9 +53,15 @@ let run socket tcp jobs cache shards max_conns deadline =
      the service benchmark's mixed workload).  At the default major-GC
      pace (space_overhead 120) that garbage piled up to four to eight
      times the live heap, by an amount that changed from run to run with
-     the timing of requests; at 80 the peak RSS is about half as high
-     and varies far less (EXPERIMENTS.md, "Steady peak RSS"). *)
-  Gc.set { (Gc.get ()) with space_overhead = 80 };
+     the timing of requests (EXPERIMENTS.md, "Steady peak RSS").  The
+     major GC advances only as the daemon allocates in the major heap,
+     and a cache hit now promotes little (a single-pass BLIF reader and
+     fingerprint), so between two steps little else drives the
+     collection of the first step's garbage: at 80 the mixed workload's
+     peak rose from about 170 to 190 MiB and varied more; at 60 it is
+     about 125 MiB and steady, at no measured CPU cost (EXPERIMENTS.md,
+     "Front door"). *)
+  Gc.set { (Gc.get ()) with space_overhead = 60 };
   let t =
     Serve.create ~jobs ~cache_capacity:cache ~shards
       ~default_deadline_s:deadline ()

@@ -57,18 +57,32 @@ type builder = {
   bname : string;
   mutable binputs : width list;  (* reversed *)
   mutable n_binputs : int;
-  mutable bdrivers : driver list;  (* reversed *)
-  bwidth_tbl : (signal, width) Hashtbl.t;
-  bregs : (int, signal option ref * value * width) Hashtbl.t;
+  (* per signal: the first [count] slots *)
+  mutable bdrivers : driver array;
+  mutable bwidths : width array;
+  mutable count : int;
+  (* per register: the first [n_bregs] slots; data is None until
+     [connect_reg] *)
+  mutable breg_init : value array;
+  mutable breg_data : signal option array;
   mutable n_bregs : int;
   mutable bouts : (string * signal) list;  (* reversed *)
-  mutable count : int;
 }
 
 let create name =
-  { bname = name; binputs = []; n_binputs = 0; bdrivers = [];
-    bwidth_tbl = Hashtbl.create 64; bregs = Hashtbl.create 16;
-    n_bregs = 0; bouts = []; count = 0 }
+  { bname = name; binputs = []; n_binputs = 0; bdrivers = [||];
+    bwidths = [||]; count = 0; breg_init = [||]; breg_data = [||];
+    n_bregs = 0; bouts = [] }
+
+(* [a] with room for index [n] (the first [n] slots kept), doubling when
+   full, so every builder operation is amortised O(1) *)
+let room a n x =
+  if n < Array.length a then a
+  else begin
+    let a' = Array.make (max 16 (2 * n)) x in
+    Array.blit a 0 a' 0 n;
+    a'
+  end
 
 (* Word values live in native OCaml ints (63 bits), so wider words cannot
    be simulated faithfully; reject them at construction. *)
@@ -80,8 +94,10 @@ let check_width = function
 
 let push b d w =
   let id = b.count in
-  b.bdrivers <- d :: b.bdrivers;
-  Hashtbl.replace b.bwidth_tbl id w;
+  b.bdrivers <- room b.bdrivers id d;
+  b.bwidths <- room b.bwidths id w;
+  b.bdrivers.(id) <- d;
+  b.bwidths.(id) <- w;
   b.count <- id + 1;
   id
 
@@ -98,47 +114,52 @@ let reg b ~init w =
   check_width w;
   if width_of_value init <> w then invalid_netlist "Circuit.reg: init width mismatch";
   let ridx = b.n_bregs in
-  Hashtbl.replace b.bregs ridx (ref None, init, w);
+  b.breg_init <- room b.breg_init ridx init;
+  b.breg_data <- room b.breg_data ridx None;
+  b.breg_init.(ridx) <- init;
   b.n_bregs <- ridx + 1;
   push b (Reg_out ridx) w
 
-let reg_index_of b r =
-  match Hashtbl.find_opt b.bwidth_tbl r with
-  | None -> invalid_netlist "Circuit.connect_reg: unknown signal"
-  | Some _ -> (
-      match List.nth b.bdrivers (b.count - 1 - r) with
-      | Reg_out ridx -> ridx
-      | _ -> invalid_netlist "Circuit.connect_reg: not a register output")
-
 let connect_reg b r ~data =
-  let ridx = reg_index_of b r in
-  let slot, _, _ = Hashtbl.find b.bregs ridx in
-  if !slot <> None then invalid_netlist "Circuit.connect_reg: already connected";
-  slot := Some data
+  if r < 0 || r >= b.count then
+    invalid_netlist "Circuit.connect_reg: unknown signal";
+  match b.bdrivers.(r) with
+  | Reg_out ridx ->
+      if b.breg_data.(ridx) <> None then
+        invalid_netlist "Circuit.connect_reg: already connected";
+      b.breg_data.(ridx) <- Some data
+  | Input _ | Gate _ ->
+      invalid_netlist "Circuit.connect_reg: not a register output"
 
-let sig_width b s = Hashtbl.find b.bwidth_tbl s
+let sig_width b s =
+  if s < 0 || s >= b.count then invalid_netlist "Circuit: unknown signal %d" s;
+  b.bwidths.(s)
+
+(* the common width of a binary word operator's operands *)
+let word2 = function
+  | [ W n; W m ] when n = m -> n
+  | _ -> invalid_netlist "Circuit: word operator width mismatch"
+
+(* width equality without a polymorphic compare: [validate] compares
+   every signal's width *)
+let equal_width a b =
+  match (a, b) with B, B -> true | W n, W m -> n = m | B, W _ | W _, B -> false
 
 let op_signature op arg_widths =
   (* returns the result width; raises on mismatch *)
-  let all_b () = List.for_all (fun w -> w = B) arg_widths in
-  let word2 () =
-    match arg_widths with
-    | [ W n; W m ] when n = m -> n
-    | _ -> invalid_netlist "Circuit: word operator width mismatch"
-  in
   match (op, arg_widths) with
   | Not, [ B ] | Buf, [ B ] -> B
   | (And | Or | Nand | Nor | Xor | Xnor), [ B; B ] -> B
   | Mux, [ B; B; B ] -> B
   | Constb _, [] -> B
   | Winc, [ W n ] -> W n
-  | Wadd, _ -> W (word2 ())
+  | Wadd, _ -> W (word2 arg_widths)
   | Weq, _ ->
-      ignore (word2 ());
+      ignore (word2 arg_widths);
       B
   | Wmux, [ B; W n; W m ] when n = m -> W n
   | Wnot, [ W n ] -> W n
-  | (Wand | Wor | Wxor), _ -> W (word2 ())
+  | (Wand | Wor | Wxor), _ -> W (word2 arg_widths)
   | Wconst (n, v), [] ->
       check_width (W n);
       (* for n = 63 every int is a valid bit pattern; for n <= 62 the
@@ -147,9 +168,7 @@ let op_signature op arg_widths =
       if n <= 62 && v land lnot ((1 lsl n) - 1) <> 0 then
         invalid_netlist "Circuit: Wconst out of range"
       else W n
-  | _ ->
-      ignore (all_b ());
-      invalid_netlist "Circuit: bad operator arity/width"
+  | _ -> invalid_netlist "Circuit: bad operator arity/width"
 
 let gate b op args =
   let ws = List.map (sig_width b) args in
@@ -170,11 +189,12 @@ let constb b v = gate b (Constb v) []
 (* Validation and freezing                                             *)
 (* ------------------------------------------------------------------ *)
 
-let topo_order_arrays drivers =
+(* the gate signals in DFS completion order, i.e. topologically *)
+let topo_gates drivers =
   let n = Array.length drivers in
   let state = Array.make n 0 in
   (* 0 unvisited, 1 on stack, 2 done *)
-  let order = ref [] in
+  let order = Array.make n 0 and n_gates = ref 0 in
   let rec visit s =
     match state.(s) with
     | 2 -> ()
@@ -186,32 +206,30 @@ let topo_order_arrays drivers =
         | Gate (_, args) -> List.iter visit args);
         state.(s) <- 2;
         match drivers.(s) with
-        | Gate (_, _) -> order := s :: !order
+        | Gate (_, _) ->
+            order.(!n_gates) <- s;
+            incr n_gates
         | Input _ | Reg_out _ -> ())
   in
   for s = 0 to n - 1 do
     visit s
   done;
-  List.rev !order
+  Array.sub order 0 !n_gates
 
 let finish b =
   let registers =
     Array.init b.n_bregs (fun ridx ->
-        let slot, init, _w = Hashtbl.find b.bregs ridx in
-        match !slot with
-        | Some data -> { data; init }
+        match b.breg_data.(ridx) with
+        | Some data -> { data; init = b.breg_init.(ridx) }
         | None -> invalid_netlist "Circuit.finish: unconnected register")
   in
-  let drivers = Array.of_list (List.rev b.bdrivers) in
-  ignore (topo_order_arrays drivers);
-  let widths =
-    Array.init (Array.length drivers) (fun s -> Hashtbl.find b.bwidth_tbl s)
-  in
+  let drivers = Array.sub b.bdrivers 0 b.count in
+  ignore (topo_gates drivers);
   {
     name = b.bname;
     input_widths = Array.of_list (List.rev b.binputs);
     drivers;
-    widths;
+    widths = Array.sub b.bwidths 0 b.count;
     registers;
     outputs = Array.of_list (List.rev b.bouts);
   }
@@ -258,7 +276,8 @@ let flipflop_count c =
       acc + match r.init with Bit _ -> 1 | Word (w, _) -> w)
     0 c.registers
 
-let topo_order c = topo_order_arrays c.drivers
+let topo_array c = topo_gates c.drivers
+let topo_order c = Array.to_list (topo_array c)
 
 let fanout_map c =
   let n = n_signals c in
@@ -305,7 +324,7 @@ let validate c =
                                  signal %d" s a)
             args)
     c.drivers;
-  ignore (topo_order c);
+  ignore (topo_array c);
   (* widths must agree with what the drivers produce *)
   Array.iteri
     (fun s d ->
@@ -316,7 +335,7 @@ let validate c =
         | Gate (op, args) ->
             op_signature op (List.map (fun a -> c.widths.(a)) args)
       in
-      if c.widths.(s) <> derived then
+      if not (equal_width c.widths.(s) derived) then
         invalid_netlist "Circuit.validate: signal %d is declared with a \
                          width its driver does not produce" s)
     c.drivers;
@@ -326,7 +345,7 @@ let validate c =
         invalid_netlist "Circuit.validate: register %d has dangling data \
                          signal %d" i r.data;
       let wreg = width_of_value r.init in
-      if c.widths.(r.data) <> wreg then
+      if not (equal_width c.widths.(r.data) wreg) then
         invalid_netlist "Circuit.validate: register data width mismatch")
     c.registers;
   let out_names = Hashtbl.create 16 in

@@ -76,6 +76,8 @@ type t = {
 (** {1 Builder} *)
 
 type builder
+(** Every builder operation is amortised O(1): signals and registers
+    live in growable arrays. *)
 
 val create : string -> builder
 
@@ -88,12 +90,13 @@ val reg : builder -> init:value -> width -> signal
 
 val connect_reg : builder -> signal -> data:signal -> unit
 (** [connect_reg b r ~data] connects the data input of the register whose
-    output signal is [r].  @raise Invalid_netlist if [r] is not a
-    register output or is already connected. *)
+    output signal is [r].  @raise Invalid_netlist if [r] is not a signal
+    of [b], is not a register output, or is already connected. *)
 
 val gate : builder -> op -> signal list -> signal
 (** Add a gate; checks operand counts and widths.
-    @raise Invalid_netlist on arity or width mismatch. *)
+    @raise Invalid_netlist on an operand that is not a signal of the
+    builder, or on arity or width mismatch. *)
 
 val output : builder -> string -> signal -> unit
 
@@ -127,6 +130,9 @@ val topo_order : t -> signal list
 (** Gate signals in topological order (inputs and register outputs are
     ready at the start; every gate appears after its operands). *)
 
+val topo_array : t -> signal array
+(** {!topo_order} as an array. *)
+
 val fanout_map : t -> signal list array
 (** [fanout_map c] maps each signal to the gate signals reading it.  Used
     by retiming heuristics. *)
@@ -145,4 +151,5 @@ val pp_stats : Format.formatter -> t -> unit
 val width_of_value : value -> width
 
 val builder_width : builder -> signal -> width
-(** Width of a signal during construction. *)
+(** Width of a signal during construction.
+    @raise Invalid_netlist if the signal is not one of the builder's. *)

@@ -172,6 +172,64 @@ let test_distinct_fig2 () =
   check "fig2 4 vs fig2 5" false
     (Fingerprint.equal (fp (Fig2.gate 4)) (fp (Fig2.gate 5)))
 
+(* --- canon identity with the reference ----------------------------- *)
+
+(* [Fingerprint_ref] is the canon builder before labels were rendered
+   once per signal.  The canonical string and digest must match it byte
+   for byte: cache keys, and the service benchmark's de-duplicated
+   request streams, are built on them. *)
+let same_as_reference what c =
+  let got = fp c and want = Fingerprint_ref.of_circuit c in
+  Alcotest.(check string) (what ^ ": canon") (Fingerprint_ref.canon want)
+    (Fingerprint.canon got);
+  Alcotest.(check string) (what ^ ": digest") (Fingerprint_ref.digest want)
+    (Fingerprint.digest got)
+
+let test_canon_identity () =
+  (* every Table II profile of the IWLS generator: the suite's own
+     circuit and two more seeds *)
+  List.iter
+    (fun (e : Iwls.entry) ->
+      let c = Lazy.force e.circuit in
+      same_as_reference e.name c;
+      if e.name.[0] = 's' then
+        List.iter
+          (fun seed ->
+            same_as_reference
+              (Printf.sprintf "%s seed %d" e.name seed)
+              (Iwls.synth ~name:e.name ~ffs:(Circuit.flipflop_count c)
+                 ~gates:(Circuit.gate_count c) ~ins:(Circuit.n_inputs c)
+                 ~outs:(Array.length c.outputs) ~seed))
+          [ 1; 2 ])
+    Iwls.suite;
+  for n = 1 to 8 do
+    same_as_reference (Printf.sprintf "fig2 rt %d" n) (Fig2.rt n);
+    same_as_reference (Printf.sprintf "fig2 gate %d" n) (Fig2.gate n)
+  done;
+  same_as_reference "fig2 rt 63" (Fig2.rt 63);
+  (* the canon prints constants and initial values in decimal: 63-bit
+     words reach every int, so these hit the writer's edge cases *)
+  let edges =
+    [ 0; 1; -1; 9; 10; -10; 99; 100; -100; 1_000_000_000_000_000_000;
+      -1_000_000_000_000_000_000; max_int; min_int; min_int + 1 ]
+  in
+  let b = Circuit.create "edges" in
+  let x = Circuit.input b (Circuit.W 63) in
+  List.iter
+    (fun v ->
+      let r = Circuit.reg b ~init:(Circuit.Word (63, v)) (Circuit.W 63) in
+      let k = Circuit.gate b (Circuit.Wconst (63, v)) [] in
+      Circuit.connect_reg b r ~data:(Circuit.gate b Circuit.Wxor [ x; k ]);
+      Circuit.output b (string_of_int v) r)
+    edges;
+  same_as_reference "decimal edge cases" (Circuit.finish b);
+  for seed = 0 to 39 do
+    same_as_reference (Printf.sprintf "random %d" seed)
+      (Random_circ.generate ~seed ~max_gates:30 ());
+    same_as_reference (Printf.sprintf "random words %d" seed)
+      (Random_circ.generate ~words:true ~seed ~max_gates:30 ())
+  done
+
 (* --- properties ----------------------------------------------------- *)
 
 let gen_seed = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 10_000)
@@ -252,6 +310,8 @@ let suite =
     Alcotest.test_case "rename invariance" `Quick test_rename_invariance;
     Alcotest.test_case "reorder invariance" `Quick test_reorder_invariance;
     Alcotest.test_case "distinct widths differ" `Quick test_distinct_fig2;
+    Alcotest.test_case "canon identical to the reference" `Quick
+      test_canon_identity;
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| 0xf1a9 |])
       prop_rename_and_reorder;

@@ -41,7 +41,48 @@ let test_builder_errors () =
     (Invalid_netlist "Circuit: bad operator arity/width") (fun () ->
       let b = create "t" in
       let x = input b B in
-      ignore (gate b And [ x ]))
+      ignore (gate b And [ x ]));
+  Alcotest.check_raises "unknown operand"
+    (Invalid_netlist "Circuit: unknown signal 7") (fun () ->
+      let b = create "t" in
+      let x = input b B in
+      ignore (gate b And [ x; 7 ]))
+
+(* connect_reg's own three diagnostics, one case each *)
+let test_connect_unknown () =
+  Alcotest.check_raises "past the last signal"
+    (Invalid_netlist "Circuit.connect_reg: unknown signal") (fun () ->
+      let b = create "t" in
+      let x = input b B in
+      let _ = reg b ~init:(Bit false) B in
+      connect_reg b 2 ~data:x);
+  Alcotest.check_raises "negative"
+    (Invalid_netlist "Circuit.connect_reg: unknown signal") (fun () ->
+      let b = create "t" in
+      let x = input b B in
+      connect_reg b (-1) ~data:x)
+
+let test_connect_not_register () =
+  Alcotest.check_raises "a gate"
+    (Invalid_netlist "Circuit.connect_reg: not a register output") (fun () ->
+      let b = create "t" in
+      let x = input b B in
+      let _ = reg b ~init:(Bit false) B in
+      connect_reg b (not_ b x) ~data:x);
+  Alcotest.check_raises "an input"
+    (Invalid_netlist "Circuit.connect_reg: not a register output") (fun () ->
+      let b = create "t" in
+      let x = input b B in
+      connect_reg b x ~data:x)
+
+let test_connect_twice () =
+  Alcotest.check_raises "second connection"
+    (Invalid_netlist "Circuit.connect_reg: already connected") (fun () ->
+      let b = create "t" in
+      let x = input b B in
+      let r = reg b ~init:(Bit false) B in
+      connect_reg b r ~data:x;
+      connect_reg b r ~data:x)
 
 let test_cycle_detection () =
   (* a combinational cycle through two gates *)
@@ -314,6 +355,12 @@ let suite =
   [
     Alcotest.test_case "builder basic" `Quick test_builder_basic;
     Alcotest.test_case "builder errors" `Quick test_builder_errors;
+    Alcotest.test_case "connect_reg: unknown signal" `Quick
+      test_connect_unknown;
+    Alcotest.test_case "connect_reg: not a register output" `Quick
+      test_connect_not_register;
+    Alcotest.test_case "connect_reg: already connected" `Quick
+      test_connect_twice;
     Alcotest.test_case "cycle detection" `Quick test_cycle_detection;
     Alcotest.test_case "topological order" `Quick test_topo_order;
     Alcotest.test_case "sim counter behaviour" `Quick test_sim_counter;
@@ -451,4 +498,241 @@ let suite = suite @ [
       test_blif_roundtrip_hostile;
     Alcotest.test_case "blif round-trip (fig2)" `Quick
       test_blif_roundtrip_fig2;
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Differential test: the single-pass reader against the reference     *)
+(* ------------------------------------------------------------------ *)
+
+(* [Blif_ref.of_string] is the line-list reader the single-pass one
+   replaced.  On every text the two must build the same circuit (signal
+   numbering included) or raise the same [Invalid_netlist] message. *)
+
+let read parse text =
+  match parse text with
+  | c -> Ok c
+  | exception Invalid_netlist msg -> Error msg
+
+(* The emitted circuits the texts start from: every Table II profile of
+   the IWLS generator at a fresh seed, random bit- and word-level
+   circuits (bit-blasted) and Figure 2. *)
+let table2_profiles =
+  lazy
+    (List.filter_map
+       (fun (e : Iwls.entry) ->
+         if String.length e.name > 1 && e.name.[0] = 's' then
+           let c = Lazy.force e.circuit in
+           Some
+             ( e.name,
+               flipflop_count c,
+               gate_count c,
+               n_inputs c,
+               Array.length c.outputs )
+         else None)
+       Iwls.suite)
+
+let base_text rng =
+  let seed = Random.State.bits rng in
+  Blif.to_string
+    (match Random.State.int rng 4 with
+    | 0 ->
+        let profiles = Lazy.force table2_profiles in
+        let name, ffs, gates, ins, outs =
+          List.nth profiles (Random.State.int rng (List.length profiles))
+        in
+        Iwls.synth ~name ~ffs ~gates ~ins ~outs ~seed
+    | 1 -> Random_circ.generate ~seed ~max_gates:40 ()
+    | 2 ->
+        Bitblast.expand (Random_circ.generate ~words:true ~seed ~max_gates:20 ())
+    | _ -> Fig2.gate (1 + Random.State.int rng 6))
+
+let pick rng a = a.(Random.State.int rng (Array.length a))
+
+(* A fresh spelling of an emitted text: every net renamed, the .names
+   blocks shuffled, and the layout varied with '#' comments, '\'
+   continuations, tabs, CRLF line ends and blank lines.  The result
+   describes the same circuit up to naming and gate order. *)
+let respell rng text =
+  let lines =
+    String.split_on_char '\n' text
+    |> List.map (fun l -> String.split_on_char ' ' l |> List.filter (( <> ) ""))
+    |> List.filter (( <> ) [])
+  in
+  (* directives stay in place; .names blocks (header and rows) shuffle
+     among the block positions *)
+  let items = ref [] in
+  List.iter
+    (fun toks ->
+      match (toks, !items) with
+      | ".names" :: _, _ -> items := `Block [ toks ] :: !items
+      | d :: _, _ when d.[0] = '.' -> items := `Dir toks :: !items
+      | _, `Block rows :: rest -> items := `Block (toks :: rows) :: rest
+      | _ -> items := `Dir toks :: !items)
+    lines;
+  let items = Array.of_list (List.rev !items) in
+  let blocks =
+    Array.of_list
+      (List.filter_map
+         (function `Block rows -> Some (List.rev rows) | `Dir _ -> None)
+         (Array.to_list items))
+  in
+  for i = Array.length blocks - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = blocks.(i) in
+    blocks.(i) <- blocks.(j);
+    blocks.(j) <- x
+  done;
+  let next_block = ref 0 in
+  let lines =
+    List.concat_map
+      (function
+        | `Dir toks -> [ toks ]
+        | `Block _ ->
+            let rows = blocks.(!next_block) in
+            incr next_block;
+            rows)
+      (Array.to_list items)
+  in
+  (* an injective renaming of every net *)
+  let prefix = pick rng [| "v"; "net_"; "N["; "x.y$"; "q-" |] in
+  let fresh = Hashtbl.create 64 in
+  let rename tok =
+    match Hashtbl.find_opt fresh tok with
+    | Some t -> t
+    | None ->
+        let t = Printf.sprintf "%s%d" prefix (Random.State.bits rng) in
+        let t = if Hashtbl.mem fresh t then t ^ "_" ^ tok else t in
+        Hashtbl.replace fresh tok t;
+        t
+  in
+  let lines =
+    List.map
+      (fun toks ->
+        match toks with
+        | (".inputs" | ".outputs" | ".names") :: nets ->
+            List.hd toks :: List.map rename nets
+        | ".latch" :: d :: q :: rest -> ".latch" :: rename d :: rename q :: rest
+        | _ -> toks)
+      lines
+  in
+  let nl = if Random.State.bool rng then "\r\n" else "\n" in
+  let b = Buffer.create (String.length text * 2) in
+  let blank () = Buffer.add_string b (pick rng [| ""; " "; "\t"; " \t " |]) in
+  List.iter
+    (fun toks ->
+      if Random.State.int rng 8 = 0 then begin
+        blank ();
+        if Random.State.bool rng then Buffer.add_string b "# a comment .names";
+        Buffer.add_string b nl
+      end;
+      blank ();
+      let n = List.length toks in
+      let cut = if Random.State.int rng 6 = 0 then Random.State.int rng n else -1 in
+      List.iteri
+        (fun k tok ->
+          if k > 0 then
+            if k = cut then begin
+              Buffer.add_string b (pick rng [| " \\"; "\\"; " \\ "; " \\\t" |]);
+              Buffer.add_string b nl;
+              blank ()
+            end
+            else Buffer.add_string b (pick rng [| " "; "\t"; "  "; " \t" |]);
+          Buffer.add_string b tok)
+        toks;
+      blank ();
+      if Random.State.int rng 6 = 0 then Buffer.add_string b " # trailing";
+      Buffer.add_string b nl)
+    lines;
+  Buffer.contents b
+
+(* One byte-level mutant: a character deleted, duplicated or replaced
+   by one the reader treats specially, or a whole line dropped. *)
+let mutate rng text =
+  let n = String.length text in
+  if n = 0 then text
+  else
+    let i = Random.State.int rng n in
+    match Random.State.int rng 4 with
+    | 0 -> String.sub text 0 i ^ String.sub text (i + 1) (n - i - 1)
+    | 1 -> String.sub text 0 (i + 1) ^ String.sub text i (n - i)
+    | 2 ->
+        let ch =
+          pick rng
+            [| '.'; '#'; '\\'; ' '; '\t'; '\n'; '\r'; '\012'; '\011'; '0';
+               '1'; '-'; 'x'; 'n' |]
+        in
+        String.mapi (fun j c -> if j = i then ch else c) text
+    | _ ->
+        let lines = Array.of_list (String.split_on_char '\n' text) in
+        let k = Random.State.int rng (Array.length lines) in
+        String.concat "\n"
+          (List.filteri (fun j _ -> j <> k) (Array.to_list lines))
+
+let prop_reader_differential =
+  QCheck.Test.make ~count:150 ~name:"single-pass reader = reference reader"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let text = base_text rng in
+      let spelt = respell rng text in
+      let agree t =
+        let got = read Blif.of_string t and want = read Blif_ref.of_string t in
+        if got = want then true
+        else
+          QCheck.Test.fail_reportf "readers differ on %S:@ %s@ vs@ %s" t
+            (match got with Ok _ -> "accepted" | Error m -> m)
+            (match want with Ok _ -> "accepted" | Error m -> m)
+      in
+      (match read Blif_ref.of_string spelt with
+      | Ok _ -> ()
+      | Error m -> QCheck.Test.fail_reportf "respelling rejected: %s" m);
+      agree text && agree spelt
+      && List.for_all agree (List.init 12 (fun _ -> mutate rng spelt)))
+
+(* Corner cases of the line grammar, each checked against the
+   reference. *)
+let test_reader_corners () =
+  List.iter
+    (fun t ->
+      Alcotest.(check bool)
+        (Printf.sprintf "same outcome on %S" t)
+        true
+        (read Blif.of_string t = read Blif_ref.of_string t))
+    [
+      "";
+      "\n";
+      ".model";
+      ".model m\n.inputs a\n.outputs a\n.end\n";
+      ".inputs a \\";
+      ".inputs a \\\n";
+      ".inputs a\\\nb\n.outputs b\n";
+      "\\\n\n.inputs a\n.outputs a\n";
+      ".inputs a\n.outputs y\n.names a y\n\\\n\n";
+      ".inputs a\n.outputs y\n.names a y\n1 1\n1 1\n";
+      ".inputs a\n.outputs y\n.names a y\n 1\t1 \n";
+      ".inputs a\n.outputs y\n.names a y\n1 1 # c\n.end\ngarbage\n";
+      ".inputs a\n.outputs y\n.names a y\n1 1\n1 1\n0 1\n";
+      ".inputs a b\n.outputs y\n.names b a y\n1- 1\n-1 1\n";
+      ".inputs a\n.outputs y\n.names y y\n1 1\n";
+      ".inputs a\n.outputs y\n.names z y\n1 1\n";
+      ".inputs a\n.inputs a\n.outputs a\n";
+      ".inputs a\n.outputs q\n.latch a q 2\n";
+      ".inputs a\n.outputs q\n.latch a q re clk\n";
+      ".inputs a\n.outputs q\n.latch a q re clk 1\n";
+      ".inputs a\n.outputs y\n.names\n";
+      ".inputs a\n.outputs y\n.subckt x\n";
+      ".inputs a\n.outputs y\n  stray  line \\\n more\n";
+      "\r.inputs a\r\n.outputs a\r\n";
+      ".inputs a\011b\n.outputs a\011b\n";
+      ".outputs y\n.names y\n1\n.names c\n";
+      ".outputs y\n.names y\n\\\n\n";
+      ".outputs y\n.names y\n\\\n";
+      "stray \\\n";
+      "stray \\";
+    ]
+
+let suite = suite @ [
+    Alcotest.test_case "reader corner cases" `Quick test_reader_corners;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xb1f0 |])
+      prop_reader_differential;
   ]
