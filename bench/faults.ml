@@ -61,7 +61,7 @@ let () =
     config.Faults.Campaign.mutants config.Faults.Campaign.seed
     (List.length Faults.Mutate.classes)
     (Array.length bases) jobs;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Logic.Clock.now () in
   let table =
     if jobs <= 1 then Faults.Campaign.run config
     else
@@ -88,7 +88,7 @@ let () =
             (List.rev !futures);
           table)
   in
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = Logic.Clock.now () -. t0 in
   let tot = Faults.Campaign.totals table in
   let doc = Faults.Campaign.report_json ~config ~jobs table in
   Obs.Json.to_file !out doc;

@@ -72,7 +72,7 @@ let run list_them name n level_str show_theorem verify deadline cert_file =
               (List.length cut.Cut.f_gates)
               (List.length cut.Cut.boundary)
               (List.length cut.Cut.passthrough);
-            let t0 = Unix.gettimeofday () in
+            let t0 = Logic.Clock.now () in
             if cert_file <> None then Logic.Kernel.start_recording ();
             match Hash.Synthesis.retime level c cut with
             | exception Hash.Errors.Cut_mismatch msg ->
@@ -81,7 +81,7 @@ let run list_them name n level_str show_theorem verify deadline cert_file =
                 Printf.eprintf "cut mismatch: %s\n" msg;
                 1
             | step ->
-                let dt = Unix.gettimeofday () -. t0 in
+                let dt = Logic.Clock.now () -. t0 in
                 Format.printf "retimed: %a@." Circuit.pp_stats
                   step.Hash.Synthesis.after;
                 Format.printf
@@ -140,7 +140,7 @@ let run list_them name n level_str show_theorem verify deadline cert_file =
                       then step.Hash.Synthesis.after
                       else Bitblast.expand step.Hash.Synthesis.after
                     in
-                    let t0 = Unix.gettimeofday () in
+                    let t0 = Logic.Clock.now () in
                     let result =
                       match engine with
                       | "smv" -> Engines.Smv.equiv budget ca cb
@@ -154,7 +154,7 @@ let run list_them name n level_str show_theorem verify deadline cert_file =
                     in
                     Format.printf "%s cross-check: %s (%.3fs)@." engine
                       (Engines.Common.result_to_string result)
-                      (Unix.gettimeofday () -. t0));
+                      (Logic.Clock.now () -. t0));
                 0))
 
 let cmd =

@@ -6,9 +6,9 @@
      dune exec examples/verification_race.exe *)
 
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Logic.Clock.now () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, Logic.Clock.now () -. t0)
 
 let cell result t =
   match result with

@@ -30,9 +30,12 @@
 
    Connection handling: one accept loop (a systhread) per listener
    hands each connection to its own handler thread, bounded by
-   [max_connections]; handlers block on socket IO and the cache locks
-   only, while kernel work goes through the shared domain pool
-   (lib/parallel), so many light connections cost threads, not domains.
+   [max_connections].  A handler answers exact-text (L1) repeats itself
+   and blocks otherwise only on socket IO: every other request — BLIF
+   parse, fingerprint, L2 lookup and kernel work — is one task on the
+   shared domain pool (lib/parallel), so many light connections cost
+   threads, not domains, and hits and misses alike scale with the
+   pool.
    Responses within a connection are written in request order by a
    per-connection writer thread.  [request_stop] (async-signal-safe: an
    atomic flag plus a self-pipe write) wakes the accept loop;
@@ -529,91 +532,87 @@ let remember_text t tkey digest e =
       let evicted = Lru.add tsh.sh_text tkey (digest, e) in
       bump_by tsh.sh_counters.Obs.Cache.evictions evicted)
 
-(* Kernel work, run inside a pool task.  [keyfp] is present for cacheable
-   (maximal-cut) requests: the worker inserts the finished entry itself,
-   so concurrent requests can already hit it. *)
+(* Kernel work, the tail of the front-door task.  [keyfp] is present for
+   cacheable (maximal-cut) requests: the worker inserts the finished entry
+   itself, so concurrent requests can already hit it. *)
 let run_and_respond t (req : request) circuit keyfp ~deadline ~t0m =
-  try
-    let cut =
-      match req.cut with
-      | Maximal -> Cut.maximal circuit
-      | Gates gs -> Cut.of_gates circuit gs
-    in
-    let budget =
-      { Engines.Common.deadline; max_bdd_nodes = 20_000_000; bdd_base = 0 }
-    in
-    let step, cert =
-      if not req.cert then
-        (Hash.Synthesis.retime ~budget req.level circuit cut, None)
-      else begin
-        (* Recording is per-domain, and this thunk owns its worker
-           domain (inline pools serialize execution), so the trace
-           captures exactly this request's derivation.  A poisoned
-           trace or failed emission blames this repository, not the
-           request: Kernel_invariant. *)
-        Logic.Kernel.start_recording ();
-        let step =
-          try Hash.Synthesis.retime ~budget req.level circuit cut
-          with e ->
-            ignore (Logic.Kernel.stop_recording ());
-            raise e
-        in
-        match Logic.Kernel.stop_recording () with
-        | Error msg ->
-            raise
-              (Hash.Errors.Kernel_invariant
-                 ("certificate recording poisoned: " ^ msg))
-        | Ok tr -> (
-            match Cert.emit tr step.Hash.Synthesis.theorem with
-            | Ok c -> (step, Some c)
-            | Error msg ->
-                raise
-                  (Hash.Errors.Kernel_invariant
-                     ("certificate emission failed: " ^ msg)))
-      end
-    in
-    let blif = Blif.to_string step.Hash.Synthesis.after in
-    let theorem = Logic.Kernel.string_of_thm step.Hash.Synthesis.theorem in
-    let gates =
-      ( Circuit.gate_count circuit,
-        Circuit.gate_count step.Hash.Synthesis.after )
-    in
-    let ffs =
-      ( Circuit.flipflop_count circuit,
-        Circuit.flipflop_count step.Hash.Synthesis.after )
-    in
-    let fields, terse = render_entry_fields ~blif ~theorem ~gates ~ffs in
-    let e =
-      {
-        e_canon = "";
-        e_blif = blif;
-        e_theorem = theorem;
-        e_gates = gates;
-        e_ffs = ffs;
-        e_fields = fields;
-        e_terse = terse;
-      }
-    in
-    match keyfp with
-    | Some (key, fp, tkey) ->
-        let e = { e with e_canon = Fingerprint.canon fp } in
-        let fsh = shard_for t key in
-        locked fsh (fun () ->
-            let evicted = Lru.add fsh.sh_cache key e in
-            bump fsh.sh_counters.Obs.Cache.insertions;
-            bump_by fsh.sh_counters.Obs.Cache.evictions evicted;
-            Atomic.set fsh.sh_counters.Obs.Cache.entries
-              (Lru.length fsh.sh_cache));
-        remember_text t tkey (Fingerprint.digest fp) e;
-        ok_response t ~id:req.id ~echo:req.echo ~hit:false ~cacheable:true
-          ~digest:(Some (Fingerprint.digest fp))
-          ?cert ~e ~t0m ()
-    | None ->
-        ok_response t ~id:req.id ~echo:req.echo ~hit:false ~cacheable:false
-          ~digest:None ?cert ~e ~t0m ()
-  with e ->
-    let code, msg = error_of_exn e in
-    error_response ?id:req.id code msg
+  let cut =
+    match req.cut with
+    | Maximal -> Cut.maximal circuit
+    | Gates gs -> Cut.of_gates circuit gs
+  in
+  let budget =
+    { Engines.Common.deadline; max_bdd_nodes = 20_000_000; bdd_base = 0 }
+  in
+  let step, cert =
+    if not req.cert then
+      (Hash.Synthesis.retime ~budget req.level circuit cut, None)
+    else begin
+      (* Recording is per-domain, and this thunk owns its worker
+         domain (inline pools serialize execution), so the trace
+         captures exactly this request's derivation.  A poisoned
+         trace or failed emission blames this repository, not the
+         request: Kernel_invariant. *)
+      Logic.Kernel.start_recording ();
+      let step =
+        try Hash.Synthesis.retime ~budget req.level circuit cut
+        with e ->
+          ignore (Logic.Kernel.stop_recording ());
+          raise e
+      in
+      match Logic.Kernel.stop_recording () with
+      | Error msg ->
+          raise
+            (Hash.Errors.Kernel_invariant
+               ("certificate recording poisoned: " ^ msg))
+      | Ok tr -> (
+          match Cert.emit tr step.Hash.Synthesis.theorem with
+          | Ok c -> (step, Some c)
+          | Error msg ->
+              raise
+                (Hash.Errors.Kernel_invariant
+                   ("certificate emission failed: " ^ msg)))
+    end
+  in
+  let blif = Blif.to_string step.Hash.Synthesis.after in
+  let theorem = Logic.Kernel.string_of_thm step.Hash.Synthesis.theorem in
+  let gates =
+    ( Circuit.gate_count circuit,
+      Circuit.gate_count step.Hash.Synthesis.after )
+  in
+  let ffs =
+    ( Circuit.flipflop_count circuit,
+      Circuit.flipflop_count step.Hash.Synthesis.after )
+  in
+  let fields, terse = render_entry_fields ~blif ~theorem ~gates ~ffs in
+  let e =
+    {
+      e_canon = "";
+      e_blif = blif;
+      e_theorem = theorem;
+      e_gates = gates;
+      e_ffs = ffs;
+      e_fields = fields;
+      e_terse = terse;
+    }
+  in
+  match keyfp with
+  | Some (key, fp, tkey) ->
+      let e = { e with e_canon = Fingerprint.canon fp } in
+      let fsh = shard_for t key in
+      locked fsh (fun () ->
+          let evicted = Lru.add fsh.sh_cache key e in
+          bump fsh.sh_counters.Obs.Cache.insertions;
+          bump_by fsh.sh_counters.Obs.Cache.evictions evicted;
+          Atomic.set fsh.sh_counters.Obs.Cache.entries
+            (Lru.length fsh.sh_cache));
+      remember_text t tkey (Fingerprint.digest fp) e;
+      ok_response t ~id:req.id ~echo:req.echo ~hit:false ~cacheable:true
+        ~digest:(Some (Fingerprint.digest fp))
+        ?cert ~e ~t0m ()
+  | None ->
+      ok_response t ~id:req.id ~echo:req.echo ~hit:false ~cacheable:false
+        ~digest:None ?cert ~e ~t0m ()
 
 (* ------------------------------------------------------------------ *)
 (* Submission and channel loops                                         *)
@@ -635,85 +634,99 @@ let hit_response t (req : request) ~digest e ~t0m =
     ok_response t ~id:req.id ~echo:req.echo ~hit:true ~cacheable:true
       ~digest:(Some digest) ~e ~t0m ()
 
-(* The front door runs in the calling thread: netlist parse, validation
-   and the cache lookup.  A hit (or any trust-boundary rejection) is
-   answered without touching the pool; only kernel work is dispatched.
-   Deadlines are monotonic arithmetic: [t0m] came from
-   {!Logic.Clock.now}, so a wall-clock step (NTP, manual reset) cannot
-   expire — or resurrect — an in-flight request. *)
+let level_tag = function
+  | Hash.Embed.Bit_level -> "bit"
+  | Hash.Embed.Rt_level -> "rt"
+
+(* Everything an exact-text miss needs, as one pool task on a worker
+   domain: netlist parse, validation, fingerprint and the L2 lookup,
+   then — on a miss — the kernel work in the same task.  L2 hits and
+   trust-boundary rejections are answered by a worker too, so the front
+   door scales with the pool instead of saturating the one domain the
+   connection threads share.  [tkey] is the L1 key of a cacheable
+   (maximal-cut) request; explicit gate lists name signal indices of
+   this particular representation and are never served from (or stored
+   into) the caches.  No term crosses a domain: the netlist layer keeps
+   no mutable state beyond the call, and the cache holds strings behind
+   shard mutexes. *)
+let front_door t (req : request) tkey ~deadline ~t0m () =
+  try
+    let circuit = Blif.of_string req.blif in
+    match tkey with
+    | None ->
+        Circuit.validate circuit;
+        run_and_respond t req circuit None ~deadline ~t0m
+    | Some tkey -> (
+        let fp = Fingerprint.of_circuit circuit in
+        let digest = Fingerprint.digest fp in
+        let key = digest ^ "/" ^ level_tag req.level in
+        let fsh = shard_for t key in
+        let cached =
+          locked fsh (fun () ->
+              match Lru.find fsh.sh_cache key with
+              | Some e when String.equal e.e_canon (Fingerprint.canon fp) ->
+                  bump fsh.sh_counters.Obs.Cache.hits;
+                  Some e
+              | Some _ | None ->
+                  bump fsh.sh_counters.Obs.Cache.misses;
+                  None)
+        in
+        match cached with
+        | Some e ->
+            (* remember the spelling for next time (after releasing the
+               fingerprint shard — L1 lives in its own shard and locks
+               never nest) *)
+            remember_text t tkey digest e;
+            hit_response t req ~digest e ~t0m
+        | None ->
+            run_and_respond t req circuit
+              (Some (key, fp, tkey))
+              ~deadline ~t0m)
+  with e ->
+    let code, msg = error_of_exn e in
+    error_response ?id:req.id code msg
+
+(* The connection thread keeps only what needs no worker: the L1
+   exact-text lookup, answered before the BLIF is even parsed, however
+   the JSON line around it was spelled.  Everything else is one
+   {!front_door} task, so an L1 miss — L2 hit and rejection included —
+   is bounded by its deadline from arrival: a task still queued when
+   the deadline passes answers [deadline_exceeded].  Deadlines are
+   monotonic arithmetic: [t0m] came from {!Logic.Clock.now}, so a
+   wall-clock step (NTP, manual reset) cannot expire — or resurrect —
+   an in-flight request. *)
 let submit_request t ~t0m (req : request) =
   let deadline = t0m +. req.deadline_s in
-  match
+  let tkey =
     match req.cut with
-    | Gates _ ->
-        (* Explicit gate lists name signal indices of this particular
-           representation — never served from (or stored into) the
-           caches. *)
-        let circuit = Blif.of_string req.blif in
-        Circuit.validate circuit;
-        `Run (fun () -> run_and_respond t req circuit None ~deadline ~t0m)
-    | Maximal -> (
-        let level_tag =
-          match req.level with
-          | Hash.Embed.Bit_level -> "bit"
-          | Hash.Embed.Rt_level -> "rt"
-        in
-        (* L1: the same decoded BLIF text at the same level?  Answered
-           before the BLIF is even parsed, however the JSON line around
-           it was spelled. *)
-        let tkey = level_tag ^ "\x00" ^ req.blif in
+    | Gates _ -> None
+    | Maximal -> Some (level_tag req.level ^ "\x00" ^ req.blif)
+  in
+  let text_hit =
+    Option.bind tkey (fun tkey ->
         let tsh = shard_for t tkey in
-        let text_hit =
-          locked tsh (fun () ->
-              match Lru.find tsh.sh_text tkey with
-              | Some (digest, e) ->
-                  bump tsh.sh_counters.Obs.Cache.hits;
-                  Some (digest, e)
-              | None -> None)
-        in
-        match text_hit with
-        | Some (digest, e) -> `Hit (hit_response t req ~digest e ~t0m)
-        | None -> (
-            let circuit = Blif.of_string req.blif in
-            let fp = Fingerprint.of_circuit circuit in
-            let digest = Fingerprint.digest fp in
-            let key = digest ^ "/" ^ level_tag in
-            let fsh = shard_for t key in
-            let cached =
-              locked fsh (fun () ->
-                  match Lru.find fsh.sh_cache key with
-                  | Some e when String.equal e.e_canon (Fingerprint.canon fp)
-                    ->
-                      bump fsh.sh_counters.Obs.Cache.hits;
-                      Some e
-                  | Some _ | None ->
-                      bump fsh.sh_counters.Obs.Cache.misses;
-                      None)
-            in
-            match cached with
-            | Some e ->
-                (* remember the spelling for next time (after releasing
-                   the fingerprint shard — L1 lives in its own shard and
-                   locks never nest) *)
-                remember_text t tkey digest e;
-                `Hit (hit_response t req ~digest e ~t0m)
-            | None ->
-                `Run
-                  (fun () ->
-                    run_and_respond t req circuit
-                      (Some (key, fp, tkey))
-                      ~deadline ~t0m)))
-  with
-  | `Hit resp -> Immediate resp
-  | `Run thunk -> (
-      match Parallel.Pool.submit ~deadline t.pool thunk with
+        locked tsh (fun () ->
+            match Lru.find tsh.sh_text tkey with
+            | Some _ as hit ->
+                bump tsh.sh_counters.Obs.Cache.hits;
+                hit
+            | None -> None))
+  in
+  match text_hit with
+  | Some (digest, e) -> Immediate (hit_response t req ~digest e ~t0m)
+  | None -> (
+      (* On an inline pool (--jobs 1, the default) [submit] runs the
+         task in this thread under the pool's inline mutex, and a task
+         that submitted again would deadlock there: [front_door] runs
+         the kernel work itself and never touches the pool. *)
+      match
+        Parallel.Pool.submit ~deadline t.pool
+          (front_door t req tkey ~deadline ~t0m)
+      with
       | fut -> Queued (req.id, fut)
       | exception Parallel.Pool.Shutdown ->
           Immediate
             (error_response ?id:req.id Shutdown "server is shutting down"))
-  | exception e ->
-      let code, msg = error_of_exn e in
-      Immediate (error_response ?id:req.id code msg)
 
 let submit_json t ~t0m json =
   match parse_request t json with
@@ -797,9 +810,10 @@ let handle_line t line =
   Buffer.contents buf
 
 (* Requests pipeline through the pool; responses come back in request
-   order.  The reader (this thread) parses lines and dispatches; a writer
-   thread awaits each pending response in request order and emits it
-   the moment it resolves.  Splitting the two is what lets an
+   order.  The reader (this thread) parses each JSON line, answers
+   exact-text repeats from L1 and hands everything else to the pool; a
+   writer thread awaits each pending response in request order and
+   emits it the moment it resolves.  Splitting the two is what lets an
    interactive client see its response while the reader is blocked on
    [input_line] — a single-threaded read-then-drain loop would hold
    finished responses hostage until the next request (or EOF)

@@ -8,13 +8,13 @@
     connection.  Request fields: ["blif"] (string, required), ["cut"]
     (["maximal"] (default) or a list of gate signal indices), ["level"]
     (["bit"] (default) or ["rt"]), ["deadline_s"] (positive number,
-    server default otherwise), ["id"] (any JSON value, echoed back),
-    ["echo"] (boolean, default [true]; [false] elides the ["blif"] and
-    ["theorem"] members from a success response — on small circuits the
-    echo dominates the response bytes, and a duplicate-heavy client
-    already has the text it sent), and ["cert"] (boolean, default
-    [false]; [true] records the synthesis proof and attaches an
-    exportable certificate).
+    server default otherwise; see {!section-deadlines}), ["id"] (any
+    JSON value, echoed back), ["echo"] (boolean, default [true];
+    [false] elides the ["blif"] and ["theorem"] members from a success
+    response — on small circuits the echo dominates the response bytes,
+    and a duplicate-heavy client already has the text it sent), and
+    ["cert"] (boolean, default [false]; [true] records the synthesis
+    proof and attaches an exportable certificate).
 
     With ["cert": true] a successful response additionally carries a
     ["cert"] member: the full proof certificate text ([Cert] format),
@@ -35,6 +35,15 @@
     [error] object whose [code] is one of the strings of
     {!code_string} — every typed exception of the stack maps to a code;
     ["internal"] means a bug.
+
+    {3:deadlines Deadlines}
+
+    A request's deadline runs from the moment its line is read.  It
+    bounds waiting for a worker domain and running on it: every request
+    that misses the exact-text cache — fingerprint hits and malformed
+    netlists included — is one pool task, and a task still queued when
+    the deadline passes answers ["deadline_exceeded"].  Exact-text
+    repeats need no worker and are answered whatever the deadline.
 
     {3 Batching}
 
@@ -102,12 +111,15 @@ val handle_line : t -> string -> string
     deadline) and return the response line — a JSON array line for a
     batch request.  Never raises: every failure becomes an error
     response.  Thread- and domain-safe: concurrent callers contend only
-    on the cache shards they touch (and on the pool for misses). *)
+    on the cache shards they touch (and on the pool for everything past
+    the exact-text cache). *)
 
 val serve_channel : t -> in_channel -> out_channel -> unit
-(** Serve newline-delimited requests until EOF.  Requests pipeline
-    through the pool; responses are written in request order by a
-    per-connection writer thread. *)
+(** Serve newline-delimited requests until EOF.  The calling thread
+    parses each line and answers exact-text repeats itself; every other
+    request pipelines through the pool (parse, fingerprint, cache
+    lookup and kernel work in one task).  Responses are written in
+    request order by a per-connection writer thread. *)
 
 val run_stdio : t -> unit
 
@@ -117,8 +129,8 @@ val run_stdio : t -> unit
     hands each connection to its own handler thread (bounded by
     [max_connections]; further connections queue in the kernel backlog
     until a slot frees).  Handlers block on IO and shard locks only —
-    kernel work still goes through the shared domain pool.  All
-    listeners of a server share its pool and cache. *)
+    everything past the exact-text cache goes through the shared domain
+    pool.  All listeners of a server share its pool and cache. *)
 
 type listener
 

@@ -222,6 +222,93 @@ let test_shutdown_rejects () =
   Alcotest.(check string) "status" "error" (status j);
   Alcotest.(check string) "code" "shutdown" (error_code j)
 
+(* Past the exact-text cache every request needs a worker, and the
+   deadline counts the wait for one: an L2 hit or a malformed netlist
+   whose deadline passes before a worker picks it up answers
+   deadline_exceeded, while an exact-text repeat, answered on the
+   connection thread, needs no worker and meets any deadline. *)
+let test_tiny_deadline_front_door () =
+  let srv = mk_server () in
+  Fun.protect ~finally:(fun () -> Serve.shutdown srv) @@ fun () ->
+  let b = blif_of 2 in
+  Alcotest.(check string) "warm-up ok" "ok"
+    (status (parse (Serve.handle_line srv (request 1 b))));
+  let tiny = [ ("deadline_s", J.Float 1e-9) ] in
+  let j = parse (Serve.handle_line srv (request ~extra:tiny 2 b)) in
+  check "exact-text repeat still hits" true (cache_bool "hit" j);
+  expect_error srv
+    (request ~extra:tiny 3 (Test_fingerprint.rename_internal "d" b))
+    "deadline_exceeded";
+  expect_error srv (request ~extra:tiny 4 "not blif at all")
+    "deadline_exceeded"
+
+(* After the pool shuts down, the connection thread still answers what
+   it owns (exact-text repeats); a respelling needs a worker. *)
+let test_shutdown_keeps_l1 () =
+  List.iter
+    (fun jobs ->
+      let srv = mk_server ~jobs () in
+      let b = blif_of 2 in
+      Alcotest.(check string) "warm-up ok" "ok"
+        (status (parse (Serve.handle_line srv (request 1 b))));
+      Serve.shutdown srv;
+      let j = parse (Serve.handle_line srv (request 2 b)) in
+      Alcotest.(check string) "exact-text repeat ok" "ok" (status j);
+      check "exact-text repeat hits" true (cache_bool "hit" j);
+      expect_error srv
+        (request 3 (Test_fingerprint.rename_internal "s" b))
+        "shutdown")
+    [ 1; 2 ]
+
+(* Each [wall_s] value zeroed: the only bytes of a response that depend
+   on timing. *)
+let mask_wall s =
+  let key = "\"wall_s\":" in
+  let n = String.length s and k = String.length key in
+  let buf = Buffer.create n in
+  let i = ref 0 in
+  while !i < n do
+    if !i + k <= n && String.sub s !i k = key then begin
+      Buffer.add_string buf key;
+      Buffer.add_char buf '0';
+      i := !i + k;
+      while
+        !i < n
+        && match s.[!i] with '0' .. '9' | '.' | 'e' | '-' -> true | _ -> false
+      do
+        incr i
+      done
+    end
+    else begin
+      Buffer.add_char buf s.[!i];
+      incr i
+    end
+  done;
+  Buffer.contents buf
+
+(* A fingerprint hit answered by a worker domain reads byte for byte
+   like the same line answered inline. *)
+let test_worker_hit_identical () =
+  let b = blif_of 3 in
+  let lines =
+    [
+      request 1 b;
+      request 2 (Test_fingerprint.rename_internal "w" b);
+      request ~extra:[ ("echo", J.Bool false) ] 3
+        (Test_fingerprint.rename_internal "v" b);
+      request 4 "not blif at all";
+    ]
+  in
+  let answers jobs =
+    let srv = mk_server ~jobs () in
+    Fun.protect ~finally:(fun () -> Serve.shutdown srv) @@ fun () ->
+    List.map (fun line -> mask_wall (Serve.handle_line srv line)) lines
+  in
+  let inline = answers 1 and pooled = answers 2 in
+  check "respelling hits L2" true
+    (cache_bool "hit" (parse (List.nth pooled 1)));
+  Alcotest.(check (list string)) "jobs:2 answers as jobs:1" inline pooled
+
 (* --- channel smoke test --------------------------------------------- *)
 
 let test_serve_channel () =
@@ -626,6 +713,43 @@ let test_interleaved_clients () =
   Serve.stop l;
   check "socket path unlinked on stop" false (Sys.file_exists path)
 
+(* An inline pool (jobs:1) runs each front-door task in the submitting
+   connection thread, one at a time: while one client's cold miss holds
+   it, the other client's respelt hits and malformed netlist queue
+   behind it — and all of them are answered, in order. *)
+let test_inline_pool_two_clients () =
+  let srv = mk_server () in
+  let path = sock_path "inline" in
+  let l = Serve.listen_unix srv ~path in
+  Fun.protect ~finally:(fun () -> Serve.stop l; Serve.shutdown srv)
+  @@ fun () ->
+  let _fd_a, ic_a, oc_a = connect_unix path in
+  let _fd_b, ic_b, oc_b = connect_unix path in
+  let warm = blif_of 4 in
+  send oc_b (request 1 warm);
+  Alcotest.(check string) "warm-up ok" "ok" (status (parse (input_line ic_b)));
+  send oc_a (request 100 (blif_of 32));
+  let respelt i =
+    request i (Test_fingerprint.rename_internal (string_of_int i) warm)
+  in
+  let lines = [ respelt 2; respelt 3; request 4 "not blif at all"; respelt 5 ] in
+  List.iter (send oc_b) lines;
+  List.iter
+    (fun i ->
+      let j = parse (input_line ic_b) in
+      (match J.member "id" j with
+      | Some (J.Int id) -> check_int "B answered in order" i id
+      | _ -> Alcotest.fail "response without id");
+      if i = 4 then
+        Alcotest.(check string) "malformed" "invalid_netlist" (error_code j)
+      else check "respelling hits" true (cache_bool "hit" j))
+    [ 2; 3; 4; 5 ];
+  let a = parse (input_line ic_a) in
+  Alcotest.(check string) "A's miss ok" "ok" (status a);
+  check "A missed" false (cache_bool "hit" a);
+  close_out_noerr oc_a;
+  close_out_noerr oc_b
+
 let test_tcp_listener () =
   let srv = mk_server () in
   let l = Serve.listen_tcp srv ~host:"127.0.0.1" ~port:0 in
@@ -734,6 +858,12 @@ let suite =
       test_explicit_cut_bypasses_cache;
     Alcotest.test_case "rejection taxonomy" `Quick test_rejections;
     Alcotest.test_case "unmeetable deadline" `Quick test_tiny_deadline;
+    Alcotest.test_case "deadline covers the wait for a worker" `Quick
+      test_tiny_deadline_front_door;
+    Alcotest.test_case "shutdown leaves exact-text hits" `Quick
+      test_shutdown_keeps_l1;
+    Alcotest.test_case "worker hit reads as inline hit" `Quick
+      test_worker_hit_identical;
     Alcotest.test_case "shutdown rejects new work" `Quick
       test_shutdown_rejects;
     Alcotest.test_case "certificate on miss, typed refusal on hit" `Quick
@@ -753,6 +883,8 @@ let suite =
       test_sharded_counters;
     Alcotest.test_case "interleaved socket clients" `Quick
       test_interleaved_clients;
+    Alcotest.test_case "inline pool, two socket clients" `Quick
+      test_inline_pool_two_clients;
     Alcotest.test_case "tcp transport" `Quick test_tcp_listener;
     Alcotest.test_case "bounded connections" `Quick test_bounded_connections;
   ]
