@@ -16,6 +16,7 @@ let rule_kernel = "kernel-boundary"
 let rule_typed = "typed-errors"
 let rule_catch = "catch-all"
 let rule_domain = "domain-safety"
+let rule_clock = "clock"
 
 let rules =
   [
@@ -32,6 +33,9 @@ let rules =
     ( rule_domain,
       "module-top-level mutable state must be Domain.DLS-keyed, Atomic.t, \
        or allowlisted with the mutex that guards it" );
+    ( rule_clock,
+      "durations and deadlines read Logic.Clock.now, never \
+       Unix.gettimeofday/Unix.time/Sys.time" );
   ]
 
 let known_rule r = List.mem_assoc r rules
@@ -51,6 +55,7 @@ let default_scopes =
       ]);
     (rule_catch, [ "lib/"; "bin/" ]);
     (rule_domain, [ "lib/" ]);
+    (rule_clock, [ "lib/"; "bin/" ]);
   ]
 
 exception Config_error of string
@@ -412,7 +417,7 @@ let scan_unit ~active ~file structure =
   List.iter collect_types_deeply structure;
   let mutable_field n = Hashtbl.mem mutable_fields n in
 
-  (* rules 1–3, on every expression *)
+  (* rules 1–3 and clock, on every expression *)
   let check_expr e =
     (match e.pexp_desc with
     | Pexp_ident { txt; _ } -> (
@@ -428,6 +433,17 @@ let scan_unit ~active ~file structure =
             emit rule_kernel e.pexp_loc
               "Marshal can resurrect unchecked thm values; theorems must be \
                re-derived, not deserialised"
+        | _, Some ("Unix", (("gettimeofday" | "time") as fn)) ->
+            emit rule_clock e.pexp_loc
+              (Printf.sprintf
+                 "Unix.%s reads the wall clock, which steps under NTP, so a \
+                  duration or deadline taken on it comes out wrong; read \
+                  Logic.Clock.now"
+                 fn)
+        | _, Some ("Sys", "time") ->
+            emit rule_clock e.pexp_loc
+              "Sys.time counts processor time, not elapsed time; read \
+               Logic.Clock.now"
         | _ -> ())
     | Pexp_record (fields, _) ->
         let has n =

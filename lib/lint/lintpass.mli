@@ -11,7 +11,7 @@
     disciplines established by hand in earlier PRs are properties of the
     tree that CI re-checks on every change.
 
-    Four rules (names are what [lint.config] and [\[@lint.allow\]] use):
+    Five rules (names are what [lint.config] and [\[@lint.allow\]] use):
 
     - ["kernel-boundary"] — outside the kernel, no [Obj.magic] /
       [Obj.repr] / [Obj.obj], no [Marshal], no record literal shaped like
@@ -25,7 +25,11 @@
     - ["domain-safety"] — module-top-level mutable state ([ref],
       [Hashtbl.create], [Buffer.create], mutable-field record literals,
       [Bigarray] globals, ...) must be [Domain.DLS]-keyed, [Atomic.t], or
-      allowlisted naming the mutex that guards it. *)
+      allowlisted naming the mutex that guards it.
+    - ["clock"] — no [Unix.gettimeofday], [Unix.time] or [Sys.time]:
+      durations and deadlines read [Logic.Clock.now], because a
+      wall-clock reading steps under NTP (see [lib/logic/clock.mli]) and
+      [Sys.time] is processor time. *)
 
 val rules : (string * string) list
 (** Rule name, one-line description — the complete rule set. *)

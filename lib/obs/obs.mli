@@ -140,10 +140,11 @@ module Json : sig
 end
 
 (** Hit/miss/eviction counters of the retiming server's fingerprint-keyed
-    proof cache (lib/serve updates them; responses and BENCH_serve rows
-    carry them).  One instance lives per cache shard; the fields are
-    atomic so shards can bump them under their own lock while responses
-    aggregate every shard without taking any. *)
+    proof cache (lib/serve updates them; responses and the service
+    benchmark's [serve.cache.*] metrics carry them).  One instance lives
+    per cache shard; the fields are atomic so shards can bump them under
+    their own lock while responses aggregate every shard without taking
+    any. *)
 module Cache : sig
   type t = {
     hits : int Atomic.t;  (** requests answered from the cache *)

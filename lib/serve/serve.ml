@@ -1065,11 +1065,3 @@ let await l =
 let stop l =
   request_stop l;
   await l
-
-let run_socket t ~path =
-  let l = listen_unix t ~path in
-  await l
-
-let run_tcp t ~host ~port =
-  let l = listen_tcp t ~host ~port in
-  await l

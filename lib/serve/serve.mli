@@ -32,9 +32,10 @@
     gate/flip-flop statistics and a ["cache"] object (hit flag,
     fingerprint digest, hit/miss/eviction counters aggregated over the
     shards).  A failed request carries [status = "error"] and an
-    [error] object whose [code] is one of the strings of
-    {!code_string} — every typed exception of the stack maps to a code;
-    ["internal"] means a bug.
+    [error] object whose [code] names an {!error_code} constructor in
+    snake case (["bad_request"], ["deadline_exceeded"], ...) — every
+    typed exception of the stack maps to a code; ["internal"] means a
+    bug.
 
     {3:deadlines Deadlines}
 
@@ -166,13 +167,6 @@ val stop : listener -> unit
 (** [request_stop] + {!await}: a clean synchronous shutdown — no new
     connections, path unlinked, in-flight connections drained. *)
 
-val run_socket : t -> path:string -> unit
-(** [listen_unix] + {!await}.  The listener is internal, so this serves
-    until the process dies; use the listener API directly (as
-    bin/serve.exe does) for a stoppable daemon. *)
-
-val run_tcp : t -> host:string -> port:int -> unit
-
 (** {2 Error codes} *)
 
 type error_code =
@@ -191,8 +185,6 @@ type error_code =
           produced. *)
   | Shutdown
   | Internal
-
-val code_string : error_code -> string
 
 val error_of_exn : exn -> error_code * string
 (** Total mapping from the stack's typed exceptions to protocol errors

@@ -139,6 +139,26 @@ let domain_safety_fixtures =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* clock                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let cl = "clock"
+
+let clock_fixtures =
+  [
+    ( "Unix.gettimeofday",
+      flagged cl "let f () = Unix.gettimeofday ()" "Unix.gettimeofday" );
+    ("Unix.time", flagged cl "let f () = Unix.time ()" "Unix.time");
+    ("Sys.time", flagged cl "let f () = Sys.time ()" "Sys.time");
+    ( "gettimeofday as a value",
+      flagged cl "let now = Unix.gettimeofday" "an unapplied reference" );
+    ( "near-miss: monotonic clock",
+      clean cl "let f () = Logic.Clock.now ()" "Logic.Clock.now" );
+    ( "near-miss: calendar conversion",
+      clean cl "let f t = Unix.gmtime t" "Unix.gmtime" );
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Allowlist mechanics                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -169,7 +189,7 @@ let test_config_rejects_unknown_rule () =
   Alcotest.check_raises "unknown rule"
     (Lintpass.Config_error
        "test.config:1 unknown rule \"no-such-rule\" (rules: kernel-boundary, \
-        typed-errors, catch-all, domain-safety)")
+        typed-errors, catch-all, domain-safety, clock)")
     (fun () ->
       ignore (Lintpass.Config.parse ~file:"test.config"
                 "allow no-such-rule a.ml x -- why"))
@@ -253,7 +273,7 @@ let suite =
   List.map
     (fun (name, f) -> Alcotest.test_case name `Quick f)
     (kernel_boundary_fixtures @ typed_errors_fixtures @ catch_all_fixtures
-   @ domain_safety_fixtures
+   @ domain_safety_fixtures @ clock_fixtures
     @ [
         ("attribute allow", test_attribute_allow);
         ("config allow with justification", test_config_allow);

@@ -1,7 +1,8 @@
 (* The retiming daemon: protocol behaviour of [Serve.handle_line] (hits,
    misses, eviction, every rejection class, batches), a channel smoke
-   test with a live pool behind a pipe pair, and live listeners (Unix
-   and TCP) with concurrent clients and a clean stop. *)
+   test with a live pool behind a pipe pair, live listeners (Unix and
+   TCP) with concurrent clients and a clean stop, and the two throughput
+   ratios the cache and batching must deliver. *)
 
 module J = Obs.Json
 
@@ -847,6 +848,125 @@ let test_cert_bad_field () =
     (request ~extra:[ ("cert", J.Str "yes") ] 1 (blif_of 2))
     "bad_request"
 
+(* --- acceptance gates ----------------------------------------------- *)
+
+(* Two throughput ratios the proof cache and batching were built to
+   deliver.  Each compares two runs in one process, timed on
+   Logic.Clock, so the bound is a ratio and not a speed that depends on
+   the machine. *)
+
+(* Requests per second of [lines] through [handle_line], every answer
+   ok; the heap is settled first so the previous run's garbage is not
+   billed to this one. *)
+let handle_rate srv lines =
+  Gc.full_major ();
+  let t0 = Logic.Clock.now () in
+  List.iter
+    (fun line ->
+      let j = parse (Serve.handle_line srv line) in
+      if status j <> "ok" then Alcotest.fail ("not ok: " ^ J.to_string j))
+    lines;
+  float_of_int (List.length lines) /. (Logic.Clock.now () -. t0)
+
+(* The proof cache's bar: cold sends each of 8 fig2 circuits (4-48
+   bits) once to an empty cache, so every request runs the kernel; warm
+   sends 96 requests cycling over the same texts, all exact-text hits.
+   Warm must answer at least 10x the requests per second. *)
+let test_warm_10x_cold () =
+  let srv = mk_server ~jobs:2 () in
+  Fun.protect ~finally:(fun () -> Serve.shutdown srv) @@ fun () ->
+  let blifs = Array.map blif_of [| 4; 6; 8; 12; 16; 24; 32; 48 |] in
+  let traffic n =
+    List.init n (fun i -> request i blifs.(i mod Array.length blifs))
+  in
+  let cold = handle_rate srv (traffic (Array.length blifs)) in
+  let warm = handle_rate srv (traffic 96) in
+  Printf.printf "warm/cold %.1fx (cold %.1f req/s, warm %.0f req/s)\n"
+    (warm /. cold) cold warm;
+  check "warm throughput >= 10x cold" true (warm >= 10.0 *. cold)
+
+let conc_items = 1024
+let conc_batch = 32
+
+(* One client's traffic: [conc_items] echo:false requests over fig2
+   widths 2-4, one per line or [conc_batch] to a line. *)
+let conc_traffic ~batched client =
+  let blifs = Array.map blif_of [| 2; 3; 4 |] in
+  let items =
+    List.init conc_items (fun i ->
+        request ~extra:[ ("echo", J.Bool false) ]
+          ((client * conc_items) + i) blifs.(i mod 3))
+  in
+  if not batched then items
+  else
+    List.init (conc_items / conc_batch) (fun b ->
+        let chunk = List.filteri (fun i _ -> i / conc_batch = b) items in
+        "{\"batch\":[" ^ String.concat "," chunk ^ "]}")
+
+(* Items per second of one client thread per traffic list, each client
+   stop-and-wait (one line in flight).  The answers are kept unread
+   until the clock stops, then every item must be ok. *)
+let clients_rate path traffic =
+  let answers = Array.make (List.length traffic) [] in
+  Gc.full_major ();
+  let t0 = Logic.Clock.now () in
+  let clients =
+    List.mapi
+      (fun c lines ->
+        Thread.create
+          (fun () ->
+            let _fd, ic, oc = connect_unix path in
+            answers.(c) <-
+              List.map
+                (fun line ->
+                  send oc line;
+                  input_line ic)
+                lines;
+            close_out_noerr oc)
+          ())
+      traffic
+  in
+  List.iter Thread.join clients;
+  let wall = Logic.Clock.now () -. t0 in
+  let items = List.length traffic * conc_items in
+  let oks =
+    Array.fold_left
+      (List.fold_left (fun n answer ->
+           let js = match parse answer with J.List js -> js | j -> [ j ] in
+           n + List.length (List.filter (fun j -> status j = "ok") js)))
+      0 answers
+  in
+  check_int "every item ok" items oks;
+  float_of_int items /. wall
+
+(* Batching's bar: on warm hits over a Unix socket, 4 clients batching
+   32 items per line answer at least 2x the items per second of one
+   client sending one item per line.  jobs:1, because every item is an
+   exact-text hit answered on its connection thread, and an idle worker
+   domain would only add stop-the-world minor collections.  Each cell
+   keeps its best of 3 interleaved trials, so one noise spike on a
+   shared host does not decide the gate. *)
+let test_batched_2x_sync () =
+  let srv = mk_server () in
+  let path = sock_path "gate" in
+  let l = Serve.listen_unix srv ~path in
+  Fun.protect ~finally:(fun () -> Serve.stop l; Serve.shutdown srv)
+  @@ fun () ->
+  ignore
+    (handle_rate srv (List.map (fun n -> request n (blif_of n)) [ 2; 3; 4 ]));
+  let sync = List.init 1 (conc_traffic ~batched:false) in
+  let batched = List.init 4 (conc_traffic ~batched:true) in
+  let best_sync = ref 0.0 and best_batched = ref 0.0 in
+  for _ = 1 to 3 do
+    best_sync := Float.max !best_sync (clients_rate path sync);
+    best_batched := Float.max !best_batched (clients_rate path batched)
+  done;
+  Printf.printf
+    "batch-4c/sync-1c %.2fx (sync-1c %.0f, batch-4c %.0f items/s)\n"
+    (!best_batched /. !best_sync) !best_sync !best_batched;
+  check "batched 4-client throughput >= 2x one stop-and-wait client" true
+    (!best_batched >= 2.0 *. !best_sync)
+
 let suite =
   [
     Alcotest.test_case "miss, text hit, fingerprint hit" `Quick
@@ -887,4 +1007,8 @@ let suite =
       test_inline_pool_two_clients;
     Alcotest.test_case "tcp transport" `Quick test_tcp_listener;
     Alcotest.test_case "bounded connections" `Quick test_bounded_connections;
+    Alcotest.test_case "warm hits >= 10x cold misses" `Quick
+      test_warm_10x_cold;
+    Alcotest.test_case "batched clients >= 2x stop-and-wait" `Quick
+      test_batched_2x_sync;
   ]
