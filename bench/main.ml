@@ -392,6 +392,10 @@ let micro () =
   let hash_c = Fig2.rt 8 in
   let hash_cut = Cut.maximal hash_c in
   let embed_c = Fig2.gate 12 in
+  (* a cold miss of the service at its largest Table II size: s1423 at
+     bit level, maximal cut *)
+  let cold_c = Lazy.force (Iwls.find "s1423").Iwls.circuit in
+  let cold_cut = Cut.maximal cold_c in
   let kernel_tests =
     Test.make_grouped ~name:"kernel"
       [
@@ -458,6 +462,10 @@ let micro () =
         Test.make ~name:"embed-bit-12"
           (Staged.stage (fun () ->
                ignore (Hash.Embed.embed Hash.Embed.Bit_level embed_c)));
+        Test.make ~name:"retime-s1423"
+          (Staged.stage (fun () ->
+               ignore
+                 (Hash.Synthesis.retime Hash.Embed.Bit_level cold_c cold_cut)));
       ]
   in
   (* the serve front door on an s1423-sized request: the BLIF reader and

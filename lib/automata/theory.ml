@@ -50,7 +50,7 @@ let induct pred base step =
   Boolean.mp th2 (Boolean.conj base step)
 
 let ext_rule x th =
-  let fx, gx = Term.dest_eq (Kernel.concl th) in
+  let fx = Drule.lhs th and gx = Drule.rhs th in
   let f = Term.rator fx and g = Term.rator gx in
   if Term.free_in x f || Term.free_in x g then
     failwith "Theory.ext_rule: variable free in function"

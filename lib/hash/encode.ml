@@ -104,7 +104,7 @@ let permute_registers level c p =
     Errors.join_mismatch "hypothesis of ENCODE_THM was not discharged";
   let t2 = Clock.now () in
   (* join: the right-hand side is the embedding of the permuted netlist *)
-  let rhs_auto = snd (Term.dest_eq (Kernel.concl th_open)) in
+  let rhs_auto = Drule.rhs th_open in
   let auto_fd2, encq = Term.dest_comb rhs_auto in
   let fd2' = snd (Term.dest_comb auto_fd2) in
   let thn1 = Embed.circuit_norm_conv fd2' in
@@ -129,8 +129,8 @@ let permute_registers level c p =
     Synthesis.before = c;
     after = permuted;
     theorem;
-    lhs_term = fst (Term.dest_eq (Kernel.concl theorem));
-    rhs_term = snd (Term.dest_eq (Kernel.concl theorem));
+    lhs_term = Drule.lhs theorem;
+    rhs_term = Drule.rhs theorem;
     timings =
       {
         Synthesis.t_embed = t1 -. t0;

@@ -55,8 +55,8 @@ let resynthesize ?budget level c =
     Synthesis.before = c;
     after = simplified;
     theorem;
-    lhs_term = fst (Term.dest_eq (Kernel.concl theorem));
-    rhs_term = snd (Term.dest_eq (Kernel.concl theorem));
+    lhs_term = Drule.lhs theorem;
+    rhs_term = Drule.rhs theorem;
     timings =
       {
         Synthesis.t_embed = t1 -. t0;

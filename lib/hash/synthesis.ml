@@ -93,7 +93,7 @@ let retime_common ?budget level c cut_opt gates =
   let e' = Embed.embed level retimed in
   let fd2' =
     (* \i x. (FST (g i x), f (SND (g i x))) — read it off the theorem *)
-    let rhs_auto = snd (Term.dest_eq (Kernel.concl th_ab)) in
+    let rhs_auto = Drule.rhs th_ab in
     let auto_fd2, _fq = Term.dest_comb rhs_auto in
     snd (Term.dest_comb auto_fd2)
   in
@@ -106,7 +106,7 @@ let retime_common ?budget level c cut_opt gates =
   let t4 = Clock.now () in
   check ();
   (* step 4: evaluate the new initial state f(q) *)
-  let rhs_auto = snd (Term.dest_eq (Kernel.concl th_ab)) in
+  let rhs_auto = Drule.rhs th_ab in
   let fq = snd (Term.dest_comb rhs_auto) in
   let th_init = eval_conv fq in
   if not (Term.aconv (Drule.rhs th_init) e'.Embed.q) then
@@ -124,8 +124,8 @@ let retime_common ?budget level c cut_opt gates =
     before = c;
     after = retimed;
     theorem;
-    lhs_term = fst (Term.dest_eq (Kernel.concl theorem));
-    rhs_term = snd (Term.dest_eq (Kernel.concl theorem));
+    lhs_term = Drule.lhs theorem;
+    rhs_term = Drule.rhs theorem;
     timings =
       {
         t_embed = t1 -. t0;
@@ -163,7 +163,7 @@ let compose s1 s2 =
 let check s =
   Kernel.hyp s.theorem = []
   &&
-  let lhs, rhs = Term.dest_eq (Kernel.concl s.theorem) in
+  let lhs = Drule.lhs s.theorem and rhs = Drule.rhs s.theorem in
   let matches c tm =
     List.exists
       (fun lvl ->

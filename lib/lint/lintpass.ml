@@ -454,10 +454,10 @@ let scan_unit ~active ~file structure =
               | [] -> false)
             fields
         in
-        if has "hyps" && has "concl" then
+        if has "hyps" && (has "concl" || has "lhs" || has "rhs") then
           emit rule_kernel e.pexp_loc
-            "record literal shaped like a thm ({hyps; concl}); theorems are \
-             born only from kernel primitives"
+            "record literal shaped like a thm ({hyps; lhs; rhs} or {hyps; \
+             concl}); theorems are born only from kernel primitives"
     | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> (
         match List.rev (unstdlib (ident_path txt)) with
         | (("failwith" | "invalid_arg") as fn) :: _ ->

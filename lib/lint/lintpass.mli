@@ -15,8 +15,8 @@
 
     - ["kernel-boundary"] — outside the kernel, no [Obj.magic] /
       [Obj.repr] / [Obj.obj], no [Marshal], no record literal shaped like
-      a [thm] ([hyps] + [concl] fields), and no handler that catches
-      [Kernel_invariant] without re-raising.
+      a [thm] ([hyps] with [lhs]/[rhs] or [concl]), and no handler that
+      catches [Kernel_invariant] without re-raising.
     - ["typed-errors"] — no [failwith] / [invalid_arg] / [assert false]
       in trust-boundary libraries; those must raise the typed taxonomy.
     - ["catch-all"] — no [try ... with _ ->] or [| exception _ ->]: a

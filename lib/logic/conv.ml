@@ -69,8 +69,7 @@ let rec once_depth_conv c tm =
   (try_conv (orelsec c (sub_conv (fun t -> once_depth_conv c t)))) tm
 
 let rewr_conv th tm =
-  let l, _ = Term.dest_eq (Kernel.concl th) in
-  let theta, tyin = Term.term_match [] l tm in
+  let theta, tyin = Term.term_match [] (Kernel.lhs th) tm in
   let th' = Kernel.inst theta (Kernel.inst_type tyin th) in
   (* Align possible alpha-differences between the instantiated lhs and the
      original term. *)
@@ -94,7 +93,8 @@ let with_step hook f =
   Fun.protect
     ~finally:(fun () ->
       cell := saved;
-      Memo.release_domain ())
+      Memo.release_domain ();
+      Term.release_order_memo ())
     f
 
 let memo_top_depth_conv c =

@@ -77,8 +77,8 @@ val with_step : (unit -> unit) -> (unit -> 'a) -> 'a
     as the normaliser's poll function (called once per memo miss inside
     {!memo_top_depth_conv}), and when [f] returns or raises the previous
     hook is restored and every memo table of the calling domain is
-    released ({!Memo.release_domain}), so no theorem cached by the step
-    outlives it.  The synthesis layer uses the hook to enforce time
+    released ({!Memo.release_domain}, {!Term.release_order_memo}), so no
+    theorem or term order cached by the step outlives it.  The synthesis layer uses the hook to enforce time
     budgets. *)
 
 val memo_stats : unit -> int * int

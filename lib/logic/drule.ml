@@ -1,12 +1,11 @@
 type thm = Kernel.thm
 
-let lhs th = fst (Term.dest_eq (Kernel.concl th))
-let rhs th = snd (Term.dest_eq (Kernel.concl th))
+let lhs = Kernel.lhs
+let rhs = Kernel.rhs
 
 let sym th =
-  let tm = Kernel.concl th in
-  let l, _ = Term.dest_eq tm in
-  let eq_fn = Term.rator (Term.rator tm) in
+  let l = Kernel.lhs th in
+  let eq_fn = Term.eq_const (Term.type_of l) in
   let lth = Kernel.refl l in
   Kernel.eq_mp
     (Kernel.mk_comb_rule (Kernel.mk_comb_rule (Kernel.refl eq_fn) th) lth)

@@ -1,23 +1,59 @@
-type thm = {
-  hyps : Term.t list;
-  concl : Term.t;
-  ep : int; (* recording epoch this thm was proved under; 0 = none *)
-  ix : int; (* step index in that epoch's trace; -1 = not recorded *)
-}
+(* A theorem.  An equation [l = r] keeps its two sides and no
+   conclusion term: the equational rules read their premises' sides
+   and build their result's sides, so the [=] spine of a conclusion is
+   never interned on the rule path.  [concl] builds it on each call, in
+   the calling domain.  It is deliberately not cached: theory theorems
+   are shared by every domain, and a conclusion node cached by one
+   domain would carry that domain's term id into another.  A [Prop]
+   conclusion is never an equation ([of_concl] splits one that is), so
+   the shape of the value tells whether [lhs]/[rhs] apply. *)
+type thm =
+  | Eq of {
+      hyps : Term.t list;
+      lhs : Term.t;
+      rhs : Term.t;
+      ep : int; (* recording epoch this thm was proved under; 0 = none *)
+      ix : int; (* step index in that epoch's trace; -1 = not recorded *)
+    }
+  | Prop of { hyps : Term.t list; concl : Term.t; ep : int; ix : int }
 
-let concl th = th.concl
-let hyp th = th.hyps
-let dest_thm th = (th.hyps, th.concl)
+let of_concl hyps c ep ix =
+  if Term.is_eq c then
+    let l, r = Term.dest_eq c in
+    Eq { hyps; lhs = l; rhs = r; ep; ix }
+  else Prop { hyps; concl = c; ep; ix }
+
+let hyp = function Eq e -> e.hyps | Prop p -> p.hyps
+
+let concl = function
+  | Eq e -> Term.mk_eq e.lhs e.rhs
+  | Prop p -> p.concl
+
+let lhs = function
+  | Eq e -> e.lhs
+  | Prop _ -> failwith "Kernel.lhs: not an equation"
+
+let rhs = function
+  | Eq e -> e.rhs
+  | Prop _ -> failwith "Kernel.rhs: not an equation"
+
+let dest_thm th = (hyp th, concl th)
+
+(* The trace step proving [th] if it was recorded under epoch [ep],
+   else -1. *)
+let[@inline] ix_in ep = function
+  | Eq e -> if e.ep = ep then e.ix else -1
+  | Prop p -> if p.ep = ep then p.ix else -1
 
 let pp_thm ppf th =
-  match th.hyps with
-  | [] -> Format.fprintf ppf "|- %a" Term.pp th.concl
+  match hyp th with
+  | [] -> Format.fprintf ppf "|- %a" Term.pp (concl th)
   | hs ->
       Format.fprintf ppf "%a |- %a"
         (Format.pp_print_list
            ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
            Term.pp)
-        hs Term.pp th.concl
+        hs Term.pp (concl th)
 
 let string_of_thm th = Format.asprintf "%a" pp_thm th
 
@@ -181,10 +217,10 @@ type rec_state = {
   mutable r_tm : Term.t array;
   mutable r_pay : Trace.payload array;
   mutable r_n : int;
-  r_imports : (int, thm * int) Hashtbl.t;
-      (* resolved theory refs, keyed by conclusion intern id (imports
-         are closed theorems, so the hash-consed conclusion identifies
-         one; the stored thm re-checks physical equality on hit) *)
+  r_imports : (int * int, thm * int) Hashtbl.t;
+      (* resolved theory refs, keyed by [import_key] (imports are closed
+         theorems, so their hash-consed sides identify one; the stored
+         thm re-checks physical equality on hit) *)
   mutable r_poison : string option; (* first unresolvable input, if any *)
 }
 
@@ -308,6 +344,14 @@ let push_pay rs tag i p =
   Array.unsafe_set rs.r_pay k p;
   k
 
+(* The key of [th] in [r_imports]: the ids of the stored sides of an
+   equation, or of the stored conclusion otherwise.  Those nodes live as
+   long as [th] does, so the key is stable; a rebuilt conclusion node
+   would not be. *)
+let import_key = function
+  | Eq e -> (e.lhs.Term.id, e.rhs.Term.id)
+  | Prop p -> (p.concl.Term.id, -1)
+
 (* The step index standing for input theorem [th], appending a
    reference event if it comes from the ambient theory.  Returns -1 and
    poisons the trace when [th] cannot be accounted for (e.g. it leaked
@@ -315,16 +359,18 @@ let push_pay rs tag i p =
    itself proceeds untouched, but [stop_recording] reports the failure
    instead of emitting a bogus certificate. *)
 let input rs th =
-  if th.ep = rs.r_epoch && th.ix >= 0 then th.ix
+  let i = ix_in rs.r_epoch th in
+  if i >= 0 then i
   else if not (rs.r_poison == None) then -1
   else
-    match Hashtbl.find_opt rs.r_imports th.concl.Term.id with
+    let key = import_key th in
+    match Hashtbl.find_opt rs.r_imports key with
     | Some (t, i) when t == th -> i
     | _ -> (
         match lookup_extension th with
         | Some (tag, name) ->
             let i = push_pay rs tag (-1) (Trace.P_name name) in
-            Hashtbl.replace rs.r_imports th.concl.Term.id (th, i);
+            Hashtbl.replace rs.r_imports key (th, i);
             i
         | None ->
             rs.r_poison <-
@@ -333,11 +379,14 @@ let input rs th =
                   theory: " ^ string_of_thm th);
             -1)
 
-let rec0_tm_slow rs hyps concl tag tm =
-  if not (rs.r_poison == None) then { hyps; concl; ep = rs.r_epoch; ix = -1 }
-  else { hyps; concl; ep = rs.r_epoch; ix = push_tm rs tag (-1) tm }
+(* The recorders below append the event for one inference and return
+   its step index, or -1 once the trace is poisoned; the rule builds
+   its theorem with that index under the current epoch. *)
 
-let[@inline] rec0_tm rs hyps concl tag tm =
+let rec0_tm_slow rs tag tm =
+  if not (rs.r_poison == None) then -1 else push_tm rs tag (-1) tm
+
+let[@inline] rec0_tm rs tag tm =
   let k = rs.r_n in
   if rs.r_poison == None && k < Bytes.length rs.r_tags then begin
     Bytes.unsafe_set rs.r_tags k tag;
@@ -345,49 +394,43 @@ let[@inline] rec0_tm rs hyps concl tag tm =
     Array.unsafe_set rs.r_b k (-1);
     Array.unsafe_set rs.r_tm k tm;
     rs.r_n <- k + 1;
-    { hyps; concl; ep = rs.r_epoch; ix = k }
+    k
   end
-  else rec0_tm_slow rs hyps concl tag tm
+  else rec0_tm_slow rs tag tm
 
-let rec0_pay rs hyps concl tag p =
-  if not (rs.r_poison == None) then { hyps; concl; ep = rs.r_epoch; ix = -1 }
-  else { hyps; concl; ep = rs.r_epoch; ix = push_pay rs tag (-1) p }
+let rec0_pay rs tag p =
+  if not (rs.r_poison == None) then -1 else push_pay rs tag (-1) p
 
-let rec1_tm rs hyps concl th tag tm =
+let rec1_tm rs th tag tm =
   let i = input rs th in
-  if i < 0 then { hyps; concl; ep = rs.r_epoch; ix = -1 }
-  else { hyps; concl; ep = rs.r_epoch; ix = push_tm rs tag i tm }
+  if i < 0 then -1 else push_tm rs tag i tm
 
-let rec1_pay rs hyps concl th tag p =
+let rec1_pay rs th tag p =
   let i = input rs th in
-  if i < 0 then { hyps; concl; ep = rs.r_epoch; ix = -1 }
-  else { hyps; concl; ep = rs.r_epoch; ix = push_pay rs tag i p }
+  if i < 0 then -1 else push_pay rs tag i p
 
-let rec2_slow rs hyps concl th1 th2 tag =
+let rec2_slow rs th1 th2 tag =
   let i = input rs th1 in
   let j = input rs th2 in
-  if i < 0 || j < 0 then { hyps; concl; ep = rs.r_epoch; ix = -1 }
-  else { hyps; concl; ep = rs.r_epoch; ix = push rs tag i j }
+  if i < 0 || j < 0 then -1 else push rs tag i j
 
 (* Specialised for the common case — both premises recorded in this
    trace and the buffer has room — with a tail call to the general
    path otherwise.  [@inline] is advisory without flambda, so the hot
    primitives below inline this test by hand instead of paying three
    nested calls per inference. *)
-let[@inline] rec2 rs hyps concl th1 th2 tag =
+let[@inline] rec2 rs th1 th2 tag =
   let ep = rs.r_epoch in
   let k = rs.r_n in
-  if
-    th1.ep = ep && th1.ix >= 0 && th2.ep = ep && th2.ix >= 0
-    && k < Bytes.length rs.r_tags
-  then begin
+  let i = ix_in ep th1 and j = ix_in ep th2 in
+  if i >= 0 && j >= 0 && k < Bytes.length rs.r_tags then begin
     Bytes.unsafe_set rs.r_tags k tag;
-    Array.unsafe_set rs.r_a k th1.ix;
-    Array.unsafe_set rs.r_b k th2.ix;
+    Array.unsafe_set rs.r_a k i;
+    Array.unsafe_set rs.r_b k j;
     rs.r_n <- k + 1;
-    { hyps; concl; ep; ix = k }
+    k
   end
-  else rec2_slow rs hyps concl th1 th2 tag
+  else rec2_slow rs th1 th2 tag
 
 let epoch_ctr = Atomic.make 0
 
@@ -453,7 +496,8 @@ let stop_recording () =
             })
 
 let step_in (tr : Trace.t) th =
-  if th.ep = tr.Trace.t_epoch && th.ix >= 0 then Some th.ix else None
+  let i = ix_in tr.Trace.t_epoch th in
+  if i >= 0 then Some i else None
 
 (* ------------------------------------------------------------------ *)
 (* Primitive rules                                                     *)
@@ -462,60 +506,73 @@ let step_in (tr : Trace.t) th =
 let refl t =
   let st = Domain.DLS.get r_key in
   st.rules <- st.rules + 1;
-  let concl = Term.mk_eq t t in
   match st.recb with
-  | None -> { hyps = []; concl; ep = 0; ix = -1 }
-  | Some rs -> rec0_tm rs [] concl 'r' t
+  | None -> Eq { hyps = []; lhs = t; rhs = t; ep = 0; ix = -1 }
+  | Some rs ->
+      let ix = rec0_tm rs 'r' t in
+      Eq { hyps = []; lhs = t; rhs = t; ep = rs.r_epoch; ix }
 
 let trans th1 th2 =
   let st = Domain.DLS.get r_key in
   st.rules <- st.rules + 1;
-  let a, b = Term.dest_eq th1.concl in
-  let b', c = Term.dest_eq th2.concl in
-  if not (Term.aconv b b') then failwith "Kernel.trans: middle terms differ"
-  else
-    let hyps = term_union th1.hyps th2.hyps in
-    let concl = Term.mk_eq a c in
-    match st.recb with
-    | None -> { hyps; concl; ep = 0; ix = -1 }
-    | Some rs -> rec2 rs hyps concl th1 th2 't'
+  match (th1, th2) with
+  | Eq e1, Eq e2 -> (
+      if not (Term.aconv e1.rhs e2.lhs) then
+        failwith "Kernel.trans: middle terms differ"
+      else
+        let hyps = term_union e1.hyps e2.hyps in
+        match st.recb with
+        | None -> Eq { hyps; lhs = e1.lhs; rhs = e2.rhs; ep = 0; ix = -1 }
+        | Some rs ->
+            let ix = rec2 rs th1 th2 't' in
+            Eq { hyps; lhs = e1.lhs; rhs = e2.rhs; ep = rs.r_epoch; ix })
+  | _ -> failwith "Kernel.trans: not an equation"
 
 let mk_comb_rule th1 th2 =
   let st = Domain.DLS.get r_key in
   st.rules <- st.rules + 1;
-  let f, g = Term.dest_eq th1.concl in
-  let x, y = Term.dest_eq th2.concl in
-  (match (Term.type_of f).Ty.node with
-  | Ty.Tyapp ("fun", [ a; _ ]) when a == Term.type_of x -> ()
-  | _ -> failwith "Kernel.mk_comb_rule: types do not agree");
-  let hyps = term_union th1.hyps th2.hyps in
-  let concl = Term.mk_eq (Term.mk_comb f x) (Term.mk_comb g y) in
-  match st.recb with
-  | None -> { hyps; concl; ep = 0; ix = -1 }
-  | Some rs -> rec2 rs hyps concl th1 th2 'c'
+  match (th1, th2) with
+  | Eq { hyps = h1; lhs = f; rhs = g; _ }, Eq { hyps = h2; lhs = x; rhs = y; _ }
+    -> (
+      (match (Term.type_of f).Ty.node with
+      | Ty.Tyapp ("fun", [ a; _ ]) when a == Term.type_of x -> ()
+      | _ -> failwith "Kernel.mk_comb_rule: types do not agree");
+      let hyps = term_union h1 h2 in
+      let lhs = Term.mk_comb f x and rhs = Term.mk_comb g y in
+      match st.recb with
+      | None -> Eq { hyps; lhs; rhs; ep = 0; ix = -1 }
+      | Some rs ->
+          let ix = rec2 rs th1 th2 'c' in
+          Eq { hyps; lhs; rhs; ep = rs.r_epoch; ix })
+  | _ -> failwith "Kernel.mk_comb_rule: not an equation"
 
 let abs v th =
   let st = Domain.DLS.get r_key in
   st.rules <- st.rules + 1;
-  if not (Term.is_var v) then failwith "Kernel.abs: not a variable"
-  else if List.exists (Term.free_in v) th.hyps then
-    failwith "Kernel.abs: variable free in hypotheses"
-  else
-    let l, r = Term.dest_eq th.concl in
-    let concl = Term.mk_eq (Term.mk_abs v l) (Term.mk_abs v r) in
-    match st.recb with
-    | None -> { hyps = th.hyps; concl; ep = 0; ix = -1 }
-    | Some rs -> rec1_tm rs th.hyps concl th 'l' v
+  match th with
+  | Prop _ -> failwith "Kernel.abs: not an equation"
+  | Eq { hyps; lhs = l; rhs = r; _ } -> (
+      if not (Term.is_var v) then failwith "Kernel.abs: not a variable"
+      else if List.exists (Term.free_in v) hyps then
+        failwith "Kernel.abs: variable free in hypotheses"
+      else
+        let lhs = Term.mk_abs v l and rhs = Term.mk_abs v r in
+        match st.recb with
+        | None -> Eq { hyps; lhs; rhs; ep = 0; ix = -1 }
+        | Some rs ->
+            let ix = rec1_tm rs th 'l' v in
+            Eq { hyps; lhs; rhs; ep = rs.r_epoch; ix })
 
 let beta tm =
   let st = Domain.DLS.get r_key in
   st.rules <- st.rules + 1;
   match tm.Term.node with
   | Term.Comb ({ Term.node = Term.Abs (v, body); _ }, arg) when arg == v -> (
-      let concl = Term.mk_eq tm body in
       match st.recb with
-      | None -> { hyps = []; concl; ep = 0; ix = -1 }
-      | Some rs -> rec0_tm rs [] concl 'b' tm)
+      | None -> Eq { hyps = []; lhs = tm; rhs = body; ep = 0; ix = -1 }
+      | Some rs ->
+          let ix = rec0_tm rs 'b' tm in
+          Eq { hyps = []; lhs = tm; rhs = body; ep = rs.r_epoch; ix })
   | _ -> failwith "Kernel.beta: not a trivial beta-redex"
 
 let assume p =
@@ -525,54 +582,80 @@ let assume p =
     failwith "Kernel.assume: not a proposition"
   else
     match st.recb with
-    | None -> { hyps = [ p ]; concl = p; ep = 0; ix = -1 }
-    | Some rs -> rec0_tm rs [ p ] p 'a' p
+    | None -> of_concl [ p ] p 0 (-1)
+    | Some rs ->
+        let ix = rec0_tm rs 'a' p in
+        of_concl [ p ] p rs.r_epoch ix
+
+(* [Term.aconv a (concl th)], reading an equational [th] by its sides
+   instead of building its conclusion: an equation is alpha-equivalent
+   to [l = r] exactly when its sides are to [l] and [r] (equal sides
+   have equal types, so the two [=] constants coincide). *)
+let aconv_concl a = function
+  | Prop p -> Term.aconv a p.concl
+  | Eq e ->
+      Term.is_eq a
+      &&
+      let l, r = Term.dest_eq a in
+      Term.aconv l e.lhs && Term.aconv r e.rhs
 
 let eq_mp th1 th2 =
   let st = Domain.DLS.get r_key in
   st.rules <- st.rules + 1;
-  let a, b = Term.dest_eq th1.concl in
-  if not (Term.aconv a th2.concl) then
-    failwith "Kernel.eq_mp: theorems do not align"
-  else
-    let hyps = term_union th1.hyps th2.hyps in
-    match st.recb with
-    | None -> { hyps; concl = b; ep = 0; ix = -1 }
-    | Some rs -> rec2 rs hyps b th1 th2 'm'
+  match th1 with
+  | Prop _ -> failwith "Kernel.eq_mp: not an equation"
+  | Eq { lhs = a; rhs = b; hyps = h1; _ } -> (
+      if not (aconv_concl a th2) then
+        failwith "Kernel.eq_mp: theorems do not align"
+      else
+        let hyps = term_union h1 (hyp th2) in
+        match st.recb with
+        | None -> of_concl hyps b 0 (-1)
+        | Some rs ->
+            let ix = rec2 rs th1 th2 'm' in
+            of_concl hyps b rs.r_epoch ix)
 
 let deduct_antisym_rule th1 th2 =
   let st = Domain.DLS.get r_key in
   st.rules <- st.rules + 1;
-  let hyps =
-    term_union (term_remove th2.concl th1.hyps)
-      (term_remove th1.concl th2.hyps)
-  in
-  let concl = Term.mk_eq th1.concl th2.concl in
+  let p = concl th1 and q = concl th2 in
+  let hyps = term_union (term_remove q (hyp th1)) (term_remove p (hyp th2)) in
   match st.recb with
-  | None -> { hyps; concl; ep = 0; ix = -1 }
-  | Some rs -> rec2 rs hyps concl th1 th2 'd'
+  | None -> Eq { hyps; lhs = p; rhs = q; ep = 0; ix = -1 }
+  | Some rs ->
+      let ix = rec2 rs th1 th2 'd' in
+      Eq { hyps; lhs = p; rhs = q; ep = rs.r_epoch; ix }
+
+(* [inst] and [inst_type] substitute into both sides of an equation
+   separately; substitution never crosses the [=] node, so the result is
+   the one substituting into the whole conclusion would give.  The
+   substitution runs before the event is recorded, so an ill-typed one
+   fails without touching the trace. *)
+let subst_rule st sub tag pay th =
+  let hyps = term_image sub (hyp th) in
+  let record () =
+    match st.recb with None -> -1 | Some rs -> rec1_pay rs th tag pay
+  in
+  let ep = match st.recb with None -> 0 | Some rs -> rs.r_epoch in
+  match th with
+  | Eq e ->
+      let lhs = sub e.lhs and rhs = sub e.rhs in
+      Eq { hyps; lhs; rhs; ep; ix = record () }
+  | Prop p ->
+      let c = sub p.concl in
+      of_concl hyps c ep (record ())
 
 let inst theta th =
   let st = Domain.DLS.get r_key in
   st.rules <- st.rules + 1;
   if theta = [] then th
-  else
-    let hyps = term_image (Term.vsubst theta) th.hyps in
-    let concl = Term.vsubst theta th.concl in
-    match st.recb with
-    | None -> { hyps; concl; ep = 0; ix = -1 }
-    | Some rs -> rec1_pay rs hyps concl th 'i' (Trace.P_subst theta)
+  else subst_rule st (Term.vsubst theta) 'i' (Trace.P_subst theta) th
 
 let inst_type tyin th =
   let st = Domain.DLS.get r_key in
   st.rules <- st.rules + 1;
   if tyin = [] then th
-  else
-    let hyps = term_image (Term.inst tyin) th.hyps in
-    let concl = Term.inst tyin th.concl in
-    match st.recb with
-    | None -> { hyps; concl; ep = 0; ix = -1 }
-    | Some rs -> rec1_pay rs hyps concl th 'y' (Trace.P_tysubst tyin)
+  else subst_rule st (Term.inst tyin) 'y' (Trace.P_tysubst tyin) th
 
 (* ------------------------------------------------------------------ *)
 (* Extension principles                                                *)
@@ -597,11 +680,13 @@ let new_basic_definition eq =
     new_constant name ty;
     let st = Domain.DLS.get r_key in
     st.rules <- st.rules + 1;
-    let concl = Term.mk_eq (mk_const name []) r in
+    let c = mk_const name [] in
     let th =
       match st.recb with
-      | None -> { hyps = []; concl; ep = 0; ix = -1 }
-      | Some rs -> rec0_pay rs [] concl 'D' (Trace.P_name name)
+      | None -> Eq { hyps = []; lhs = c; rhs = r; ep = 0; ix = -1 }
+      | Some rs ->
+          let ix = rec0_pay rs 'D' (Trace.P_name name) in
+          Eq { hyps = []; lhs = c; rhs = r; ep = rs.r_epoch; ix }
     in
     Mutex.protect ext_mu (fun () ->
         the_definitions := (name, th) :: !the_definitions);
@@ -616,8 +701,10 @@ let new_axiom name p =
     st.rules <- st.rules + 1;
     let th =
       match st.recb with
-      | None -> { hyps = []; concl = p; ep = 0; ix = -1 }
-      | Some rs -> rec0_pay rs [] p 'A' (Trace.P_name name)
+      | None -> of_concl [] p 0 (-1)
+      | Some rs ->
+          let ix = rec0_pay rs 'A' (Trace.P_name name) in
+          of_concl [] p rs.r_epoch ix
     in
     Mutex.protect ext_mu (fun () -> the_axioms := (name, th) :: !the_axioms);
     th

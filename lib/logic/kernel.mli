@@ -15,6 +15,19 @@
 type thm
 
 val concl : thm -> Term.t
+(** The conclusion.  An equational theorem stores only its two sides
+    (see {!lhs}), so for one this builds and interns [l = r] in the
+    calling domain on every call; rules and derived rules read the
+    sides instead. *)
+
+val lhs : thm -> Term.t
+(** [lhs (|- l = r)] is [l], read off the theorem without building its
+    conclusion.  @raise Failure if the conclusion is not an equation. *)
+
+val rhs : thm -> Term.t
+(** [rhs (|- l = r)] is [r].  @raise Failure if the conclusion is not an
+    equation. *)
+
 val hyp : thm -> Term.t list
 val dest_thm : thm -> Term.t list * Term.t
 

@@ -264,7 +264,7 @@ let mk_abs_st st v body =
 let mk_abs v body = mk_abs_st (state ()) v body
 let list_mk_comb f args = List.fold_left mk_comb f args
 let list_mk_abs vars body = List.fold_right mk_abs vars body
-let eq_const st ty =
+let eq_const_st st ty =
   match Hashtbl.find_opt st.eq_consts ty.Ty.id with
   | Some c -> c
   | None ->
@@ -272,11 +272,13 @@ let eq_const st ty =
       Hashtbl.add st.eq_consts ty.Ty.id c;
       c
 
+let eq_const ty = eq_const_st (state ()) ty
+
 let mk_eq l r =
   if l.ty != r.ty then failwith "Term.mk_eq: sides have different types"
   else
     let st = state () in
-    mk_comb_st st (mk_comb_st st (eq_const st l.ty) l) r
+    mk_comb_st st (mk_comb_st st (eq_const_st st l.ty) l) r
 
 let dest_var tm =
   match tm.node with
@@ -425,6 +427,8 @@ let alphaorder t1 t2 =
 
 let aconv t1 t2 = t1 == t2 || alphaorder t1 t2 = 0
 
+let release_order_memo () = Hashtbl.reset (state ()).orda_cache
+
 (* ------------------------------------------------------------------ *)
 (* Substitution                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -504,11 +508,16 @@ let rec vsubst_go st dset theta memo tm =
         Hashtbl.add memo tm.id r;
         r
 
-let vsubst theta tm =
-  if theta = [] then tm
+(* One memo per partial application: [vsubst theta] applied to several
+   terms (a theorem's hypotheses and both sides) shares their common
+   subterms' results. *)
+let vsubst theta =
+  if theta = [] then Fun.id
   else begin
     check_subst_types theta;
-    vsubst_go (state ()) (domain_set theta) theta (Hashtbl.create 256) tm
+    let st = state () and dset = domain_set theta in
+    let memo = Hashtbl.create 256 in
+    fun tm -> vsubst_go st dset theta memo tm
   end
 
 (* ------------------------------------------------------------------ *)

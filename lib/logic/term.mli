@@ -50,6 +50,10 @@ val mk_eq : t -> t -> t
 (** [mk_eq l r] is the equation [l = r].
     @raise Failure if the two sides have different types. *)
 
+val eq_const : Ty.t -> t
+(** [eq_const ty] is the equality constant [(=) : ty -> ty -> bool] that
+    {!mk_eq} applies at sides of type [ty]; cached per type. *)
+
 (** {1 Destructors and tests} *)
 
 val dest_var : t -> string * Ty.t
@@ -91,8 +95,10 @@ val variant : t list -> t -> t
 val vsubst : (t * t) list -> t -> t
 (** [vsubst [(v1,t1); ...] tm] simultaneously substitutes [ti] for free
     occurrences of variable [vi], renaming bound variables only where
-    capture would occur.  Bindings must be type-correct.
-    Memoised per call on node ids. *)
+    capture would occur.  Bindings must be type-correct: [vsubst theta]
+    raises [Failure] on an ill-typed one before any term is given.
+    Memoised on node ids per partial application: [vsubst theta] applied
+    to several terms converts their shared subterms once. *)
 
 val inst : (string * Ty.t) list -> t -> t
 (** Instantiate type variables throughout a term, renaming term variables
@@ -105,6 +111,13 @@ val alphaorder : t -> t -> int
 
 val aconv : t -> t -> bool
 (** Alpha-equivalence; physically-equal terms are equal in O(1). *)
+
+val release_order_memo : unit -> unit
+(** Empty the calling domain's memo of {!alphaorder} results (keyed on
+    pairs of node ids).  Ids are never reused, so entries for the terms
+    of a finished HASH step can never hit again; {!Conv.with_step}
+    releases it when a step ends.  A caller outside any step relies on
+    the memo's own reset once it holds 2M entries. *)
 
 (** {1 First-order matching} *)
 

@@ -309,8 +309,45 @@ let test_faults_with_recording () =
   done;
   check "ran a sample of mutants" true (!tried >= 8)
 
+(* Theory theorems are built before the pool freezes the term tables
+   and are shared by every domain.  Here the spawning domain reads their
+   conclusions after the freeze, so any conclusion node that stuck to a
+   theorem would carry the spawner's post-freeze term ids into the
+   workers, where the same ids name other terms.  Certificates emitted
+   on the workers must still replay, and prove what the worker proved. *)
+let test_worker_cert_after_spawner_reads () =
+  let circuits =
+    List.map (fun n -> Lazy.force (Iwls.find n).Iwls.circuit) [ "s298"; "s344" ]
+  in
+  Parallel.Pool.run ~jobs:2 (fun pool ->
+      let read l = List.iter (fun (_, th) -> ignore (Kernel.concl th)) l in
+      read (Kernel.axioms ());
+      read (Kernel.definitions ());
+      read (Kernel.registered_theorems ());
+      let results =
+        Parallel.Pool.map_list pool
+          (fun c ->
+            let tr, th =
+              record (fun () ->
+                  (Hash.Synthesis.retime Hash.Embed.Bit_level c (Cut.maximal c))
+                    .Hash.Synthesis.theorem)
+            in
+            (Kernel.string_of_thm th, Cert.emit tr th))
+          circuits
+      in
+      List.iter
+        (fun (text, cert) ->
+          match cert with
+          | Error msg -> Alcotest.fail ("emit failed on the worker: " ^ msg)
+          | Ok cert ->
+              let th, _ = replay cert in
+              check_str "replayed theorem" text (Kernel.string_of_thm th))
+        results)
+
 let suite =
   [
+    Alcotest.test_case "worker certificate after spawner reads theory" `Quick
+      test_worker_cert_after_spawner_reads;
     Alcotest.test_case "round trip: refl/trans" `Quick test_roundtrip_basic;
     Alcotest.test_case "round trip: ground eval with imports" `Quick
       test_roundtrip_ground_eval;

@@ -483,3 +483,51 @@ let suite = suite @ [
     Alcotest.test_case "step timings on the monotonic clock" `Quick
       test_step_timings_clock;
   ]
+
+(* The statement of every Table II theorem, pinned.  [string_of_thm] of
+   the retiming theorem for each profile at the maximal cut, at bit
+   level and at RT level (every profile embeds at both, and the two
+   statements coincide), digested.  The digests were computed before
+   equational theorems stopped storing their conclusion term; a change
+   to how the kernel represents or derives theorems may change proofs,
+   never these statements. *)
+let pinned_statements =
+  [
+    ("s298", "421b454adfdf552d290829c889232a12");
+    ("s344", "98f8564a81e14dc5943864fc460faec9");
+    ("s420", "da6b024f75f454058d8081995f3f378d");
+    ("s526", "c19fde10dc1e54ad61e7fbcc8b8a7c23");
+    ("s641", "9c12e9bfc724d60cedd6c02e6247bfd1");
+    ("s838", "ec023354c9ae333f1bbdcab4b18f266b");
+    ("s1423", "f50bc6f62692028a977a1c647f545250");
+    ("s5378", "693e5db92ccb9acd4178dab59ec7b542");
+    ("mult8", "519981d3ba1b3d9352ff27ee7519ea7c");
+    ("mult16", "11661aa000bff240f8fd17c079b167a0");
+    ("mult32", "159e09f3ecf57c6b3f37848f1622e8fb");
+  ]
+
+let test_pinned_statements () =
+  Alcotest.(check (list string))
+    "every Table II profile is pinned"
+    (List.map (fun e -> e.Iwls.name) Iwls.suite)
+    (List.map fst pinned_statements);
+  List.iter
+    (fun (name, digest) ->
+      let c = Lazy.force (Iwls.find name).Iwls.circuit in
+      List.iter
+        (fun (lname, level) ->
+          let s = Hash.Synthesis.retime level c (Cut.maximal c) in
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s statement" name lname)
+            digest
+            (Digest.to_hex
+               (Digest.string (Kernel.string_of_thm s.Hash.Synthesis.theorem))))
+        [ ("bit", Hash.Embed.Bit_level); ("rt", Hash.Embed.Rt_level) ])
+    pinned_statements
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "Table II theorem statements pinned" `Quick
+        test_pinned_statements;
+    ]

@@ -47,6 +47,11 @@ let kernel_boundary_fixtures =
       flagged kb "let dump t = Marshal.to_string t []" "Marshal use" );
     ( "thm-shaped record",
       flagged kb "let forge c = { hyps = []; concl = c }" "thm record" );
+    ( "equation-shaped thm record",
+      flagged kb "let forge t = { hyps = []; lhs = t; rhs = t }"
+        "equational thm record" );
+    ( "thm record with one side",
+      flagged kb "let forge t = { hyps = []; lhs = t }" "one-sided record" );
     ( "Kernel_invariant discarded",
       flagged kb
         "let f g = try g () with Hash.Errors.Kernel_invariant _ -> 0"
@@ -55,6 +60,8 @@ let kernel_boundary_fixtures =
       clean kb "let f x = MyObj.magic x" "unrelated magic" );
     ( "near-miss: partial thm record",
       clean kb "let r = { hyps = [] }" "record with hyps only" );
+    ( "near-miss: sides without hyps",
+      clean kb "let rule l r = { lhs = l; rhs = r }" "rewrite-rule record" );
     ( "near-miss: Kernel_invariant re-raised",
       clean kb
         "let f g = try g () with Hash.Errors.Kernel_invariant m as e -> log \

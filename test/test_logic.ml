@@ -391,3 +391,180 @@ let suite = suite @ [
     Alcotest.test_case "axioms are propositions" `Quick
       test_new_axiom_requires_bool;
   ]
+
+(* ------------------------------------------------------------------ *)
+(* Equational theorems keep their sides                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Random derivations: each op applies one rule to pool entries picked
+   by index (modulo the pool size).  A rule that rejects its operands is
+   skipped, so every pool entry is a theorem the kernel produced.  The
+   term pool mixes equations, binders and a type variable, so [assume],
+   [eq_mp] and [inst] can yield equational and non-equational
+   conclusions alike. *)
+type op =
+  | O_refl of int
+  | O_assume of int
+  | O_beta of int
+  | O_trans of int * int
+  | O_trans_sym of int
+  | O_mk_comb of int * int
+  | O_ap_term of int
+  | O_abs of int * int
+  | O_eq_mp of int * int
+  | O_refl_alpha of int
+  | O_deduct of int * int
+  | O_inst of int * int
+  | O_inst_type of int
+
+let side_terms =
+  lazy
+    (let x = Term.mk_var "x" Ty.bool and y = Term.mk_var "y" Ty.bool in
+     let z = Term.mk_var "z" Ty.bool in
+     let f = Term.mk_var "f" (Ty.fn Ty.bool Ty.bool) in
+     let p = Term.mk_var "p" Ty.alpha and q = Term.mk_var "q" Ty.alpha in
+     [|
+       x; y; z; Term.mk_eq x y; Term.mk_eq y z; Term.mk_comb f x;
+       Term.mk_comb (Term.mk_abs x (Term.mk_comb f x)) y;
+       Term.mk_abs y (Term.mk_eq x y); Term.mk_eq p q;
+       Term.mk_eq
+         (Term.mk_abs x (Term.mk_eq x y))
+         (Term.mk_abs y (Term.mk_eq y y));
+       Boolean.t_tm; f;
+     |])
+
+let side_vars = lazy [| Term.mk_var "x" Ty.bool; Term.mk_var "y" Ty.bool |]
+
+(* every binder renamed: alpha-equivalent, physically distinct when the
+   term has a binder *)
+let rec alpha_variant tm =
+  match tm.Term.node with
+  | Term.Comb (f, x) -> Term.mk_comb (alpha_variant f) (alpha_variant x)
+  | Term.Abs (v, b) ->
+      let b = alpha_variant b in
+      let w = Term.mk_var "w" (Term.type_of v) in
+      let w = Term.variant (v :: Term.frees b) w in
+      Term.mk_abs w (Term.vsubst [ (v, w) ] b)
+  | _ -> tm
+
+let run_derivation ops =
+  let terms = Lazy.force side_terms and vars = Lazy.force side_vars in
+  let tm i = terms.(i mod Array.length terms) in
+  let pool = ref [||] in
+  let th i = !pool.(i mod Array.length !pool) in
+  let add f =
+    match f () with
+    | t -> pool := Array.append !pool [| t |]
+    | exception Failure _ -> ()
+  in
+  add (fun () -> Kernel.refl (tm 0));
+  let tyvar = List.hd (Ty.tyvars Ty.alpha) in
+  List.iter
+    (fun op ->
+      add (fun () ->
+          match op with
+          | O_refl i -> Kernel.refl (tm i)
+          | O_assume i -> Kernel.assume (tm i)
+          | O_beta i ->
+              let v = vars.(i mod 2) in
+              Kernel.beta (Term.mk_comb (Term.mk_abs v (tm i)) v)
+          | O_trans (i, j) -> Kernel.trans (th i) (th j)
+          | O_trans_sym i -> Kernel.trans (th i) (Drule.sym (th i))
+          | O_mk_comb (i, j) -> Kernel.mk_comb_rule (th i) (th j)
+          | O_ap_term i -> Drule.ap_term (tm 11) (th i)
+          | O_abs (v, i) -> Kernel.abs vars.(v mod 2) (th i)
+          | O_eq_mp (i, j) -> Kernel.eq_mp (th i) (th j)
+          | O_refl_alpha i -> Kernel.refl (alpha_variant (Kernel.concl (th i)))
+          | O_deduct (i, j) -> Kernel.deduct_antisym_rule (th i) (th j)
+          | O_inst (i, j) ->
+              Kernel.inst [ (vars.(j mod 2), tm (j mod 5)) ] (th i)
+          | O_inst_type i -> Kernel.inst_type [ (tyvar, Ty.bool) ] (th i)))
+    ops;
+  !pool
+
+let gen_ops =
+  QCheck.Gen.(
+    let ix = int_bound 63 in
+    list_size (int_range 1 24)
+      (oneof
+         [
+           map (fun i -> O_refl i) ix; map (fun i -> O_assume i) ix;
+           map (fun i -> O_beta i) ix; map2 (fun i j -> O_trans (i, j)) ix ix;
+           map (fun i -> O_trans_sym i) ix;
+           map2 (fun i j -> O_mk_comb (i, j)) ix ix;
+           map (fun i -> O_ap_term i) ix; map2 (fun v i -> O_abs (v, i)) ix ix;
+           map2 (fun i j -> O_eq_mp (i, j)) ix ix;
+           map (fun i -> O_refl_alpha i) ix;
+           map2 (fun i j -> O_deduct (i, j)) ix ix;
+           map2 (fun i j -> O_inst (i, j)) ix ix;
+           map (fun i -> O_inst_type i) ix;
+         ]))
+
+let arb_derivation =
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat "; "
+        (List.map Kernel.string_of_thm (Array.to_list (run_derivation ops))))
+    gen_ops
+
+let prop_sides_agree =
+  QCheck.Test.make ~count:300 ~name:"equation sides agree with concl"
+    arb_derivation (fun ops ->
+      Array.for_all
+        (fun th ->
+          let c = Kernel.concl th in
+          if Term.is_eq c then
+            let l, r = Term.dest_eq c in
+            c == Term.mk_eq (Kernel.lhs th) (Kernel.rhs th)
+            && Drule.lhs th == l && Drule.rhs th == r
+          else
+            let fails f = match f th with _ -> false | exception Failure _ -> true in
+            fails Kernel.lhs && fails Kernel.rhs)
+        (run_derivation ops))
+
+let prop_eq_mp_exact =
+  QCheck.Test.make ~count:300
+    ~name:"eq_mp accepts exactly when aconv a (concl th2)" arb_derivation
+    (fun ops ->
+      let pool = run_derivation ops in
+      Array.for_all
+        (fun th1 ->
+          (not (Term.is_eq (Kernel.concl th1)))
+          || Array.for_all
+               (fun th2 ->
+                 let expected =
+                   Term.aconv (Kernel.lhs th1) (Kernel.concl th2)
+                 in
+                 match Kernel.eq_mp th1 th2 with
+                 | th -> expected && Kernel.concl th == Kernel.rhs th1
+                 | exception Failure _ -> not expected)
+               pool)
+        pool)
+
+(* The positive and negative cases of the side-wise comparison, pinned
+   by hand: an alpha-variant (not physically equal) of an equational
+   conclusion is accepted, a different right side is not. *)
+let test_eq_mp_alpha_sides () =
+  let x = Term.mk_var "x" Ty.bool and y = Term.mk_var "y" Ty.bool in
+  let z = Term.mk_var "z" Ty.bool in
+  let abs_xy = Term.mk_abs x (Term.mk_eq x y) in
+  let th2 = Kernel.refl abs_xy in
+  let c' = alpha_variant (Kernel.concl th2) in
+  check "variant is not physically equal" true (c' != Kernel.concl th2);
+  let th = Kernel.eq_mp (Kernel.refl c') th2 in
+  check "accepted, concluding the variant" true (Kernel.concl th == c');
+  check "sides of the result" true
+    (Term.aconv (Kernel.lhs th) abs_xy && Term.aconv (Kernel.rhs th) abs_xy);
+  let other = Term.mk_eq abs_xy (Term.mk_abs x (Term.mk_eq x z)) in
+  check "different right side rejected" true
+    (match Kernel.eq_mp (Kernel.refl other) th2 with
+    | _ -> false
+    | exception Failure _ -> true)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "eq_mp against an equation's sides" `Quick
+        test_eq_mp_alpha_sides ]
+  @ List.map
+      (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x51de5 |]))
+      [ prop_sides_agree; prop_eq_mp_exact ]
