@@ -29,12 +29,7 @@ let host_port =
   let print ppf (h, p) = Format.fprintf ppf "%s:%d" h p in
   Arg.conv (parse, print)
 
-let run socket tcp jobs cache shards max_conns deadline =
-  let jobs = max 1 jobs in
-  let cache = max 1 cache in
-  let shards = max 1 shards in
-  let max_connections = max 1 max_conns in
-  let deadline = if deadline > 0.0 then deadline else 30.0 in
+let run socket tcp jobs cache shards max_connections deadline =
   (* In listener mode, block SIGINT/SIGTERM before spawning ANY thread
      or domain — [Serve.create] starts worker domains, and a signal is
      delivered to whichever thread has it unblocked, so masking after

@@ -14,7 +14,7 @@ val permute_registers : Embed.level -> Circuit.t -> int array -> Synthesis.step
 (** [permute_registers level c p]: register [r] of the input becomes
     register position [p.(r)] of the output ([p] must be a permutation of
     [0 .. #registers-1]).
-    @raise Failure if [p] is not a permutation.
+    @raise Errors.Invalid_cut if [p] is not a permutation of that size.
     @raise Errors.Join_mismatch on internal disagreement (bug trap). *)
 
 val reverse_registers : Embed.level -> Circuit.t -> Synthesis.step

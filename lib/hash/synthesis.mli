@@ -58,7 +58,8 @@ val retime_gates :
 
 val compose : step -> step -> step
 (** [compose s1 s2] where [s1.after] is [s2.before]: one transitivity rule
-    application.  @raise Failure if the interface terms do not agree. *)
+    application.
+    @raise Errors.Kernel_invariant if the interface terms do not agree. *)
 
 val check : step -> bool
 (** Independent sanity check: re-embed both netlists and verify the

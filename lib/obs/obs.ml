@@ -70,21 +70,6 @@ let snapshot ?(peak_nodes = 0) (c : Counters.t) =
     peak_nodes;
   }
 
-(* Combine per-domain (or per-run) snapshots into one row: monotone
-   counters sum; [peak_nodes] describes concurrent tables, so the peaks
-   sum as well (an upper bound on the simultaneous population). *)
-let add a b =
-  {
-    mk_calls = a.mk_calls + b.mk_calls;
-    unique_hits = a.unique_hits + b.unique_hits;
-    unique_misses = a.unique_misses + b.unique_misses;
-    cache_hits = a.cache_hits + b.cache_hits;
-    cache_misses = a.cache_misses + b.cache_misses;
-    memo_hits = a.memo_hits + b.memo_hits;
-    memo_misses = a.memo_misses + b.memo_misses;
-    peak_nodes = a.peak_nodes + b.peak_nodes;
-  }
-
 (* Per-run deltas of a manager that outlives the run (the engines layer
    reuses one manager per domain): every monotone counter subtracts, and
    so does [peak_nodes] — for a reused manager it carries [node_count],
@@ -312,8 +297,8 @@ module Json = struct
     in
     (* Direct indexing throughout: an earlier [peek : unit -> char
        option] boxed a [Some] per input byte, so parsing allocated
-       ~20x the input size — pure GC pressure once the serve layer
-       started parsing batched request lines on the warm path. *)
+       ~20x the input size — pure GC pressure for a caller that parses
+       every batched request line it receives on its warm path. *)
     let skip_ws () =
       while
         !pos < n
@@ -610,84 +595,6 @@ module Faults = struct
         ("wrong_exception_classes", Json.Obj (sorted_tbl t.wrong_classes));
         ("accepted_equivalent", Json.Int t.accepted_equivalent);
         ("accepted_inequivalent", Json.Int t.accepted_inequivalent);
-      ]
-end
-
-(* ------------------------------------------------------------------ *)
-(* Proof-cache counters                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* The serve layer shards its proof cache, so these counters are updated
-   from many threads and read (for every OK response) without any lock:
-   each field is an [Atomic.t], one instance lives per shard, and a
-   response aggregates the shards into one [snapshot] in a single
-   lock-free pass.  [entries] is a gauge (current population of the
-   shard's fingerprint cache), not a monotone counter; it still sums
-   across shards because the shards partition the key space. *)
-module Cache = struct
-  type t = {
-    hits : int Atomic.t;
-    misses : int Atomic.t;
-    evictions : int Atomic.t;
-    insertions : int Atomic.t;
-    entries : int Atomic.t;
-  }
-
-  let create () =
-    {
-      hits = Atomic.make 0;
-      misses = Atomic.make 0;
-      evictions = Atomic.make 0;
-      insertions = Atomic.make 0;
-      entries = Atomic.make 0;
-    }
-
-  let reset t =
-    Atomic.set t.hits 0;
-    Atomic.set t.misses 0;
-    Atomic.set t.evictions 0;
-    Atomic.set t.insertions 0;
-    Atomic.set t.entries 0
-
-  type snapshot = {
-    hits : int;
-    misses : int;
-    evictions : int;
-    insertions : int;
-    entries : int;
-  }
-
-  let snapshot (t : t) : snapshot =
-    {
-      hits = Atomic.get t.hits;
-      misses = Atomic.get t.misses;
-      evictions = Atomic.get t.evictions;
-      insertions = Atomic.get t.insertions;
-      entries = Atomic.get t.entries;
-    }
-
-  let empty =
-    { hits = 0; misses = 0; evictions = 0; insertions = 0; entries = 0 }
-
-  let add a b =
-    {
-      hits = a.hits + b.hits;
-      misses = a.misses + b.misses;
-      evictions = a.evictions + b.evictions;
-      insertions = a.insertions + b.insertions;
-      entries = a.entries + b.entries;
-    }
-
-  let total ts = Array.fold_left (fun acc t -> add acc (snapshot t)) empty ts
-
-  let snapshot_json (s : snapshot) =
-    Json.Obj
-      [
-        ("hits", Json.Int s.hits);
-        ("misses", Json.Int s.misses);
-        ("evictions", Json.Int s.evictions);
-        ("insertions", Json.Int s.insertions);
-        ("entries", Json.Int s.entries);
       ]
 end
 

@@ -35,11 +35,6 @@ type snapshot = {
 val empty : snapshot
 val snapshot : ?peak_nodes:int -> Counters.t -> snapshot
 
-val add : snapshot -> snapshot -> snapshot
-(** Combine snapshots of distinct managers/domains: monotone counters
-    sum; [peak_nodes] sums too (per-table peaks of concurrently live
-    tables — an upper bound on the combined simultaneous population). *)
-
 val snapshot_delta : before:snapshot -> after:snapshot -> snapshot
 (** Per-run counters of a manager that outlives the run (per-domain
     manager reuse): all fields subtract, including [peak_nodes], which
@@ -127,8 +122,9 @@ module Json : sig
   exception Parse_error of string
 
   val parse : string -> t
-  (** Reader for this emitter's own output (used by the fault-campaign
-      baseline gate and the serve protocol).  Numbers without
+  (** Reader for this emitter's own output and for untrusted input
+      (baseline gates read their files with it, and request lines from
+      outside the program are parsed by it).  Numbers without
       fraction/exponent come back as [Int].  [\uXXXX] escapes are decoded
       to UTF-8, pairing surrogates, so write → parse round-trips
       losslessly; unpaired surrogates and malformed hex are rejected.
@@ -137,45 +133,6 @@ module Json : sig
   val of_file : string -> t
   val member : string -> t -> t option
   (** Field lookup on [Obj]; [None] on missing fields or non-objects. *)
-end
-
-(** Hit/miss/eviction counters of the retiming server's fingerprint-keyed
-    proof cache (lib/serve updates them; responses and the service
-    benchmark's [serve.cache.*] metrics carry them).  One instance lives
-    per cache shard; the fields are atomic so shards can bump them under
-    their own lock while responses aggregate every shard without taking
-    any. *)
-module Cache : sig
-  type t = {
-    hits : int Atomic.t;  (** requests answered from the cache *)
-    misses : int Atomic.t;  (** requests that ran the kernel *)
-    evictions : int Atomic.t;
-        (** LRU entries dropped at capacity, at either cache level *)
-    insertions : int Atomic.t;  (** fingerprint entries stored after a miss *)
-    entries : int Atomic.t;
-        (** gauge: current fingerprint-cache population of the shard *)
-  }
-
-  val create : unit -> t
-  val reset : t -> unit
-
-  (** A plain one-pass copy of the counters; what responses and [stats]
-      report. *)
-  type snapshot = {
-    hits : int;
-    misses : int;
-    evictions : int;
-    insertions : int;
-    entries : int;
-  }
-
-  val snapshot : t -> snapshot
-
-  val total : t array -> snapshot
-  (** Aggregate the per-shard counters, lock-free.  Monotone counters
-      sum; [entries] sums too, because shards partition the key space. *)
-
-  val snapshot_json : snapshot -> Json.t
 end
 
 val snapshot_json : snapshot -> Json.t

@@ -2,31 +2,10 @@
    newline-delimited JSON over stdio, a Unix-domain socket or TCP.  Each
    request carries a BLIF netlist and a cut heuristic; the daemon
    validates at the trust boundary, dispatches the formal step to the
-   domain pool with a per-request deadline, and keys a bounded LRU proof
-   cache on the circuit's structural fingerprint so repeated or
-   isomorphic requests are answered without touching the kernel.
-
-   The cache has two levels.  L2 is the fingerprint cache: the key is
-   [Fingerprint.digest ^ level], and a hit additionally requires
-   equality of the full canonical form — a digest collision can cause a
-   spurious miss, never a wrong answer.  L1 is an exact-text front
-   cache keyed on a digest of the raw BLIF bytes (verified against the
-   stored text on hit), so byte-identical repeats skip the netlist
-   parse and fingerprint entirely; it is sound trivially — identical
-   bytes at the same level denote the same circuit.  Only
-   [maximal]-cut requests are cached at either level: the maximal cut
-   is canonical (a function of the circuit alone), whereas an explicit
-   gate list refers to signal indices of one particular representation
-   and is deliberately recomputed every time.
-
-   Both levels are split into N shards keyed by a hash of the digest,
-   each shard with its own mutex, so concurrent connections don't
-   serialize on one global lock; counters are per-shard atomics
-   ({!Obs.Cache}), aggregated lock-free into every response.
-
-   The cache stores only strings (the retimed BLIF and the printed
-   theorem), so entries are safe to share across OCaml domains — terms
-   never flow between domains, per the pool's discipline.
+   domain pool with a per-request deadline, and answers repeated or
+   isomorphic requests from the proof cache ({!Proof_cache}, which
+   holds the cache's soundness argument) without touching the kernel.
+   The wire format is {!Protocol}'s.
 
    Connection handling: one accept loop (a systhread) per listener
    hands each connection to its own handler thread, bounded by
@@ -42,402 +21,33 @@
    [stop]/[await] then close the listening socket, unlink the Unix
    path and drain in-flight connections. *)
 
-(* ------------------------------------------------------------------ *)
-(* Bounded LRU table (caller locks)                                     *)
-(* ------------------------------------------------------------------ *)
-
-module Lru = struct
-  type 'v node = {
-    key : string;
-    value : 'v;
-    mutable prev : 'v node option;
-    mutable next : 'v node option;
-  }
-
-  type 'v t = {
-    capacity : int;
-    tbl : (string, 'v node) Hashtbl.t;
-    mutable first : 'v node option;  (* most recently used *)
-    mutable last : 'v node option;  (* least recently used *)
-  }
-
-  let create capacity =
-    { capacity = max 1 capacity; tbl = Hashtbl.create 64; first = None; last = None }
-
-  let length t = Hashtbl.length t.tbl
-
-  let unlink t n =
-    (match n.prev with Some p -> p.next <- n.next | None -> t.first <- n.next);
-    (match n.next with Some s -> s.prev <- n.prev | None -> t.last <- n.prev);
-    n.prev <- None;
-    n.next <- None
-
-  let push_front t n =
-    n.next <- t.first;
-    (match t.first with Some f -> f.prev <- Some n | None -> t.last <- Some n);
-    t.first <- Some n
-
-  let find t key =
-    match Hashtbl.find_opt t.tbl key with
-    | None -> None
-    | Some n ->
-        unlink t n;
-        push_front t n;
-        Some n.value
-
-  (* Returns the number of evicted entries (0 or 1). *)
-  let add t key value =
-    (match Hashtbl.find_opt t.tbl key with
-    | Some old ->
-        unlink t old;
-        Hashtbl.remove t.tbl key
-    | None -> ());
-    let n = { key; value; prev = None; next = None } in
-    Hashtbl.replace t.tbl key n;
-    push_front t n;
-    if Hashtbl.length t.tbl > t.capacity then (
-      match t.last with
-      | Some lru ->
-          unlink t lru;
-          Hashtbl.remove t.tbl lru.key;
-          1
-      | None -> 0)
-    else 0
-end
-
-(* ------------------------------------------------------------------ *)
-(* Protocol types                                                       *)
-(* ------------------------------------------------------------------ *)
-
-type error_code =
-  | Bad_request
-  | Invalid_netlist
-  | Invalid_cut
-  | Cut_mismatch
-  | Join_mismatch
-  | Kernel_invariant
-  | Unsupported
-  | Interface_mismatch
-  | Deadline_exceeded
-  | Cert_unavailable
-  | Shutdown
-  | Internal
-
-let code_string = function
-  | Bad_request -> "bad_request"
-  | Invalid_netlist -> "invalid_netlist"
-  | Invalid_cut -> "invalid_cut"
-  | Cut_mismatch -> "cut_mismatch"
-  | Join_mismatch -> "join_mismatch"
-  | Kernel_invariant -> "kernel_invariant"
-  | Unsupported -> "unsupported"
-  | Interface_mismatch -> "interface_mismatch"
-  | Deadline_exceeded -> "deadline_exceeded"
-  | Cert_unavailable -> "cert_unavailable"
-  | Shutdown -> "shutdown"
-  | Internal -> "internal"
-
-(* Every typed exception of the stack maps to a protocol error — the
-   point of finishing the typed-error unification in lib/engines and
-   Pool.submit.  [Internal] is the catch-all for genuine bugs. *)
-let error_of_exn = function
-  | Circuit.Invalid_netlist msg -> (Invalid_netlist, msg)
-  | Cut.Invalid_cut msg -> (Invalid_cut, msg)
-  | Hash.Errors.Cut_mismatch msg -> (Cut_mismatch, msg)
-  | Hash.Errors.Join_mismatch msg -> (Join_mismatch, msg)
-  | Hash.Errors.Kernel_invariant msg -> (Kernel_invariant, msg)
-  | Engines.Common.Unsupported msg -> (Unsupported, msg)
-  | Engines.Common.Interface_mismatch msg -> (Interface_mismatch, msg)
-  | Engines.Common.Out_of_budget -> (Deadline_exceeded, "deadline exceeded")
-  | Parallel.Pool.Cancelled -> (Deadline_exceeded, "deadline exceeded")
-  | Parallel.Pool.Shutdown -> (Shutdown, "server is shutting down")
-  | Failure msg -> (Unsupported, msg)  (* Embed's precondition failures *)
-  | e -> (Internal, Printexc.to_string e)
-
-type cut_spec = Maximal | Gates of int list
-
-type request = {
-  id : Obs.Json.t option;  (* echoed back verbatim *)
-  blif : string;
-  level : Hash.Embed.level;
-  cut : cut_spec;
-  deadline_s : float;
-  echo : bool;
-      (* [false] elides the retimed BLIF and theorem text from the ok
-         response — the proof still ran (or was found cached); fleet
-         drivers that only want status/stats/digest skip paying the
-         multi-KB proof echo per circuit *)
-  cert : bool;
-      (* [true] records the kernel derivation and attaches a replayable
-         proof certificate to the ok response.  Only a proof run by this
-         request can be certified: a cache hit answers with the typed
-         [Cert_unavailable] error instead of fabricating a certificate
-         the server never recorded. *)
-}
-
-(* ------------------------------------------------------------------ *)
-(* Server state                                                         *)
-(* ------------------------------------------------------------------ *)
-
-type entry = {
-  e_canon : string;  (* full canonical form; checked on every hit *)
-  e_blif : string;
-  e_theorem : string;
-  e_gates : int * int;  (* before, after *)
-  e_ffs : int * int;
-  e_fields : string;
-      (* the constant middle of the ok response
-         (["circuit":…,"retimed":…,"blif":…,"theorem":…]), JSON-escaped
-         once when the entry is built: the retimed netlist and theorem
-         dominate the response bytes, and re-escaping them on every hit
-         would cost more than the hit itself *)
-  e_terse : string;
-      (* the same leading ["circuit":…,"retimed":…] fragment without the
-         proof echo, for [echo:false] responses *)
-}
-
-(* One shard of the two-level cache.  [sh_mu] guards the LRU structures
-   only; the counters are atomics, bumped while the lock is held and
-   read lock-free by response rendering and [stats]. *)
-type shard = {
-  sh_mu : Mutex.t;
-  sh_cache : entry Lru.t;  (* L2: fingerprint-keyed *)
-  (* L1: level-tagged raw BLIF bytes -> (L2 digest, entry).  The key is
-     the request text itself — the table's key equality is the
-     byte-compare, so no hashing of the payload happens beyond
-     [Hashtbl.hash]'s bounded prefix, and a hash collision can only
-     cause a bucket scan, never a wrong answer. *)
-  sh_text : (string * entry) Lru.t;
-  sh_counters : Obs.Cache.t;
-}
+open Protocol
 
 type t = {
   pool : Parallel.Pool.t;
-  shards : shard array;
+  cache : Proof_cache.t;
   default_deadline_s : float;
 }
 
 let create ?(jobs = 1) ?(cache_capacity = 64) ?(shards = 8)
     ?(default_deadline_s = 30.0) () =
-  let n = max 1 shards in
-  (* each shard gets its proportional slice (at least 1 entry), so total
-     capacity is ~cache_capacity, never less *)
-  let per_shard = (max 1 cache_capacity + n - 1) / n in
   {
     pool = Parallel.Pool.create ~jobs ();
-    shards =
-      Array.init n (fun _ ->
-          {
-            sh_mu = Mutex.create ();
-            sh_cache = Lru.create per_shard;
-            sh_text = Lru.create per_shard;
-            sh_counters = Obs.Cache.create ();
-          });
-    default_deadline_s;
+    cache = Proof_cache.create ~capacity:cache_capacity ~shards;
+    default_deadline_s =
+      (if default_deadline_s > 0.0 then default_deadline_s else 30.0);
   }
 
 let shutdown t = Parallel.Pool.shutdown t.pool
-
-let shard_for t key =
-  t.shards.(Hashtbl.hash key mod Array.length t.shards)
-
-let locked sh f =
-  Mutex.lock sh.sh_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock sh.sh_mu) f
-
-(* One lock-free pass over the per-shard atomics, no intermediate
-   snapshots: this runs once per response. *)
-let counters_total t =
-  let hits = ref 0
-  and misses = ref 0
-  and evictions = ref 0
-  and insertions = ref 0
-  and entries = ref 0 in
-  Array.iter
-    (fun sh ->
-      let c = sh.sh_counters in
-      hits := !hits + Atomic.get c.Obs.Cache.hits;
-      misses := !misses + Atomic.get c.Obs.Cache.misses;
-      evictions := !evictions + Atomic.get c.Obs.Cache.evictions;
-      insertions := !insertions + Atomic.get c.Obs.Cache.insertions;
-      entries := !entries + Atomic.get c.Obs.Cache.entries)
-    t.shards;
-  {
-    Obs.Cache.hits = !hits;
-    misses = !misses;
-    evictions = !evictions;
-    insertions = !insertions;
-    entries = !entries;
-  }
-
-let stats t =
-  match Obs.Cache.snapshot_json (counters_total t) with
-  | Obs.Json.Obj fields ->
-      Obs.Json.Obj (("shards", Obs.Json.Int (Array.length t.shards)) :: fields)
-  | j -> j
+let stats t = Proof_cache.stats t.cache
 
 (* ------------------------------------------------------------------ *)
-(* Request parsing                                                      *)
+(* The request pipeline                                                 *)
 (* ------------------------------------------------------------------ *)
-
-let parse_request t json : (request, string) result =
-  let open Obs.Json in
-  match json with
-  | Obj _ -> (
-      let id = member "id" json in
-      match member "blif" json with
-      | None -> Error "missing field: blif"
-      | Some (Str blif) -> (
-          let level_r =
-            match member "level" json with
-            | None | Some (Str "bit") -> Ok Hash.Embed.Bit_level
-            | Some (Str "rt") -> Ok Hash.Embed.Rt_level
-            | Some _ -> Error "bad field: level (expected \"bit\" or \"rt\")"
-          in
-          let cut_r =
-            match member "cut" json with
-            | None | Some (Str "maximal") -> Ok Maximal
-            | Some (List l) ->
-                let rec ints acc = function
-                  | [] -> Ok (Gates (List.rev acc))
-                  | Int i :: rest -> ints (i :: acc) rest
-                  | _ -> Error "bad field: cut (expected integer gate list)"
-                in
-                ints [] l
-            | Some _ ->
-                Error "bad field: cut (expected \"maximal\" or a gate list)"
-          in
-          let deadline_r =
-            match member "deadline_s" json with
-            | None -> Ok t.default_deadline_s
-            | Some (Int i) -> Ok (float_of_int i)
-            | Some (Float f) -> Ok f
-            | Some _ -> Error "bad field: deadline_s (expected a number)"
-          in
-          let echo_r =
-            match member "echo" json with
-            | None -> Ok true
-            | Some (Bool b) -> Ok b
-            | Some _ -> Error "bad field: echo (expected a boolean)"
-          in
-          let cert_r =
-            match member "cert" json with
-            | None -> Ok false
-            | Some (Bool b) -> Ok b
-            | Some _ -> Error "bad field: cert (expected a boolean)"
-          in
-          match (level_r, cut_r, deadline_r, echo_r, cert_r) with
-          | Ok level, Ok cut, Ok dl, Ok echo, Ok cert ->
-              if not (dl > 0.0) then
-                Error "bad field: deadline_s (must be positive)"
-              else
-                Ok
-                  {
-                    id;
-                    blif;
-                    level;
-                    cut;
-                    deadline_s = min dl 3600.0;
-                    echo;
-                    cert;
-                  }
-          | Error e, _, _, _, _
-          | _, Error e, _, _, _
-          | _, _, Error e, _, _
-          | _, _, _, Error e, _
-          | _, _, _, _, Error e ->
-              Error e)
-      | Some _ -> Error "bad field: blif (expected a string)")
-  | _ -> Error "request is not a JSON object"
-
-(* ------------------------------------------------------------------ *)
-(* Responses                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let base_fields id =
-  match id with Some id -> [ ("id", id) ] | None -> []
-
-(* A response stays structural until the moment it is written: a warm
-   hit over a socket then costs no response-sized allocation at all —
-   the writer streams the entry's pre-rendered fields straight into the
-   channel buffer.  (Rendering per hit was the warm-path bottleneck:
-   the theorem text makes responses ~20KB, far above the major-heap
-   threshold, and GC dominated.) *)
-type response =
-  | Rendered of string
-  | Ok_body of {
-      ok_id : Obs.Json.t option;
-      ok_e : entry;
-      ok_echo : bool;
-      ok_hit : bool;
-      ok_cacheable : bool;
-      ok_digest : string option;  (* hex — needs no JSON escaping *)
-      ok_cert : string option;  (* recorded proof certificate text *)
-      ok_snap : Obs.Cache.snapshot;
-      ok_wall : float;
-    }
-
-let error_line ?id code msg =
-  Obs.Json.to_string
-    (Obs.Json.Obj
-       (base_fields id
-       @ [
-           ("status", Obs.Json.Str "error");
-           ( "error",
-             Obs.Json.Obj
-               [
-                 ("code", Obs.Json.Str (code_string code));
-                 ("message", Obs.Json.Str msg);
-               ] );
-         ]))
-
-let error_response ?id code msg = Rendered (error_line ?id code msg)
-
-(* [wall_s] is a difference of two {!Logic.Clock.now} readings, reported
-   to the microsecond, so it is emitted as fixed six-decimal seconds
-   with integer arithmetic — [Printf "%.15g"] cost ~0.5us per response,
-   a real fraction of a warm hit.  Out-of-range values fall back to the
-   exact renderer. *)
-let wall_string w =
-  if w >= 0.0 && w < 1e6 then begin
-    let us = int_of_float ((w *. 1e6) +. 0.5) in
-    let sec = us / 1_000_000 and frac = us mod 1_000_000 in
-    let fs = string_of_int frac in
-    let pad = String.make (6 - String.length fs) '0' in
-    String.concat "" [ string_of_int sec; "."; pad; fs ]
-  end
-  else Obs.Json.to_string (Obs.Json.Float w)
-
-(* The per-entry constant fields, rendered to JSON fragments (no outer
-   braces) exactly as [Obs.Json.to_string] would emit them inline:
-   the full middle (with the proof echo) and the terse prefix
-   (["circuit":…,"retimed":…] alone). *)
-let render_entry_fields ~blif ~theorem ~gates ~ffs =
-  let gb, ga = gates and fb, fa = ffs in
-  let circ g f =
-    Obs.Json.Obj [ ("gates", Obs.Json.Int g); ("flipflops", Obs.Json.Int f) ]
-  in
-  let s =
-    Obs.Json.to_string
-      (Obs.Json.Obj
-         [
-           ("circuit", circ gb fb);
-           ("retimed", circ ga fa);
-           ("blif", Obs.Json.Str blif);
-           ("theorem", Obs.Json.Str theorem);
-         ])
-  in
-  let t =
-    Obs.Json.to_string
-      (Obs.Json.Obj [ ("circuit", circ gb fb); ("retimed", circ ga fa) ])
-  in
-  ( String.sub s 1 (String.length s - 2),
-    String.sub t 1 (String.length t - 2) )
 
 (* [t0m] is the request's {!Logic.Clock.now} reading on arrival: the
    one clock that bounds its deadline also times its [wall_s]. *)
-let ok_response t ~id ~echo ~hit ~cacheable ~digest ?cert ~(e : entry) ~t0m
-    () =
+let ok_response t ~id ~echo ~hit ~cacheable ~digest ?cert ~e ~t0m () =
   (* The counter snapshot is taken here, lock-free, after this
      request's own bumps landed — rendering never touches a shard
      mutex, and the response sees one consistent aggregate. *)
@@ -450,87 +60,9 @@ let ok_response t ~id ~echo ~hit ~cacheable ~digest ?cert ~(e : entry) ~t0m
       ok_cacheable = cacheable;
       ok_digest = digest;
       ok_cert = cert;
-      ok_snap = counters_total t;
+      ok_snap = Proof_cache.totals t.cache;
       ok_wall = Logic.Clock.now () -. t0m;
     }
-
-(* Append a response to [buf], the one renderer behind both
-   [handle_line] and the channel writer.  Everything is emitted from
-   scalars: the warm path builds no intermediate JSON tree, and the only
-   response-sized string it touches ([e_fields]) is the one shared by
-   the cache entry. *)
-let add_response buf r =
-  let f = Buffer.add_string buf in
-  match r with
-  | Rendered s -> f s
-  | Ok_body
-      {
-        ok_id;
-        ok_e;
-        ok_echo;
-        ok_hit;
-        ok_cacheable;
-        ok_digest;
-        ok_cert;
-        ok_snap;
-        ok_wall;
-      } ->
-      let b tag = f (if tag then "true" else "false") in
-      let i n = f (string_of_int n) in
-      f "{";
-      (match ok_id with
-      | Some id ->
-          f "\"id\":";
-          f (Obs.Json.to_string id);
-          f ","
-      | None -> ());
-      f "\"status\":\"ok\",";
-      if ok_echo then f ok_e.e_fields else f ok_e.e_terse;
-      (match ok_cert with
-      | Some cert ->
-          (* cold path only (a fresh proof with recording on): the
-             escape cost is dwarfed by the synthesis it certifies *)
-          f ",\"cert\":";
-          f (Obs.Json.to_string (Obs.Json.Str cert))
-      | None -> ());
-      f ",\"cache\":{\"hit\":";
-      b ok_hit;
-      f ",\"cacheable\":";
-      b ok_cacheable;
-      (match ok_digest with
-      | Some d ->
-          f ",\"digest\":\"";
-          f d;
-          f "\""
-      | None -> ());
-      f ",\"hits\":";
-      i ok_snap.Obs.Cache.hits;
-      f ",\"misses\":";
-      i ok_snap.Obs.Cache.misses;
-      f ",\"evictions\":";
-      i ok_snap.Obs.Cache.evictions;
-      f ",\"insertions\":";
-      i ok_snap.Obs.Cache.insertions;
-      f ",\"entries\":";
-      i ok_snap.Obs.Cache.entries;
-      f "},\"wall_s\":";
-      f (wall_string ok_wall);
-      f "}"
-
-(* ------------------------------------------------------------------ *)
-(* The request pipeline                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let bump c = Atomic.incr c
-let bump_by c n = if n <> 0 then ignore (Atomic.fetch_and_add c n)
-
-(* Store the spelling of a cacheable request in the text shard, counting
-   the L1 eviction if the insert displaced an entry. *)
-let remember_text t tkey digest e =
-  let tsh = shard_for t tkey in
-  locked tsh (fun () ->
-      let evicted = Lru.add tsh.sh_text tkey (digest, e) in
-      bump_by tsh.sh_counters.Obs.Cache.evictions evicted)
 
 (* Kernel work, the tail of the front-door task.  [keyfp] is present for
    cacheable (maximal-cut) requests: the worker inserts the finished entry
@@ -584,29 +116,10 @@ let run_and_respond t (req : request) circuit keyfp ~deadline ~t0m =
     ( Circuit.flipflop_count circuit,
       Circuit.flipflop_count step.Hash.Synthesis.after )
   in
-  let fields, terse = render_entry_fields ~blif ~theorem ~gates ~ffs in
-  let e =
-    {
-      e_canon = "";
-      e_blif = blif;
-      e_theorem = theorem;
-      e_gates = gates;
-      e_ffs = ffs;
-      e_fields = fields;
-      e_terse = terse;
-    }
-  in
+  let e = render_entry_fields ~blif ~theorem ~gates ~ffs in
   match keyfp with
-  | Some (key, fp, tkey) ->
-      let e = { e with e_canon = Fingerprint.canon fp } in
-      let fsh = shard_for t key in
-      locked fsh (fun () ->
-          let evicted = Lru.add fsh.sh_cache key e in
-          bump fsh.sh_counters.Obs.Cache.insertions;
-          bump_by fsh.sh_counters.Obs.Cache.evictions evicted;
-          Atomic.set fsh.sh_counters.Obs.Cache.entries
-            (Lru.length fsh.sh_cache));
-      remember_text t tkey (Fingerprint.digest fp) e;
+  | Some (text, fp) ->
+      Proof_cache.add t.cache ~text req.level fp e;
       ok_response t ~id:req.id ~echo:req.echo ~hit:false ~cacheable:true
         ~digest:(Some (Fingerprint.digest fp))
         ?cert ~e ~t0m ()
@@ -634,10 +147,6 @@ let hit_response t (req : request) ~digest e ~t0m =
     ok_response t ~id:req.id ~echo:req.echo ~hit:true ~cacheable:true
       ~digest:(Some digest) ~e ~t0m ()
 
-let level_tag = function
-  | Hash.Embed.Bit_level -> "bit"
-  | Hash.Embed.Rt_level -> "rt"
-
 (* Everything an exact-text miss needs, as one pool task on a worker
    domain: netlist parse, validation, fingerprint and the L2 lookup,
    then — on a miss — the kernel work in the same task.  L2 hits and
@@ -656,32 +165,12 @@ let front_door t (req : request) tkey ~deadline ~t0m () =
     | None ->
         Circuit.validate circuit;
         run_and_respond t req circuit None ~deadline ~t0m
-    | Some tkey -> (
+    | Some text -> (
         let fp = Fingerprint.of_circuit circuit in
-        let digest = Fingerprint.digest fp in
-        let key = digest ^ "/" ^ level_tag req.level in
-        let fsh = shard_for t key in
-        let cached =
-          locked fsh (fun () ->
-              match Lru.find fsh.sh_cache key with
-              | Some e when String.equal e.e_canon (Fingerprint.canon fp) ->
-                  bump fsh.sh_counters.Obs.Cache.hits;
-                  Some e
-              | Some _ | None ->
-                  bump fsh.sh_counters.Obs.Cache.misses;
-                  None)
-        in
-        match cached with
-        | Some e ->
-            (* remember the spelling for next time (after releasing the
-               fingerprint shard — L1 lives in its own shard and locks
-               never nest) *)
-            remember_text t tkey digest e;
-            hit_response t req ~digest e ~t0m
+        match Proof_cache.find t.cache ~text req.level fp with
+        | Some e -> hit_response t req ~digest:(Fingerprint.digest fp) e ~t0m
         | None ->
-            run_and_respond t req circuit
-              (Some (key, fp, tkey))
-              ~deadline ~t0m)
+            run_and_respond t req circuit (Some (text, fp)) ~deadline ~t0m)
   with e ->
     let code, msg = error_of_exn e in
     error_response ?id:req.id code msg
@@ -700,19 +189,9 @@ let submit_request t ~t0m (req : request) =
   let tkey =
     match req.cut with
     | Gates _ -> None
-    | Maximal -> Some (level_tag req.level ^ "\x00" ^ req.blif)
+    | Maximal -> Some (Proof_cache.text_key req.level req.blif)
   in
-  let text_hit =
-    Option.bind tkey (fun tkey ->
-        let tsh = shard_for t tkey in
-        locked tsh (fun () ->
-            match Lru.find tsh.sh_text tkey with
-            | Some _ as hit ->
-                bump tsh.sh_counters.Obs.Cache.hits;
-                hit
-            | None -> None))
-  in
-  match text_hit with
+  match Option.bind tkey (Proof_cache.find_text t.cache) with
   | Some (digest, e) -> Immediate (hit_response t req ~digest e ~t0m)
   | None -> (
       (* On an inline pool (--jobs 1, the default) [submit] runs the
@@ -729,7 +208,7 @@ let submit_request t ~t0m (req : request) =
             (error_response ?id:req.id Shutdown "server is shutting down"))
 
 let submit_json t ~t0m json =
-  match parse_request t json with
+  match parse_request ~default_deadline_s:t.default_deadline_s json with
   | Error msg ->
       Immediate
         (error_response ?id:(Obs.Json.member "id" json) Bad_request msg)

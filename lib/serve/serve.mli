@@ -32,7 +32,7 @@
     gate/flip-flop statistics and a ["cache"] object (hit flag,
     fingerprint digest, hit/miss/eviction counters aggregated over the
     shards).  A failed request carries [status = "error"] and an
-    [error] object whose [code] names an {!error_code} constructor in
+    [error] object whose [code] names a {!Protocol.error_code} constructor in
     snake case (["bad_request"], ["deadline_exceeded"], ...) — every
     typed exception of the stack maps to a code; ["internal"] means a
     bug.
@@ -59,29 +59,20 @@
 
     {2 Cache semantics}
 
-    Only [maximal]-cut requests are cached: the maximal cut is a
-    function of the circuit alone, so the (fingerprint, level) pair
-    fully determines the result.  The cache is two-level.  An
-    exact-text front cache — keyed on the level-tagged BLIF bytes as
-    decoded from the JSON string, so the table's key equality is the
-    byte comparison and a hash collision can only cost a bucket scan,
-    never a wrong answer — answers repeats of the same BLIF text
-    without parsing it, however the request line around it is spelled;
-    behind it,
-    the fingerprint cache requires
-    digest {e and} full canonical-form equality ({!Fingerprint.equal}'s
-    contract), so a digest collision can only cause a spurious miss.
-    A hit returns the theorem proved for the structurally identical
-    (isomorphic) circuit of the earlier request.
+    Only [maximal]-cut requests are cached; explicit gate-list cuts
+    refer to signal indices of one specific representation and always
+    run the kernel.  An exact-text level answers repeats of the same
+    BLIF text (as decoded from the JSON string, however the request
+    line around it is spelled) without parsing it; behind it, a
+    fingerprint level answers a structurally identical (isomorphic)
+    circuit with the theorem proved for the earlier request.
+    {!Proof_cache} states why neither level can answer for a different
+    circuit.
 
-    Both levels are split into [shards] independent shards keyed by a
-    hash of the digest, each with its own mutex, so concurrent
-    connections contend per shard instead of on one global lock.  The
-    counters in responses aggregate all shards lock-free: [hits] counts
-    hits at either level, [evictions] counts LRU drops at either level,
-    while [insertions]/[entries] describe the fingerprint cache.
-    Explicit gate-list cuts refer to signal indices of one specific
-    representation and always run the kernel. *)
+    The counters in responses aggregate all [shards] lock-free: [hits]
+    counts hits at either level, [evictions] counts LRU drops at either
+    level, while [misses], [insertions] and [entries] describe the
+    fingerprint cache. *)
 
 type t
 
@@ -97,7 +88,8 @@ val create :
     (default 64, split over the shards, each shard holding at least 1);
     [shards] cache shards (default 8, clamped to >= 1; [~shards:1]
     restores a single globally-ordered LRU); [default_deadline_s] for
-    requests that carry none (default 30). *)
+    requests that carry none (default 30; a value that is not positive
+    means the default). *)
 
 val shutdown : t -> unit
 
@@ -166,26 +158,3 @@ val await : listener -> unit
 val stop : listener -> unit
 (** [request_stop] + {!await}: a clean synchronous shutdown — no new
     connections, path unlinked, in-flight connections drained. *)
-
-(** {2 Error codes} *)
-
-type error_code =
-  | Bad_request
-  | Invalid_netlist
-  | Invalid_cut
-  | Cut_mismatch
-  | Join_mismatch
-  | Kernel_invariant
-  | Unsupported
-  | Interface_mismatch
-  | Deadline_exceeded
-  | Cert_unavailable
-      (** ["cert": true] on a request answered from the proof cache:
-          no proof was replayed, so no certificate can honestly be
-          produced. *)
-  | Shutdown
-  | Internal
-
-val error_of_exn : exn -> error_code * string
-(** Total mapping from the stack's typed exceptions to protocol errors
-    (exposed for the tests). *)

@@ -1,8 +1,9 @@
 (* The retiming daemon: protocol behaviour of [Serve.handle_line] (hits,
-   misses, eviction, every rejection class, batches), a channel smoke
-   test with a live pool behind a pipe pair, live listeners (Unix and
-   TCP) with concurrent clients and a clean stop, and the two throughput
-   ratios the cache and batching must deliver. *)
+   misses, eviction, every rejection class, batches), its wire bytes
+   pinned by digests, the error taxonomy, [Proof_cache] against a list
+   model, a channel smoke test with a live pool behind a pipe pair, live
+   listeners (Unix and TCP) with concurrent clients and a clean stop,
+   and the two throughput ratios the cache and batching must deliver. *)
 
 module J = Obs.Json
 
@@ -310,6 +311,74 @@ let test_worker_hit_identical () =
     (cache_bool "hit" (parse (List.nth pooled 1)));
   Alcotest.(check (list string)) "jobs:2 answers as jobs:1" inline pooled
 
+(* The wire format, pinned: one fixed sequence through a fresh jobs:1
+   server that crosses every response shape, each answer masked of its
+   [wall_s] and reduced to an MD5.  The digests were computed before the
+   daemon was split into Protocol, Proof_cache and Serve, so any byte
+   that a refactor moves (a field, its order, a counter, an escape)
+   shows here.  Should the wire format change on purpose, recompute
+   them and say so. *)
+let wire_lines () =
+  let b3 = blif_of 3 and b2 = Fig2.gate 2 in
+  let cut2 =
+    J.List (List.map (fun g -> J.Int g) (Cut.maximal b2).Cut.f_gates)
+  in
+  let b2 = Blif.to_string b2 in
+  let cert = [ ("cert", J.Bool true) ] in
+  [
+    ("miss", request 1 b3);
+    ("exact-text hit", request 2 b3);
+    ("fingerprint hit", request 3 (Test_fingerprint.rename_internal "w" b3));
+    ("echo:false hit", request ~extra:[ ("echo", J.Bool false) ] 4 b3);
+    ("echo:false miss", request ~extra:[ ("echo", J.Bool false) ] 5 (blif_of 4));
+    ("gate-list cut", request ~extra:[ ("cut", cut2) ] 6 b2);
+    ("certified miss", request ~extra:cert 7 b2);
+    ("certificate on a hit", request ~extra:cert 8 b2);
+    ( "batch",
+      J.to_string
+        (J.Obj
+           [
+             ( "batch",
+               J.List
+                 [
+                   J.Obj [ ("id", J.Int 9); ("blif", J.Str b3) ];
+                   J.Obj [ ("id", J.Int 10); ("blif", J.Str (blif_of 5)) ];
+                   J.Obj [ ("id", J.Int 11) ];
+                 ] );
+           ]) );
+    ("malformed JSON", "this is not json {");
+    ("malformed BLIF", request 12 "not blif at all");
+  ]
+
+let wire_digests =
+  [
+    ("miss", "0dabdd868666e861799f85904189e34b");
+    ("exact-text hit", "7745127dc4591033293b2832879b1361");
+    ("fingerprint hit", "3652de9081ff3bb1eb1279ce7af8d7e6");
+    ("echo:false hit", "550cea601f4744d21aab8b450e6ba960");
+    ("echo:false miss", "912b3db79dda0f92098264ca64f26b43");
+    ("gate-list cut", "3601acf72766a688d8497dcfbed6d779");
+    ("certified miss", "0bd017686fe08c6e5f94a151d72ea449");
+    ("certificate on a hit", "f7c9a585f5039820233d07a6e71df0bd");
+    ("batch", "96a6ad718727f33e94e1206a9dfd0719");
+    ("malformed JSON", "2acda2132682e187193080cfc6b56e83");
+    ("malformed BLIF", "18ba392c7a69f414987c1f88afd1b54b");
+  ]
+
+let test_wire_format_pinned () =
+  let srv = mk_server () in
+  Fun.protect ~finally:(fun () -> Serve.shutdown srv) @@ fun () ->
+  let got =
+    List.map
+      (fun (label, line) ->
+        ( label,
+          Digest.to_hex (Digest.string (mask_wall (Serve.handle_line srv line)))
+        ))
+      (wire_lines ())
+  in
+  Alcotest.(check (list (pair string string)))
+    "masked response digests" wire_digests got
+
 (* --- channel smoke test --------------------------------------------- *)
 
 let test_serve_channel () =
@@ -579,6 +648,216 @@ let test_one_spelling_one_answer () =
   check "renamed copy misses L2" false
     (cache_bool "hit" (parse (Serve.handle_line srv (request 4 renamed))))
 
+(* --- error taxonomy and server options -------------------------------- *)
+
+(* Every typed exception of the stack keeps its code and message; what
+   falls outside the taxonomy, a [Failure] from deep in the stack
+   included, is a bug of this repository and answers [internal]. *)
+let test_error_of_exn () =
+  let typed =
+    [
+      (Circuit.Invalid_netlist "m", Protocol.Invalid_netlist);
+      (Cut.Invalid_cut "m", Protocol.Invalid_cut);
+      (Hash.Errors.Cut_mismatch "m", Protocol.Cut_mismatch);
+      (Hash.Errors.Join_mismatch "m", Protocol.Join_mismatch);
+      (Hash.Errors.Kernel_invariant "m", Protocol.Kernel_invariant);
+      (Engines.Common.Unsupported "m", Protocol.Unsupported);
+      (Engines.Common.Interface_mismatch "m", Protocol.Interface_mismatch);
+    ]
+  in
+  List.iter
+    (fun (e, code) ->
+      check (Printexc.to_string e) true (Protocol.error_of_exn e = (code, "m")))
+    typed;
+  List.iter
+    (fun (e, code) ->
+      check (Printexc.to_string e) true (fst (Protocol.error_of_exn e) = code))
+    [
+      (Engines.Common.Out_of_budget, Protocol.Deadline_exceeded);
+      (Parallel.Pool.Cancelled, Protocol.Deadline_exceeded);
+      (Parallel.Pool.Shutdown, Protocol.Shutdown);
+      (Failure "m", Protocol.Internal);
+      (Not_found, Protocol.Internal);
+    ]
+
+(* A server created with a deadline that is not positive falls back to
+   the default instead of refusing requests that carry none. *)
+let test_default_deadline_fallback () =
+  List.iter
+    (fun d ->
+      let srv = Serve.create ~default_deadline_s:d () in
+      Fun.protect ~finally:(fun () -> Serve.shutdown srv) @@ fun () ->
+      Alcotest.(check string)
+        (Printf.sprintf "default_deadline_s %g" d)
+        "ok"
+        (status (parse (Serve.handle_line srv (request 1 (blif_of 2))))))
+    [ 0.0; -1.0; Float.nan ]
+
+(* --- the proof cache in isolation ------------------------------------- *)
+
+let bit = Hash.Embed.Bit_level
+
+let cache_entry k =
+  { Proof_cache.fields = "f" ^ k; terse = "t" ^ k }
+
+(* A digest collision is a miss: no circuit can be built to hit it
+   through [handle_line], so the fingerprints here are made by hand. *)
+let test_digest_collision () =
+  let c = Proof_cache.create ~capacity:4 ~shards:1 in
+  let fp canon = { Fingerprint.digest = "K"; canon } in
+  let text = Proof_cache.text_key bit in
+  Proof_cache.add c ~text:(text "first") bit (fp "A") (cache_entry "A");
+  check "same digest, other canon: miss" true
+    (Proof_cache.find c ~text:(text "second") bit (fp "B") = None);
+  let s = Proof_cache.totals c in
+  check_int "counted as a miss" 1 s.misses;
+  check_int "no hit" 0 s.hits;
+  check "the colliding spelling is not remembered" true
+    (Proof_cache.find_text c (text "second") = None);
+  check "other level: miss" true
+    (Proof_cache.find c ~text:(text "third") Hash.Embed.Rt_level (fp "A")
+    = None);
+  check "same canon: hit" true
+    (Proof_cache.find c ~text:(text "fourth") bit (fp "A")
+    = Some (cache_entry "A"));
+  check "a hit remembers its spelling" true
+    (Proof_cache.find_text c (text "fourth") = Some ("K", cache_entry "A"))
+
+(* The naive LRU: an association list, most recently used first. *)
+let model_touch l k v = (k, v) :: List.remove_assoc k l
+
+let model_add cap l k v =
+  let l = model_touch l k v in
+  if List.length l > cap then
+    (List.filteri (fun i _ -> i < cap) l, Some (fst (List.nth l cap)))
+  else (l, None)
+
+let model_find l k =
+  match List.assoc_opt k l with
+  | Some v -> (model_touch l k v, Some v)
+  | None -> (l, None)
+
+type cache_op = Add of int | Find of int | Find_text of int * bool
+
+let gen_ops =
+  let open QCheck.Gen in
+  let key = int_range 0 5 in
+  list_size (int_range 0 60)
+    (oneof
+       [
+         map (fun k -> Add k) key;
+         map (fun k -> Find k) key;
+         map2 (fun k b -> Find_text (k, b)) key bool;
+       ])
+
+let print_op = function
+  | Add k -> Printf.sprintf "add %d" k
+  | Find k -> Printf.sprintf "find %d" k
+  | Find_text (k, b) -> Printf.sprintf "find_text %d %b" k b
+
+let arb_ops =
+  QCheck.make
+    ~print:(fun (cap, ops) ->
+      Printf.sprintf "capacity %d: %s" cap
+        (String.concat "; " (List.map print_op ops)))
+    QCheck.Gen.(pair (int_range 1 4) gen_ops)
+
+(* [Lru] against the model: every lookup's answer, every evicted key and
+   the recency order after every operation.  A bare table has no text
+   level, so [Find_text] is read as one more add. *)
+let test_lru_model () =
+  QCheck.Test.check_exn
+    ~rand:(Random.State.make [| 0x1e0 |])
+    (QCheck.Test.make ~count:500 ~name:"Lru = list model" arb_ops
+       (fun (cap, ops) ->
+         let lru = Proof_cache.Lru.create cap in
+         let model = ref [] in
+         List.for_all
+           (fun op ->
+             let agrees =
+               match op with
+               | Add k | Find_text (k, _) ->
+                   let key = string_of_int k in
+                   let m, evicted = model_add cap !model key k in
+                   model := m;
+                   Proof_cache.Lru.add lru key k = evicted
+               | Find k ->
+                   let key = string_of_int k in
+                   let m, found = model_find !model key in
+                   model := m;
+                   Proof_cache.Lru.find lru key = found
+             in
+             agrees
+             && Proof_cache.Lru.keys lru = List.map fst !model
+             && Proof_cache.Lru.length lru = List.length !model)
+           ops))
+
+(* One shard against the model of its two levels: [Add k] stores
+   circuit k under spelling "a k", [Find k] looks it up by fingerprint
+   under spelling "f k" (remembered on a hit), and [Find_text] tries one
+   of the two spellings.  Answers and every counter must agree. *)
+let test_shard_model () =
+  QCheck.Test.check_exn
+    ~rand:(Random.State.make [| 0x5ad |])
+    (QCheck.Test.make ~count:500 ~name:"one shard = list model" arb_ops
+       (fun (cap, ops) ->
+         let c = Proof_cache.create ~capacity:cap ~shards:1 in
+         let l1 = ref [] and l2 = ref [] in
+         let hits = ref 0 and misses = ref 0 in
+         let evictions = ref 0 and insertions = ref 0 in
+         let push level key v =
+           let m, evicted = model_add cap !level key v in
+           level := m;
+           if evicted <> None then incr evictions
+         in
+         let fp k =
+           { Fingerprint.digest = "d" ^ string_of_int k;
+             canon = "c" ^ string_of_int k }
+         in
+         let spelling prefix k = Printf.sprintf "%s %d" prefix k in
+         let text prefix k = Proof_cache.text_key bit (spelling prefix k) in
+         List.for_all
+           (fun op ->
+             let agrees =
+               match op with
+               | Add k ->
+                   Proof_cache.add c ~text:(text "a" k) bit (fp k)
+                     (cache_entry (string_of_int k));
+                   incr insertions;
+                   push l2 k ();
+                   push l1 (spelling "a" k) k;
+                   true
+               | Find k -> (
+                   let got = Proof_cache.find c ~text:(text "f" k) bit (fp k) in
+                   match model_find !l2 k with
+                   | m, Some () ->
+                       l2 := m;
+                       incr hits;
+                       push l1 (spelling "f" k) k;
+                       got = Some (cache_entry (string_of_int k))
+                   | _, None ->
+                       incr misses;
+                       got = None)
+               | Find_text (k, first) -> (
+                   let prefix = if first then "a" else "f" in
+                   let got = Proof_cache.find_text c (text prefix k) in
+                   match model_find !l1 (spelling prefix k) with
+                   | m, Some k ->
+                       l1 := m;
+                       incr hits;
+                       got
+                       = Some
+                           ( (fp k).Fingerprint.digest,
+                             cache_entry (string_of_int k) )
+                   | _, None -> got = None)
+             in
+             let s = Proof_cache.totals c in
+             agrees && s.hits = !hits && s.misses = !misses
+             && s.evictions = !evictions
+             && s.insertions = !insertions
+             && s.entries = List.length !l2)
+           ops))
+
 (* --- timing --------------------------------------------------------- *)
 
 let test_wall_s_one_clock () =
@@ -651,31 +930,50 @@ let test_interleaved_clients () =
   let srv = mk_server () in
   let path = sock_path "interleave" in
   let l = Serve.listen_unix srv ~path in
-  Fun.protect ~finally:(fun () -> Serve.stop l; Serve.shutdown srv)
-  @@ fun () ->
   let fd_a, ic_a, oc_a = connect_unix path in
   let _fd_b, ic_b, oc_b = connect_unix path in
+  (* closing the out_channel closes the shared descriptor.  The clients
+     hang up before any stop: a failed check leaves A's batch response
+     unread, and its writer, blocked on a full socket, would otherwise
+     hold the stop's drain open for good *)
+  let hung_up = ref false in
+  let hang_up () =
+    if not !hung_up then (
+      hung_up := true;
+      close_out_noerr oc_a;
+      close_out_noerr oc_b)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      hang_up ();
+      Serve.stop l;
+      Serve.shutdown srv)
+  @@ fun () ->
   (* warm the cache over connection B *)
   let warm = blif_of 4 in
   send oc_b (request 1 warm);
   let r = parse (input_line ic_b) in
   Alcotest.(check string) "warm-up ok" "ok" (status r);
-  (* connection A: a slow batch — two dozen explicit-cut requests that
-     always run the kernel (never cached), then a deadline-bound item *)
+  (* connection A: a slow batch — explicit-cut requests that always run
+     the kernel (never cached), then a deadline-bound item.  The jobs:1
+     pool runs them in A's connection thread, which shares the runtime
+     lock with B's threads, so B's answer waits out some scheduler ticks:
+     the batch is sized to outlast them many times over *)
   let c = Fig2.gate 48 in
   let slow_blif = Blif.to_string c in
   let cut =
     J.List (List.map (fun g -> J.Int g) (Cut.maximal c).Cut.f_gates)
   in
+  let slow_items = 240 in
   let slow_item id =
     J.Obj [ ("id", J.Int id); ("blif", J.Str slow_blif); ("cut", cut) ]
   in
   let items =
-    List.init 24 slow_item
+    List.init slow_items slow_item
     @ [
         J.Obj
           [
-            ("id", J.Int 99);
+            ("id", J.Int slow_items);
             ("blif", J.Str slow_blif);
             ("deadline_s", J.Float 1e-9);
           ];
@@ -695,10 +993,11 @@ let test_interleaved_clients () =
   let j = parse (input_line ic_a) in
   (match j with
   | J.List items ->
-      check_int "25 batch responses" 25 (List.length items);
+      check_int "one response per batch item" (slow_items + 1)
+        (List.length items);
       List.iteri
         (fun i item ->
-          if i < 24 then (
+          if i < slow_items then (
             Alcotest.(check string) "slow item ok" "ok" (status item);
             check "explicit cut not cacheable" false
               (cache_bool "cacheable" item))
@@ -707,9 +1006,7 @@ let test_interleaved_clients () =
               "deadline_exceeded" (error_code item))
         items
   | _ -> Alcotest.fail "batch response is not a JSON array");
-  (* closing the out_channel closes the shared descriptor *)
-  close_out_noerr oc_a;
-  close_out_noerr oc_b;
+  hang_up ();
   (* clean stop unlinks the socket path *)
   Serve.stop l;
   check "socket path unlinked on stop" false (Sys.file_exists path)
@@ -984,6 +1281,7 @@ let suite =
       test_shutdown_keeps_l1;
     Alcotest.test_case "worker hit reads as inline hit" `Quick
       test_worker_hit_identical;
+    Alcotest.test_case "wire format pinned" `Quick test_wire_format_pinned;
     Alcotest.test_case "shutdown rejects new work" `Quick
       test_shutdown_rejects;
     Alcotest.test_case "certificate on miss, typed refusal on hit" `Quick
@@ -997,6 +1295,15 @@ let suite =
     Alcotest.test_case "batch size bound" `Quick test_batch_bounds;
     Alcotest.test_case "one spelling, one answer" `Quick
       test_one_spelling_one_answer;
+    Alcotest.test_case "every exception maps to its code" `Quick
+      test_error_of_exn;
+    Alcotest.test_case "non-positive default deadline falls back" `Quick
+      test_default_deadline_fallback;
+    Alcotest.test_case "a digest collision is a miss" `Quick
+      test_digest_collision;
+    Alcotest.test_case "Lru agrees with a list model" `Quick test_lru_model;
+    Alcotest.test_case "one shard agrees with a list model" `Quick
+      test_shard_model;
     Alcotest.test_case "wall_s on the deadline clock" `Quick
       test_wall_s_one_clock;
     Alcotest.test_case "sharded counters aggregate" `Quick
