@@ -357,7 +357,7 @@ let micro () =
   let e = Hash.Embed.embed Hash.Embed.Rt_level c in
   let step = Hash.Synthesis.retime Hash.Embed.Rt_level c (Cut.maximal c) in
   let th = step.Hash.Synthesis.theorem in
-  let refl_lhs = Kernel.refl step.Hash.Synthesis.lhs_term in
+  let refl_lhs = Kernel.refl (Kernel.lhs step.Hash.Synthesis.theorem) in
   (* substitution over the whole open step-function body of a larger
      circuit: the state variable occurs throughout the LET chain *)
   let subst_c = Fig2.rt 32 in

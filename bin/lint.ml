@@ -2,11 +2,12 @@
 
    Two modes:
    - tree mode (no file arguments): scan lib/**/*.ml and bin/**/*.ml
-     under --root with the scopes of --config, report stale allowlist
-     entries, and exit non-zero on any unallowlisted finding;
-   - file mode (explicit .ml paths): check each file with EVERY rule in
-     force regardless of scopes — what the CI seeded-violation check and
-     ad-hoc fixture runs want.
+     under --root with the scopes of --config, check the lib/ exports
+     against the typed trees dune wrote (unused-export), report stale
+     allowlist entries, and exit non-zero on any unallowlisted finding;
+   - file mode (explicit .ml paths): check each file with every per-file
+     rule in force regardless of scopes — what the CI seeded-violation
+     check and ad-hoc fixture runs want.
 
    Findings print as `file:line rule message`, one per line. *)
 

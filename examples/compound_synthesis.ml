@@ -63,4 +63,4 @@ let () =
        (List.map (fun b -> if b then "1" else "0")
           (Automata.Words.dest_bv
              (snd (Automata.Theory.dest_automaton
-                     compound.Hash.Synthesis.rhs_term)))))
+                     (Kernel.rhs compound.Hash.Synthesis.theorem))))))

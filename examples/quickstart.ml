@@ -30,7 +30,9 @@ let () =
     (Kernel.string_of_thm step.Hash.Synthesis.theorem);
 
   (* The new initial state is f(q) = 0+1 = 1, computed deductively. *)
-  let _, q' = Automata.Theory.dest_automaton step.Hash.Synthesis.rhs_term in
+  let _, q' =
+    Automata.Theory.dest_automaton (Kernel.rhs step.Hash.Synthesis.theorem)
+  in
   Format.printf "new initial state (LSB first): %s@."
     (String.concat ""
        (List.map (fun b -> if b then "1" else "0")

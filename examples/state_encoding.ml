@@ -19,8 +19,9 @@ let () =
   Format.printf "theorem hypotheses: %d (the side condition was discharged)@."
     (List.length (Kernel.hyp step.Hash.Synthesis.theorem));
   (* the two initial states are reversals of each other *)
-  let _, q1 = Automata.Theory.dest_automaton step.Hash.Synthesis.lhs_term in
-  let _, q2 = Automata.Theory.dest_automaton step.Hash.Synthesis.rhs_term in
+  let th = step.Hash.Synthesis.theorem in
+  let _, q1 = Automata.Theory.dest_automaton (Kernel.lhs th) in
+  let _, q2 = Automata.Theory.dest_automaton (Kernel.rhs th) in
   Format.printf "q  = %s@." (Term.to_string q1);
   Format.printf "q' = %s@." (Term.to_string q2);
   (* and it composes with a retiming step like any other *)

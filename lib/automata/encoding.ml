@@ -75,7 +75,7 @@ let encode_thm =
     let th1 = Conv.rand_conv beta2_conv tm in
     let hst = Boolean.spec (state1 t_var) h in
     let th2 =
-      Conv.once_depth_conv (Conv.rewr_conv hst) (Drule.rhs th1)
+      Conv.once_depth_conv (Conv.rewr_conv hst) (Kernel.rhs th1)
     in
     Kernel.trans th1 th2
   in
@@ -89,8 +89,8 @@ let encode_thm =
         (Kernel.mk_const "SND" [ ("a", oc); ("b", xd) ])
         (Drule.ap_term (Term.mk_comb fd2 it) ih)
     in
-    let c2a = reduce_fd2 (Drule.rhs c1) in
-    let c2b = Pairs.proj_conv (Drule.rhs c2a) in
+    let c2a = reduce_fd2 (Kernel.rhs c1) in
+    let c2b = Pairs.proj_conv (Kernel.rhs c2a) in
     let lhs_chain =
       Kernel.trans s2_suc (Kernel.trans c1 (Kernel.trans c2a c2b))
     in
@@ -121,8 +121,8 @@ let encode_thm =
         (Kernel.mk_const "FST" [ ("a", oc); ("b", xd) ])
         (Drule.ap_term (Term.mk_comb fd2 it) inv_t)
     in
-    let e3a = reduce_fd2 (Drule.rhs e2) in
-    let e3b = Pairs.proj_conv (Drule.rhs e3a) in
+    let e3a = reduce_fd2 (Kernel.rhs e2) in
+    let e3b = Pairs.proj_conv (Kernel.rhs e3a) in
     Kernel.trans e1 (Kernel.trans e2 (Kernel.trans e3a e3b))
   in
   (* o2 : automaton fd2 (enc q) inp t = FST (fd (inp t) (state1 t)) *)

@@ -82,7 +82,7 @@ let retiming_thm =
     in
     let c2 =
       Conv.thenc (Conv.rand_conv beta2_conv) Pairs.proj_conv
-        (Drule.rhs c1)
+        (Kernel.rhs c1)
     in
     let lhs_chain = Kernel.trans s2_suc (Kernel.trans c1 c2) in
     (* RHS chain *)
@@ -92,7 +92,7 @@ let retiming_thm =
     let r1 = Drule.ap_term f_var s1_suc in
     (* r1 : f (state1 (SUC t)) = f (SND (fd1 (inp t) (state1 t))) *)
     let r2 =
-      Conv.rand_conv (Conv.rand_conv beta2_conv) (Drule.rhs r1)
+      Conv.rand_conv (Conv.rand_conv beta2_conv) (Kernel.rhs r1)
     in
     let rhs_chain = Kernel.trans r1 r2 in
     let concl = Kernel.trans lhs_chain (Drule.sym rhs_chain) in
@@ -123,7 +123,7 @@ let retiming_thm =
     in
     let e3 =
       Conv.thenc (Conv.rand_conv beta2_conv) Pairs.proj_conv
-        (Drule.rhs e2)
+        (Kernel.rhs e2)
     in
     Kernel.trans e1 (Kernel.trans e2 e3)
   in

@@ -50,15 +50,15 @@ let induct pred base step =
   Boolean.mp th2 (Boolean.conj base step)
 
 let ext_rule x th =
-  let fx = Drule.lhs th and gx = Drule.rhs th in
+  let fx = Kernel.lhs th and gx = Kernel.rhs th in
   let f = Term.rator fx and g = Term.rator gx in
   if Term.free_in x f || Term.free_in x g then
     failwith "Theory.ext_rule: variable free in function"
   else
     let ath = Kernel.abs x th in
     (* ath : |- (\x. f x) = (\x. g x) *)
-    let eta_f = Conv.rewr_conv eta_ax (Drule.lhs ath) in
-    let eta_g = Conv.rewr_conv eta_ax (Drule.rhs ath) in
+    let eta_f = Conv.rewr_conv eta_ax (Kernel.lhs ath) in
+    let eta_g = Conv.rewr_conv eta_ax (Kernel.rhs ath) in
     Kernel.trans (Kernel.trans (Drule.sym eta_f) ath) eta_g
 
 (* ------------------------------------------------------------------ *)

@@ -21,20 +21,6 @@ type thm = Kernel.thm
 
 (** {1 Time} *)
 
-val zero_tm : Term.t
-(** The constant [0 : num]. *)
-
-val suc_tm : Term.t
-(** The constant [SUC : num -> num]. *)
-
-val mk_suc : Term.t -> Term.t
-
-val num_induction : thm
-(** [|- !P. P 0 /\ (!n. P n ==> P (SUC n)) ==> !n. P n]. *)
-
-val eta_ax : thm
-(** [|- (\x. t x) = t]. *)
-
 val induct : Term.t -> thm -> thm -> thm
 (** [induct (\n. p) base step]: from [|- p[0/n]] and
     [|- !n. p ==> p[SUC n/n]], derive [|- !n. p].  The first argument is
@@ -70,9 +56,6 @@ val state_0 : thm
 
 val state_suc : thm
 (** [|- state fd q inp (SUC t) = SND (fd (inp t) (state fd q inp t))]. *)
-
-val automaton_def : thm
-(** [|- automaton = \fd q inp t. FST (fd (inp t) (state fd q inp t))]. *)
 
 val automaton_expand : Conv.conv
 (** Rewrite [automaton fd q inp t] to

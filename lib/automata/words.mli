@@ -14,9 +14,6 @@ open Logic
 
 type thm = Kernel.thm
 
-val nil_tm : Ty.t -> Term.t
-val mk_cons : Term.t -> Term.t -> Term.t
-
 val mk_bv : bool list -> Term.t
 (** Literal word, LSB first. *)
 
@@ -40,12 +37,6 @@ val bv_not_tm : Term.t
 val bv_and_tm : Term.t
 val bv_or_tm : Term.t
 val bv_xor_tm : Term.t
-
-val word_rewrites : thm list
-(** The recursion equations of all word operators (plus the definitional
-    unfoldings of [BV_INC]/[BV_ADD] into their carry-passing workers) —
-    sufficient, together with {!Logic.Boolean.and_clauses} etc., to
-    evaluate any word operator on literal arguments. *)
 
 val word_eval_conv : Conv.conv
 (** Ground evaluation of a term built from word operators, [COND], boolean

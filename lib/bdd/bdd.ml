@@ -93,7 +93,6 @@ let manager () =
 let zero _ = 0
 let one _ = 1
 let is_zero _ f = f = 0
-let is_one _ f = f = 1
 let equal (a : t) (b : t) = a = b
 
 (* Mix three ints into a well-spread non-negative hash without allocating.
@@ -283,7 +282,6 @@ let and_ m f g = ite m f g 0
 let or_ m f g = ite m f 1 g
 let xor_ m f g = ite m f (not_ m g) g
 let xnor_ m f g = ite m f g (not_ m g)
-let imp m f g = ite m f g 1
 
 (* ------------------------------------------------------------------ *)
 (* Generation-stamped memo for the traversing operations                *)
@@ -511,13 +509,3 @@ let any_sat m f =
       else go m.low_arr.%(f) ((m.var_arr.%(f), false) :: acc)
     in
     go f []
-
-let pp m ppf f =
-  let rec go ppf f =
-    if f = 0 then Format.pp_print_string ppf "0"
-    else if f = 1 then Format.pp_print_string ppf "1"
-    else
-      Format.fprintf ppf "(x%d ? %a : %a)" m.var_arr.%(f) go m.high_arr.%(f)
-        go m.low_arr.%(f)
-  in
-  go ppf f

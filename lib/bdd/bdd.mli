@@ -34,13 +34,11 @@ val or_ : manager -> t -> t -> t
 val xor_ : manager -> t -> t -> t
 val xnor_ : manager -> t -> t -> t
 val not_ : manager -> t -> t
-val imp : manager -> t -> t -> t
 
 val equal : t -> t -> bool
 (** Semantic equality (constant time). *)
 
 val is_zero : manager -> t -> bool
-val is_one : manager -> t -> bool
 
 val restrict : manager -> t -> int -> bool -> t
 (** Cofactor with respect to a variable. *)
@@ -93,5 +91,3 @@ val eval : manager -> t -> (int -> bool) -> bool
 
 val any_sat : manager -> t -> (int * bool) list
 (** One satisfying partial assignment.  @raise Not_found on [zero]. *)
-
-val pp : manager -> Format.formatter -> t -> unit

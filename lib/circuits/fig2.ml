@@ -14,12 +14,6 @@ let rt n =
 
 let gate n = Bitblast.expand (rt n)
 
-(* All gates in the transitive fan-in cone of the incrementer: at RT level
-   the single Winc node, at gate level the ripple-carry gates.  These are
-   exactly the gates whose fan-in avoids the primary inputs, so the
-   maximal cut coincides with the incrementer cone on this circuit. *)
-let inc_cut c = Cut.maximal c
-
 let false_cut_gates c =
   (* every gate that is NOT in the incrementer cone: = and MUX *)
   let max_cut = Cut.maximal c in

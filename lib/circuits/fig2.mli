@@ -20,9 +20,6 @@
 val rt : int -> Circuit.t
 val gate : int -> Circuit.t
 
-val inc_cut : Circuit.t -> Cut.t
-(** The cut containing exactly the incrementer cone (on either level). *)
-
 val false_cut_gates : Circuit.t -> Circuit.signal list
 (** The gates of the comparator and multiplexer — the paper's false cut
     (reads primary inputs). *)

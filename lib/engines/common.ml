@@ -66,7 +66,7 @@ type report = {
    sees both Logic and Obs, so it owns the translation. *)
 let kernel_now () =
   let t = Logic.Term.stats () in
-  let memo_hits, memo_misses = Logic.Conv.memo_stats () in
+  let memo_hits, memo_misses = Logic.Memo.stats () in
   {
     Obs.rule_apps = Logic.Kernel.rule_count ();
     term_mk_calls = t.Logic.Term.mk_calls;
@@ -83,7 +83,7 @@ let kernel_now () =
    pool join). *)
 let kernel_total () =
   let t = Logic.Term.global_stats () in
-  let memo_hits, memo_misses = Logic.Conv.global_memo_stats () in
+  let memo_hits, memo_misses = Logic.Memo.global_stats () in
   {
     Obs.rule_apps = Logic.Kernel.total_rule_count ();
     term_mk_calls = t.Logic.Term.mk_calls;

@@ -20,8 +20,6 @@ type budget = {
 }
 
 val budget_of_seconds : ?max_bdd_nodes:int -> float -> budget
-val out_of_time : budget -> bool
-val pp_result : Format.formatter -> result -> unit
 val result_to_string : result -> string
 
 val result_tag : result -> string

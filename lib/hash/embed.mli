@@ -37,10 +37,6 @@ val embed : level -> Circuit.t -> t
 val mk_automaton_of : t -> Term.t
 (** [automaton fd q] for this embedding. *)
 
-val value_term : level -> Circuit.value -> Term.t
-(** Literal: [T]/[F] for bits; a literal word for words (always at
-    [Rt_level]; a [Bit_level] embedding never meets word values). *)
-
 val signal_ty : level -> Circuit.width -> Ty.t
 
 val circuit_norm_conv : Conv.conv

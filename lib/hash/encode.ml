@@ -77,7 +77,7 @@ let permute_registers level c p =
   let h_inst =
     let tm = Term.mk_comb dec_tm (Term.mk_comb enc_tm s1) in
     let th = proj_eta_conv tm in
-    if not (Term.aconv (Drule.rhs th) s1) then
+    if not (Term.aconv (Kernel.rhs th) s1) then
       Errors.join_mismatch "dec o enc does not normalise to the identity";
     Boolean.gen s1 th
   in
@@ -104,17 +104,17 @@ let permute_registers level c p =
     Errors.join_mismatch "hypothesis of ENCODE_THM was not discharged";
   let t2 = Clock.now () in
   (* join: the right-hand side is the embedding of the permuted netlist *)
-  let rhs_auto = Drule.rhs th_open in
+  let rhs_auto = Kernel.rhs th_open in
   let auto_fd2, encq = Term.dest_comb rhs_auto in
   let fd2' = snd (Term.dest_comb auto_fd2) in
   let thn1 = Embed.circuit_norm_conv fd2' in
   let thn2 = Embed.circuit_norm_conv e2.Embed.fd in
-  if not (Term.aconv (Drule.rhs thn1) (Drule.rhs thn2)) then
+  if not (Term.aconv (Kernel.rhs thn1) (Kernel.rhs thn2)) then
     Errors.join_mismatch
       "encoded combinational part differs from the permuted netlist";
   let th_fd2 = Kernel.trans thn1 (Drule.sym thn2) in
   let th_init = proj_eta_conv encq in
-  if not (Term.aconv (Drule.rhs th_init) e2.Embed.q) then
+  if not (Term.aconv (Kernel.rhs th_init) e2.Embed.q) then
     Errors.join_mismatch
       "encoded initial state differs from the permuted netlist's";
   let auto_const =
@@ -129,8 +129,6 @@ let permute_registers level c p =
     Synthesis.before = c;
     after = permuted;
     theorem;
-    lhs_term = Drule.lhs theorem;
-    rhs_term = Drule.rhs theorem;
     timings =
       {
         Synthesis.t_embed = t1 -. t0;

@@ -158,7 +158,7 @@ let prove_split (e : Embed.t) f_term g_term =
   in
   let th1 = Embed.circuit_norm_conv e.Embed.fd in
   let th2 = Embed.circuit_norm_conv pattern in
-  if not (Term.aconv (Drule.rhs th1) (Drule.rhs th2)) then
+  if not (Term.aconv (Kernel.rhs th1) (Kernel.rhs th2)) then
     Errors.cut_mismatch
       "the split does not reproduce the circuit: normal forms differ \
        (false cut)"

@@ -12,8 +12,6 @@ type step = {
   before : Circuit.t;
   after : Circuit.t;
   theorem : Kernel.thm;
-  lhs_term : Term.t;
-  rhs_term : Term.t;
   timings : timings;
 }
 
@@ -93,23 +91,23 @@ let retime_common ?budget level c cut_opt gates =
   let e' = Embed.embed level retimed in
   let fd2' =
     (* \i x. (FST (g i x), f (SND (g i x))) — read it off the theorem *)
-    let rhs_auto = Drule.rhs th_ab in
+    let rhs_auto = Kernel.rhs th_ab in
     let auto_fd2, _fq = Term.dest_comb rhs_auto in
     snd (Term.dest_comb auto_fd2)
   in
   let thn1 = Embed.circuit_norm_conv fd2' in
   let thn2 = Embed.circuit_norm_conv e'.Embed.fd in
-  if not (Term.aconv (Drule.rhs thn1) (Drule.rhs thn2)) then
+  if not (Term.aconv (Kernel.rhs thn1) (Kernel.rhs thn2)) then
     Errors.join_mismatch
       "derived combinational part differs from the retimed netlist";
   let th_fd2 = Kernel.trans thn1 (Drule.sym thn2) in
   let t4 = Clock.now () in
   check ();
   (* step 4: evaluate the new initial state f(q) *)
-  let rhs_auto = Drule.rhs th_ab in
+  let rhs_auto = Kernel.rhs th_ab in
   let fq = snd (Term.dest_comb rhs_auto) in
   let th_init = eval_conv fq in
-  if not (Term.aconv (Drule.rhs th_init) e'.Embed.q) then
+  if not (Term.aconv (Kernel.rhs th_init) e'.Embed.q) then
     Errors.join_mismatch
       "deductively evaluated initial state differs from the netlist's";
   let auto_const' =
@@ -124,8 +122,6 @@ let retime_common ?budget level c cut_opt gates =
     before = c;
     after = retimed;
     theorem;
-    lhs_term = Drule.lhs theorem;
-    rhs_term = Drule.rhs theorem;
     timings =
       {
         t_embed = t1 -. t0;
@@ -140,7 +136,7 @@ let retime ?budget level c cut = retime_common ?budget level c (Some cut) []
 let retime_gates ?budget level c gates = retime_common ?budget level c None gates
 
 let compose s1 s2 =
-  if not (Term.aconv s1.rhs_term s2.lhs_term) then
+  if not (Term.aconv (Kernel.rhs s1.theorem) (Kernel.lhs s2.theorem)) then
     Errors.kernel_invariant "Synthesis.compose: steps do not chain"
   else
     let theorem = Kernel.trans s1.theorem s2.theorem in
@@ -148,8 +144,6 @@ let compose s1 s2 =
       before = s1.before;
       after = s2.after;
       theorem;
-      lhs_term = s1.lhs_term;
-      rhs_term = s2.rhs_term;
       timings =
         {
           t_embed = 0.;
@@ -163,7 +157,7 @@ let compose s1 s2 =
 let check s =
   Kernel.hyp s.theorem = []
   &&
-  let lhs = Drule.lhs s.theorem and rhs = Drule.rhs s.theorem in
+  let lhs = Kernel.lhs s.theorem and rhs = Kernel.rhs s.theorem in
   let matches c tm =
     List.exists
       (fun lvl ->
@@ -171,5 +165,4 @@ let check s =
         with Failure _ | Errors.Invalid_netlist _ -> false)
       [ Embed.Bit_level; Embed.Rt_level ]
   in
-  Term.aconv lhs s.lhs_term && Term.aconv rhs s.rhs_term
-  && matches s.before lhs && matches s.after rhs
+  matches s.before lhs && matches s.after rhs

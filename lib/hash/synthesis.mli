@@ -26,8 +26,6 @@ type step = {
   after : Circuit.t;
   theorem : Kernel.thm;
       (** [|- automaton fd_before q_before = automaton fd_after q_after] *)
-  lhs_term : Term.t;
-  rhs_term : Term.t;
   timings : timings;
 }
 

@@ -17,6 +17,7 @@ let rule_typed = "typed-errors"
 let rule_catch = "catch-all"
 let rule_domain = "domain-safety"
 let rule_clock = "clock"
+let rule_export = "unused-export"
 
 let rules =
   [
@@ -36,6 +37,9 @@ let rules =
     ( rule_clock,
       "durations and deadlines read Logic.Clock.now, never \
        Unix.gettimeofday/Unix.time/Sys.time" );
+    ( rule_export,
+      "every val in a lib/ interface is referenced from another \
+       compilation unit under lib/, bin/, bench/, test/ or examples/" );
   ]
 
 let known_rule r = List.mem_assoc r rules
@@ -56,6 +60,7 @@ let default_scopes =
     (rule_catch, [ "lib/"; "bin/" ]);
     (rule_domain, [ "lib/" ]);
     (rule_clock, [ "lib/"; "bin/" ]);
+    (rule_export, [ "lib/" ]);
   ]
 
 exception Config_error of string
@@ -604,6 +609,85 @@ let check_source ?(config = Config.empty) ?(scoped = false) ~file source =
       }
 
 (* ------------------------------------------------------------------ *)
+(* Exports and their references (rule unused-export)                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The rule reads the typed trees dune writes next to the objects
+   (<dir>/.<name>.objs/byte/*.cmt and *.cmti), so a reference is a
+   resolved path, not a name that happens to match. *)
+
+(* A path rooted at a compilation unit, as components; None when it is
+   rooted at a local binding or goes through a functor application. *)
+let rec global_path = function
+  | Path.Pident id -> if Ident.global id then Some [ Ident.name id ] else None
+  | Path.Pdot (p, s) -> Option.map (fun l -> l @ [ s ]) (global_path p)
+  | Path.Papply _ | Path.Pextra_ty _ -> None
+
+(* Dune compiles module M of a wrapped library Lib as the unit Lib__M.
+   Other units reach it as Lib.M, or as Lib__.M inside a library that
+   has a main module of its own: all three spellings name one unit. *)
+let unwrap ~is_unit = function
+  | w :: m :: rest ->
+      let u =
+        if String.ends_with ~suffix:"__" w then w ^ m else w ^ "__" ^ m
+      in
+      if is_unit u then u :: rest else w :: m :: rest
+  | p -> p
+
+(* The vals an interface exports, as paths inside the unit.  Submodule
+   signatures are walked; a functor body or a named module type is not,
+   since callers reach its values through paths the rule cannot follow. *)
+let rec exported_values prefix (s : Typedtree.signature) =
+  List.concat_map
+    (fun (item : Typedtree.signature_item) ->
+      match item.sig_desc with
+      | Tsig_value vd -> [ (prefix @ [ vd.val_name.txt ], vd.val_loc) ]
+      | Tsig_module
+          {
+            md_name = { txt = Some m; _ };
+            md_type = { mty_desc = Tmty_signature s; _ };
+            _;
+          } ->
+          exported_values (prefix @ [ m ]) s
+      | _ -> [])
+    s.sig_items
+
+(* The value paths an implementation references, and the module paths
+   it uses whole: as an include, a functor argument, a packed module or
+   an alias.  Every export under a module used whole counts as used,
+   since the values reached through it are not visible as paths.  An
+   open is not such a use: the values it brings into scope are
+   referenced by their full paths.  A unit's uses of its own values are
+   local paths, so they never count. *)
+let references (s : Typedtree.structure) =
+  let values = ref [] and modules = ref [] in
+  let add acc p =
+    match global_path p with Some l -> acc := l :: !acc | None -> ()
+  in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      expr =
+        (fun self e ->
+          (match e.exp_desc with
+          | Texp_ident (p, _, _) -> add values p
+          | Texp_letop { let_; ands; _ } ->
+              List.iter
+                (fun (b : Typedtree.binding_op) -> add values b.bop_op_path)
+                (let_ :: ands)
+          | _ -> ());
+          Tast_iterator.default_iterator.expr self e);
+      module_expr =
+        (fun self m ->
+          (match m.mod_desc with Tmod_ident (p, _) -> add modules p | _ -> ());
+          Tast_iterator.default_iterator.module_expr self m);
+      open_declaration = (fun _ _ -> ());
+    }
+  in
+  it.structure it s;
+  (!values, !modules)
+
+(* ------------------------------------------------------------------ *)
 (* Whole tree                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -613,7 +697,9 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let rec ml_files dir =
+(* Files under [dir] ending in [suffix], in a stable order, dune's
+   hidden object directories included. *)
+let rec files_with ~suffix dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> []
   | names ->
@@ -621,72 +707,186 @@ let rec ml_files dir =
       Array.to_list names
       |> List.concat_map (fun n ->
              let p = Filename.concat dir n in
-             if Sys.is_directory p then ml_files p
-             else if Filename.check_suffix n ".ml" then [ p ]
+             if Sys.is_directory p then files_with ~suffix p
+             else if Filename.check_suffix n suffix then [ p ]
              else [])
 
-let check_tree ~config ~root =
-  let rel path =
-    (* repo-relative, '/'-separated, independent of the root spelling *)
-    let r = root ^ Filename.dir_sep in
-    let s =
-      if String.length path > String.length r && String.sub path 0 (String.length r) = r
-      then String.sub path (String.length r) (String.length path - String.length r)
-      else path
-    in
-    String.concat "/" (String.split_on_char Filename.dir_sep.[0] s)
+(* repo-relative, '/'-separated, independent of the root spelling *)
+let relative ~root path =
+  let r = root ^ Filename.dir_sep in
+  let s =
+    if String.starts_with ~prefix:r path then
+      String.sub path (String.length r) (String.length path - String.length r)
+    else path
   in
-  let files =
-    List.concat_map
-      (fun d -> ml_files (Filename.concat root d))
-      [ "lib"; "bin" ]
+  String.concat "/" (String.split_on_char Filename.dir_sep.[0] s)
+
+(* Rule unused-export over the typed trees of [root], or of
+   [root/_build/default] when [root] is a source checkout. *)
+let export_findings ~root =
+  let build =
+    let b = Filename.concat (Filename.concat root "_build") "default" in
+    if Sys.file_exists b then b else root
   in
-  let used_total = Array.make (List.length config.Config.entries) false in
-  let nfiles = ref 0 in
-  let violations = ref [] and allowed = ref [] in
+  let trees suffix dirs =
+    List.concat_map (fun d -> files_with ~suffix (Filename.concat build d)) dirs
+  in
+  let errors = ref [] in
+  let load path =
+    match Cmt_format.read_cmt path with
+    | infos -> Some infos
+    | exception
+        (( Cmt_format.Error _ | Cmi_format.Error _ | Sys_error _ | End_of_file
+         | Failure _ ) as e) ->
+        errors :=
+          {
+            file = relative ~root:build path;
+            line = 0;
+            rule = "parse-error";
+            symbol = "";
+            msg = Printexc.to_string e;
+          }
+          :: !errors;
+        None
+  in
+  let interfaces =
+    List.filter_map
+      (fun path ->
+        match load path with
+        | Some
+            {
+              cmt_modname;
+              cmt_annots = Interface s;
+              cmt_sourcefile = Some src;
+              _;
+            } ->
+            (* <dir>/.<name>.objs/byte/<unit>.cmti: the source is in <dir> *)
+            let dir = Filename.(dirname (dirname (dirname path))) in
+            let file =
+              relative ~root:build
+                (Filename.concat dir (Filename.basename src))
+            in
+            Some (cmt_modname, file, exported_values [] s)
+        | _ -> None)
+      (trees ".cmti" [ "lib" ])
+  in
+  let units = Hashtbl.create 64 in
+  List.iter (fun (u, _, _) -> Hashtbl.replace units u ()) interfaces;
+  let used = Hashtbl.create 1024 and whole = Hashtbl.create 64 in
+  let note tbl p =
+    Hashtbl.replace tbl
+      (String.concat "." (unwrap ~is_unit:(Hashtbl.mem units) p))
+      ()
+  in
   List.iter
     (fun path ->
-      let file = rel path in
-      incr nfiles;
-      let active rule = Config.in_scope config ~file rule in
-      match parse_structure ~file (read_file path) with
-      | exception ((Syntaxerr.Error _ | Lexer.Error _) as e) ->
-          violations := parse_error_finding ~file e :: !violations
-      | structure ->
-          let findings, attr_allowed = scan_unit ~active ~file structure in
-          let v, a, used = split_allowed config findings in
-          Array.iteri (fun i u -> if u then used_total.(i) <- true) used;
-          violations := List.rev_append v !violations;
-          allowed :=
-            List.rev_append
-              (a @ List.map (fun f -> (f, "[@lint.allow] attribute")) attr_allowed)
-              !allowed)
-    files;
+      match load path with
+      | Some { cmt_annots = Implementation s; cmt_sourcefile = Some src; _ }
+      (* dune's generated alias module of a wrapped library *)
+        when not (Filename.check_suffix src ".ml-gen") ->
+          let values, modules = references s in
+          List.iter (note used) values;
+          List.iter (note whole) modules
+      | _ -> ())
+    (trees ".cmt" [ "lib"; "bin"; "bench"; "test"; "examples" ]);
+  let rec under_whole prefix = function
+    | m :: (_ :: _ as rest) ->
+        let prefix = prefix ^ m in
+        Hashtbl.mem whole prefix || under_whole (prefix ^ ".") rest
+    | _ -> false
+  in
+  let unused =
+    List.concat_map
+      (fun (u, file, exports) ->
+        List.filter_map
+          (fun (p, loc) ->
+            let symbol = String.concat "." p in
+            if Hashtbl.mem used (u ^ "." ^ symbol) || under_whole "" (u :: p)
+            then None
+            else
+              Some
+                {
+                  file;
+                  line = line_of loc;
+                  rule = rule_export;
+                  symbol;
+                  msg =
+                    Printf.sprintf
+                      "val %s is referenced from no other compilation unit; \
+                       delete it from the interface"
+                      symbol;
+                })
+          exports)
+      interfaces
+  in
+  let missing =
+    {
+      file = "lib/";
+      line = 0;
+      rule = rule_export;
+      symbol = "";
+      msg =
+        Printf.sprintf "no .cmti files under %s/lib; build them first (dune \
+                        build @check)"
+          build;
+    }
+  in
+  List.rev !errors @ if interfaces = [] then [ missing ] else unused
+
+let check_tree ~config ~root =
+  let files =
+    List.concat_map
+      (fun d -> files_with ~suffix:".ml" (Filename.concat root d))
+      [ "lib"; "bin" ]
+  in
+  let scanned =
+    List.map
+      (fun path ->
+        let file = relative ~root path in
+        let active rule = Config.in_scope config ~file rule in
+        match parse_structure ~file (read_file path) with
+        | exception ((Syntaxerr.Error _ | Lexer.Error _) as e) ->
+            ([ parse_error_finding ~file e ], [])
+        | structure -> scan_unit ~active ~file structure)
+      files
+  in
+  let exports =
+    List.filter
+      (fun f ->
+        f.rule <> rule_export || Config.in_scope config ~file:f.file f.rule)
+      (export_findings ~root)
+  in
+  let violations, allowed, used =
+    split_allowed config (List.concat_map fst scanned @ exports)
+  in
   (* an allow entry that excuses nothing is itself a finding: the
      inventory must shrink with the code it describes *)
-  List.iteri
-    (fun i e ->
-      if not used_total.(i) then
-        violations :=
-          {
-            file = e.Config.e_path;
-            line = 0;
-            rule = "stale-allow";
-            symbol = e.Config.e_symbol;
-            msg =
-              Printf.sprintf
-                "allowlist entry (%s %s %s) matches no finding; delete it"
-                e.Config.e_rule e.Config.e_path e.Config.e_symbol;
-          }
-          :: !violations)
-    config.Config.entries;
+  let stale =
+    List.filteri (fun i _ -> not used.(i)) config.Config.entries
+    |> List.map (fun e ->
+           {
+             file = e.Config.e_path;
+             line = 0;
+             rule = "stale-allow";
+             symbol = e.Config.e_symbol;
+             msg =
+               Printf.sprintf
+                 "allowlist entry (%s %s %s) matches no finding; delete it"
+                 e.Config.e_rule e.Config.e_path e.Config.e_symbol;
+           })
+  in
+  let attr_allowed =
+    List.concat_map
+      (fun (_, a) -> List.map (fun f -> (f, "[@lint.allow] attribute")) a)
+      scanned
+  in
   let by_pos a b =
     match compare a.file b.file with 0 -> compare a.line b.line | c -> c
   in
   {
-    files = !nfiles;
-    violations = List.sort by_pos !violations;
-    allowed = List.sort (fun (a, _) (b, _) -> by_pos a b) !allowed;
+    files = List.length files;
+    violations = List.sort by_pos (violations @ stale);
+    allowed = List.sort (fun (a, _) (b, _) -> by_pos a b) (allowed @ attr_allowed);
   }
 
 (* ------------------------------------------------------------------ *)

@@ -7,11 +7,12 @@
     [lib/logic/kernel.ml], trust-boundary code raises typed errors instead
     of crashing or swallowing, and nothing shared across OCaml 5 domains
     mutates unguarded.  This pass parses every [lib/**/*.ml] and
-    [bin/**/*.ml] with compiler-libs and walks the parsetree, so the
-    disciplines established by hand in earlier PRs are properties of the
-    tree that CI re-checks on every change.
+    [bin/**/*.ml] with compiler-libs and walks the parsetree, and reads
+    the typed trees ([.cmt]/[.cmti]) dune writes for every unit, so these
+    disciplines are properties of the tree that CI re-checks on every
+    change.
 
-    Five rules (names are what [lint.config] and [\[@lint.allow\]] use):
+    Six rules (names are what [lint.config] and [\[@lint.allow\]] use):
 
     - ["kernel-boundary"] — outside the kernel, no [Obj.magic] /
       [Obj.repr] / [Obj.obj], no [Marshal], no record literal shaped like
@@ -29,10 +30,15 @@
     - ["clock"] — no [Unix.gettimeofday], [Unix.time] or [Sys.time]:
       durations and deadlines read [Logic.Clock.now], because a
       wall-clock reading steps under NTP (see [lib/logic/clock.mli]) and
-      [Sys.time] is processor time. *)
-
-val rules : (string * string) list
-(** Rule name, one-line description — the complete rule set. *)
+      [Sys.time] is processor time.
+    - ["unused-export"] — every [val] in a [lib/] interface, submodule
+      signatures included, is referenced from another compilation unit
+      under [lib/], [bin/], [bench/], [test/] or [examples/].  References
+      are resolved paths read from the [.cmt] files, so [Lib.M.x],
+      [Lib__M.x] and [Lib__.M.x] name one export.  A unit used whole (an
+      [include], a functor argument, a packed module or a module alias)
+      counts as using all of its exports.  Only {!check_tree} applies
+      this rule: it needs the whole tree. *)
 
 exception Config_error of string
 
@@ -77,16 +83,20 @@ val check_source : ?config:Config.t -> ?scoped:bool -> file:string ->
   string -> report
 (** Analyse one compilation unit given as text.  [file] is the
     repo-relative path used for scoping and reporting.  With
-    [~scoped:false] (the default) every rule applies regardless of the
-    config's path scopes — what fixture tests and the CI seeded-violation
-    check want.  A file that does not parse yields a ["parse-error"]
-    violation rather than an exception. *)
+    [~scoped:false] (the default) every per-file rule (all but
+    ["unused-export"]) applies regardless of the config's path scopes —
+    what fixture tests and the CI seeded-violation check want.  A file
+    that does not parse yields a ["parse-error"] violation rather than
+    an exception. *)
 
 val check_tree : config:Config.t -> root:string -> report
 (** Scan [root/lib/**/*.ml] and [root/bin/**/*.ml] with the config's
-    scopes, then append one ["stale-allow"] violation for every allowlist
-    entry that matched nothing — so the inventory cannot outlive the code
-    it excuses. *)
+    scopes, and apply ["unused-export"] to the typed trees under [root]
+    (or under [root/_build/default] when [root] is a source checkout);
+    without any [lib/] [.cmti] that rule reports a violation instead of
+    passing.  Then append one ["stale-allow"] violation for every
+    allowlist entry that matched nothing — so the inventory cannot
+    outlive the code it excuses. *)
 
 val report_json : config:Config.t -> report -> Obs.Json.t
 (** BENCH_lint-style summary: per-rule violation/allowed counts and the

@@ -89,8 +89,3 @@ let choose (s : t) =
      with Exit -> ());
     !r
   end
-
-let cardinal (s : t) =
-  let n = ref 0 in
-  iter (fun _ -> incr n) s;
-  !n

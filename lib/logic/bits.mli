@@ -10,7 +10,6 @@
 type t
 
 val empty : t
-val is_empty : t -> bool
 val singleton : int -> t
 val mem : int -> t -> bool
 
@@ -21,12 +20,9 @@ val remove : int -> t -> t
 (** Returns the set itself when the element is absent. *)
 
 val disjoint : t -> t -> bool
-val iter : (int -> unit) -> t -> unit
 
 val elements : t -> int list
 (** Ascending order. *)
 
 val choose : t -> int
 (** Least element.  @raise Failure on the empty set. *)
-
-val cardinal : t -> int

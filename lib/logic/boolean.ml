@@ -42,14 +42,6 @@ let and_def =
 let and_tm = Kernel.mk_const "/\\" []
 let mk_conj p q = Term.list_mk_comb and_tm [ p; q ]
 
-let dest_conj tm =
-  match tm.Term.node with
-  | Term.Comb
-      ( { Term.node = Term.Comb ({ Term.node = Term.Const ("/\\", _); _ }, p); _ },
-        q ) ->
-      (p, q)
-  | _ -> failwith "Boolean.dest_conj"
-
 let beta_redex_conv tm = Drule.beta_conv tm
 
 (* [|- op a b = <definition unfolded and beta-reduced>] for a binary
@@ -95,8 +87,8 @@ let conjunct_sel sel th =
   in
   let th3 =
     Kernel.trans
-      (Kernel.trans (Drule.sym (reduce (Drule.lhs th2))) th2)
-      (reduce (Drule.rhs th2))
+      (Kernel.trans (Drule.sym (reduce (Kernel.lhs th2))) th2)
+      (reduce (Kernel.rhs th2))
   in
   eqt_elim th3
 
@@ -172,8 +164,6 @@ let mk_forall x p =
     (Kernel.mk_const "!" [ ("a", xty) ])
     (Term.mk_abs x p)
 
-let list_mk_forall xs p = List.fold_right mk_forall xs p
-
 let dest_forall tm =
   match tm.Term.node with
   | Term.Comb
@@ -203,8 +193,8 @@ let spec t th =
   let th2 = Drule.ap_thm th1 t in
   let th3 =
     Kernel.trans
-      (Kernel.trans (Drule.sym (beta_redex_conv (Drule.lhs th2))) th2)
-      (beta_redex_conv (Drule.rhs th2))
+      (Kernel.trans (Drule.sym (beta_redex_conv (Kernel.lhs th2))) th2)
+      (beta_redex_conv (Kernel.rhs th2))
   in
   eqt_elim th3
 
@@ -235,11 +225,6 @@ let not_def =
 
 let not_tm = Kernel.mk_const "~" []
 let mk_neg p = Term.mk_comb not_tm p
-
-let dest_neg tm =
-  match tm.Term.node with
-  | Term.Comb ({ Term.node = Term.Const ("~", _); _ }, p) -> p
-  | _ -> failwith "Boolean.dest_neg"
 
 (* ------------------------------------------------------------------ *)
 (* \/                                                                  *)

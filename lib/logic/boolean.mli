@@ -26,14 +26,8 @@ val mk_imp : Term.t -> Term.t -> Term.t
 val mk_neg : Term.t -> Term.t
 val mk_xor : Term.t -> Term.t -> Term.t
 val mk_forall : Term.t -> Term.t -> Term.t
-val list_mk_forall : Term.t list -> Term.t -> Term.t
 val mk_cond : Term.t -> Term.t -> Term.t -> Term.t
 (** [mk_cond b x y] is [COND b x y] (if [b] then [x] else [y]). *)
-
-val dest_conj : Term.t -> Term.t * Term.t
-val dest_imp : Term.t -> Term.t * Term.t
-val dest_forall : Term.t -> Term.t * Term.t
-val dest_neg : Term.t -> Term.t
 
 (** {1 Derived rules} *)
 
@@ -67,17 +61,6 @@ val disj2 : Term.t -> thm -> thm
 
 val prove_hyp : thm -> thm -> thm
 (** [prove_hyp |- p (A |- q)] is [A - {p} |- q]. *)
-
-(** {1 Definitional theorems} *)
-
-val t_def : thm
-val and_def : thm
-val imp_def : thm
-val forall_def : thm
-val f_def : thm
-val not_def : thm
-val or_def : thm
-val xor_def : thm
 
 (** {1 Evaluation clauses}
 

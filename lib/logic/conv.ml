@@ -6,7 +6,7 @@ let no_conv _ = failwith "Conv.no_conv"
 
 let thenc c1 c2 tm =
   let th1 = c1 tm in
-  let th2 = c2 (Drule.rhs th1) in
+  let th2 = c2 (Kernel.rhs th1) in
   Kernel.trans th1 th2
 
 let orelsec c1 c2 tm = try c1 tm with Failure _ -> c2 tm
@@ -17,7 +17,7 @@ let rec repeatc c tm =
 
 let changed_conv c tm =
   let th = c tm in
-  if Term.aconv (Drule.lhs th) (Drule.rhs th) then
+  if Term.aconv (Kernel.lhs th) (Kernel.rhs th) then
     failwith "Conv.changed_conv: no change"
   else th
 
@@ -42,21 +42,11 @@ let comb_conv c tm =
   let f, x = Term.dest_comb tm in
   Kernel.mk_comb_rule (c f) (c x)
 
-let binder_conv c tm = rand_conv (abs_conv c) tm
-
 let sub_conv c tm =
   match tm.Term.node with
   | Term.Comb (_, _) -> comb_conv c tm
   | Term.Abs (_, _) -> abs_conv c tm
   | _ -> all_conv tm
-
-let rec depth_conv c tm =
-  thenc (sub_conv (depth_conv c)) (repeatc c) tm
-
-let rec redepth_conv c tm =
-  thenc (sub_conv (redepth_conv c))
-    (try_conv (thenc c (fun t -> redepth_conv c t)))
-    tm
 
 let rec top_depth_conv c tm =
   thenc (repeatc c)
@@ -73,7 +63,7 @@ let rewr_conv th tm =
   let th' = Kernel.inst theta (Kernel.inst_type tyin th) in
   (* Align possible alpha-differences between the instantiated lhs and the
      original term. *)
-  let l' = Drule.lhs th' in
+  let l' = Kernel.lhs th' in
   if l' == tm then th' else Kernel.trans (Drule.alpha_link tm l') th'
 
 let rewrs_conv ths = first_conv (List.map rewr_conv ths)
@@ -127,7 +117,7 @@ let memo_top_depth_conv c =
       (* Reduce at the top as long as possible, then normalise children and
          retry the top (child normalisation can expose new redexes). *)
       let th1 = repeat_top tm in
-      let tm1 = Drule.rhs th1 in
+      let tm1 = Kernel.rhs th1 in
       let th2 =
         match tm1.Term.node with
         | Term.Comb (f, x) ->
@@ -138,7 +128,7 @@ let memo_top_depth_conv c =
             Kernel.trans th1 (Kernel.abs v thb)
         | _ -> th1
       in
-      let tm2 = Drule.rhs th2 in
+      let tm2 = Kernel.rhs th2 in
       if tm2 == tm1 || Term.aconv tm2 tm1 then th2
       else
         let th3 = try_top tm2 in
@@ -147,18 +137,16 @@ let memo_top_depth_conv c =
       match (try Some (c tm) with Failure _ -> None) with
       | None -> Kernel.refl tm
       | Some th ->
-          let tm' = Drule.rhs th in
+          let tm' = Kernel.rhs th in
           if Term.aconv tm' tm then Kernel.refl tm
           else Kernel.trans th (repeat_top tm')
     and try_top tm =
       match (try Some (c tm) with Failure _ -> None) with
       | None -> Kernel.refl tm
       | Some th ->
-          let th' = norm (Drule.rhs th) in
+          let th' = norm (Kernel.rhs th) in
           Kernel.trans th th'
     in
     norm tm0
 
-let memo_stats = Memo.stats
-let global_memo_stats = Memo.global_stats
 let conv_rule c th = Kernel.eq_mp (c (Kernel.concl th)) th

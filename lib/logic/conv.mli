@@ -1,7 +1,8 @@
 (** Conversions and conversionals.
 
     A conversion maps a term [t] to a theorem [|- t = t'].  The combinators
-    below mirror the classic HOL conversional suite; in addition,
+    below are the part of the classic HOL conversional suite this
+    repository uses; in addition,
     {!memo_top_depth_conv} provides a physically-memoised normaliser whose
     cost is proportional to the number of {e distinct} subterm nodes — the
     workhorse behind HASH's linear-in-circuit-size behaviour on dag-shaped
@@ -19,13 +20,9 @@ val no_conv : conv
 val thenc : conv -> conv -> conv
 val orelsec : conv -> conv -> conv
 val try_conv : conv -> conv
-val repeatc : conv -> conv
-(** Apply until failure (at least zero times). *)
 
 val changed_conv : conv -> conv
 (** Fail unless the conversion changes the term. *)
-
-val first_conv : conv list -> conv
 
 val rand_conv : conv -> conv
 (** Apply in the operand of a combination. *)
@@ -33,21 +30,6 @@ val rand_conv : conv -> conv
 val rator_conv : conv -> conv
 (** Apply in the operator of a combination. *)
 
-val abs_conv : conv -> conv
-(** Apply in the body of an abstraction. *)
-
-val comb_conv : conv -> conv
-(** Apply in both parts of a combination. *)
-
-val binder_conv : conv -> conv
-(** Apply in the body of [c (\x. b)] (e.g. under a quantifier). *)
-
-val sub_conv : conv -> conv
-(** Apply in all immediate subterms. *)
-
-val depth_conv : conv -> conv
-val redepth_conv : conv -> conv
-val top_depth_conv : conv -> conv
 val once_depth_conv : conv -> conv
 
 val rewr_conv : thm -> conv
@@ -61,7 +43,8 @@ val rewrite_conv : thm list -> conv
 (** Exhaustive top-down rewriting with the given equations. *)
 
 val memo_top_depth_conv : conv -> conv
-(** Like [top_depth_conv], but memoised on interned node ids, so
+(** Like HOL's [TOP_DEPTH_CONV] (the strategy of {!rewrite_conv}), but
+    memoised on interned node ids, so
     dag-shared subterms are converted once.  The memo table is allocated
     at {e partial application} — bind the result
     ([let my_conv = memo_top_depth_conv c]) — and shared by every call
@@ -80,14 +63,6 @@ val with_step : (unit -> unit) -> (unit -> 'a) -> 'a
     released ({!Memo.release_domain}, {!Term.release_order_memo}), so no
     theorem or term order cached by the step outlives it.  The synthesis layer uses the hook to enforce time
     budgets. *)
-
-val memo_stats : unit -> int * int
-(** [(hits, misses)] accumulated across all conversion memo tables of the
-    {e current domain}. *)
-
-val global_memo_stats : unit -> int * int
-(** [(hits, misses)] summed across every domain.  Exact only while the
-    other domains are quiescent (e.g. after a pool join). *)
 
 val conv_rule : conv -> thm -> thm
 (** Apply a conversion to the conclusion of a theorem ([|- p] with

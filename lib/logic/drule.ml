@@ -1,8 +1,5 @@
 type thm = Kernel.thm
 
-let lhs = Kernel.lhs
-let rhs = Kernel.rhs
-
 let sym th =
   let l = Kernel.lhs th in
   let eq_fn = Term.eq_const (Term.type_of l) in
@@ -23,8 +20,3 @@ let beta_conv tm =
       let th = Kernel.beta (Term.mk_comb f v) in
       Kernel.inst [ (v, arg) ] th
   | _ -> failwith "Drule.beta_conv: not a beta-redex"
-
-let mk_binop_eq op th1 th2 =
-  Kernel.mk_comb_rule (ap_term op th1) th2
-
-let eqt_intro_eq = Kernel.eq_mp

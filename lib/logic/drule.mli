@@ -2,12 +2,6 @@
 
 type thm = Kernel.thm
 
-val lhs : thm -> Term.t
-(** Left-hand side of an equational theorem's conclusion. *)
-
-val rhs : thm -> Term.t
-(** Right-hand side of an equational theorem's conclusion. *)
-
 val sym : thm -> thm
 (** [|- a = b] to [|- b = a]. *)
 
@@ -22,10 +16,3 @@ val alpha_link : Term.t -> Term.t -> thm
 
 val beta_conv : Term.t -> thm
 (** [beta_conv ((\x. b) s)] is [|- (\x. b) s = b[s/x]]. *)
-
-val mk_binop_eq : Term.t -> thm -> thm -> thm
-(** [mk_binop_eq op |- a = b |- c = d] is [|- op a c = op b d]. *)
-
-val eqt_intro_eq : thm -> thm -> thm
-(** Given [|- p = q] and [|- p], derive [|- q] (alias of [eq_mp], exported
-    for readability in proof scripts). *)

@@ -178,7 +178,6 @@ module Trace = struct
     pay : payload array;
   }
 
-  let epoch tr = tr.t_epoch
   let length tr = Bytes.length tr.tags
 
   let event tr k =
@@ -472,8 +471,6 @@ let start_recording () =
         }
   in
   st.recb <- Some rs
-
-let recording () = (Domain.DLS.get r_key).recb <> None
 
 let stop_recording () =
   let st = Domain.DLS.get r_key in

@@ -31,7 +31,6 @@ val rhs : thm -> Term.t
 val hyp : thm -> Term.t list
 val dest_thm : thm -> Term.t list * Term.t
 
-val pp_thm : Format.formatter -> thm -> unit
 val string_of_thm : thm -> string
 
 (** {1 Signature management} *)
@@ -169,7 +168,6 @@ module Trace : sig
       int-operand events that dominate synthesis proofs record without
       allocating; {!event} materialises the variant view on demand. *)
 
-  val epoch : t -> int
   val length : t -> int
 
   val event : t -> int -> event
@@ -182,8 +180,6 @@ val start_recording : unit -> unit
     memo tables first (a memoised theorem from before the trace began
     would be an unresolvable input).
     @raise Failure if already recording. *)
-
-val recording : unit -> bool
 
 val stop_recording : unit -> (Trace.t, string) result
 (** Stop recording and return the trace, or [Error msg] if the trace

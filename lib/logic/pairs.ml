@@ -25,30 +25,6 @@ let rec list_mk_pair = function
       let right = List.filteri (fun i _ -> i >= l) xs in
       mk_pair (list_mk_pair left) (list_mk_pair right)
 
-let dest_pair tm =
-  match tm.Term.node with
-  | Term.Comb
-      ({ Term.node = Term.Comb ({ Term.node = Term.Const (",", _); _ }, x); _ }, y)
-    ->
-      (x, y)
-  | _ -> failwith "Pairs.dest_pair"
-
-let is_pair tm =
-  match tm.Term.node with
-  | Term.Comb
-      ({ Term.node = Term.Comb ({ Term.node = Term.Const (",", _); _ }, _); _ }, _)
-    ->
-      true
-  | _ -> false
-
-let rec strip_pair tm =
-  match tm.Term.node with
-  | Term.Comb
-      ({ Term.node = Term.Comb ({ Term.node = Term.Const (",", _); _ }, x); _ }, y)
-    ->
-      x :: strip_pair y
-  | _ -> [ tm ]
-
 let mk_fst p =
   let a, b = Ty.dest_prod (Term.type_of p) in
   Term.mk_comb (Kernel.mk_const "FST" [ ("a", a); ("b", b) ]) p
@@ -81,34 +57,6 @@ let let_const a b = Kernel.mk_const "LET" [ ("a", a); ("b", b) ]
 let mk_let v e body =
   let a = Term.type_of e and b = Term.type_of body in
   Term.list_mk_comb (let_const a b) [ Term.mk_abs v body; e ]
-
-let dest_let tm =
-  match tm.Term.node with
-  | Term.Comb
-      ( {
-          Term.node =
-            Term.Comb
-              ( { Term.node = Term.Const ("LET", _); _ },
-                { Term.node = Term.Abs (v, body); _ } );
-          _;
-        },
-        e ) ->
-      (v, e, body)
-  | _ -> failwith "Pairs.dest_let"
-
-let is_let tm =
-  match tm.Term.node with
-  | Term.Comb
-      ( {
-          Term.node =
-            Term.Comb
-              ( { Term.node = Term.Const ("LET", _); _ },
-                { Term.node = Term.Abs (_, _); _ } );
-          _;
-        },
-        _ ) ->
-      true
-  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Pairing axioms                                                      *)
@@ -143,11 +91,11 @@ let let_conv tm =
         Conv.rator_conv (Conv.rator_conv (Conv.rewr_conv let_def)) tm
       in
       (* th1 : LET f e = (\f x. f x) f e *)
-      let th2 = Conv.rator_conv Drule.beta_conv (Drule.rhs th1) in
-      let th3 = Drule.beta_conv (Drule.rhs th2) in
+      let th2 = Conv.rator_conv Drule.beta_conv (Kernel.rhs th1) in
+      let th3 = Drule.beta_conv (Kernel.rhs th2) in
       (* rhs th3 = f e; if f is an abstraction, reduce once more *)
       let th = Kernel.trans (Kernel.trans th1 th2) th3 in
-      if Term.is_abs f then Kernel.trans th (Drule.beta_conv (Drule.rhs th))
+      if Term.is_abs f then Kernel.trans th (Drule.beta_conv (Kernel.rhs th))
       else th
   | _ -> failwith "Pairs.let_conv: not a LET"
 
@@ -197,9 +145,3 @@ let let_proj_conv tm =
       proj_conv tm
   | Term.Comb ({ Term.node = Term.Abs (_, _); _ }, _) -> Drule.beta_conv tm
   | _ -> failwith "Pairs.let_proj_conv: no redex"
-
-let mk_pair_eq th1 th2 =
-  let a = Drule.lhs th1 and c = Drule.lhs th2 in
-  Drule.mk_binop_eq
-    (comma (Term.type_of a) (Term.type_of c))
-    th1 th2

@@ -12,35 +12,17 @@ val list_mk_pair : Term.t list -> Term.t
 (** Right-nested tuple; the singleton case is the term itself.
     @raise Failure on the empty list. *)
 
-val dest_pair : Term.t -> Term.t * Term.t
-val is_pair : Term.t -> bool
-
-val strip_pair : Term.t -> Term.t list
-(** Flatten a right-nested tuple. *)
-
 val mk_fst : Term.t -> Term.t
 val mk_snd : Term.t -> Term.t
 
 val mk_let : Term.t -> Term.t -> Term.t -> Term.t
 (** [mk_let v e body] is [LET (\v. body) e], i.e. [let v = e in body]. *)
 
-val dest_let : Term.t -> Term.t * Term.t * Term.t
-(** Inverse of [mk_let]: returns [(v, e, body)]. *)
-
-val is_let : Term.t -> bool
-
 val proj : Term.t -> int -> int -> Term.t
 (** [proj tup i n]: the [i]-th (0-based) projection term out of a term of
     [n]-tuple type, built from [FST]/[SND]. *)
 
 (** {1 Theorems and conversions} *)
-
-val let_def : thm
-val fst_pair : thm
-(** [|- FST (x, y) = x]. *)
-
-val snd_pair : thm
-(** [|- SND (x, y) = y]. *)
 
 val pair_eta : thm
 (** [|- (FST p, SND p) = p]. *)
@@ -54,6 +36,3 @@ val proj_conv : Conv.conv
 val let_proj_conv : Conv.conv
 (** One step of [let_conv] or [proj_conv] or beta; the redex set used by
     the circuit-term normaliser. *)
-
-val mk_pair_eq : thm -> thm -> thm
-(** [|- a = b] and [|- c = d] to [|- (a, c) = (b, d)]. *)

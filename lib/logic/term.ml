@@ -285,11 +285,6 @@ let dest_var tm =
   | Var (n, ty) -> (n, ty)
   | _ -> failwith "Term.dest_var"
 
-let dest_const tm =
-  match tm.node with
-  | Const (n, ty) -> (n, ty)
-  | _ -> failwith "Term.dest_const"
-
 let dest_comb tm =
   match tm.node with Comb (f, x) -> (f, x) | _ -> failwith "Term.dest_comb"
 
@@ -302,7 +297,6 @@ let dest_eq tm =
   | _ -> failwith "Term.dest_eq"
 
 let is_var tm = match tm.node with Var _ -> true | _ -> false
-let is_const tm = match tm.node with Const _ -> true | _ -> false
 let is_comb tm = match tm.node with Comb _ -> true | _ -> false
 let is_abs tm = match tm.node with Abs _ -> true | _ -> false
 

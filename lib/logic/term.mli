@@ -57,12 +57,10 @@ val eq_const : Ty.t -> t
 (** {1 Destructors and tests} *)
 
 val dest_var : t -> string * Ty.t
-val dest_const : t -> string * Ty.t
 val dest_comb : t -> t * t
 val dest_abs : t -> t * t
 val dest_eq : t -> t * t
 val is_var : t -> bool
-val is_const : t -> bool
 val is_comb : t -> bool
 val is_abs : t -> bool
 val is_eq : t -> bool

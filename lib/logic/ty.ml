@@ -160,8 +160,6 @@ let dest_prod ty =
   | Tyapp ("prod", [ a; b ]) -> (a, b)
   | _ -> failwith "Ty.dest_prod: not a product type"
 
-let is_fn ty = match ty.node with Tyapp ("fun", [ _; _ ]) -> true | _ -> false
-
 let rec tyvars_acc acc ty =
   match ty.node with
   | Tyvar v -> if List.mem v acc then acc else v :: acc

@@ -70,8 +70,6 @@ val dest_fn : t -> t * t
 val dest_prod : t -> t * t
 (** Destruct a product type.  @raise Failure if not a product type. *)
 
-val is_fn : t -> bool
-
 (** {1 Operations} *)
 
 val tyvars : t -> string list
@@ -109,8 +107,5 @@ val freeze : unit -> unit
     already interned here keeps its physical-equality property there.
     Called by [Logic.Domain_state.prepare_spawn]; terms and types created
     after the freeze must not flow into the new domains. *)
-
-val pp : Format.formatter -> t -> unit
-(** Pretty-print a type, e.g. [:(bool # num) -> bool]. *)
 
 val to_string : t -> string

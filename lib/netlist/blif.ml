@@ -123,9 +123,6 @@ let to_string c =
   pr ".end\n";
   Buffer.contents buf
 
-let output oc c = Stdlib.output_string oc (to_string c)
-
-
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)

@@ -14,8 +14,6 @@
 val to_string : Circuit.t -> string
 (** @raise Circuit.Invalid_netlist on word-level circuits. *)
 
-val output : out_channel -> Circuit.t -> unit
-
 val of_string : string -> Circuit.t
 (** Parse a BLIF model into a circuit.  This is the serve daemon's front
     door: every request that misses the exact-text cache is read here

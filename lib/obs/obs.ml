@@ -25,14 +25,6 @@ module Counters = struct
       memo_misses = 0;
     }
 
-  let reset c =
-    c.mk_calls <- 0;
-    c.unique_hits <- 0;
-    c.unique_misses <- 0;
-    c.cache_hits <- 0;
-    c.cache_misses <- 0;
-    c.memo_hits <- 0;
-    c.memo_misses <- 0
 end
 
 type snapshot = {

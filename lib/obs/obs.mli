@@ -18,7 +18,6 @@ module Counters : sig
   }
 
   val create : unit -> t
-  val reset : t -> unit
 end
 
 type snapshot = {
@@ -135,8 +134,6 @@ module Json : sig
   (** Field lookup on [Obj]; [None] on missing fields or non-objects. *)
 end
 
-val snapshot_json : snapshot -> Json.t
-val kernel_snapshot_json : kernel_snapshot -> Json.t
 val engine_run_json : engine_run -> Json.t
 
 (** Outcome counters of the fault-injection campaign (lib/faults updates

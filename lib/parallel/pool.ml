@@ -246,16 +246,6 @@ let cancel fut =
   | _ -> ());
   Mutex.unlock fut.f_mu
 
-let peek fut =
-  Mutex.lock fut.f_mu;
-  let resolved =
-    match fut.status with
-    | Pending _ | Running -> false
-    | Done _ | Failed _ | Killed -> true
-  in
-  Mutex.unlock fut.f_mu;
-  resolved
-
 let map_list ?deadline pool f xs =
   let futs = List.map (fun x -> submit ?deadline pool (fun () -> f x)) xs in
   List.map await futs

@@ -66,10 +66,6 @@ val await : 'a future -> 'a
     its backtrace) if it failed; raises {!Cancelled} if it was
     cancelled. *)
 
-val peek : 'a future -> bool
-(** [true] once the future is resolved (done, failed or cancelled);
-    never blocks. *)
-
 val cancel : 'a future -> unit
 (** Cancel the task if it has not started; no-op otherwise (running
     tasks stop only at their next {!check}/budget poll). *)
@@ -83,10 +79,6 @@ val check : unit -> unit
     @raise Cancelled when the task's deadline has passed.  Cheap enough
     to call from inner loops, and compatible with the engines' own
     budget hooks ([Conv.poll] / [Common.check]). *)
-
-val deadline : unit -> float option
-(** The running task's deadline, if any — e.g. to derive a
-    [Common.budget] for an engine call made inside the task. *)
 
 val shutdown : t -> unit
 (** Drain the queue, then join all workers.  Idempotent. *)

@@ -113,6 +113,3 @@ let prefixes c k =
       (* a topological prefix of a valid cut is itself a valid cut *)
       try Some (of_gates c prefix) with Invalid_cut _ -> None)
     sizes
-
-let state_width _ cut =
-  List.length cut.boundary + List.length cut.passthrough

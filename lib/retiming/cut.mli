@@ -60,7 +60,3 @@ val prefixes : Circuit.t -> int -> t list
     @raise Invalid_cut if [k < 1] (previously [k < 0] escaped as
     [Invalid_argument "List.init"] and [k = 0] silently returned [[]]),
     or if the circuit has no retimable gate. *)
-
-val state_width : Circuit.t -> t -> int
-(** Number of state components of the retimed machine
-    ([boundary] + [passthrough]). *)

@@ -504,6 +504,8 @@ let request_stop l =
     try ignore (Unix.write l.l_stop_w (Bytes.of_string "!") 0 1)
     with Unix.Unix_error _ -> ()
 
+let drain_deadline_s = 2.0
+
 let await l =
   (match l.l_accept with
   (* best-effort join during shutdown: the accept loop already saw the
@@ -527,11 +529,23 @@ let await l =
   (* half-close every live connection: its reader sees EOF once the
      requests already on the wire are through, so an idle client cannot
      hold the drain open, yet pending responses still go out *)
-  Hashtbl.iter
-    (fun fd () ->
-      try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
-      with Unix.Unix_error _ | Invalid_argument _ -> ())
-    l.l_conns;
+  let shutdown how =
+    Hashtbl.iter
+      (fun fd () ->
+        try Unix.shutdown fd how
+        with Unix.Unix_error _ | Invalid_argument _ -> ())
+      l.l_conns
+  in
+  shutdown Unix.SHUTDOWN_RECEIVE;
+  let deadline = Logic.Clock.now () +. drain_deadline_s in
+  while l.l_active > 0 && Logic.Clock.now () < deadline do
+    Mutex.unlock l.l_mu;
+    Thread.delay 0.01;
+    Mutex.lock l.l_mu
+  done;
+  (* a writer still blocked on a client that stopped reading fails once
+     its connection is shut down both ways, and its handler exits *)
+  shutdown Unix.SHUTDOWN_ALL;
   while l.l_active > 0 do
     Condition.wait l.l_cv l.l_mu
   done;

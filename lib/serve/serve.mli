@@ -152,8 +152,15 @@ val await : listener -> unit
     close the listening socket, unlink the Unix path, and drain: every
     live connection is half-closed ([SHUTDOWN_RECEIVE]), so its handler
     finishes the requests already received — responses still go out —
-    and an idle client cannot hold the shutdown open; then wait for
-    every handler to exit.  Idempotent. *)
+    and an idle client cannot hold the shutdown open.  Connections still
+    live after {!drain_deadline_s} are shut down both ways; then wait
+    for every handler to exit.  Idempotent. *)
+
+val drain_deadline_s : float
+(** How long {!await} lets live connections finish after the half-close
+    (2 s).  Then it shuts each remaining connection down both ways, so a
+    writer blocked on a client that stopped reading fails and its
+    handler exits. *)
 
 val stop : listener -> unit
 (** [request_stop] + {!await}: a clean synchronous shutdown — no new

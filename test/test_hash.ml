@@ -71,11 +71,46 @@ let test_retime_bit () =
   check "cosim" true
     (cosim step.Hash.Synthesis.before step.Hash.Synthesis.after 50 4)
 
+(* [c] with its first AND, OR or XOR gate turned into another of the
+   three *)
+let one_gate_changed c =
+  let open Circuit in
+  let drivers = Array.copy c.drivers in
+  let rec go i =
+    if i = Array.length drivers then Alcotest.fail "no binary gate to change"
+    else
+      match drivers.(i) with
+      | Gate (And, args) -> drivers.(i) <- Gate (Or, args)
+      | Gate ((Or | Xor), args) -> drivers.(i) <- Gate (And, args)
+      | _ -> go (i + 1)
+  in
+  go 0;
+  { c with drivers }
+
+(* The fault campaign's verdicts rest on [check]: it must refuse a step
+   whose circuits are not the theorem's two sides, and a theorem that
+   holds only under a hypothesis. *)
+let test_check_rejects () =
+  let c = Fig2.gate 4 in
+  let step = Hash.Synthesis.retime Hash.Embed.Bit_level c (Cut.maximal c) in
+  check "the honest step passes" true (Hash.Synthesis.check step);
+  let before = one_gate_changed step.Hash.Synthesis.before in
+  check "before changed by one gate" false
+    (Hash.Synthesis.check { step with Hash.Synthesis.before });
+  let after = one_gate_changed step.Hash.Synthesis.after in
+  check "after changed by one gate" false
+    (Hash.Synthesis.check { step with Hash.Synthesis.after });
+  let theorem = Kernel.assume (Kernel.concl step.Hash.Synthesis.theorem) in
+  check "same sides under a hypothesis" false
+    (Hash.Synthesis.check { step with Hash.Synthesis.theorem })
+
 let test_retimed_init_value () =
   (* paper: the new initial state is f(q); on fig2 that's 0+1 = 1 *)
   let c = Fig2.rt 5 in
   let step = Hash.Synthesis.retime Hash.Embed.Rt_level c (Cut.maximal c) in
-  let _, q' = Automata.Theory.dest_automaton step.Hash.Synthesis.rhs_term in
+  let _, q' =
+    Automata.Theory.dest_automaton (Kernel.rhs step.Hash.Synthesis.theorem)
+  in
   Alcotest.(check (list bool))
     "f(q) = 1" [ true; false; false; false; false ]
     (Automata.Words.dest_bv q')
@@ -161,10 +196,10 @@ let test_compose () =
   check "composed theorem closed" true
     (Kernel.hyp composed.Hash.Synthesis.theorem = []);
   check "ends relate original to final" true
-    (Term.aconv composed.Hash.Synthesis.lhs_term
-       step1.Hash.Synthesis.lhs_term
-    && Term.aconv composed.Hash.Synthesis.rhs_term
-         step2.Hash.Synthesis.rhs_term);
+    (Term.aconv (Kernel.lhs composed.Hash.Synthesis.theorem)
+       (Kernel.lhs step1.Hash.Synthesis.theorem)
+    && Term.aconv (Kernel.rhs composed.Hash.Synthesis.theorem)
+         (Kernel.rhs step2.Hash.Synthesis.theorem));
   check "behaviour preserved end-to-end" true
     (cosim c composed.Hash.Synthesis.after 50 9)
 
@@ -242,6 +277,8 @@ let suite =
     Alcotest.test_case "embed needs registers" `Quick test_embed_requires_io;
     Alcotest.test_case "retime RT level" `Quick test_retime_rt;
     Alcotest.test_case "retime bit level" `Quick test_retime_bit;
+    Alcotest.test_case "check rejects a step that lies" `Quick
+      test_check_rejects;
     Alcotest.test_case "new initial value is f(q)" `Quick
       test_retimed_init_value;
     Alcotest.test_case "paper's false cut fails" `Quick test_faulty_cut_paper;
@@ -429,9 +466,9 @@ let test_step_releases_memos () =
 let test_raising_step_releases () =
   let fd = (Hash.Embed.embed Hash.Embed.Bit_level (Fig2.gate 8)).Hash.Embed.fd in
   let misses f =
-    let _, m0 = Conv.memo_stats () in
+    let _, m0 = Memo.stats () in
     f ();
-    let _, m1 = Conv.memo_stats () in
+    let _, m1 = Memo.stats () in
     m1 - m0
   in
   let norm () =

@@ -196,7 +196,7 @@ let test_config_rejects_unknown_rule () =
   Alcotest.check_raises "unknown rule"
     (Lintpass.Config_error
        "test.config:1 unknown rule \"no-such-rule\" (rules: kernel-boundary, \
-        typed-errors, catch-all, domain-safety, clock)")
+        typed-errors, catch-all, domain-safety, clock, unused-export)")
     (fun () ->
       ignore (Lintpass.Config.parse ~file:"test.config"
                 "allow no-such-rule a.ml x -- why"))
@@ -236,6 +236,67 @@ let find_root () =
     else up (Filename.dirname dir) (n - 1)
   in
   up (Sys.getcwd ()) 6
+
+(* ------------------------------------------------------------------ *)
+(* unused-export                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* test/lint_fixture is a miniature repository.  lib/fixlib (a wrapped
+   library) and lib/fixmain (one with a main module of its own) export
+   vals; the units under bin/ and test/ reference them in each of the
+   ways the rule must resolve.  Own.self_only, used only inside its own
+   unit, is the one export nobody else references. *)
+let fixture_findings =
+  lazy
+    (match find_root () with
+    | None -> Alcotest.fail "repository root not found from test cwd"
+    | Some root ->
+        let fixture r = Filename.concat r "test/lint_fixture" in
+        let built = fixture (Filename.concat root "_build/default") in
+        let root = if Sys.file_exists built then built else fixture root in
+        let r = Lintpass.check_tree ~config:Lintpass.Config.empty ~root in
+        List.map
+          (fun f ->
+            Printf.sprintf "%s %s %s" f.Lintpass.rule f.Lintpass.file
+              f.Lintpass.symbol)
+          r.Lintpass.violations)
+
+let export_case file symbol ~flagged () =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s %s flagged" file symbol)
+    flagged
+    (List.mem
+       (Printf.sprintf "unused-export %s %s" file symbol)
+       (Lazy.force fixture_findings))
+
+let unused_export_fixtures =
+  let fixlib m = Printf.sprintf "lib/fixlib/%s.mli" m in
+  [
+    ( "qualified reference through a wrapped library",
+      export_case (fixlib "qual") "used_qualified" ~flagged:false );
+    ( "wrapped unit named by its own unit name",
+      export_case (fixlib "qual") "spelled_unit" ~flagged:false );
+    ( "val of a submodule",
+      export_case (fixlib "qual") "Sub.nested" ~flagged:false );
+    ( "reference through the alias module of a main-module library",
+      export_case "lib/fixmain/inner.mli" "inside" ~flagged:false );
+    ("open", export_case (fixlib "opened") "through_open" ~flagged:false);
+    ( "local module alias",
+      export_case (fixlib "aliased") "through_alias" ~flagged:false );
+    ("include", export_case (fixlib "included") "through_include" ~flagged:false);
+    ( "functor argument",
+      export_case (fixlib "arg") "through_functor" ~flagged:false );
+    ( "val used only inside its own unit",
+      export_case (fixlib "own") "self_only" ~flagged:true );
+    ( "val used only from test/",
+      export_case (fixlib "tested") "only_from_test" ~flagged:false );
+    ( "fixture: exactly one finding",
+      fun () ->
+        Alcotest.(check (list string))
+          "findings"
+          [ "unused-export lib/fixlib/own.mli self_only" ]
+          (Lazy.force fixture_findings) );
+  ]
 
 let test_tree_is_clean () =
   match find_root () with
@@ -280,7 +341,7 @@ let suite =
   List.map
     (fun (name, f) -> Alcotest.test_case name `Quick f)
     (kernel_boundary_fixtures @ typed_errors_fixtures @ catch_all_fixtures
-   @ domain_safety_fixtures @ clock_fixtures
+   @ domain_safety_fixtures @ clock_fixtures @ unused_export_fixtures
     @ [
         ("attribute allow", test_attribute_allow);
         ("config allow with justification", test_config_allow);

@@ -516,7 +516,7 @@ let prop_sides_agree =
           if Term.is_eq c then
             let l, r = Term.dest_eq c in
             c == Term.mk_eq (Kernel.lhs th) (Kernel.rhs th)
-            && Drule.lhs th == l && Drule.rhs th == r
+            && Kernel.lhs th == l && Kernel.rhs th == r
           else
             let fails f = match f th with _ -> false | exception Failure _ -> true in
             fails Kernel.lhs && fails Kernel.rhs)

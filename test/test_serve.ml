@@ -1105,6 +1105,42 @@ let test_bounded_connections () =
   Alcotest.(check string) "B's request ok" "ok" (status j);
   close_out_noerr oc_b
 
+(* A client sends a batch whose answers overflow the socket buffers and
+   never reads them, so its connection's writer blocks.  [stop] must
+   still return once the drain deadline has passed.  It runs under a
+   watchdog: if it hangs, the client hangs up (which unblocks the
+   writer) and the test fails instead of hanging the run. *)
+let test_stop_unread_client () =
+  let srv = mk_server () in
+  let path = sock_path "unread" in
+  let l = Serve.listen_unix srv ~path in
+  let fd, ic, oc = connect_unix path in
+  Fun.protect ~finally:(fun () -> close_out_noerr oc; Serve.shutdown srv)
+  @@ fun () ->
+  let b = blif_of 4 in
+  send oc (request 1 b);
+  Alcotest.(check string) "warm-up ok" "ok" (status (parse (input_line ic)));
+  (* cache hits with the BLIF and theorem echoed: megabytes of answer *)
+  let item = J.Obj [ ("blif", J.Str b) ] in
+  send oc (J.to_string (J.Obj [ ("batch", J.List (List.init 2000 (fun _ -> item))) ]));
+  let readable, _, _ = Unix.select [ fd ] [] [] 30.0 in
+  check "the batch answer has started" true (readable <> []);
+  Thread.delay 0.2;
+  let slack = 5.0 in
+  let t0 = Logic.Clock.now () in
+  let returned = Atomic.make false in
+  let stopper = Thread.create (fun () -> Serve.stop l; Atomic.set returned true) () in
+  while
+    (not (Atomic.get returned))
+    && Logic.Clock.now () -. t0 < Serve.drain_deadline_s +. slack
+  do
+    Thread.delay 0.01
+  done;
+  let in_time = Atomic.get returned in
+  close_out_noerr oc;
+  Thread.join stopper;
+  check "stop returns within the drain deadline plus slack" true in_time
+
 (* --- proof certificates --------------------------------------------- *)
 
 let test_cert_request () =
@@ -1314,6 +1350,8 @@ let suite =
       test_inline_pool_two_clients;
     Alcotest.test_case "tcp transport" `Quick test_tcp_listener;
     Alcotest.test_case "bounded connections" `Quick test_bounded_connections;
+    Alcotest.test_case "stop with a client that never reads" `Quick
+      test_stop_unread_client;
     Alcotest.test_case "warm hits >= 10x cold misses" `Quick
       test_warm_10x_cold;
     Alcotest.test_case "batched clients >= 2x stop-and-wait" `Quick
