@@ -351,6 +351,7 @@ let run_group tests =
 
 let micro () =
   let open Bechamel in
+  let open Hol in
   let open Logic in
   Printf.printf "\nKernel primitive micro-benchmarks (Bechamel)\n";
   let c = Fig2.rt 8 in

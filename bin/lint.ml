@@ -63,7 +63,7 @@ let () =
         Format.printf "allowed: %a  [%s]@." Lintpass.pp_finding f just)
       report.Lintpass.allowed;
   if !json_out <> "" then
-    Obs.Json.to_file !json_out (Lintpass.report_json ~config report);
+    Obs.Json.to_file !json_out (Lintpass.report_json ~config ~root:!root report);
   Format.printf "lint: %d files, %d violations, %d allowed (allowlist: %d)@."
     report.Lintpass.files
     (List.length report.Lintpass.violations)

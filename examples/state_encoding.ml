@@ -9,6 +9,7 @@
 
      dune exec examples/state_encoding.exe *)
 
+open Hol
 open Logic
 
 let () =

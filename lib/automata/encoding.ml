@@ -1,3 +1,4 @@
+open Hol
 open Logic
 
 (* Types: input :a, original state :b, output :c, encoded state :d. *)

@@ -1,3 +1,4 @@
+open Hol
 open Logic
 
 (* Type abbreviations: input :a, original state :b, output :c, new

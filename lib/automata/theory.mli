@@ -15,6 +15,7 @@
 
     [automaton] itself is definitional. *)
 
+open Hol
 open Logic
 
 type thm = Kernel.thm

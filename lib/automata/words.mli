@@ -10,6 +10,7 @@
     point that RT-level retiming keeps the initial-state evaluation cost,
     §V). *)
 
+open Hol
 open Logic
 
 type thm = Kernel.thm

@@ -1,3 +1,4 @@
+open Hol
 open Logic
 
 type reject =

@@ -65,35 +65,35 @@ type report = {
 (* Read the logic kernel's counters.  This module is the lowest layer that
    sees both Logic and Obs, so it owns the translation. *)
 let kernel_now () =
-  let t = Logic.Term.stats () in
+  let t = Hol.Term.stats () in
   let memo_hits, memo_misses = Logic.Memo.stats () in
   {
     Obs.rule_apps = Logic.Kernel.rule_count ();
-    term_mk_calls = t.Logic.Term.mk_calls;
-    term_intern_hits = t.Logic.Term.intern_hits;
-    term_intern_misses = t.Logic.Term.intern_misses;
+    term_mk_calls = t.Hol.Term.mk_calls;
+    term_intern_hits = t.Hol.Term.intern_hits;
+    term_intern_misses = t.Hol.Term.intern_misses;
     conv_memo_hits = memo_hits;
     conv_memo_misses = memo_misses;
-    live_term_nodes = t.Logic.Term.live_nodes;
-    peak_term_nodes = t.Logic.Term.peak_nodes;
-    ty_nodes = Logic.Ty.node_count ();
+    live_term_nodes = t.Hol.Term.live_nodes;
+    peak_term_nodes = t.Hol.Term.peak_nodes;
+    ty_nodes = Hol.Ty.node_count ();
   }
 
 (* Cross-domain totals; exact once worker domains have quiesced (after a
    pool join). *)
 let kernel_total () =
-  let t = Logic.Term.global_stats () in
+  let t = Hol.Term.global_stats () in
   let memo_hits, memo_misses = Logic.Memo.global_stats () in
   {
     Obs.rule_apps = Logic.Kernel.total_rule_count ();
-    term_mk_calls = t.Logic.Term.mk_calls;
-    term_intern_hits = t.Logic.Term.intern_hits;
-    term_intern_misses = t.Logic.Term.intern_misses;
+    term_mk_calls = t.Hol.Term.mk_calls;
+    term_intern_hits = t.Hol.Term.intern_hits;
+    term_intern_misses = t.Hol.Term.intern_misses;
     conv_memo_hits = memo_hits;
     conv_memo_misses = memo_misses;
-    live_term_nodes = t.Logic.Term.live_nodes;
-    peak_term_nodes = t.Logic.Term.peak_nodes;
-    ty_nodes = Logic.Ty.global_node_count ();
+    live_term_nodes = t.Hol.Term.live_nodes;
+    peak_term_nodes = t.Hol.Term.peak_nodes;
+    ty_nodes = Hol.Ty.global_node_count ();
   }
 
 (* ------------------------------------------------------------------ *)

@@ -1,3 +1,4 @@
+open Hol
 open Logic
 
 type level = Bit_level | Rt_level
@@ -140,3 +141,9 @@ let mk_automaton_of e = Automata.Theory.mk_automaton e.fd e.q
 
 (* Partial application: one memo table, shared within each step. *)
 let circuit_norm_conv = Conv.memo_top_depth_conv Pairs.let_proj_conv
+
+let equal_by_norm conv ~mismatch t1 t2 =
+  let th1 = conv t1 in
+  let th2 = conv t2 in
+  if not (Term.aconv (Kernel.rhs th1) (Kernel.rhs th2)) then raise mismatch
+  else Kernel.trans th1 (Drule.sym th2)

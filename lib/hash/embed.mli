@@ -11,6 +11,7 @@
     a single term node and steps 1–3 of the retiming procedure are
     independent of the bit width. *)
 
+open Hol
 open Logic
 
 type level = Bit_level | Rt_level
@@ -43,6 +44,11 @@ val circuit_norm_conv : Conv.conv
 (** Full normalisation of a circuit-shaped term: expand [LET]s,
     beta-redexes and tuple projections (no gate evaluation).  Memoised;
     linear in the number of distinct subterm nodes per pass. *)
+
+val equal_by_norm : Conv.conv -> mismatch:exn -> Term.t -> Term.t -> Kernel.thm
+(** [equal_by_norm conv ~mismatch t1 t2] is [|- t1 = t2], proved by
+    normalising both sides with [conv] and joining the two theorems.
+    @raise mismatch if the normal forms are not alpha-equivalent. *)
 
 val gate_term : level -> Circuit.op -> Term.t list -> Term.t
 (** The logical term for one gate applied to operand terms. *)

@@ -1,3 +1,4 @@
+open Hol
 open Logic
 
 let is_permutation p =
@@ -107,12 +108,12 @@ let permute_registers level c p =
   let rhs_auto = Kernel.rhs th_open in
   let auto_fd2, encq = Term.dest_comb rhs_auto in
   let fd2' = snd (Term.dest_comb auto_fd2) in
-  let thn1 = Embed.circuit_norm_conv fd2' in
-  let thn2 = Embed.circuit_norm_conv e2.Embed.fd in
-  if not (Term.aconv (Kernel.rhs thn1) (Kernel.rhs thn2)) then
-    Errors.join_mismatch
-      "encoded combinational part differs from the permuted netlist";
-  let th_fd2 = Kernel.trans thn1 (Drule.sym thn2) in
+  let th_fd2 =
+    Embed.equal_by_norm Embed.circuit_norm_conv fd2' e2.Embed.fd
+      ~mismatch:
+        (Errors.Join_mismatch
+           "encoded combinational part differs from the permuted netlist")
+  in
   let th_init = proj_eta_conv encq in
   if not (Term.aconv (Kernel.rhs th_init) e2.Embed.q) then
     Errors.join_mismatch

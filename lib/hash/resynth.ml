@@ -1,3 +1,4 @@
+open Hol
 open Logic
 
 let simp_rewrites =
@@ -21,13 +22,13 @@ let resynthesize ?budget level c =
   let i = e1.Embed.i_var and s = e1.Embed.s_var in
   let app fd = Term.mk_comb (Term.mk_comb fd i) s in
   Synthesis.budget_check budget ();
-  let th1 = simp_conv (app e1.Embed.fd) in
-  let th2 = simp_conv (app e2.Embed.fd) in
+  let pointwise =
+    Embed.equal_by_norm simp_conv (app e1.Embed.fd) (app e2.Embed.fd)
+      ~mismatch:
+        (Errors.Join_mismatch
+           "netlist simplifier and logical rewrite system disagree")
+  in
   Synthesis.budget_check budget ();
-  if not (Term.aconv (Kernel.rhs th1) (Kernel.rhs th2)) then
-    Errors.join_mismatch
-      "netlist simplifier and logical rewrite system disagree";
-  let pointwise = Kernel.trans th1 (Drule.sym th2) in
   let hyp_thm = Boolean.gen i (Boolean.gen s pointwise) in
   (* instantiate COMB_EQUIV_THM and discharge its hypothesis *)
   let inst_thm =

@@ -1,3 +1,4 @@
+open Hol
 open Logic
 
 type t = {
@@ -62,11 +63,7 @@ let build_terms (e : Embed.t) f_gate_list =
               (Printf.sprintf "v%d" s)
               (Embed.signal_ty level (Circuit.width_of c s)))
     c.Circuit.drivers;
-  let x_components =
-    List.map (fun s -> fwire.(s)) boundary
-    @ List.map (fun r -> Pairs.proj sf_var r n_reg) passthrough
-  in
-  if x_components = [] then
+  if boundary = [] && passthrough = [] then
     Errors.cut_mismatch "empty retimed state: nothing to retime";
   let topo = Circuit.topo_order c in
   (* f gate terms: a dag over projections of sf *)
@@ -91,12 +88,12 @@ let build_terms (e : Embed.t) f_gate_list =
             Embed.gate_term level op (List.map (fun a -> fwire.(a)) args)
       | _ -> ())
     topo;
+  (* read after the loop: a boundary signal driven by an f-gate holds its
+     gate term only now *)
   let x_components =
     List.map (fun s -> fwire.(s)) boundary
     @ List.map (fun r -> Pairs.proj sf_var r n_reg) passthrough
   in
-  if x_components = [] then
-    Errors.cut_mismatch "empty retimed state: nothing to retime";
   let f_result = Pairs.list_mk_pair x_components in
   let f_term = Term.mk_abs sf_var f_result in
   let x_ty = Term.type_of f_result in
@@ -156,13 +153,11 @@ let prove_split (e : Embed.t) f_term g_term =
       (Term.mk_abs s
          (Term.mk_comb (Term.mk_comb g_term i) (Term.mk_comb f_term s)))
   in
-  let th1 = Embed.circuit_norm_conv e.Embed.fd in
-  let th2 = Embed.circuit_norm_conv pattern in
-  if not (Term.aconv (Kernel.rhs th1) (Kernel.rhs th2)) then
-    Errors.cut_mismatch
-      "the split does not reproduce the circuit: normal forms differ \
-       (false cut)"
-  else Kernel.trans th1 (Drule.sym th2)
+  Embed.equal_by_norm Embed.circuit_norm_conv e.Embed.fd pattern
+    ~mismatch:
+      (Errors.Cut_mismatch
+         "the split does not reproduce the circuit: normal forms differ \
+          (false cut)")
 
 let split_gates e gates =
   let f_term, g_term, x_ty = build_terms e gates in

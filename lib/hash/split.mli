@@ -10,6 +10,7 @@
     {!Errors.Cut_mismatch}; no theorem about the circuit is produced
     (paper §IV.C). *)
 
+open Hol
 open Logic
 
 type t = {

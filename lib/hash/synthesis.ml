@@ -1,3 +1,4 @@
+open Hol
 open Logic
 
 type timings = {
@@ -95,12 +96,12 @@ let retime_common ?budget level c cut_opt gates =
     let auto_fd2, _fq = Term.dest_comb rhs_auto in
     snd (Term.dest_comb auto_fd2)
   in
-  let thn1 = Embed.circuit_norm_conv fd2' in
-  let thn2 = Embed.circuit_norm_conv e'.Embed.fd in
-  if not (Term.aconv (Kernel.rhs thn1) (Kernel.rhs thn2)) then
-    Errors.join_mismatch
-      "derived combinational part differs from the retimed netlist";
-  let th_fd2 = Kernel.trans thn1 (Drule.sym thn2) in
+  let th_fd2 =
+    Embed.equal_by_norm Embed.circuit_norm_conv fd2' e'.Embed.fd
+      ~mismatch:
+        (Errors.Join_mismatch
+           "derived combinational part differs from the retimed netlist")
+  in
   let t4 = Clock.now () in
   check ();
   (* step 4: evaluate the new initial state f(q) *)

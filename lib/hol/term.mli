@@ -113,7 +113,7 @@ val aconv : t -> t -> bool
 val release_order_memo : unit -> unit
 (** Empty the calling domain's memo of {!alphaorder} results (keyed on
     pairs of node ids).  Ids are never reused, so entries for the terms
-    of a finished HASH step can never hit again; {!Conv.with_step}
+    of a finished HASH step can never hit again; [Logic.Conv.with_step]
     releases it when a step ends.  A caller outside any step relies on
     the memo's own reset once it holds 2M entries. *)
 

@@ -22,7 +22,7 @@ let rule_export = "unused-export"
 let rules =
   [
     ( rule_kernel,
-      "outside lib/logic/kernel.ml: no Obj.magic/repr/obj, no Marshal, no \
+      "outside lib/hol/kernel.ml: no Obj.magic/repr/obj, no Marshal, no \
        thm-shaped record literal, no discarded Kernel_invariant handler" );
     ( rule_typed,
       "trust-boundary libraries raise the typed taxonomy, never \
@@ -45,9 +45,9 @@ let rules =
 let known_rule r = List.mem_assoc r rules
 
 (* Default path scopes, overridable per rule by `scope` lines.  The
-   HOL-style [Failure] surface of lib/logic and lib/automata is the
-   documented kernel idiom (dest_* / conversions signal "no match" with
-   Failure, exactly as in HOL Light), so those two libraries are outside
+   HOL-style [Failure] surface of lib/hol, lib/logic and lib/automata is
+   the documented kernel idiom (dest_* / conversions signal "no match"
+   with Failure, exactly as in HOL Light), so those libraries are outside
    the typed-errors scope by default rather than drowning the allowlist. *)
 let default_scopes =
   [
@@ -616,13 +616,6 @@ let check_source ?(config = Config.empty) ?(scoped = false) ~file source =
    (<dir>/.<name>.objs/byte/*.cmt and *.cmti), so a reference is a
    resolved path, not a name that happens to match. *)
 
-(* A path rooted at a compilation unit, as components; None when it is
-   rooted at a local binding or goes through a functor application. *)
-let rec global_path = function
-  | Path.Pident id -> if Ident.global id then Some [ Ident.name id ] else None
-  | Path.Pdot (p, s) -> Option.map (fun l -> l @ [ s ]) (global_path p)
-  | Path.Papply _ | Path.Pextra_ty _ -> None
-
 (* Dune compiles module M of a wrapped library Lib as the unit Lib__M.
    Other units reach it as Lib.M, or as Lib__.M inside a library that
    has a main module of its own: all three spellings name one unit. *)
@@ -652,31 +645,99 @@ let rec exported_values prefix (s : Typedtree.signature) =
       | _ -> [])
     s.sig_items
 
-(* The value paths an implementation references, and the module paths
-   it uses whole: as an include, a functor argument, a packed module or
-   an alias.  Every export under a module used whole counts as used,
-   since the values reached through it are not visible as paths.  An
-   open is not such a use: the values it brings into scope are
-   referenced by their full paths.  A unit's uses of its own values are
-   local paths, so they never count. *)
-let references (s : Typedtree.structure) =
+(* What one implementation contributes to the rule: the value paths it
+   references, the module paths it uses whole (a functor argument, a
+   packed module, a constrained module, an include outside lib/), and
+   what it re-exports ([module X = P] at its top level, and [include P]
+   at the top level of a lib/ unit).  Paths are global, as components. *)
+type unit_refs = {
+  values : string list list;
+  modules : string list list;
+  aliases : (string * string list) list;  (* X, P of [module X = P] *)
+  includes : string list list;  (* P of [include P] *)
+}
+
+(* A module alias or an include names a module by an identifier
+   ([module X = P], [let module X = P in], [include P]); the typed tree
+   then refers to X, and to the values an include binds, by local
+   identifiers.  [resolve] maps those back to P, so [X.v] counts as a
+   use of [P.v] and does not make every export of P look used.  An open
+   brings nothing into scope that is not referenced by its full path.
+   A unit's uses of its own values are local paths, so they never
+   count. *)
+let references ~lib (s : Typedtree.structure) =
   let values = ref [] and modules = ref [] in
-  let add acc p =
-    match global_path p with Some l -> acc := l :: !acc | None -> ()
+  let aliases = ref [] and includes = ref [] in
+  let local = Hashtbl.create 16 in
+  let rec resolve = function
+    | Path.Pident id ->
+        if Ident.global id then Some [ Ident.name id ]
+        else Hashtbl.find_opt local (Ident.unique_name id)
+    | Path.Pdot (p, s) -> Option.map (fun l -> l @ [ s ]) (resolve p)
+    | Path.Papply _ | Path.Pextra_ty _ -> None
+  in
+  let add acc p = match resolve p with Some l -> acc := l :: !acc | None -> () in
+  let bind id target = Hashtbl.replace local (Ident.unique_name id) target in
+  let rec alias_of (m : Typedtree.module_expr) =
+    match m.mod_desc with
+    | Tmod_ident (p, _) -> resolve p
+    | Tmod_constraint (m, _, Tmodtype_implicit, _) -> alias_of m
+    | _ -> None
+  in
+  (* the identifiers an [include P] binds stand for P's items *)
+  let bind_included target (sg : Types.signature) =
+    List.iter
+      (function
+        | Types.Sig_value (id, _, _) | Types.Sig_module (id, _, _, _, _) ->
+            bind id (target @ [ Ident.name id ])
+        | _ -> ())
+      sg
+  in
+  (* [module X = P] or [include P]: bind, and at the top of the unit
+     record the re-export.  A submodule's alias (reachable as U.Sub.X,
+     which the rule does not resolve) and an include outside lib/ use P
+     whole.  False for any other item. *)
+  let alias_item ~top (item : Typedtree.structure_item) =
+    match item.str_desc with
+    | Tstr_module { mb_id = Some id; mb_name = { txt = Some x; _ }; mb_expr; _ }
+      -> (
+        match alias_of mb_expr with
+        | Some target ->
+            bind id target;
+            if top then aliases := (x, target) :: !aliases
+            else modules := target :: !modules;
+            true
+        | None -> false)
+    | Tstr_include { incl_mod; incl_type; _ } -> (
+        match alias_of incl_mod with
+        | Some target ->
+            bind_included target incl_type;
+            if top && lib then includes := target :: !includes
+            else modules := target :: !modules;
+            true
+        | None -> false)
+    | _ -> false
   in
   let it =
     {
       Tast_iterator.default_iterator with
       expr =
         (fun self e ->
-          (match e.exp_desc with
+          match e.exp_desc with
+          | Texp_letmodule (Some id, _, _, m, body) when alias_of m <> None ->
+              Option.iter (bind id) (alias_of m);
+              self.expr self body
           | Texp_ident (p, _, _) -> add values p
           | Texp_letop { let_; ands; _ } ->
               List.iter
                 (fun (b : Typedtree.binding_op) -> add values b.bop_op_path)
-                (let_ :: ands)
-          | _ -> ());
-          Tast_iterator.default_iterator.expr self e);
+                (let_ :: ands);
+              Tast_iterator.default_iterator.expr self e
+          | _ -> Tast_iterator.default_iterator.expr self e);
+      structure_item =
+        (fun self item ->
+          if not (alias_item ~top:false item) then
+            Tast_iterator.default_iterator.structure_item self item);
       module_expr =
         (fun self m ->
           (match m.mod_desc with Tmod_ident (p, _) -> add modules p | _ -> ());
@@ -684,8 +745,15 @@ let references (s : Typedtree.structure) =
       open_declaration = (fun _ _ -> ());
     }
   in
-  it.structure it s;
-  (!values, !modules)
+  List.iter
+    (fun item -> if not (alias_item ~top:true item) then it.structure_item it item)
+    s.str_items;
+  {
+    values = !values;
+    modules = !modules;
+    aliases = !aliases;
+    includes = !includes;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Whole tree                                                          *)
@@ -772,23 +840,67 @@ let export_findings ~root =
   in
   let units = Hashtbl.create 64 in
   List.iter (fun (u, _, _) -> Hashtbl.replace units u ()) interfaces;
+  let refs =
+    List.filter_map
+      (fun path ->
+        match load path with
+        | Some
+            {
+              cmt_modname;
+              cmt_annots = Implementation s;
+              cmt_sourcefile = Some src;
+              _;
+            }
+        (* dune's generated alias module of a wrapped library *)
+          when not (Filename.check_suffix src ".ml-gen") ->
+            let lib = String.starts_with ~prefix:"lib/" (relative ~root:build path) in
+            Some (cmt_modname, references ~lib s)
+        | _ -> None)
+      (trees ".cmt" [ "lib"; "bin"; "bench"; "test"; "examples" ])
+  in
+  (* re-exports by unit: U.X stands for P when U has [module X = P], and
+     U.x also for P.x when U has [include P] *)
+  let aliases = Hashtbl.create 16 and includes = Hashtbl.create 16 in
+  List.iter
+    (fun (u, r) ->
+      List.iter (fun (x, p) -> Hashtbl.replace aliases (u ^ "." ^ x) p) r.aliases;
+      List.iter (Hashtbl.add includes u) r.includes)
+    refs;
+  (* every unit path [p] names, through re-exports; the bound stops a
+     cycle the type checker would not accept anyway *)
+  let rec names fuel p =
+    let p = unwrap ~is_unit:(Hashtbl.mem units) p in
+    if fuel = 0 then [ p ]
+    else
+      let through_alias =
+        match p with
+        | u :: x :: rest -> (
+            match Hashtbl.find_opt aliases (u ^ "." ^ x) with
+            | Some target -> names (fuel - 1) (target @ rest)
+            | None -> [])
+        | _ -> []
+      in
+      let through_include =
+        match p with
+        | u :: rest ->
+            List.concat_map
+              (fun target -> names (fuel - 1) (target @ rest))
+              (Hashtbl.find_all includes u)
+        | [] -> []
+      in
+      (p :: through_alias) @ through_include
+  in
   let used = Hashtbl.create 1024 and whole = Hashtbl.create 64 in
   let note tbl p =
-    Hashtbl.replace tbl
-      (String.concat "." (unwrap ~is_unit:(Hashtbl.mem units) p))
-      ()
+    List.iter
+      (fun l -> Hashtbl.replace tbl (String.concat "." l) ())
+      (names 8 p)
   in
   List.iter
-    (fun path ->
-      match load path with
-      | Some { cmt_annots = Implementation s; cmt_sourcefile = Some src; _ }
-      (* dune's generated alias module of a wrapped library *)
-        when not (Filename.check_suffix src ".ml-gen") ->
-          let values, modules = references s in
-          List.iter (note used) values;
-          List.iter (note whole) modules
-      | _ -> ())
-    (trees ".cmt" [ "lib"; "bin"; "bench"; "test"; "examples" ]);
+    (fun (_, r) ->
+      List.iter (note used) r.values;
+      List.iter (note whole) r.modules)
+    refs;
   let rec under_whole prefix = function
     | m :: (_ :: _ as rest) ->
         let prefix = prefix ^ m in
@@ -893,7 +1005,28 @@ let check_tree ~config ~root =
 (* Observability                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let report_json ~config report =
+(* The trusted computing base of a checked proof: the kernel library,
+   the certificate checker and the checker binary (see DESIGN.md
+   "Trusted computing base").  A directory counts with every .ml/.mli
+   in it, so a file added there is counted without touching this list. *)
+let trusted_base = [ "lib/hol"; "lib/cert"; "bin/check.ml" ]
+
+let trusted_lines ~root =
+  let lines path =
+    let text = read_file path in
+    String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 text
+  in
+  List.concat_map
+    (fun entry ->
+      let path = Filename.concat root entry in
+      if Sys.file_exists path && Sys.is_directory path then
+        files_with ~suffix:".ml" path @ files_with ~suffix:".mli" path
+      else if Sys.file_exists path then [ path ]
+      else [])
+    trusted_base
+  |> List.fold_left (fun n path -> n + lines path) 0
+
+let report_json ~config ~root report =
   let count rule sel =
     List.length (List.filter (fun f -> f.rule = rule) sel)
   in
@@ -917,6 +1050,7 @@ let report_json ~config report =
       ("violations", Obs.Json.Int (List.length violations));
       ("allowed", Obs.Json.Int (List.length allowed));
       ("allowlist_size", Obs.Json.Int (Config.allow_count config));
+      ("trusted_lines", Obs.Json.Int (trusted_lines ~root));
       ( "stale_allows",
         Obs.Json.Int (count "stale-allow" violations) );
       ("rules", Obs.Json.List per_rule);

@@ -4,7 +4,7 @@
     The paper's guarantee — a faulty heuristic can make synthesis {e fail,
     never falsify} — rests on source-level disciplines that the type
     checker alone cannot enforce: theorems are born only in
-    [lib/logic/kernel.ml], trust-boundary code raises typed errors instead
+    [lib/hol/kernel.ml], trust-boundary code raises typed errors instead
     of crashing or swallowing, and nothing shared across OCaml 5 domains
     mutates unguarded.  This pass parses every [lib/**/*.ml] and
     [bin/**/*.ml] with compiler-libs and walks the parsetree, and reads
@@ -35,9 +35,13 @@
       signatures included, is referenced from another compilation unit
       under [lib/], [bin/], [bench/], [test/] or [examples/].  References
       are resolved paths read from the [.cmt] files, so [Lib.M.x],
-      [Lib__M.x] and [Lib__.M.x] name one export.  A unit used whole (an
-      [include], a functor argument, a packed module or a module alias)
-      counts as using all of its exports.  Only {!check_tree} applies
+      [Lib__M.x] and [Lib__.M.x] name one export.  Module aliases
+      ([module X = P], [let module X = P in]), re-exports from another
+      unit ([U.X] where [U] has [module X = P]) and a re-exporting
+      [include P] at the top of a [lib/] unit resolve to [P], so only
+      what is referenced through them counts.  A unit used whole in any
+      other way (a functor argument, a packed module, an [include]
+      outside [lib/]) counts as using all of its exports.  Only {!check_tree} applies
       this rule: it needs the whole tree. *)
 
 exception Config_error of string
@@ -98,7 +102,9 @@ val check_tree : config:Config.t -> root:string -> report
     allowlist entry that matched nothing — so the inventory cannot
     outlive the code it excuses. *)
 
-val report_json : config:Config.t -> report -> Obs.Json.t
-(** BENCH_lint-style summary: per-rule violation/allowed counts and the
-    allowlist size, so exemption growth is visible in the bench
-    trajectory. *)
+val report_json : config:Config.t -> root:string -> report -> Obs.Json.t
+(** BENCH_lint-style summary: per-rule violation/allowed counts, the
+    allowlist size, and [trusted_lines], the [.ml]/[.mli] line count of
+    the trusted computing base under [root] ([lib/hol], [lib/cert] and
+    [bin/check.ml], every file in those directories), so exemption and
+    trusted-base growth are visible in the bench trajectory. *)

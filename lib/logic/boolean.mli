@@ -7,6 +7,8 @@
     audited axiomatic basis (they are definable from Hilbert choice in full
     HOL; we take them as primitive instead of embedding choice). *)
 
+open Hol
+
 type thm = Kernel.thm
 
 (** {1 Terms and syntax} *)

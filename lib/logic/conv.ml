@@ -1,3 +1,5 @@
+open Hol
+
 type thm = Kernel.thm
 type conv = Term.t -> thm
 

@@ -8,6 +8,8 @@
     workhorse behind HASH's linear-in-circuit-size behaviour on dag-shaped
     circuit terms. *)
 
+open Hol
+
 type thm = Kernel.thm
 type conv = Term.t -> thm
 

@@ -24,6 +24,8 @@
    plain shared state: theories only extend it during module
    initialisation, so by spawn time it is read-only. *)
 
+open Hol
+
 let mu = Mutex.create ()
 
 let prepare_spawn () =

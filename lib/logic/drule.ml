@@ -1,3 +1,5 @@
+open Hol
+
 type thm = Kernel.thm
 
 let sym th =

@@ -1,5 +1,7 @@
 (** Basic derived equality rules, built purely from the kernel rules. *)
 
+open Hol
+
 type thm = Kernel.thm
 
 val sym : thm -> thm

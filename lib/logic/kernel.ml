@@ -1,126 +1,12 @@
-(* A theorem.  An equation [l = r] keeps its two sides and no
-   conclusion term: the equational rules read their premises' sides
-   and build their result's sides, so the [=] spine of a conclusion is
-   never interned on the rule path.  [concl] builds it on each call, in
-   the calling domain.  It is deliberately not cached: theory theorems
-   are shared by every domain, and a conclusion node cached by one
-   domain would carry that domain's term id into another.  A [Prop]
-   conclusion is never an equation ([of_concl] splits one that is), so
-   the shape of the value tells whether [lhs]/[rhs] apply. *)
-type thm =
-  | Eq of {
-      hyps : Term.t list;
-      lhs : Term.t;
-      rhs : Term.t;
-      ep : int; (* recording epoch this thm was proved under; 0 = none *)
-      ix : int; (* step index in that epoch's trace; -1 = not recorded *)
-    }
-  | Prop of { hyps : Term.t list; concl : Term.t; ep : int; ix : int }
+(* The kernel as the rest of the system calls it: Hol.Kernel's rules and
+   theory, plus the proof recorder.  The recorder is untrusted producer
+   code.  It plugs into the trusted kernel through the per-domain hook
+   (Hol.Kernel.set_hook) and only reads the step indices the kernel
+   stores for it, so a fault here can spoil a certificate, which the
+   independent checker then rejects, but cannot forge a theorem. *)
 
-let of_concl hyps c ep ix =
-  if Term.is_eq c then
-    let l, r = Term.dest_eq c in
-    Eq { hyps; lhs = l; rhs = r; ep; ix }
-  else Prop { hyps; concl = c; ep; ix }
-
-let hyp = function Eq e -> e.hyps | Prop p -> p.hyps
-
-let concl = function
-  | Eq e -> Term.mk_eq e.lhs e.rhs
-  | Prop p -> p.concl
-
-let lhs = function
-  | Eq e -> e.lhs
-  | Prop _ -> failwith "Kernel.lhs: not an equation"
-
-let rhs = function
-  | Eq e -> e.rhs
-  | Prop _ -> failwith "Kernel.rhs: not an equation"
-
-let dest_thm th = (hyp th, concl th)
-
-(* The trace step proving [th] if it was recorded under epoch [ep],
-   else -1. *)
-let[@inline] ix_in ep = function
-  | Eq e -> if e.ep = ep then e.ix else -1
-  | Prop p -> if p.ep = ep then p.ix else -1
-
-let pp_thm ppf th =
-  match hyp th with
-  | [] -> Format.fprintf ppf "|- %a" Term.pp (concl th)
-  | hs ->
-      Format.fprintf ppf "%a |- %a"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-           Term.pp)
-        hs Term.pp (concl th)
-
-let string_of_thm th = Format.asprintf "%a" pp_thm th
-
-(* ------------------------------------------------------------------ *)
-(* Hypothesis sets: lists sorted by alpha-order, without duplicates.   *)
-(* ------------------------------------------------------------------ *)
-
-let rec term_union l1 l2 =
-  match (l1, l2) with
-  | [], l | l, [] -> l
-  | h1 :: t1, h2 :: t2 ->
-      let c = Term.alphaorder h1 h2 in
-      if c = 0 then h1 :: term_union t1 t2
-      else if c < 0 then h1 :: term_union t1 l2
-      else h2 :: term_union l1 t2
-
-let term_remove t l = List.filter (fun t' -> not (Term.aconv t t')) l
-
-let term_image f l =
-  List.sort_uniq Term.alphaorder (List.map f l)
-
-(* ------------------------------------------------------------------ *)
-(* Signature                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let the_type_constants : (string, int) Hashtbl.t = Hashtbl.create 16
-let the_term_constants : (string, Ty.t) Hashtbl.t = Hashtbl.create 64
-
-let () =
-  Hashtbl.replace the_type_constants "bool" 0;
-  Hashtbl.replace the_type_constants "fun" 2;
-  Hashtbl.replace the_term_constants "="
-    (Ty.fn Ty.alpha (Ty.fn Ty.alpha Ty.bool))
-
-let new_type name arity =
-  match Hashtbl.find_opt the_type_constants name with
-  | Some a when a = arity -> ()
-  | Some _ -> failwith ("Kernel.new_type: arity clash for " ^ name)
-  | None -> Hashtbl.replace the_type_constants name arity
-
-let new_constant name ty =
-  if Hashtbl.mem the_term_constants name then
-    failwith ("Kernel.new_constant: already declared: " ^ name)
-  else Hashtbl.replace the_term_constants name ty
-
-let get_const_type name = Hashtbl.find the_term_constants name
-let is_constant name = Hashtbl.mem the_term_constants name
-
-let types () =
-  Hashtbl.fold (fun n a acc -> (n, a) :: acc) the_type_constants []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let constants () =
-  Hashtbl.fold (fun n ty acc -> (n, ty) :: acc) the_term_constants []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let mk_const name tyin =
-  match Hashtbl.find_opt the_term_constants name with
-  | None -> failwith ("Kernel.mk_const: undeclared constant: " ^ name)
-  | Some gty -> Term.mk_const_raw name (Ty.subst tyin gty)
-
-let mk_const_at name ty =
-  match Hashtbl.find_opt the_term_constants name with
-  | None -> failwith ("Kernel.mk_const_at: undeclared constant: " ^ name)
-  | Some gty ->
-      let tyin = Ty.match_ gty ty [] in
-      Term.mk_const_raw name (Ty.subst tyin gty)
+open Hol
+include Hol.Kernel
 
 (* ------------------------------------------------------------------ *)
 (* Proof traces                                                        *)
@@ -200,13 +86,8 @@ module Trace = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Rule counter and per-domain recording state                         *)
+(* Per-domain recording state                                          *)
 (* ------------------------------------------------------------------ *)
-
-(* Per-domain, registered for cross-domain totals (see Term/Ty for the
-   same pattern).  Recording is also per-domain: a trace captures one
-   domain's derivation, which is exactly the unit of work the pool
-   schedules. *)
 
 type rec_state = {
   mutable r_epoch : int;
@@ -223,8 +104,7 @@ type rec_state = {
   mutable r_poison : string option; (* first unresolvable input, if any *)
 }
 
-type rstate = {
-  mutable rules : int;
+type dstate = {
   mutable recb : rec_state option;
   mutable r_spare : rec_state option;
       (* retired recording buffers, reused by the next [start_recording]
@@ -234,64 +114,7 @@ type rstate = {
          itself *)
 }
 
-let r_registry_mu = Mutex.create ()
-let r_registry : rstate list ref = ref []
-
-let r_key =
-  Domain.DLS.new_key (fun () ->
-      let st = { rules = 0; recb = None; r_spare = None } in
-      Mutex.protect r_registry_mu (fun () -> r_registry := st :: !r_registry);
-      st)
-
-let rule_count () = (Domain.DLS.get r_key).rules
-
-let total_rule_count () =
-  Mutex.protect r_registry_mu (fun () ->
-      List.fold_left (fun acc st -> acc + st.rules) 0 !r_registry)
-
-(* ------------------------------------------------------------------ *)
-(* Theory extension registries                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Guarded by one mutex so worker domains can read a consistent view
-   (certificate headers are built from these on whichever domain ran
-   the synthesis).  Lists are kept in reverse insertion order and
-   re-reversed by the accessors, so readers always see insertion
-   order — the deterministic order certificate headers rely on. *)
-
-let ext_mu = Mutex.create ()
-let the_definitions : (string * thm) list ref = ref []
-let the_axioms : (string * thm) list ref = ref []
-let the_registered : (string * thm) list ref = ref []
-
-let axioms () = Mutex.protect ext_mu (fun () -> List.rev !the_axioms)
-let definitions () = Mutex.protect ext_mu (fun () -> List.rev !the_definitions)
-
-let registered_theorems () =
-  Mutex.protect ext_mu (fun () -> List.rev !the_registered)
-
-let register_theorem name th =
-  Mutex.protect ext_mu (fun () ->
-      if List.mem_assoc name !the_registered then
-        failwith ("Kernel.register_theorem: already registered: " ^ name)
-      else the_registered := (name, th) :: !the_registered)
-
-(* Resolve a theorem proved outside the current trace: it must be an
-   axiom, a definitional theorem, or a registered theorem — found by
-   physical equality, which hash-consing makes equivalent to "the same
-   theorem value the theory module exported". *)
-let lookup_extension th =
-  Mutex.protect ext_mu (fun () ->
-      let find l = List.find_opt (fun (_, t) -> t == th) l in
-      match find !the_axioms with
-      | Some (n, _) -> Some ('A', n)
-      | None -> (
-          match find !the_definitions with
-          | Some (n, _) -> Some ('D', n)
-          | None -> (
-              match find !the_registered with
-              | Some (n, _) -> Some ('I', n)
-              | None -> None)))
+let d_key = Domain.DLS.new_key (fun () -> { recb = None; r_spare = None })
 
 (* ------------------------------------------------------------------ *)
 (* Recording plumbing                                                  *)
@@ -347,9 +170,23 @@ let push_pay rs tag i p =
    equation, or of the stored conclusion otherwise.  Those nodes live as
    long as [th] does, so the key is stable; a rebuilt conclusion node
    would not be. *)
-let import_key = function
-  | Eq e -> (e.lhs.Term.id, e.rhs.Term.id)
-  | Prop p -> (p.concl.Term.id, -1)
+let import_key th =
+  match lhs th with
+  | l -> (l.Term.id, (rhs th).Term.id)
+  | exception Failure _ -> ((concl th).Term.id, -1)
+
+(* Resolve a theorem proved outside the current trace: it must be an
+   axiom, a definitional theorem, or a registered theorem — found by
+   physical equality, which hash-consing makes equivalent to "the same
+   theorem value the theory module exported". *)
+let lookup_extension th =
+  let find l = List.find_map (fun (n, t) -> if t == th then Some n else None) l in
+  match find (axioms ()) with
+  | Some n -> Some ('A', n)
+  | None -> (
+      match find (definitions ()) with
+      | Some n -> Some ('D', n)
+      | None -> Option.map (fun n -> ('I', n)) (find (registered_theorems ())))
 
 (* The step index standing for input theorem [th], appending a
    reference event if it comes from the ambient theory.  Returns -1 and
@@ -358,7 +195,7 @@ let import_key = function
    itself proceeds untouched, but [stop_recording] reports the failure
    instead of emitting a bogus certificate. *)
 let input rs th =
-  let i = ix_in rs.r_epoch th in
+  let i = step_index rs.r_epoch th in
   if i >= 0 then i
   else if not (rs.r_poison == None) then -1
   else
@@ -379,23 +216,10 @@ let input rs th =
             -1)
 
 (* The recorders below append the event for one inference and return
-   its step index, or -1 once the trace is poisoned; the rule builds
-   its theorem with that index under the current epoch. *)
+   its step index, or -1 once the trace is poisoned. *)
 
-let rec0_tm_slow rs tag tm =
+let rec0_tm rs tag tm =
   if not (rs.r_poison == None) then -1 else push_tm rs tag (-1) tm
-
-let[@inline] rec0_tm rs tag tm =
-  let k = rs.r_n in
-  if rs.r_poison == None && k < Bytes.length rs.r_tags then begin
-    Bytes.unsafe_set rs.r_tags k tag;
-    Array.unsafe_set rs.r_a k (-1);
-    Array.unsafe_set rs.r_b k (-1);
-    Array.unsafe_set rs.r_tm k tm;
-    rs.r_n <- k + 1;
-    k
-  end
-  else rec0_tm_slow rs tag tm
 
 let rec0_pay rs tag p =
   if not (rs.r_poison == None) then -1 else push_pay rs tag (-1) p
@@ -413,28 +237,59 @@ let rec2_slow rs th1 th2 tag =
   let j = input rs th2 in
   if i < 0 || j < 0 then -1 else push rs tag i j
 
-(* Specialised for the common case — both premises recorded in this
-   trace and the buffer has room — with a tail call to the general
-   path otherwise.  [@inline] is advisory without flambda, so the hot
-   primitives below inline this test by hand instead of paying three
-   nested calls per inference. *)
-let[@inline] rec2 rs th1 th2 tag =
-  let ep = rs.r_epoch in
-  let k = rs.r_n in
-  let i = ix_in ep th1 and j = ix_in ep th2 in
-  if i >= 0 && j >= 0 && k < Bytes.length rs.r_tags then begin
-    Bytes.unsafe_set rs.r_tags k tag;
-    Array.unsafe_set rs.r_a k i;
-    Array.unsafe_set rs.r_b k j;
-    rs.r_n <- k + 1;
-    k
-  end
-  else rec2_slow rs th1 th2 tag
+let step rs = function
+  | Abs (v, th) -> rec1_tm rs th 'l' v
+  | Inst (theta, th) -> rec1_pay rs th 'i' (Trace.P_subst theta)
+  | Inst_type (tyin, th) -> rec1_pay rs th 'y' (Trace.P_tysubst tyin)
+  | Axiom name -> rec0_pay rs 'A' (Trace.P_name name)
+  | Definition name -> rec0_pay rs 'D' (Trace.P_name name)
+
+(* The kernel hook recording into [rs].  [leaf] and [pair] store
+   straight into the buffer in the common case (nothing poisoned, room
+   left, and for [pair] both premises recorded in this trace), inside
+   the closure the kernel calls, and fall back to the general path
+   otherwise. *)
+let hook rs =
+  {
+    epoch = rs.r_epoch;
+    leaf =
+      (fun rule tm ->
+        let tag = match rule with Refl -> 'r' | Beta -> 'b' | Assume -> 'a' in
+        let k = rs.r_n in
+        if rs.r_poison == None && k < Bytes.length rs.r_tags then begin
+          Bytes.unsafe_set rs.r_tags k tag;
+          Array.unsafe_set rs.r_a k (-1);
+          Array.unsafe_set rs.r_b k (-1);
+          Array.unsafe_set rs.r_tm k tm;
+          rs.r_n <- k + 1;
+          k
+        end
+        else rec0_tm rs tag tm);
+    pair =
+      (fun rule i j th1 th2 ->
+        let tag =
+          match rule with
+          | Trans -> 't'
+          | Mk_comb -> 'c'
+          | Eq_mp -> 'm'
+          | Deduct -> 'd'
+        in
+        let k = rs.r_n in
+        if i >= 0 && j >= 0 && k < Bytes.length rs.r_tags then begin
+          Bytes.unsafe_set rs.r_tags k tag;
+          Array.unsafe_set rs.r_a k i;
+          Array.unsafe_set rs.r_b k j;
+          rs.r_n <- k + 1;
+          k
+        end
+        else rec2_slow rs th1 th2 tag);
+    step = step rs;
+  }
 
 let epoch_ctr = Atomic.make 0
 
 let start_recording () =
-  let st = Domain.DLS.get r_key in
+  let st = Domain.DLS.get d_key in
   (match st.recb with
   | Some _ -> failwith "Kernel.start_recording: already recording"
   | None -> ());
@@ -470,13 +325,15 @@ let start_recording () =
           r_poison = None;
         }
   in
-  st.recb <- Some rs
+  st.recb <- Some rs;
+  set_hook (Some (hook rs))
 
 let stop_recording () =
-  let st = Domain.DLS.get r_key in
+  let st = Domain.DLS.get d_key in
   match st.recb with
   | None -> failwith "Kernel.stop_recording: not recording"
   | Some rs -> (
+      set_hook None;
       st.recb <- None;
       st.r_spare <- Some rs;
       match rs.r_poison with
@@ -493,216 +350,5 @@ let stop_recording () =
             })
 
 let step_in (tr : Trace.t) th =
-  let i = ix_in tr.Trace.t_epoch th in
+  let i = step_index tr.Trace.t_epoch th in
   if i >= 0 then Some i else None
-
-(* ------------------------------------------------------------------ *)
-(* Primitive rules                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let refl t =
-  let st = Domain.DLS.get r_key in
-  st.rules <- st.rules + 1;
-  match st.recb with
-  | None -> Eq { hyps = []; lhs = t; rhs = t; ep = 0; ix = -1 }
-  | Some rs ->
-      let ix = rec0_tm rs 'r' t in
-      Eq { hyps = []; lhs = t; rhs = t; ep = rs.r_epoch; ix }
-
-let trans th1 th2 =
-  let st = Domain.DLS.get r_key in
-  st.rules <- st.rules + 1;
-  match (th1, th2) with
-  | Eq e1, Eq e2 -> (
-      if not (Term.aconv e1.rhs e2.lhs) then
-        failwith "Kernel.trans: middle terms differ"
-      else
-        let hyps = term_union e1.hyps e2.hyps in
-        match st.recb with
-        | None -> Eq { hyps; lhs = e1.lhs; rhs = e2.rhs; ep = 0; ix = -1 }
-        | Some rs ->
-            let ix = rec2 rs th1 th2 't' in
-            Eq { hyps; lhs = e1.lhs; rhs = e2.rhs; ep = rs.r_epoch; ix })
-  | _ -> failwith "Kernel.trans: not an equation"
-
-let mk_comb_rule th1 th2 =
-  let st = Domain.DLS.get r_key in
-  st.rules <- st.rules + 1;
-  match (th1, th2) with
-  | Eq { hyps = h1; lhs = f; rhs = g; _ }, Eq { hyps = h2; lhs = x; rhs = y; _ }
-    -> (
-      (match (Term.type_of f).Ty.node with
-      | Ty.Tyapp ("fun", [ a; _ ]) when a == Term.type_of x -> ()
-      | _ -> failwith "Kernel.mk_comb_rule: types do not agree");
-      let hyps = term_union h1 h2 in
-      let lhs = Term.mk_comb f x and rhs = Term.mk_comb g y in
-      match st.recb with
-      | None -> Eq { hyps; lhs; rhs; ep = 0; ix = -1 }
-      | Some rs ->
-          let ix = rec2 rs th1 th2 'c' in
-          Eq { hyps; lhs; rhs; ep = rs.r_epoch; ix })
-  | _ -> failwith "Kernel.mk_comb_rule: not an equation"
-
-let abs v th =
-  let st = Domain.DLS.get r_key in
-  st.rules <- st.rules + 1;
-  match th with
-  | Prop _ -> failwith "Kernel.abs: not an equation"
-  | Eq { hyps; lhs = l; rhs = r; _ } -> (
-      if not (Term.is_var v) then failwith "Kernel.abs: not a variable"
-      else if List.exists (Term.free_in v) hyps then
-        failwith "Kernel.abs: variable free in hypotheses"
-      else
-        let lhs = Term.mk_abs v l and rhs = Term.mk_abs v r in
-        match st.recb with
-        | None -> Eq { hyps; lhs; rhs; ep = 0; ix = -1 }
-        | Some rs ->
-            let ix = rec1_tm rs th 'l' v in
-            Eq { hyps; lhs; rhs; ep = rs.r_epoch; ix })
-
-let beta tm =
-  let st = Domain.DLS.get r_key in
-  st.rules <- st.rules + 1;
-  match tm.Term.node with
-  | Term.Comb ({ Term.node = Term.Abs (v, body); _ }, arg) when arg == v -> (
-      match st.recb with
-      | None -> Eq { hyps = []; lhs = tm; rhs = body; ep = 0; ix = -1 }
-      | Some rs ->
-          let ix = rec0_tm rs 'b' tm in
-          Eq { hyps = []; lhs = tm; rhs = body; ep = rs.r_epoch; ix })
-  | _ -> failwith "Kernel.beta: not a trivial beta-redex"
-
-let assume p =
-  let st = Domain.DLS.get r_key in
-  st.rules <- st.rules + 1;
-  if not (Ty.equal (Term.type_of p) Ty.bool) then
-    failwith "Kernel.assume: not a proposition"
-  else
-    match st.recb with
-    | None -> of_concl [ p ] p 0 (-1)
-    | Some rs ->
-        let ix = rec0_tm rs 'a' p in
-        of_concl [ p ] p rs.r_epoch ix
-
-(* [Term.aconv a (concl th)], reading an equational [th] by its sides
-   instead of building its conclusion: an equation is alpha-equivalent
-   to [l = r] exactly when its sides are to [l] and [r] (equal sides
-   have equal types, so the two [=] constants coincide). *)
-let aconv_concl a = function
-  | Prop p -> Term.aconv a p.concl
-  | Eq e ->
-      Term.is_eq a
-      &&
-      let l, r = Term.dest_eq a in
-      Term.aconv l e.lhs && Term.aconv r e.rhs
-
-let eq_mp th1 th2 =
-  let st = Domain.DLS.get r_key in
-  st.rules <- st.rules + 1;
-  match th1 with
-  | Prop _ -> failwith "Kernel.eq_mp: not an equation"
-  | Eq { lhs = a; rhs = b; hyps = h1; _ } -> (
-      if not (aconv_concl a th2) then
-        failwith "Kernel.eq_mp: theorems do not align"
-      else
-        let hyps = term_union h1 (hyp th2) in
-        match st.recb with
-        | None -> of_concl hyps b 0 (-1)
-        | Some rs ->
-            let ix = rec2 rs th1 th2 'm' in
-            of_concl hyps b rs.r_epoch ix)
-
-let deduct_antisym_rule th1 th2 =
-  let st = Domain.DLS.get r_key in
-  st.rules <- st.rules + 1;
-  let p = concl th1 and q = concl th2 in
-  let hyps = term_union (term_remove q (hyp th1)) (term_remove p (hyp th2)) in
-  match st.recb with
-  | None -> Eq { hyps; lhs = p; rhs = q; ep = 0; ix = -1 }
-  | Some rs ->
-      let ix = rec2 rs th1 th2 'd' in
-      Eq { hyps; lhs = p; rhs = q; ep = rs.r_epoch; ix }
-
-(* [inst] and [inst_type] substitute into both sides of an equation
-   separately; substitution never crosses the [=] node, so the result is
-   the one substituting into the whole conclusion would give.  The
-   substitution runs before the event is recorded, so an ill-typed one
-   fails without touching the trace. *)
-let subst_rule st sub tag pay th =
-  let hyps = term_image sub (hyp th) in
-  let record () =
-    match st.recb with None -> -1 | Some rs -> rec1_pay rs th tag pay
-  in
-  let ep = match st.recb with None -> 0 | Some rs -> rs.r_epoch in
-  match th with
-  | Eq e ->
-      let lhs = sub e.lhs and rhs = sub e.rhs in
-      Eq { hyps; lhs; rhs; ep; ix = record () }
-  | Prop p ->
-      let c = sub p.concl in
-      of_concl hyps c ep (record ())
-
-let inst theta th =
-  let st = Domain.DLS.get r_key in
-  st.rules <- st.rules + 1;
-  if theta = [] then th
-  else subst_rule st (Term.vsubst theta) 'i' (Trace.P_subst theta) th
-
-let inst_type tyin th =
-  let st = Domain.DLS.get r_key in
-  st.rules <- st.rules + 1;
-  if tyin = [] then th
-  else subst_rule st (Term.inst tyin) 'y' (Trace.P_tysubst tyin) th
-
-(* ------------------------------------------------------------------ *)
-(* Extension principles                                                *)
-(* ------------------------------------------------------------------ *)
-
-let new_basic_definition eq =
-  let l, r = Term.dest_eq eq in
-  let name, ty = Term.dest_var l in
-  if Term.frees r <> [] then
-    failwith "Kernel.new_basic_definition: definiens has free variables"
-  else if
-    not
-      (List.for_all
-         (fun v -> List.mem v (Ty.tyvars ty))
-         (List.concat_map (fun v -> Ty.tyvars (snd (Term.dest_var v)))
-            (Term.frees r))
-      && List.for_all
-           (fun v -> List.mem v (Ty.tyvars ty))
-           (Ty.tyvars (Term.type_of r)))
-  then failwith "Kernel.new_basic_definition: type variables escape"
-  else begin
-    new_constant name ty;
-    let st = Domain.DLS.get r_key in
-    st.rules <- st.rules + 1;
-    let c = mk_const name [] in
-    let th =
-      match st.recb with
-      | None -> Eq { hyps = []; lhs = c; rhs = r; ep = 0; ix = -1 }
-      | Some rs ->
-          let ix = rec0_pay rs 'D' (Trace.P_name name) in
-          Eq { hyps = []; lhs = c; rhs = r; ep = rs.r_epoch; ix }
-    in
-    Mutex.protect ext_mu (fun () ->
-        the_definitions := (name, th) :: !the_definitions);
-    th
-  end
-
-let new_axiom name p =
-  if not (Ty.equal (Term.type_of p) Ty.bool) then
-    failwith "Kernel.new_axiom: not a proposition"
-  else begin
-    let st = Domain.DLS.get r_key in
-    st.rules <- st.rules + 1;
-    let th =
-      match st.recb with
-      | None -> of_concl [] p 0 (-1)
-      | Some rs ->
-          let ix = rec0_pay rs 'A' (Trace.P_name name) in
-          of_concl [] p rs.r_epoch ix
-    in
-    Mutex.protect ext_mu (fun () -> the_axioms := (name, th) :: !the_axioms);
-    th
-  end

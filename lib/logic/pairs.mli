@@ -5,6 +5,8 @@
     HOL they follow from a type definition over [bool -> bool -> bool];
     here the product type is primitive.  [LET] is definitional. *)
 
+open Hol
+
 type thm = Kernel.thm
 
 val mk_pair : Term.t -> Term.t -> Term.t

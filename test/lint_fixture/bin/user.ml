@@ -9,6 +9,13 @@ module A = Fixlib.Aliased
 
 let aliased = A.through_alias
 
+let let_aliased =
+  let module L = Fixlib.Let_aliased in
+  L.through_let_module
+
+let reexported = Fixlib.Reexport.T.through_reexport
+let include_reexported = Fixlib.Incl_reexport.through_include_reexport
+
 include Fixlib.Included
 
 module F (X : sig

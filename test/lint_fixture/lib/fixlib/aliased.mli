@@ -1,1 +1,2 @@
 val through_alias : int
+val hidden_by_alias : int

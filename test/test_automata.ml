@@ -1,6 +1,7 @@
 (* Tests for the Automata theory: the axiomatic basis, the derived
    retiming theorem, and the word (bit-vector) operators. *)
 
+open Hol
 open Logic
 open Automata
 

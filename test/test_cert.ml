@@ -6,6 +6,7 @@
    a typed rejection, never a wrong acceptance), and the fault-injection
    campaign run with recording switched on. *)
 
+open Hol
 open Logic
 module Campaign = Faults.Campaign
 
@@ -344,8 +345,42 @@ let test_worker_cert_after_spawner_reads () =
               check_str "replayed theorem" text (Kernel.string_of_thm th))
         results)
 
+(* --- pinned certificate bytes ----------------------------------------- *)
+
+(* The MD5 of the certificate for three retiming proofs at the maximal
+   cut: fig2 (4-bit words) and s298 at bit level, and fig2 at RT level.
+   "emission is deterministic" compares two runs of one build; these
+   digests hold the rendered bytes fixed across changes to the kernel,
+   the recorder and the synthesis code that feeds them.  They equal the
+   MD5 of the file `hash_retime --circuit C [-n 4] --level L --cert F`
+   writes. *)
+let cert_digest level c =
+  let c =
+    if
+      level = Hash.Embed.Bit_level
+      && not (Array.for_all (fun w -> w = Circuit.B) c.Circuit.widths)
+    then Bitblast.expand c
+    else c
+  in
+  let tr, th =
+    record (fun () ->
+        (Hash.Synthesis.retime level c (Cut.maximal c)).Hash.Synthesis.theorem)
+  in
+  Digest.to_hex (Digest.string (emit tr th))
+
+let test_cert_digests_pinned () =
+  let s298 = Lazy.force (Iwls.find "s298").Iwls.circuit in
+  check_str "fig2 n=4, bit level" "8d69367677c03a5d02e32ace4d31ef08"
+    (cert_digest Hash.Embed.Bit_level (Fig2.rt 4));
+  check_str "s298, bit level" "a9bb43176bfc0d86b07893d965d49d0e"
+    (cert_digest Hash.Embed.Bit_level s298);
+  check_str "fig2 n=4, RT level" "3ced820e5910d6420c5016660ab0a07d"
+    (cert_digest Hash.Embed.Rt_level (Fig2.rt 4))
+
 let suite =
   [
+    Alcotest.test_case "certificate digests pinned" `Quick
+      test_cert_digests_pinned;
     Alcotest.test_case "worker certificate after spawner reads theory" `Quick
       test_worker_cert_after_spawner_reads;
     Alcotest.test_case "round trip: refl/trans" `Quick test_roundtrip_basic;

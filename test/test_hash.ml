@@ -1,5 +1,6 @@
 (* End-to-end tests of the HASH formal synthesis core. *)
 
+open Hol
 open Logic
 
 let check = Alcotest.(check bool)

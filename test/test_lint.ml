@@ -231,7 +231,7 @@ let find_root () =
     if n = 0 then None
     else if
       Sys.file_exists (Filename.concat dir "lint.config")
-      && Sys.file_exists (Filename.concat dir "lib/logic/kernel.ml")
+      && Sys.file_exists (Filename.concat dir "lib/hol/kernel.ml")
     then Some dir
     else up (Filename.dirname dir) (n - 1)
   in
@@ -245,7 +245,11 @@ let find_root () =
    library) and lib/fixmain (one with a main module of its own) export
    vals; the units under bin/ and test/ reference them in each of the
    ways the rule must resolve.  Own.self_only, used only inside its own
-   unit, is the one export nobody else references. *)
+   unit, is referenced by nobody else, and so is the second val of each
+   unit reached only through an alias, a let-module alias, a re-export
+   ([module T = Target] in Reexport) or a re-exporting include
+   (Incl_reexport): an alias uses what is referenced through it, not the
+   whole unit. *)
 let fixture_findings =
   lazy
     (match find_root () with
@@ -283,6 +287,22 @@ let unused_export_fixtures =
     ("open", export_case (fixlib "opened") "through_open" ~flagged:false);
     ( "local module alias",
       export_case (fixlib "aliased") "through_alias" ~flagged:false );
+    ( "local module alias does not use the rest",
+      export_case (fixlib "aliased") "hidden_by_alias" ~flagged:true );
+    ( "let module alias",
+      export_case (fixlib "let_aliased") "through_let_module" ~flagged:false );
+    ( "let module alias does not use the rest",
+      export_case (fixlib "let_aliased") "hidden_by_let_module" ~flagged:true );
+    ( "cross-unit re-export",
+      export_case (fixlib "target") "through_reexport" ~flagged:false );
+    ( "cross-unit re-export does not use the rest",
+      export_case (fixlib "target") "hidden_by_reexport" ~flagged:true );
+    ( "re-exporting include",
+      export_case (fixlib "incl_target") "through_include_reexport"
+        ~flagged:false );
+    ( "re-exporting include does not use the rest",
+      export_case (fixlib "incl_target") "hidden_by_include_reexport"
+        ~flagged:true );
     ("include", export_case (fixlib "included") "through_include" ~flagged:false);
     ( "functor argument",
       export_case (fixlib "arg") "through_functor" ~flagged:false );
@@ -290,11 +310,17 @@ let unused_export_fixtures =
       export_case (fixlib "own") "self_only" ~flagged:true );
     ( "val used only from test/",
       export_case (fixlib "tested") "only_from_test" ~flagged:false );
-    ( "fixture: exactly one finding",
+    ( "fixture: the expected findings",
       fun () ->
         Alcotest.(check (list string))
           "findings"
-          [ "unused-export lib/fixlib/own.mli self_only" ]
+          [
+            "unused-export lib/fixlib/aliased.mli hidden_by_alias";
+            "unused-export lib/fixlib/incl_target.mli hidden_by_include_reexport";
+            "unused-export lib/fixlib/let_aliased.mli hidden_by_let_module";
+            "unused-export lib/fixlib/own.mli self_only";
+            "unused-export lib/fixlib/target.mli hidden_by_reexport";
+          ]
           (Lazy.force fixture_findings) );
   ]
 
@@ -324,7 +350,7 @@ let test_tree_json_summary () =
   | Some root ->
       let config = Lintpass.Config.of_file (Filename.concat root "lint.config") in
       let r = Lintpass.check_tree ~config ~root in
-      let json = Lintpass.report_json ~config r in
+      let json = Lintpass.report_json ~config ~root r in
       let get k =
         match Obs.Json.member k json with
         | Some (Obs.Json.Int n) -> n
@@ -335,7 +361,9 @@ let test_tree_json_summary () =
       Alcotest.(check bool) "allowlist size reported" true
         (get "allowlist_size" > 0);
       Alcotest.(check bool) "allowed inventory reported" true
-        (get "allowed" >= get "allowlist_size")
+        (get "allowed" >= get "allowlist_size");
+      Alcotest.(check bool) "trusted base counted" true
+        (get "trusted_lines" > 0)
 
 let suite =
   List.map

@@ -1,5 +1,6 @@
 (* Tests for the LCF kernel, the boolean bootstrap, pairs and conversions. *)
 
+open Hol
 open Logic
 
 let check = Alcotest.(check bool)

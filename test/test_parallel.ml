@@ -233,11 +233,12 @@ let test_stress_interning_integrity () =
      fresh re-constructions, and structurally equal fresh terms must be
      physically equal — i.e. the seeded intern table is a working intern
      table, not a corrupt copy. *)
-  let seeded_ty = Logic.Ty.bool in
+  let seeded_ty = Hol.Ty.bool in
   let probes =
     Parallel.Pool.run ~jobs:4 (fun pool ->
         Parallel.Pool.map_list pool
           (fun i ->
+            let open Hol in
             let open Logic in
             let tt = Boolean.bool_const true in
             let x = Term.mk_var (Printf.sprintf "x%d" i) Ty.bool in

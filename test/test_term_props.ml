@@ -6,7 +6,7 @@
    random simply-typed terms.  The generator draws variable names from a
    small pool so shadowing and capture under [Abs] happen often. *)
 
-open Logic
+open Hol
 
 let bb = Ty.fn Ty.bool Ty.bool
 
