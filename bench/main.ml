@@ -318,7 +318,9 @@ let bdd_ite_storm () =
   done;
   ignore (Bdd.exists m [ 0; 2; 4; 6; 8; 10 ] !f)
 
-(* Run one Bechamel group and return its (name, ns/run) estimates.  The
+(* Run one Bechamel group and return its (name, ns/run, r²) estimates:
+   r² is the OLS fit's coefficient of determination, the row's spread
+   (near 1 when run time grows linearly with the run count).  The
    micro rows are grouped kernel/* | bdd/* | eijk/* | hash/* | netlist/*
    so that the compare gate can hold each subsystem to the regression
    threshold separately. *)
@@ -342,8 +344,10 @@ let run_group tests =
         (fun name ols_result ->
           match Analyze.OLS.estimates ols_result with
           | Some [ est ] ->
-              estimates := (name, est) :: !estimates;
-              Printf.printf "  %-28s %12.1f ns/run\n" name est
+              let r2 = Analyze.OLS.r_square ols_result in
+              estimates := (name, est, r2) :: !estimates;
+              Printf.printf "  %-28s %12.1f ns/run  r2 %s\n" name est
+                (match r2 with Some r -> Printf.sprintf "%.4f" r | None -> "-")
           | _ -> Printf.printf "  %-28s (no estimate)\n" name)
         tbl)
     results;
@@ -493,11 +497,15 @@ let micro () =
          ( "benchmarks",
            Obs.Json.List
              (List.rev_map
-                (fun (name, est) ->
+                (fun (name, est, r2) ->
                   Obs.Json.Obj
                     [
                       ("name", Obs.Json.Str name);
                       ("ns_per_run", Obs.Json.Float est);
+                      ( "r_square",
+                        match r2 with
+                        | Some r -> Obs.Json.Float r
+                        | None -> Obs.Json.Null );
                     ])
                 estimates) );
        ]);
@@ -527,8 +535,10 @@ let micro () =
    HASH rows are almost pure kernel inference, so replaying the very
    same inference chain through the same kernel has a hard floor near
    synthesis time — and the replay/synthesis ratio is therefore
-   reported as an ungated info row instead.  Emission time and
-   certificate size are also ungated info rows under [certinfo/]. *)
+   reported as an ungated info row instead.  Emission time,
+   certificate size and the spread of the overhead estimate (the
+   interquartile range of the per-pair deltas, as a percentage of
+   synthesis time) are also ungated info rows under [certinfo/]. *)
 let cert_rows = [ "s298"; "s344" ]
 let cert_pairs = 25
 let cert_replay_reps = 15
@@ -541,9 +551,9 @@ let cert_bench () =
      gates: record overhead <= %.0f%% of synthesis, replay <= %.0f%% of van \
      Eijk verification)\n"
     cert_pairs cert_gate_pct cert_gate_pct;
-  Printf.printf "%-8s %10s %10s %9s %10s %10s %9s %9s %9s %8s\n" "name"
-    "synth(ms)" "record(ms)" "over(%)" "eijk(ms)" "replay(ms)" "rpl/eijk"
-    "rpl/syn" "emit(ms)" "bytes";
+  Printf.printf "%-8s %10s %10s %9s %9s %10s %10s %9s %9s %9s %8s\n" "name"
+    "synth(ms)" "record(ms)" "over(%)" "iqr(%)" "eijk(ms)" "replay(ms)"
+    "rpl/eijk" "rpl/syn" "emit(ms)" "bytes";
   let time f = snd (time f) in
   let min_of reps f =
     let best = ref infinity in
@@ -614,17 +624,20 @@ let cert_bench () =
           in
           Array.sort compare deltas;
           Array.sort compare synths;
-          (synths.(cert_pairs / 2), deltas.(cert_pairs / 2))
+          let q k = deltas.(k * (cert_pairs - 1) / 4) in
+          (synths.(cert_pairs / 2), q 2, q 3 -. q 1)
         in
-        let t_synth, d_med =
+        let t_synth, d_med, d_iqr =
           let best = ref (measure_pair ()) in
           let attempts = ref 1 in
+          let synth (s, _, _) = s and delta (_, d, _) = d in
           while
-            !attempts < 3 && snd !best > fst !best *. (cert_gate_pct /. 200.)
+            !attempts < 3
+            && delta !best > synth !best *. (cert_gate_pct /. 200.)
           do
             incr attempts;
             let m = measure_pair () in
-            if snd m < snd !best then best := m
+            if delta m < delta !best then best := m
           done;
           !best
         in
@@ -659,13 +672,14 @@ let cert_bench () =
               | Error msg -> failwith msg)
         in
         let over_pct = (t_record -. t_synth) /. t_synth *. 100.0 in
+        let over_iqr_pct = d_iqr /. t_synth *. 100.0 in
         let eijk_pct = t_replay /. t_eijk *. 100.0 in
         let synth_pct = t_replay /. t_synth *. 100.0 in
         Printf.printf
-          "%-8s %10.2f %10.2f %8.1f%% %10.1f %10.2f %8.2f%% %8.0f%% %9.2f \
-           %8d\n"
-          name (t_synth *. 1e3) (t_record *. 1e3) over_pct (t_eijk *. 1e3)
-          (t_replay *. 1e3) eijk_pct synth_pct (t_emit *. 1e3)
+          "%-8s %10.2f %10.2f %8.1f%% %8.1f%% %10.1f %10.2f %8.2f%% %8.0f%% \
+           %9.2f %8d\n"
+          name (t_synth *. 1e3) (t_record *. 1e3) over_pct over_iqr_pct
+          (t_eijk *. 1e3) (t_replay *. 1e3) eijk_pct synth_pct (t_emit *. 1e3)
           (String.length cert);
         flush stdout;
         if over_pct > cert_gate_pct then
@@ -688,6 +702,8 @@ let cert_bench () =
           (Printf.sprintf "certinfo/%s/emit" name, ns t_emit);
           ( Printf.sprintf "certinfo/%s/replay_vs_synth_pct" name,
             Obs.Json.Float synth_pct );
+          ( Printf.sprintf "certinfo/%s/over_iqr_pct" name,
+            Obs.Json.Float over_iqr_pct );
           ( Printf.sprintf "certinfo/%s/bytes" name,
             Obs.Json.Int (String.length cert) );
         ])
@@ -749,8 +765,6 @@ let () =
         other;
       exit 2);
   Parallel.Pool.shutdown pool;
-  Printf.printf "\nkernel rule applications performed: %d\n"
-    (Logic.Kernel.total_rule_count ());
   (* Per-domain manager reuse is the fix for the jobs>1 BDD-contention
      regression; assert it is actually happening whenever a table sweep
      acquired clearly more managers than there are domains.  [created]

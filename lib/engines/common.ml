@@ -79,23 +79,6 @@ let kernel_now () =
     ty_nodes = Hol.Ty.node_count ();
   }
 
-(* Cross-domain totals; exact once worker domains have quiesced (after a
-   pool join). *)
-let kernel_total () =
-  let t = Hol.Term.global_stats () in
-  let memo_hits, memo_misses = Logic.Memo.global_stats () in
-  {
-    Obs.rule_apps = Logic.Kernel.total_rule_count ();
-    term_mk_calls = t.Hol.Term.mk_calls;
-    term_intern_hits = t.Hol.Term.intern_hits;
-    term_intern_misses = t.Hol.Term.intern_misses;
-    conv_memo_hits = memo_hits;
-    conv_memo_misses = memo_misses;
-    live_term_nodes = t.Hol.Term.live_nodes;
-    peak_term_nodes = t.Hol.Term.peak_nodes;
-    ty_nodes = Hol.Ty.global_node_count ();
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Per-domain BDD managers                                             *)
 (* ------------------------------------------------------------------ *)

@@ -42,11 +42,6 @@ val kernel_now : unit -> Obs.kernel_snapshot
 (** Current cumulative logic-kernel counters of the {e current domain};
     diff two with {!Obs.kernel_delta} to attribute work to a run. *)
 
-val kernel_total : unit -> Obs.kernel_snapshot
-(** Logic-kernel counters summed across every domain (the monotone
-    counters; populations follow {!Obs.kernel_add}'s convention).  Exact
-    only while worker domains are quiescent, e.g. after a pool join. *)
-
 val observe :
   engine:string -> (unit -> result * (string * float) list) -> report
 (** Time a non-BDD engine run; [Out_of_budget] maps to [Timeout].  The

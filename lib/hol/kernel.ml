@@ -154,27 +154,15 @@ type hook = {
 (* Per-domain state: the rule counter and the hook                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-domain, registered for cross-domain totals (see Term/Ty for the
-   same pattern).  The hook is per-domain too: a recorder captures one
-   domain's derivation, which is exactly the unit of work the pool
-   schedules. *)
+(* Domain-local, like the intern tables of Term and Ty: each domain
+   counts only its own rule applications.  The hook is per-domain too: a
+   recorder captures one domain's derivation, which is exactly the unit
+   of work the pool schedules. *)
 
 type rstate = { mutable rules : int; mutable hook : hook option }
 
-let r_registry_mu = Mutex.create ()
-let r_registry : rstate list ref = ref []
-
-let r_key =
-  Domain.DLS.new_key (fun () ->
-      let st = { rules = 0; hook = None } in
-      Mutex.protect r_registry_mu (fun () -> r_registry := st :: !r_registry);
-      st)
-
+let r_key = Domain.DLS.new_key (fun () -> { rules = 0; hook = None })
 let rule_count () = (Domain.DLS.get r_key).rules
-
-let total_rule_count () =
-  Mutex.protect r_registry_mu (fun () ->
-      List.fold_left (fun acc st -> acc + st.rules) 0 !r_registry)
 
 let set_hook h = (Domain.DLS.get r_key).hook <- h
 

@@ -180,8 +180,3 @@ val step_index : int -> thm -> int
 val rule_count : unit -> int
 (** Number of primitive rule applications performed so far {e in the
     current domain} (a cheap profiling aid used by the benchmarks). *)
-
-val total_rule_count : unit -> int
-(** Rule applications summed across every domain since startup.  Exact
-    only while the other domains are quiescent (e.g. after a pool
-    join). *)

@@ -111,11 +111,6 @@ type frozen = {
 let frozen_mu = Mutex.create ()
 let the_frozen : frozen option ref = ref None
 
-(* All domains' states, for cross-domain aggregate statistics (see the
-   corresponding registry in {!Ty}). *)
-let registry_mu = Mutex.create ()
-let registry : state list ref = ref []
-
 let fresh_state () =
   {
     itab = W.create 65536;
@@ -152,13 +147,9 @@ let state_of_frozen f =
 
 let key =
   Domain.DLS.new_key (fun () ->
-      let st =
-        match Mutex.protect frozen_mu (fun () -> !the_frozen) with
-        | None -> fresh_state ()
-        | Some f -> state_of_frozen f
-      in
-      Mutex.protect registry_mu (fun () -> registry := st :: !registry);
-      st)
+      match Mutex.protect frozen_mu (fun () -> !the_frozen) with
+      | None -> fresh_state ()
+      | Some f -> state_of_frozen f)
 
 let state () = Domain.DLS.get key
 
@@ -614,33 +605,6 @@ let stats () =
     peak_nodes = st.peak;
     var_count = st.n_vars;
   }
-
-(* Aggregate over every domain's state.  Monotone counters are summed
-   (each domain counts only its own work, so the sum is the fleet total);
-   the population fields are summed as well, which counts nodes seeded
-   into several domains once per copy — they are per-table populations,
-   not identities.  Exact only while other domains are quiescent. *)
-let global_stats () =
-  let states = Mutex.protect registry_mu (fun () -> !registry) in
-  List.fold_left
-    (fun (acc : stats) st ->
-      {
-        mk_calls = acc.mk_calls + st.mk_calls;
-        intern_hits = acc.intern_hits + st.intern_hits;
-        intern_misses = acc.intern_misses + st.intern_misses;
-        live_nodes = acc.live_nodes + W.count st.itab;
-        peak_nodes = max acc.peak_nodes st.peak;
-        var_count = max acc.var_count st.n_vars;
-      })
-    {
-      mk_calls = 0;
-      intern_hits = 0;
-      intern_misses = 0;
-      live_nodes = 0;
-      peak_nodes = 0;
-      var_count = 0;
-    }
-    states
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

@@ -142,13 +142,6 @@ val stats : unit -> stats
 (** Interning statistics of the {e current domain} (counters start at
     zero in every domain, including seeded worker domains). *)
 
-val global_stats : unit -> stats
-(** Aggregate statistics across {e all} domains: monotone counters are
-    summed, [live_nodes] sums the per-table populations (nodes seeded
-    into several domains count once per table), [peak_nodes] and
-    [var_count] take the maximum.  Exact only while the other domains are
-    quiescent (e.g. after a pool join). *)
-
 val freeze : unit -> unit
 (** Snapshot the calling domain's live nodes as the seed for domains
     spawned afterwards: their intern tables start as a copy and their id

@@ -43,7 +43,6 @@ type state = {
   mutable tab_mask : int;
   mutable count : int;
   mutable next_id : int;
-  base_id : int; (* next_id at domain start; ids below were seeded *)
 }
 
 type frozen = {
@@ -56,30 +55,18 @@ type frozen = {
 let frozen_mu = Mutex.create ()
 let the_frozen : frozen option ref = ref None
 
-(* Every domain's state, for cross-domain aggregate statistics.  Entries
-   are appended under the mutex at domain-state creation and never
-   removed; reading another domain's counters is only exact once that
-   domain has quiesced (e.g. after a pool join). *)
-let registry_mu = Mutex.create ()
-let registry : state list ref = ref []
-
 let fresh_state () =
-  { tab = Array.make 1024 None; tab_mask = 1023; count = 0; next_id = 0;
-    base_id = 0 }
+  { tab = Array.make 1024 None; tab_mask = 1023; count = 0; next_id = 0 }
 
 let state_of_frozen f =
   { tab = Array.copy f.f_tab; tab_mask = f.f_mask; count = f.f_count;
-    next_id = f.f_next_id; base_id = f.f_next_id }
+    next_id = f.f_next_id }
 
 let key =
   Domain.DLS.new_key (fun () ->
-      let st =
-        match Mutex.protect frozen_mu (fun () -> !the_frozen) with
-        | None -> fresh_state ()
-        | Some f -> state_of_frozen f
-      in
-      Mutex.protect registry_mu (fun () -> registry := st :: !registry);
-      st)
+      match Mutex.protect frozen_mu (fun () -> !the_frozen) with
+      | None -> fresh_state ()
+      | Some f -> state_of_frozen f)
 
 let state () = Domain.DLS.get key
 
@@ -133,11 +120,6 @@ let intern node =
 let var v = intern (Tyvar v)
 let app op args = intern (Tyapp (op, args))
 let node_count () = (state ()).next_id
-
-let global_node_count () =
-  Mutex.protect registry_mu (fun () ->
-      List.fold_left (fun acc st -> acc + (st.next_id - st.base_id)) 0
-        !registry)
 
 let bool = app "bool" []
 let num = app "num" []

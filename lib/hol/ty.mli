@@ -95,12 +95,6 @@ val node_count : unit -> int
 (** Number of distinct type nodes interned in the {e current domain}
     (seeded nodes inherited from the spawning domain included). *)
 
-val global_node_count : unit -> int
-(** Number of distinct type nodes created across {e all} domains since
-    startup, each node counted in the domain that created it (seeded
-    snapshot nodes are counted once, in their creating domain).  Exact
-    only while the other domains are quiescent (e.g. after a pool join). *)
-
 val freeze : unit -> unit
 (** Snapshot the calling domain's intern table as the seed for domains
     spawned afterwards: their tables start as a copy, so every type

@@ -20,19 +20,11 @@ type 'a t = {
 }
 
 (* Hit/miss counters across all memo tables, for Obs snapshots.  The
-   counters are per-domain (tables themselves are too — every domain
-   allocates its own via the DLS wrapper in Conv), with a registry for
-   cross-domain totals. *)
+   counters are per-domain, like the tables themselves (every domain
+   allocates its own via the DLS wrapper in Conv). *)
 type counters = { mutable hits : int; mutable misses : int }
 
-let c_registry_mu = Mutex.create ()
-let c_registry : counters list ref = ref []
-
-let c_key =
-  Domain.DLS.new_key (fun () ->
-      let c = { hits = 0; misses = 0 } in
-      Mutex.protect c_registry_mu (fun () -> c_registry := c :: !c_registry);
-      c)
+let c_key = Domain.DLS.new_key (fun () -> { hits = 0; misses = 0 })
 
 let counters () = Domain.DLS.get c_key
 
@@ -136,9 +128,3 @@ let add t id v =
 let stats () =
   let c = counters () in
   (c.hits, c.misses)
-
-let global_stats () =
-  Mutex.protect c_registry_mu (fun () ->
-      List.fold_left
-        (fun (h, m) c -> (h + c.hits, m + c.misses))
-        (0, 0) !c_registry)

@@ -36,7 +36,3 @@ val release_domain : unit -> unit
 val stats : unit -> int * int
 (** [(hits, misses)] accumulated across every memo table of the {e
     current domain} since its start. *)
-
-val global_stats : unit -> int * int
-(** [(hits, misses)] summed across every domain.  Exact only while the
-    other domains are quiescent (e.g. after a pool join). *)

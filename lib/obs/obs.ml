@@ -99,19 +99,6 @@ type kernel_snapshot = {
   ty_nodes : int;
 }
 
-let empty_kernel =
-  {
-    rule_apps = 0;
-    term_mk_calls = 0;
-    term_intern_hits = 0;
-    term_intern_misses = 0;
-    conv_memo_hits = 0;
-    conv_memo_misses = 0;
-    live_term_nodes = 0;
-    peak_term_nodes = 0;
-    ty_nodes = 0;
-  }
-
 (* Counters are monotone; live/peak/ty populations are reported as-is
    (they describe the process state at the end of the run, not a rate). *)
 let kernel_delta ~before ~after =
@@ -125,22 +112,6 @@ let kernel_delta ~before ~after =
     live_term_nodes = after.live_term_nodes;
     peak_term_nodes = after.peak_term_nodes;
     ty_nodes = after.ty_nodes;
-  }
-
-(* Combine per-domain kernel deltas: monotone counters sum; the
-   population fields describe distinct per-domain tables, so live/ty sum
-   and the sampled peak takes the max (it is per-table by construction). *)
-let kernel_add a b =
-  {
-    rule_apps = a.rule_apps + b.rule_apps;
-    term_mk_calls = a.term_mk_calls + b.term_mk_calls;
-    term_intern_hits = a.term_intern_hits + b.term_intern_hits;
-    term_intern_misses = a.term_intern_misses + b.term_intern_misses;
-    conv_memo_hits = a.conv_memo_hits + b.conv_memo_hits;
-    conv_memo_misses = a.conv_memo_misses + b.conv_memo_misses;
-    live_term_nodes = a.live_term_nodes + b.live_term_nodes;
-    peak_term_nodes = max a.peak_term_nodes b.peak_term_nodes;
-    ty_nodes = a.ty_nodes + b.ty_nodes;
   }
 
 type engine_run = {

@@ -60,18 +60,11 @@ type kernel_snapshot = {
   ty_nodes : int;  (** distinct interned types *)
 }
 
-val empty_kernel : kernel_snapshot
-
 val kernel_delta :
   before:kernel_snapshot -> after:kernel_snapshot -> kernel_snapshot
 (** Difference of the monotone counters; the population fields
     ([live_term_nodes], [peak_term_nodes], [ty_nodes]) are taken from
     [after] as-is. *)
-
-val kernel_add : kernel_snapshot -> kernel_snapshot -> kernel_snapshot
-(** Combine per-domain deltas: monotone counters and the per-table
-    populations ([live_term_nodes], [ty_nodes]) sum, [peak_term_nodes]
-    takes the max. *)
 
 type engine_run = {
   engine : string;

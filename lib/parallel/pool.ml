@@ -1,16 +1,16 @@
 (* A fixed-size pool of OCaml 5 domains with a shared work queue and
    futures.  Built for the bench fleet: every (circuit, engine) cell is an
    independent computation, so the pool only needs submit/await, per-task
-   exception capture and deadline-aware cancellation — no work stealing,
-   no nested parallelism.
+   exception capture and dropping queued tasks whose deadline has passed
+   — no work stealing, no nested parallelism.  A running task is never
+   interrupted: engines poll their own budgets.
 
    Concurrency structure: the queue is guarded by one mutex/condition
    pair; each future carries its own pair, so awaiting one future never
    wakes unrelated waiters.  A future's thunk lives inside the future
    (status [Pending thunk]); the queue holds only existentially-boxed
    futures.  Workers pop, flip Pending -> Running outside the queue lock,
-   run the thunk, and publish Done/Failed/Cancelled under the future's
-   lock.
+   run the thunk, and publish Done/Failed under the future's lock.
 
    [size <= 1] spawns no domains at all: [submit] runs the thunk inline
    in the calling domain, in submission order — bit-for-bit the
@@ -30,7 +30,7 @@ type 'a status =
   | Running
   | Done of 'a
   | Failed of exn * Printexc.raw_backtrace
-  | Killed  (* cancelled before or during execution *)
+  | Killed  (* its deadline passed before it started *)
 
 type 'a future = {
   f_mu : Mutex.t;
@@ -61,26 +61,6 @@ type t = {
 let size pool = pool.size
 
 (* ------------------------------------------------------------------ *)
-(* Task context: the running task's deadline, for cooperative checks    *)
-(* ------------------------------------------------------------------ *)
-
-let ctx_key : float option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let deadline () = !(Domain.DLS.get ctx_key)
-
-let check () =
-  match deadline () with
-  | Some d when Logic.Clock.now () > d -> raise Cancelled
-  | _ -> ()
-
-let with_ctx dl thunk =
-  let cell = Domain.DLS.get ctx_key in
-  let saved = !cell in
-  cell := dl;
-  Fun.protect ~finally:(fun () -> cell := saved) thunk
-
-(* ------------------------------------------------------------------ *)
 (* Running a job                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -95,23 +75,19 @@ let run_job (type a) (fut : a future) =
       fut.status <- Running;
       Mutex.unlock fut.f_mu;
       let outcome =
-        try Ok (with_ctx fut.deadline thunk)
-        with e -> Error (e, Printexc.get_raw_backtrace ())
+        try Ok (thunk ()) with e -> Error (e, Printexc.get_raw_backtrace ())
       in
       Mutex.lock fut.f_mu;
       (match outcome with
       | Ok v -> fut.status <- Done v
-      | Error (Cancelled, _) -> fut.status <- Killed
       | Error (e, bt) -> fut.status <- Failed (e, bt));
       Condition.broadcast fut.f_cv;
       Mutex.unlock fut.f_mu
-  | Pending _ ->
-      (* dead on arrival: its deadline passed while it sat in the queue *)
+  | _ ->
+      (* dead on arrival: its deadline passed while it sat in the queue
+         (a job runs once, so its status is still [Pending] here) *)
       fut.status <- Killed;
       Condition.broadcast fut.f_cv;
-      Mutex.unlock fut.f_mu
-  | _ ->
-      (* cancelled while queued *)
       Mutex.unlock fut.f_mu
 
 (* ------------------------------------------------------------------ *)
@@ -236,15 +212,6 @@ let await fut =
         raise Cancelled
   in
   wait ()
-
-let cancel fut =
-  Mutex.lock fut.f_mu;
-  (match fut.status with
-  | Pending _ ->
-      fut.status <- Killed;
-      Condition.broadcast fut.f_cv
-  | _ -> ());
-  Mutex.unlock fut.f_mu
 
 let map_list ?deadline pool f xs =
   let futs = List.map (fun x -> submit ?deadline pool (fun () -> f x)) xs in

@@ -4,8 +4,10 @@
     (circuit, engine) cells): submit thunks, await results in whatever
     order you like, exceptions are captured per task and re-raised at
     {!await}.  Tasks may carry an absolute deadline; a task whose
-    deadline passes while it is still queued is cancelled instead of run,
-    and running tasks can poll {!check} cooperatively.
+    deadline passes while it is still queued is cancelled instead of run.
+    A task that has started runs to the end: the pool never interrupts
+    it, so a long computation bounds itself with its own budget (the
+    engines' [Common.budget_of_seconds], HASH's [Conv.with_step]).
 
     A pool of size [<= 1] spawns no domains: {!submit} runs each thunk
     inline in the calling domain, in submission order — bit-for-bit the
@@ -30,9 +32,8 @@ type t
 type 'a future
 
 exception Cancelled
-(** Raised by {!await} on a cancelled task, by {!check} inside a task
-    whose deadline has passed, and usable by tasks to cancel
-    themselves. *)
+(** Raised by {!await} on a task whose deadline passed before it
+    started. *)
 
 exception Shutdown
 (** Raised by {!submit} on a pool that has been shut down (typed, so
@@ -57,8 +58,10 @@ val size : t -> int
 val submit : ?deadline:float -> t -> (unit -> 'a) -> 'a future
 (** Enqueue a thunk; [deadline] is an absolute {!Logic.Clock.now} time
     (monotonic — immune to wall-clock steps; compute it as
-    [Logic.Clock.now () +. budget_s]).  On an inline pool the thunk
-    runs before [submit] returns.
+    [Logic.Clock.now () +. budget_s]).  The deadline is judged once,
+    when a worker takes the task: past it, the task is dropped and
+    {!await} raises {!Cancelled}; before it, the task runs to the end.
+    On an inline pool the thunk runs before [submit] returns.
     @raise Shutdown if the pool has been shut down. *)
 
 val await : 'a future -> 'a
@@ -66,19 +69,9 @@ val await : 'a future -> 'a
     its backtrace) if it failed; raises {!Cancelled} if it was
     cancelled. *)
 
-val cancel : 'a future -> unit
-(** Cancel the task if it has not started; no-op otherwise (running
-    tasks stop only at their next {!check}/budget poll). *)
-
 val map_list : ?deadline:float -> t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_list pool f xs]: submit [f x] for every element, await in list
     order.  The first failed/cancelled element re-raises. *)
-
-val check : unit -> unit
-(** Cooperative cancellation point for code running inside a task:
-    @raise Cancelled when the task's deadline has passed.  Cheap enough
-    to call from inner loops, and compatible with the engines' own
-    budget hooks ([Conv.poll] / [Common.check]). *)
 
 val shutdown : t -> unit
 (** Drain the queue, then join all workers.  Idempotent. *)
