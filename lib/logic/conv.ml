@@ -103,52 +103,63 @@ let memo_top_depth_conv c =
      theorems mention terms, and terms must not cross domains, so a
      worker always starts from an empty table.  All application sites
      are module-level bindings, so the number of DLS keys is bounded. *)
-  let memo_key = Domain.DLS.new_key (fun () : thm Memo.t -> Memo.create ~bits:12 ()) in
+  let memo_key =
+    Domain.DLS.new_key (fun () : thm option Memo.t -> Memo.create ~bits:12 ())
+  in
   fun tm0 ->
     let memo = Domain.DLS.get memo_key in
     Memo.new_call memo;
+    (* [norm tm] is [None] when [tm] is already normal, else
+       [Some |- tm = tm'].  An unchanged subterm costs no rule: a node
+       pays only for the children that changed. *)
+    let then_ th1 th2 =
+      match (th1, th2) with
+      | None, th | th, None -> th
+      | Some th1, Some th2 -> Some (Kernel.trans th1 th2)
+    in
     let rec norm tm =
       match Memo.find memo tm.Term.id with
-      | Some th -> th
+      | Some r -> r
       | None ->
           poll ();
-          let th = step tm in
-          Memo.add memo tm.Term.id th;
-          th
+          let r = step tm in
+          Memo.add memo tm.Term.id r;
+          r
     and step tm =
       (* Reduce at the top as long as possible, then normalise children and
          retry the top (child normalisation can expose new redexes). *)
       let th1 = repeat_top tm in
-      let tm1 = Kernel.rhs th1 in
+      let tm1 = match th1 with None -> tm | Some th -> Kernel.rhs th in
       let th2 =
         match tm1.Term.node with
-        | Term.Comb (f, x) ->
-            let thf = norm f and thx = norm x in
-            Kernel.trans th1 (Kernel.mk_comb_rule thf thx)
-        | Term.Abs (v, body) ->
-            let thb = norm body in
-            Kernel.trans th1 (Kernel.abs v thb)
-        | _ -> th1
+        | Term.Comb (f, x) -> (
+            let thf = norm f in
+            match (thf, norm x) with
+            | None, None -> None
+            | Some thf, None -> Some (Drule.ap_thm thf x)
+            | None, Some thx -> Some (Drule.ap_term f thx)
+            | Some thf, Some thx -> Some (Kernel.mk_comb_rule thf thx))
+        | Term.Abs (v, body) -> Option.map (Kernel.abs v) (norm body)
+        | _ -> None
       in
-      let tm2 = Kernel.rhs th2 in
-      if tm2 == tm1 || Term.aconv tm2 tm1 then th2
-      else
-        let th3 = try_top tm2 in
-        Kernel.trans th2 th3
+      match th2 with
+      | None -> th1
+      | Some th2 ->
+          let th12 = then_ th1 (Some th2) in
+          let tm2 = Kernel.rhs th2 in
+          if Term.aconv tm2 tm1 then th12 else then_ th12 (try_top tm2)
     and repeat_top tm =
       match (try Some (c tm) with Failure _ -> None) with
-      | None -> Kernel.refl tm
+      | None -> None
       | Some th ->
           let tm' = Kernel.rhs th in
-          if Term.aconv tm' tm then Kernel.refl tm
-          else Kernel.trans th (repeat_top tm')
+          if Term.aconv tm' tm then None
+          else then_ (Some th) (repeat_top tm')
     and try_top tm =
       match (try Some (c tm) with Failure _ -> None) with
-      | None -> Kernel.refl tm
-      | Some th ->
-          let th' = norm (Kernel.rhs th) in
-          Kernel.trans th th'
+      | None -> None
+      | Some th -> then_ (Some th) (norm (Kernel.rhs th))
     in
-    norm tm0
+    match norm tm0 with Some th -> th | None -> Kernel.refl tm0
 
 let conv_rule c th = Kernel.eq_mp (c (Kernel.concl th)) th

@@ -55,7 +55,12 @@ val memo_top_depth_conv : conv -> conv
     its cap (see {!Memo}).  Each domain gets its own table (cached
     theorems mention terms, which never cross domains).  The base
     conversion must be context-independent (true for all rewrite sets
-    used here). *)
+    used here).
+
+    An unchanged subterm costs no rule: a node whose children are all
+    already normal is not rebuilt, one with a single changed child is
+    lifted with [ap_term]/[ap_thm], and a call on a term that is already
+    normal returns a single [refl]. *)
 
 val with_step : (unit -> unit) -> (unit -> 'a) -> 'a
 (** [with_step hook f] runs [f ()] as one HASH step: [hook] is installed

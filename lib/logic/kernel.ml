@@ -12,6 +12,10 @@ include Hol.Kernel
 (* Proof traces                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Filler for unused slots of the term-payload array (never read: the
+   tag byte says which slots carry a term). *)
+let dummy_tm = lazy (Term.mk_var "?trace" Ty.bool)
+
 module Trace = struct
   (* One event per primitive inference, in derivation order.  Integer
      operands are indices of earlier events in the same trace.  The
@@ -55,13 +59,16 @@ module Trace = struct
      heap on every collection, and that churn dominates recording cost.
      The remaining payload kinds are rare (substitutions, theory-ref
      names) and stay boxed. *)
+  (* Complete once [stop_recording] returns it, except that [reference]
+     may append a theory reference for a theorem the trace proves
+     without a step of its own. *)
   type t = {
     t_epoch : int;
-    tags : Bytes.t;
-    opa : int array;
-    opb : int array;
-    tms : Term.t array;
-    pay : payload array;
+    mutable tags : Bytes.t;
+    mutable opa : int array;
+    mutable opb : int array;
+    mutable tms : Term.t array;
+    mutable pay : payload array;
   }
 
   let length tr = Bytes.length tr.tags
@@ -83,6 +90,25 @@ module Trace = struct
     | 'D', P_name n -> Def_ref n
     | 'I', P_name n -> Import n
     | _ -> assert false
+
+  (* The index of a reference event [tag] naming [name], appended at the
+     end unless the trace already holds one. *)
+  let reference tr tag name =
+    let n = length tr in
+    let rec find k =
+      if k = n then begin
+        tr.tags <- Bytes.extend tr.tags 0 1;
+        Bytes.set tr.tags n tag;
+        tr.opa <- Array.append tr.opa [| -1 |];
+        tr.opb <- Array.append tr.opb [| -1 |];
+        tr.tms <- Array.append tr.tms [| Lazy.force dummy_tm |];
+        tr.pay <- Array.append tr.pay [| P_name name |];
+        n
+      end
+      else if Bytes.get tr.tags k = tag && tr.pay.(k) = P_name name then k
+      else find (k + 1)
+    in
+    find 0
 end
 
 (* ------------------------------------------------------------------ *)
@@ -119,10 +145,6 @@ let d_key = Domain.DLS.new_key (fun () -> { recb = None; r_spare = None })
 (* ------------------------------------------------------------------ *)
 (* Recording plumbing                                                  *)
 (* ------------------------------------------------------------------ *)
-
-(* Filler for unused slots of the term-payload array (never read: the
-   tag byte says which slots carry a term). *)
-let dummy_tm = lazy (Term.mk_var "?trace" Ty.bool)
 
 let grow rs =
   let cap = if rs.r_n = 0 then 1024 else 2 * rs.r_n in
@@ -349,6 +371,13 @@ let stop_recording () =
               pay = Array.sub rs.r_pay 0 rs.r_n;
             })
 
+(* A theory theorem can be the whole proof (a ground rewrite whose
+   instantiation was the identity), so it has no step of its own:
+   it gets one by reference. *)
 let step_in (tr : Trace.t) th =
   let i = step_index tr.Trace.t_epoch th in
-  if i >= 0 then Some i else None
+  if i >= 0 then Some i
+  else
+    Option.map
+      (fun (tag, name) -> Trace.reference tr tag name)
+      (lookup_extension th)

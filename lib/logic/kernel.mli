@@ -64,4 +64,7 @@ val stop_recording : unit -> (Trace.t, string) result
 
 val step_in : Trace.t -> thm -> int option
 (** The index of the event that proved [th] within [tr], if [th] was
-    recorded in that trace. *)
+    recorded in that trace.  A theorem of the theory (an axiom, a
+    definitional or a registered theorem) is a proof by itself: [tr]
+    gets a reference event for it, appended unless it already holds
+    one.  [None] for any other theorem. *)

@@ -102,6 +102,34 @@ let test_emit_deterministic () =
   let tr2, th2 = record (fun () -> Boolean.bool_eval_conv tm) in
   check_str "fresh recording, same text" (emit tr th) (emit tr2 th2)
 
+(* A proof can be one theory theorem: [inst []] returns its input
+   unchanged, and so does a ground rewrite such as [XOR T F], so the
+   final theorem has no step in the trace.  Emission must reference it
+   by name, and the checker re-prove it from its own theory. *)
+let test_theory_theorem_as_proof () =
+  let eta = List.assoc "ETA_AX" (Automata.Theory.theory_axioms ()) in
+  List.iter
+    (fun (what, th0, kind) ->
+      let tr, th = record (fun () -> Kernel.inst [] th0) in
+      let cert = emit tr th in
+      check (what ^ ": one reference step") true
+        (List.exists
+           (fun l ->
+             match String.split_on_char ' ' l with
+             | [ "S"; "0"; k; _ ] -> k = kind
+             | _ -> false)
+           (String.split_on_char '\n' cert));
+      let th', prims = replay cert in
+      check (what ^ ": same sequent") true (same_sequent th th');
+      check_int (what ^ ": no primitive inference") 0 prims;
+      check_str (what ^ ": emitting again") cert (emit tr th))
+    [ ("axiom", eta, "A"); ("registered theorem", Boolean.truth, "I") ];
+  let tm = Boolean.mk_xor (Boolean.bool_const true) (Boolean.bool_const false) in
+  let tr, th = record (fun () -> Boolean.bool_eval_conv tm) in
+  let th', prims = replay (emit tr th) in
+  check "ground rewrite: same sequent" true (same_sequent th th');
+  check_int "ground rewrite: the clause is the whole proof" 0 prims
+
 let test_rule_count_parity () =
   let tm =
     Boolean.mk_disj
@@ -189,7 +217,13 @@ let test_tamper_byte_flips () =
   check "flipped a representative sample" true (!checked > 100)
 
 let test_tamper_permuted_steps () =
-  let tm = Boolean.mk_neg (Boolean.bool_const false) in
+  (* [~F] alone is one ground rewrite, a one-step proof with no order to
+     permute; under a negation the conjunction's rewrite is lifted and
+     the exposed [~F] rewritten again *)
+  let tm =
+    Boolean.mk_neg
+      (Boolean.mk_conj (Boolean.bool_const true) (Boolean.bool_const false))
+  in
   let tr, th = record (fun () -> Boolean.bool_eval_conv tm) in
   let cert = emit tr th in
   let lines = String.split_on_char '\n' cert in
@@ -370,11 +404,11 @@ let cert_digest level c =
 
 let test_cert_digests_pinned () =
   let s298 = Lazy.force (Iwls.find "s298").Iwls.circuit in
-  check_str "fig2 n=4, bit level" "8d69367677c03a5d02e32ace4d31ef08"
+  check_str "fig2 n=4, bit level" "179c92eb3e8056e2eabaea8f8f81ca35"
     (cert_digest Hash.Embed.Bit_level (Fig2.rt 4));
-  check_str "s298, bit level" "a9bb43176bfc0d86b07893d965d49d0e"
+  check_str "s298, bit level" "471a9448dc64048acd909b4c0470d8c0"
     (cert_digest Hash.Embed.Bit_level s298);
-  check_str "fig2 n=4, RT level" "3ced820e5910d6420c5016660ab0a07d"
+  check_str "fig2 n=4, RT level" "4bf97c0e8b62f495464c2851ddf6162b"
     (cert_digest Hash.Embed.Rt_level (Fig2.rt 4))
 
 let suite =
@@ -388,6 +422,8 @@ let suite =
       test_roundtrip_ground_eval;
     Alcotest.test_case "emission is deterministic" `Quick
       test_emit_deterministic;
+    Alcotest.test_case "final theorem from the theory" `Quick
+      test_theory_theorem_as_proof;
     Alcotest.test_case "replay rule-count parity" `Quick
       test_rule_count_parity;
     Alcotest.test_case "unaccounted input poisons the trace" `Quick

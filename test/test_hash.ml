@@ -569,3 +569,157 @@ let suite =
       Alcotest.test_case "Table II theorem statements pinned" `Quick
         test_pinned_statements;
     ]
+
+(* ------------------------------------------------------------------ *)
+(* The normaliser's work, pinned in rules                              *)
+(* ------------------------------------------------------------------ *)
+
+let s298 () = Lazy.force (Iwls.find "s298").Iwls.circuit
+let fig2_bits () = Bitblast.expand (Fig2.rt 4)
+
+(* Kernel rules [f ()] spends from empty memo tables.  [f] runs once
+   first, so theorems a module proves lazily on first use are not
+   counted. *)
+let rules_of f =
+  ignore (f ());
+  Memo.release_domain ();
+  let r0 = Kernel.rule_count () in
+  ignore (f ());
+  Kernel.rule_count () - r0
+
+(* An embedding is in normal form: normalising it costs the one [refl]
+   of the top-level call, whatever the size of the circuit. *)
+let test_normal_term_one_rule () =
+  List.iter
+    (fun (name, level, c) ->
+      let fd = (Hash.Embed.embed level c).Hash.Embed.fd in
+      Alcotest.(check int)
+        (name ^ ": rules to normalise fd") 1
+        (rules_of (fun () ->
+             Conv.with_step ignore (fun () -> Hash.Embed.circuit_norm_conv fd))))
+    [
+      ("fig2 n=4 RT", Hash.Embed.Rt_level, Fig2.rt 4);
+      ("s298 bit", Hash.Embed.Bit_level, s298 ());
+    ]
+
+(* The rules of one HASH step at the maximal cut, pinned exactly: a
+   change that makes the proof longer must say so here. *)
+let test_rules_per_step_pinned () =
+  List.iter
+    (fun (name, c, want) ->
+      Alcotest.(check int)
+        (name ^ ": rules per retiming step") want
+        (rules_of (fun () ->
+             Hash.Synthesis.retime Hash.Embed.Bit_level c (Cut.maximal c))))
+    [ ("fig2 n=4 bit", fig2_bits (), 254); ("s298 bit", s298 (), 1446) ]
+
+(* ------------------------------------------------------------------ *)
+(* The normaliser against its reference                                *)
+(* ------------------------------------------------------------------ *)
+
+(* [Conv_ref] is the normaliser that paid for every node it visited.
+   Both run on the same base conversions, each from empty memo tables:
+   the current one must prove the same normal form (physically: terms
+   are hash-consed) of the same term, spending no more rules. *)
+let ground_rewrites =
+  let words (n, th) =
+    if String.length n > 2 && String.sub n 0 2 = "BV" then Some th else None
+  in
+  List.filter_map words (Kernel.axioms () @ Kernel.definitions ())
+  @ Boolean.and_clauses @ Boolean.or_clauses @ Boolean.not_clauses
+  @ Boolean.xor_clauses @ Boolean.eq_bool_clauses @ Boolean.cond_clauses
+
+let ground_base = Conv.orelsec (Conv.rewrs_conv ground_rewrites) Pairs.let_proj_conv
+let ground_new = Conv.memo_top_depth_conv ground_base
+let ground_ref = Conv_ref.memo_top_depth_conv ground_base
+let circuit_new = Conv.memo_top_depth_conv Pairs.let_proj_conv
+let circuit_ref = Conv_ref.memo_top_depth_conv Pairs.let_proj_conv
+
+let agrees_with_ref conv conv_ref tm =
+  let run c =
+    Conv.with_step ignore (fun () ->
+        let r0 = Kernel.rule_count () in
+        let th = c tm in
+        (th, Kernel.rule_count () - r0))
+  in
+  let th, rules = run conv and th_ref, rules_ref = run conv_ref in
+  Kernel.lhs th == tm
+  && Kernel.rhs th == Kernel.rhs th_ref
+  && rules <= rules_ref
+
+(* A random ground term over the Boolean connectives and the word
+   operators, on literal words of one width. *)
+let gen_ground rng =
+  let width = 1 + Random.State.int rng 4 in
+  let bit () = Boolean.bool_const (Random.State.bool rng) in
+  let rec word d =
+    if d = 0 || Random.State.int rng 3 = 0 then
+      Automata.Words.mk_bv (List.init width (fun _ -> Random.State.bool rng))
+    else
+      let op1 f = Term.mk_comb f (word (d - 1)) in
+      let op2 f = Term.list_mk_comb f [ word (d - 1); word (d - 1) ] in
+      match Random.State.int rng 6 with
+      | 0 -> op1 Automata.Words.bv_not_tm
+      | 1 -> op1 Automata.Words.bv_inc_tm
+      | 2 -> op2 Automata.Words.bv_and_tm
+      | 3 -> op2 Automata.Words.bv_or_tm
+      | 4 -> op2 Automata.Words.bv_xor_tm
+      | _ -> op2 Automata.Words.bv_add_tm
+  and bool d =
+    if d = 0 || Random.State.int rng 4 = 0 then bit ()
+    else
+      match Random.State.int rng 6 with
+      | 0 -> Boolean.mk_conj (bool (d - 1)) (bool (d - 1))
+      | 1 -> Boolean.mk_disj (bool (d - 1)) (bool (d - 1))
+      | 2 -> Boolean.mk_xor (bool (d - 1)) (bool (d - 1))
+      | 3 -> Boolean.mk_neg (bool (d - 1))
+      | 4 -> Boolean.mk_cond (bool (d - 1)) (bool (d - 1)) (bool (d - 1))
+      | _ ->
+          Term.list_mk_comb Automata.Words.bv_eq_tm [ word (d - 1); word (d - 1) ]
+  in
+  if Random.State.bool rng then bool 4 else word 3
+
+let prop_normaliser_vs_ref =
+  QCheck.Test.make ~count:60 ~name:"normaliser agrees with its reference"
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Random.State.make [| 0xc0e7; seed |] in
+      match seed mod 3 with
+      | 0 -> agrees_with_ref ground_new ground_ref (gen_ground rng)
+      | kind -> (
+          let words = Random.State.bool rng in
+          let c = Random_circ.generate ~words ~seed ~max_gates:16 () in
+          let level =
+            if words then Hash.Embed.Rt_level else Hash.Embed.Bit_level
+          in
+          let e = Hash.Embed.embed level c in
+          let i = e.Hash.Embed.i_var and s = e.Hash.Embed.s_var in
+          let norm tm = agrees_with_ref circuit_new circuit_ref tm in
+          if kind = 1 then
+            (* the embedding, and its body applied to fresh variables *)
+            norm e.Hash.Embed.fd
+            && norm (Term.list_mk_comb e.Hash.Embed.fd [ i; s ])
+          else
+            match Cut.maximal c with
+            | exception Cut.Invalid_cut _ -> true
+            | cut ->
+                let sp =
+                  Conv.with_step ignore (fun () -> Hash.Split.split e cut)
+                in
+                let g = sp.Hash.Split.g_term and f = sp.Hash.Split.f_term in
+                norm
+                  (Term.mk_abs i
+                     (Term.mk_abs s
+                        (Term.mk_comb (Term.mk_comb g i) (Term.mk_comb f s))))))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "a normal term costs one rule" `Quick
+        test_normal_term_one_rule;
+      Alcotest.test_case "rules per step pinned" `Quick
+        test_rules_per_step_pinned;
+      QCheck_alcotest.to_alcotest
+        ~rand:(Random.State.make [| 0xc0e7 |])
+        prop_normaliser_vs_ref;
+    ]
