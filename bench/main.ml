@@ -404,10 +404,10 @@ let micro () =
      bit level, maximal cut *)
   let cold_c = Lazy.force (Iwls.find "s1423").Iwls.circuit in
   let cold_cut = Cut.maximal cold_c in
-  (* Rows whose single application runs under 50 ns time a batch of 256
+  (* Rows whose single application runs under 1 us time a batch of 256
      applications per staged call: one application is too close to the
      clock's resolution for the OLS fit to resolve (r2 read -0.23 to
-     0.65 on such rows), a batch is not. *)
+     0.68 on such rows), a batch is not. *)
   let batch f =
     Staged.stage (fun () ->
         for _ = 1 to 256 do
@@ -418,7 +418,7 @@ let micro () =
     Test.make_grouped ~name:"kernel"
       [
         Test.make ~name:"trans-compose"
-          (Staged.stage (fun () -> ignore (Kernel.trans th (Drule.sym th))));
+          (batch (fun () -> Kernel.trans th (Drule.sym th)));
         Test.make ~name:"refl-large-term"
           (batch (fun () -> Kernel.refl e.Hash.Embed.fd));
         Test.make ~name:"trans-refl"
@@ -437,9 +437,8 @@ let micro () =
                        (Automata.Words.mk_bv
                           (List.init 32 (fun i -> i mod 2 = 0)))))));
         Test.make ~name:"subst-large"
-          (Staged.stage (fun () ->
-               ignore (Term.vsubst [ (subst_sv, subst_e.Hash.Embed.q) ]
-                         subst_body)));
+          (batch (fun () ->
+               Term.vsubst [ (subst_sv, subst_e.Hash.Embed.q) ] subst_body));
         Test.make ~name:"aconv-large"
           (batch (fun () ->
                Term.aconv subst_e.Hash.Embed.fd aconv_e.Hash.Embed.fd));

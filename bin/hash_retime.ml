@@ -30,6 +30,16 @@ let get_circuit name n =
       | e -> Some (Lazy.force e.Iwls.circuit)
       | exception Not_found -> None)
 
+(* The inferences a certificate replays: its step lines other than the
+   theory references (kinds A, D and I). *)
+let cert_inferences text =
+  String.split_on_char '\n' text
+  |> List.filter (fun line ->
+         match String.split_on_char ' ' line with
+         | "S" :: _ :: kind :: _ -> not (List.mem kind [ "A"; "D"; "I" ])
+         | _ -> false)
+  |> List.length
+
 let run list_them name n level_str show_theorem verify deadline cert_file =
   if list_them then begin
     Printf.printf "built-in circuits:\n";
@@ -116,7 +126,7 @@ let run list_them name n level_str show_theorem verify deadline cert_file =
                               "certificate: %s (%d inference steps, %d \
                                bytes)@."
                               file
-                              (Logic.Kernel.Trace.length tr)
+                              (cert_inferences text)
                               (String.length text))));
                 (match verify with
                 | None -> ()

@@ -19,7 +19,7 @@ type t = int
    Variable order.  The order is fixed: a node's level is its variable
    id, so callers choose the order by choosing the numbering.  Nodes are
    append-only and never rewritten, so an id denotes one function for
-   the manager's lifetime and any snapshot of the store is consistent. *)
+   the manager's lifetime. *)
 
 type ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -30,13 +30,6 @@ let ba_create n : ba =
   let a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
   Bigarray.Array1.fill a 0;
   a
-
-(* memcpy of the first [n] cells of [src] into [dst] *)
-let ba_blit_prefix (src : ba) (dst : ba) n =
-  if n > 0 then
-    Bigarray.Array1.blit
-      (Bigarray.Array1.sub src 0 n)
-      (Bigarray.Array1.sub dst 0 n)
 
 type manager = {
   (* node store: variable and children *)
@@ -129,10 +122,9 @@ let unique_grow m =
 
 let grow_nodes m =
   let n = Bigarray.Array1.dim m.var_arr in
-  let n' = 2 * n in
   let extend (a : ba) =
-    let a' = ba_create n' in
-    ba_blit_prefix a a' n;
+    let a' = ba_create (2 * n) in
+    Bigarray.Array1.blit a (Bigarray.Array1.sub a' 0 n);
     a'
   in
   m.var_arr <- extend m.var_arr;
@@ -386,79 +378,6 @@ let compose m f sigma =
         r
   in
   go f
-
-(* ------------------------------------------------------------------ *)
-(* Freeze / share: read-only snapshots for the domain pool              *)
-(* ------------------------------------------------------------------ *)
-
-(* A frozen snapshot owns right-sized copies of the off-heap buffers;
-   they are never written again, so any number of domains may [share]
-   them concurrently.  [share] extends the snapshot privately with a
-   memcpy — node ids of the frozen prefix keep their meaning in every
-   sharing manager. *)
-type frozen = {
-  z_var : ba;
-  z_low : ba;
-  z_high : ba;
-  z_next : int;
-  z_u_tab : ba;
-  z_u_mask : int;
-}
-
-let freeze m =
-  let copy_nodes (a : ba) =
-    let c = ba_create (max 2 m.next) in
-    ba_blit_prefix a c m.next;
-    c
-  in
-  {
-    z_var = copy_nodes m.var_arr;
-    z_low = copy_nodes m.low_arr;
-    z_high = copy_nodes m.high_arr;
-    z_next = m.next;
-    z_u_tab =
-      (let c = ba_create (m.u_mask + 1) in
-       ba_blit_prefix m.u_tab c (m.u_mask + 1);
-       c);
-    z_u_mask = m.u_mask;
-  }
-
-let share z =
-  let rec pow2 n c = if c >= n then c else pow2 n (2 * c) in
-  let node_cap = pow2 (max 1024 z.z_next) 1024 in
-  let extend (a : ba) =
-    let c = ba_create node_cap in
-    ba_blit_prefix a c z.z_next;
-    c
-  in
-  let u_cap = z.z_u_mask + 1 in
-  let cache_entries =
-    min (1 lsl cache_max_bits) (max (1 lsl cache_init_bits) u_cap)
-  in
-  {
-    var_arr = extend z.z_var;
-    low_arr = extend z.z_low;
-    high_arr = extend z.z_high;
-    next = z.z_next;
-    u_tab =
-      (let c = ba_create u_cap in
-       ba_blit_prefix z.z_u_tab c u_cap;
-       c);
-    u_mask = z.z_u_mask;
-    c_tab =
-      (let c = ba_create (4 * cache_entries) in
-       Bigarray.Array1.fill c (-1);
-       c);
-    c_mask = cache_entries - 1;
-    m_tab =
-      (let c = ba_create (3 * cache_entries) in
-       Bigarray.Array1.fill c (-1);
-       c);
-    m_mask = cache_entries - 1;
-    generation = 0;
-    vset = Bytes.empty;
-    counters = Obs.Counters.create ();
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Inspection                                                          *)

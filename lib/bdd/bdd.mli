@@ -5,7 +5,9 @@
     off-heap [Bigarray] buffers, so the OCaml GC never scans them.  Node
     identifiers are stable for the lifetime of the manager, and semantic
     equality of functions is identifier equality — the property the
-    symbolic model checker's fixed-point test relies on.
+    symbolic model checker's fixed-point test relies on.  A manager is
+    unsynchronised and a node means nothing outside the manager that
+    built it, so each domain works in managers of its own.
 
     Variables are identified by non-negative integers, and the variable
     order is the integer order, fixed for the manager's lifetime: callers
@@ -50,22 +52,6 @@ val compose : manager -> t -> (int -> t option) -> t
 (** [compose m f sigma] simultaneously substitutes [sigma i] (when
     defined) for variable [i] in [f].  Used for functional image
     computation and for van Eijk's dependency elimination. *)
-
-(** {1 Freeze / share for the domain pool} *)
-
-type frozen
-(** An immutable snapshot of a manager: right-sized read-only copies of
-    the off-heap buffers, safe to share across any number of domains. *)
-
-val freeze : manager -> frozen
-(** Snapshot the manager.  The manager itself is untouched and remains
-    usable. *)
-
-val share : frozen -> manager
-(** A fresh manager seeded from the snapshot by memcpy: it starts with
-    the snapshot's nodes and unique table, then grows privately.  Node
-    ids of the frozen prefix keep their meaning in every sharing
-    manager.  Counters start at zero. *)
 
 (** {1 Inspection} *)
 

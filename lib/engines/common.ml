@@ -69,7 +69,8 @@ let kernel_now () =
   let memo_hits, memo_misses = Logic.Memo.stats () in
   {
     Obs.rule_apps = Logic.Kernel.rule_count ();
-    term_mk_calls = t.Hol.Term.mk_calls;
+    (* every constructor call is an intern hit or a miss *)
+    term_mk_calls = t.Hol.Term.intern_hits + t.Hol.Term.intern_misses;
     term_intern_hits = t.Hol.Term.intern_hits;
     term_intern_misses = t.Hol.Term.intern_misses;
     conv_memo_hits = memo_hits;
@@ -83,12 +84,11 @@ let kernel_now () =
 (* Per-domain BDD managers                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* One manager per pool domain, kept across runs so the off-heap tables
-   stay grown and warm (re-allocating and re-growing a manager per cell
-   is what made jobs=2 slower than jobs=1 before this existed).  Each
-   manager is seeded by memcpy from a shared frozen snapshot; the
-   pre-spawn hook re-freezes the main domain's manager so workers
-   inherit whatever it interned during setup. *)
+(* One manager per domain, built empty on first use and kept across runs
+   so the off-heap tables stay grown and warm (re-allocating and
+   re-growing a manager per cell is what made jobs=2 slower than jobs=1
+   before this existed).  No BDD node ever leaves the domain that built
+   it, so a worker's manager has nothing to inherit from another. *)
 
 let bdd_managers_created = Atomic.make 0
 let bdd_managers_reused = Atomic.make 0
@@ -96,36 +96,30 @@ let bdd_managers_reused = Atomic.make 0
 let bdd_domain_stats () =
   (Atomic.get bdd_managers_created, Atomic.get bdd_managers_reused)
 
-(* Managers past this population are dropped at release instead of kept,
+(* Managers past this population are dropped when a run ends, not kept,
    bounding per-domain memory after a blowup cell. *)
 let bdd_recycle_nodes = 2_000_000
-
-let bdd_base = Atomic.make (Bdd.freeze (Bdd.manager ()))
 
 let bdd_key : Bdd.manager option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let domain_manager () =
+let with_manager f =
   let cell = Domain.DLS.get bdd_key in
-  match !cell with
-  | Some m ->
-      Atomic.incr bdd_managers_reused;
-      m
-  | None ->
-      let m = Bdd.share (Atomic.get bdd_base) in
-      Atomic.incr bdd_managers_created;
-      cell := Some m;
-      m
-
-let release_manager m =
-  if Bdd.node_count m > bdd_recycle_nodes then Domain.DLS.get bdd_key := None
-
-let () =
-  Parallel.Pool.register_pre_spawn (fun () ->
-      match !(Domain.DLS.get bdd_key) with
-      | Some m when Bdd.node_count m <= bdd_recycle_nodes ->
-          Atomic.set bdd_base (Bdd.freeze m)
-      | _ -> ())
+  let m =
+    match !cell with
+    | Some m ->
+        Atomic.incr bdd_managers_reused;
+        m
+    | None ->
+        let m = Bdd.manager () in
+        Atomic.incr bdd_managers_created;
+        cell := Some m;
+        m
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      if Bdd.node_count m > bdd_recycle_nodes then cell := None)
+    (fun () -> f m)
 
 let observe ~engine f =
   let k0 = kernel_now () in
@@ -144,32 +138,10 @@ let observe ~engine f =
   }
 
 let observe_bdd ~engine f =
-  let m = domain_manager () in
-  let k0 = kernel_now () in
-  let s0 = Bdd.stats m in
-  let g0 = Obs.Gcstats.now () in
-  let t0 = Logic.Clock.now () in
-  let result, extra =
-    try f m with
-    | Out_of_budget -> (Timeout, [])
-    | e ->
-        release_manager m;
-        raise e
-  in
-  let wall_s = Logic.Clock.now () -. t0 in
-  let gc = Obs.Gcstats.delta ~before:g0 ~after:(Obs.Gcstats.now ()) in
-  let r =
-    {
-      engine;
-      result;
-      wall_s;
-      bdd = Obs.snapshot_delta ~before:s0 ~after:(Bdd.stats m);
-      kern = Obs.kernel_delta ~before:k0 ~after:(kernel_now ());
-      extra = extra @ Obs.Gcstats.extras gc;
-    }
-  in
-  release_manager m;
-  r
+  with_manager (fun m ->
+      let s0 = Bdd.stats m in
+      let r = observe ~engine (fun () -> f m) in
+      { r with bdd = Obs.snapshot_delta ~before:s0 ~after:(Bdd.stats m) })
 
 let report_to_run r =
   {

@@ -50,26 +50,20 @@ val observe :
 
 val observe_bdd :
   engine:string -> (Bdd.manager -> result * (string * float) list) -> report
-(** Run with this domain's reused manager (see {!domain_manager}), time
-    the run, and report the BDD counters as deltas over the run — for a
-    reused manager, [peak_nodes] is the run's own node allocation.  GC
-    deltas ride along in [extra] as in {!observe}.  [Out_of_budget] maps
-    to [Timeout]. *)
+(** {!observe} run inside {!with_manager}, with the BDD counters reported
+    as deltas over the run — for a reused manager, [peak_nodes] is the
+    run's own node allocation. *)
 
-val domain_manager : unit -> Bdd.manager
-(** The calling domain's reused BDD manager, created on first use by
-    [Bdd.share] of a frozen base snapshot (re-frozen from the main
-    domain's manager at pool spawn via [Pool.register_pre_spawn]).
-    Callers running an engine by hand should pair it with
-    {!release_manager}. *)
-
-val release_manager : Bdd.manager -> unit
-(** Hand the domain manager back: drops it (next use re-seeds from the
-    frozen base) when it has grown past the recycle threshold, so a
-    blowup cell cannot pin hundreds of MB per domain. *)
+val with_manager : (Bdd.manager -> 'a) -> 'a
+(** [with_manager f] applies [f] to the calling domain's BDD manager: an
+    empty [Bdd.manager ()] on the domain's first call, the same manager
+    on every later one, so its tables stay grown.  However [f] ends, a
+    manager grown past the recycle threshold is dropped (the next call
+    builds a fresh one), so a blowup cell cannot pin hundreds of MB per
+    domain.  The one way an engine gets a manager. *)
 
 val bdd_domain_stats : unit -> int * int
-(** [(created, reused)] counts of {!domain_manager} calls across all
+(** [(created, reused)] counts of {!with_manager} calls across all
     domains — the bench asserts [reused > 0] under multi-cell sweeps so
     the per-cell manager-rebuild regression cannot silently return. *)
 

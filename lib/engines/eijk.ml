@@ -775,16 +775,9 @@ let equiv_m ~exploit_dependencies m budget ca cb =
       List.length classes )
 
 let equiv ?(exploit_dependencies = false) budget ca cb =
-  let m = Common.domain_manager () in
-  let r =
-    try fst (equiv_m ~exploit_dependencies m budget ca cb) with
-    | Common.Out_of_budget -> Common.Timeout
-    | e ->
-        Common.release_manager m;
-        raise e
-  in
-  Common.release_manager m;
-  r
+  Common.with_manager (fun m ->
+      try fst (equiv_m ~exploit_dependencies m budget ca cb)
+      with Common.Out_of_budget -> Common.Timeout)
 
 let equiv_star budget ca cb = equiv ~exploit_dependencies:true budget ca cb
 

@@ -99,11 +99,11 @@ let equiv_stats_m m budget ca cb =
     (r, iters, peak, !peak_image)
 
 let equiv_stats budget ca cb =
-  let m = Bdd.manager () in
-  try
-    let r, iters, peak, _ = equiv_stats_m m budget ca cb in
-    (r, iters, peak)
-  with Common.Out_of_budget -> (Common.Timeout, 0, 0)
+  Common.with_manager (fun m ->
+      try
+        let r, iters, peak, _ = equiv_stats_m m budget ca cb in
+        (r, iters, peak)
+      with Common.Out_of_budget -> (Common.Timeout, 0, 0))
 
 let equiv budget ca cb =
   let r, _, _ = equiv_stats budget ca cb in

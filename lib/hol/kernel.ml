@@ -339,8 +339,11 @@ let deduct_antisym_rule th1 th2 =
 
 (* [inst] and [inst_type] substitute into both sides of an equation
    separately; substitution never crosses the [=] node, so the result is
-   the one substituting into the whole conclusion would give. *)
-let subst_rule st sub step th =
+   the one substituting into the whole conclusion would give.  An empty
+   substitution returns the premise itself and counts no rule. *)
+let subst_rule sub step th =
+  let st = Domain.DLS.get r_key in
+  st.rules <- st.rules + 1;
   let hyps = term_image sub (hyp th) in
   let record () = match st.hook with None -> -1 | Some h -> h.step step in
   let ep = match st.hook with None -> 0 | Some h -> h.epoch in
@@ -353,16 +356,12 @@ let subst_rule st sub step th =
       of_concl hyps c ep (record ())
 
 let inst theta th =
-  let st = Domain.DLS.get r_key in
-  st.rules <- st.rules + 1;
   if theta = [] then th
-  else subst_rule st (Term.vsubst theta) (Inst (theta, th)) th
+  else subst_rule (Term.vsubst theta) (Inst (theta, th)) th
 
 let inst_type tyin th =
-  let st = Domain.DLS.get r_key in
-  st.rules <- st.rules + 1;
   if tyin = [] then th
-  else subst_rule st (Term.inst tyin) (Inst_type (tyin, th)) th
+  else subst_rule (Term.inst tyin) (Inst_type (tyin, th)) th
 
 (* ------------------------------------------------------------------ *)
 (* Extension principles                                                *)

@@ -179,4 +179,5 @@ val step_index : int -> thm -> int
 
 val rule_count : unit -> int
 (** Number of primitive rule applications performed so far {e in the
-    current domain} (a cheap profiling aid used by the benchmarks). *)
+    current domain} (a cheap profiling aid used by the benchmarks).  An
+    [inst] or [inst_type] with an empty substitution is not one. *)

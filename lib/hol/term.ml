@@ -62,7 +62,6 @@ end
 module W = Weak.Make (H)
 
 type stats = {
-  mk_calls : int;
   intern_hits : int;
   intern_misses : int;
   live_nodes : int;
@@ -77,7 +76,6 @@ type stats = {
 type state = {
   itab : W.t;
   mutable next_id : int;
-  mutable mk_calls : int;
   mutable intern_hits : int;
   mutable intern_misses : int;
   mutable peak : int;
@@ -115,7 +113,6 @@ let fresh_state () =
   {
     itab = W.create 65536;
     next_id = 0;
-    mk_calls = 0;
     intern_hits = 0;
     intern_misses = 0;
     peak = 0;
@@ -133,7 +130,6 @@ let state_of_frozen f =
   {
     itab;
     next_id = f.f_next_id;
-    mk_calls = 0;
     intern_hits = 0;
     intern_misses = 0;
     peak = 0;
@@ -168,7 +164,6 @@ let freeze () =
   Mutex.protect frozen_mu (fun () -> the_frozen := Some f)
 
 let intern st ~hash ~ty ~fv node =
-  st.mk_calls <- st.mk_calls + 1;
   let candidate = { id = st.next_id; hash; ty; fv; node } in
   let r = W.merge st.itab candidate in
   if r == candidate then begin
@@ -598,7 +593,6 @@ let stats () =
   let live = W.count st.itab in
   if live > st.peak then st.peak <- live;
   {
-    mk_calls = st.mk_calls;
     intern_hits = st.intern_hits;
     intern_misses = st.intern_misses;
     live_nodes = live;

@@ -130,7 +130,6 @@ val term_match : t list -> t -> t -> (t * t) list * (string * Ty.t) list
 (** {1 Statistics} *)
 
 type stats = {
-  mk_calls : int;  (** smart-constructor calls *)
   intern_hits : int;  (** constructor calls answered by the intern table *)
   intern_misses : int;  (** distinct nodes ever created *)
   live_nodes : int;  (** nodes currently alive in the weak table *)

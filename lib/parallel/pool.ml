@@ -20,7 +20,9 @@
    Spawning is preceded by [Logic.Domain_state.prepare_spawn], which
    snapshots the logic kernel's intern tables so the worker domains
    inherit every term/type built during module initialisation with
-   physical equality intact (see that module for the discipline). *)
+   physical equality intact (see that module for the discipline).  That
+   is all a worker inherits: any other state a task uses (BDD managers,
+   memo tables) it builds in its own domain. *)
 
 exception Cancelled
 exception Shutdown
@@ -116,25 +118,6 @@ let rec worker_loop pool =
 (* Public interface                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Extra snapshot work to run just before worker domains spawn, in
-   registration order.  Higher layers (the engines' shared BDD base)
-   register here so this module never has to know about them — the same
-   freeze/seed discipline as [Logic.Domain_state.prepare_spawn], without
-   a dependency cycle. *)
-let hooks_mu = Mutex.create ()
-let pre_spawn_hooks : (unit -> unit) list ref = ref []
-
-let register_pre_spawn f =
-  Mutex.lock hooks_mu;
-  pre_spawn_hooks := f :: !pre_spawn_hooks;
-  Mutex.unlock hooks_mu
-
-let run_pre_spawn () =
-  Mutex.lock hooks_mu;
-  let hooks = List.rev !pre_spawn_hooks in
-  Mutex.unlock hooks_mu;
-  List.iter (fun f -> f ()) hooks
-
 let create ?jobs () =
   let size =
     match jobs with
@@ -154,7 +137,6 @@ let create ?jobs () =
   in
   if size > 1 then begin
     Logic.Domain_state.prepare_spawn ();
-    run_pre_spawn ();
     pool.workers <-
       List.init size (fun _ -> Domain.spawn (fun () -> worker_loop pool))
   end;

@@ -24,7 +24,9 @@
     term/type interned so far (theorem libraries, constants) with
     physical equality intact.  The discipline that implies: create pools
     from the initial domain after module initialisation, and do not let
-    terms built after pool creation flow between domains. *)
+    terms built after pool creation flow between domains.  Nothing else
+    is handed to the workers: a task builds any other state it needs
+    (a BDD manager, memo tables) in its own domain. *)
 
 type t
 (** A pool.  Thread-safe: any domain may submit. *)
@@ -42,15 +44,8 @@ exception Shutdown
 
 val create : ?jobs:int -> unit -> t
 (** [create ~jobs ()] spawns [jobs] worker domains ([jobs <= 1]: none;
-    default [Domain.recommended_domain_count ()]). *)
-
-val register_pre_spawn : (unit -> unit) -> unit
-(** Register extra snapshot work to run just before a pool of size [> 1]
-    spawns its workers (after [Logic.Domain_state.prepare_spawn], in
-    registration order).  Higher layers use this to freeze shared
-    read-only state — e.g. the engines layer re-freezes the BDD base its
-    per-domain managers are seeded from — without this module depending
-    on them. *)
+    default [Domain.recommended_domain_count ()]); the workers inherit
+    the kernel snapshot described above and nothing else. *)
 
 val size : t -> int
 (** The configured number of jobs (1 = inline/sequential). *)

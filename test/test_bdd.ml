@@ -290,26 +290,8 @@ let test_size () =
   Alcotest.(check int) "var size" 1 (Bdd.size m (Bdd.var m 0))
 
 (* ------------------------------------------------------------------ *)
-(* Freeze/share and table growth                                        *)
+(* Table growth                                                       *)
 (* ------------------------------------------------------------------ *)
-
-(* Freeze/share: ids minted before the freeze keep their meaning in
-   every sharing manager, growth of a sharing manager never disturbs the
-   original, and canonicity survives the copy. *)
-let prop_freeze_share =
-  QCheck.Test.make ~count:60
-    ~name:"freeze/share keep node meanings across managers"
-    (QCheck.make QCheck.Gen.(pair (gen_expr nvars) (gen_expr nvars)))
-    (fun (e1, e2) ->
-      let m = Bdd.manager () in
-      let b1 = build m e1 in
-      let m2 = Bdd.share (Bdd.freeze m) in
-      let ok_shared = all_envs (fun env -> Bdd.eval m2 b1 env = eval env e1) in
-      let b2 = build m2 e2 in
-      let ok_grown = all_envs (fun env -> Bdd.eval m2 b2 env = eval env e2) in
-      let ok_orig = all_envs (fun env -> Bdd.eval m b1 env = eval env e1) in
-      let ok_canon = Bdd.equal (build m2 e1) b1 in
-      ok_shared && ok_grown && ok_orig && ok_canon)
 
 (* The pairing function OR_i (x_i AND x_(h+i)) under the natural order
    keeps every x_0..x_(h-1) prefix distinct, so its BDD has ~2^(h+1)
@@ -345,16 +327,7 @@ let test_growth () =
   in
   List.iter
     (fun env -> check "eval agrees" (eval_pairing env) (Bdd.eval m f env))
-    envs;
-  let m2 = Bdd.share (Bdd.freeze m) in
-  List.iter
-    (fun env ->
-      check "shared eval agrees" (eval_pairing env) (Bdd.eval m2 f env))
-    envs;
-  check "shared rebuild finds the same id" true
-    (Bdd.equal f (build_pairing m2));
-  Alcotest.(check int) "shared rebuild allocates nothing" n
-    (Bdd.node_count m2)
+    envs
 
 (* A negative variable is rejected before anything is allocated. *)
 let test_negative_var () =
@@ -374,7 +347,6 @@ let suite =
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_compose;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_exists_multi;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_compose_multi;
-    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_freeze_share;
     Alcotest.test_case "truth-table exhaustive (3 vars)" `Quick
       test_truth_table_exhaustive;
     Alcotest.test_case "ite normalization & computed table" `Quick
@@ -383,7 +355,7 @@ let suite =
     Alcotest.test_case "support" `Quick test_support;
     Alcotest.test_case "any_sat" `Quick test_any_sat;
     Alcotest.test_case "size" `Quick test_size;
-    Alcotest.test_case "growth: store, unique table, caches, share" `Quick
+    Alcotest.test_case "growth: store, unique table, caches" `Quick
       test_growth;
     Alcotest.test_case "negative variable" `Quick test_negative_var;
   ]

@@ -611,7 +611,33 @@ let test_rules_per_step_pinned () =
         (name ^ ": rules per retiming step") want
         (rules_of (fun () ->
              Hash.Synthesis.retime Hash.Embed.Bit_level c (Cut.maximal c))))
-    [ ("fig2 n=4 bit", fig2_bits (), 254); ("s298 bit", s298 (), 1446) ]
+    [ ("fig2 n=4 bit", fig2_bits (), 243); ("s298 bit", s298 (), 1344) ]
+
+(* A recorded retime counts exactly the inferences its certificate
+   replays: every rule the kernel counts is a step of the proof. *)
+let test_rules_are_inferences () =
+  List.iter
+    (fun (name, c) ->
+      let retime () =
+        Hash.Synthesis.retime Hash.Embed.Bit_level c (Cut.maximal c)
+      in
+      ignore (retime ());
+      Kernel.start_recording ();
+      let r0 = Kernel.rule_count () in
+      let th = (retime ()).Hash.Synthesis.theorem in
+      let rules = Kernel.rule_count () - r0 in
+      let replayed =
+        match Kernel.stop_recording () with
+        | Error msg -> Alcotest.fail ("recording poisoned: " ^ msg)
+        | Ok tr -> (
+            match Result.map Cert.check_string (Cert.emit tr th) with
+            | Ok (Ok (_, inferences)) -> inferences
+            | Ok (Error rej) -> Alcotest.fail (Cert.reject_to_string rej)
+            | Error msg -> Alcotest.fail ("emit failed: " ^ msg))
+      in
+      Alcotest.(check int) (name ^ ": rules = replayed inferences") replayed
+        rules)
+    [ ("fig2 n=4 bit", fig2_bits ()); ("s298 bit", s298 ()) ]
 
 (* ------------------------------------------------------------------ *)
 (* The normaliser against its reference                                *)
@@ -719,6 +745,8 @@ let suite =
         test_normal_term_one_rule;
       Alcotest.test_case "rules per step pinned" `Quick
         test_rules_per_step_pinned;
+      Alcotest.test_case "rules counted are inferences replayed" `Quick
+        test_rules_are_inferences;
       QCheck_alcotest.to_alcotest
         ~rand:(Random.State.make [| 0xc0e7 |])
         prop_normaliser_vs_ref;

@@ -2,9 +2,9 @@
    ordering and exception behaviour of futures, deadline cancellation,
    and a concurrency stress test checking that engine verdicts from
    worker domains match the sequential run, that the seeded intern
-   tables keep the physical-equality invariant inside workers, and that
-   a worker counts its own kernel work and leaves no state behind when
-   it exits. *)
+   tables keep the physical-equality invariant inside workers, that a
+   worker counts its own kernel work and leaves no state behind when it
+   exits, and that its BDD manager starts empty and is reused. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -188,6 +188,48 @@ let test_worker_state_stays_local () =
     Alcotest.failf "8 pool rounds grew the live heap by %d kB (bound 1024)"
       grown_kb
 
+let test_worker_manager_fresh_and_reused () =
+  (* A worker's BDD manager is its own: it starts as empty as a fresh
+     [Bdd.manager ()], whatever the spawning domain's manager holds, and
+     the worker reuses it across the cells it runs. *)
+  let fresh_nodes = Bdd.node_count (Bdd.manager ()) in
+  let cells =
+    List.concat_map
+      (fun n ->
+        let c = Fig2.gate n in
+        let r = Forward.retime c (Cut.maximal c) in
+        [
+          (Engines.Smv.equiv, c, r);
+          (Engines.Eijk.equiv ?exploit_dependencies:None, c, r);
+          (Engines.Eijk.equiv_star, c, r);
+        ])
+      [ 2; 3; 4 ]
+  in
+  let verdict (f, c, r) = Engines.Common.result_tag (f (budget ()) c r) in
+  let seq = List.map verdict cells in
+  check "main domain's manager holds nodes" true
+    (Engines.Common.with_manager Bdd.node_count > fresh_nodes);
+  let _, reused0 = Engines.Common.bdd_domain_stats () in
+  let probes, par =
+    Parallel.Pool.run ~jobs:2 (fun pool ->
+        let probes =
+          List.init 2 (fun _ ->
+              Parallel.Pool.submit pool (fun () ->
+                  Engines.Common.with_manager Bdd.node_count))
+          |> List.map Parallel.Pool.await
+        in
+        (probes, Parallel.Pool.map_list pool verdict cells))
+  in
+  List.iteri
+    (fun i nodes ->
+      check_int (Printf.sprintf "probe %d: a fresh manager" i) fresh_nodes nodes)
+    probes;
+  List.iteri
+    (fun i (s, p) -> Alcotest.(check string) (Printf.sprintf "cell %d" i) s p)
+    (List.combine seq par);
+  let _, reused1 = Engines.Common.bdd_domain_stats () in
+  check "workers reused their managers" true (reused1 > reused0)
+
 let test_stress_interning_integrity () =
   (* Inside each worker: seeded constants must be physically equal to
      fresh re-constructions, and structurally equal fresh terms must be
@@ -245,4 +287,6 @@ let suite =
     Alcotest.test_case
       "pool workers count their own work and leave nothing behind" `Slow
       test_worker_state_stays_local;
+    Alcotest.test_case "a worker's BDD manager starts empty and is reused"
+      `Quick test_worker_manager_fresh_and_reused;
   ]
