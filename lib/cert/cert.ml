@@ -40,20 +40,14 @@ let reject_to_string = function
 (* ------------------------------------------------------------------ *)
 
 let esc s =
-  let plain = ref true in
-  String.iter
-    (fun ch ->
-      let c = Char.code ch in
-      if c <= 0x20 || c >= 0x7f || ch = '%' then plain := false)
-    s;
-  if !plain then s
+  let special ch = ch <= ' ' || ch >= '\127' || ch = '%' in
+  if not (String.exists special s) then s
   else begin
     let b = Buffer.create (String.length s + 8) in
     String.iter
       (fun ch ->
-        let c = Char.code ch in
-        if c <= 0x20 || c >= 0x7f || ch = '%' then
-          Buffer.add_string b (Printf.sprintf "%%%02X" c)
+        if special ch then
+          Buffer.add_string b (Printf.sprintf "%%%02X" (Char.code ch))
         else Buffer.add_char b ch)
       s;
     Buffer.contents b
@@ -323,13 +317,10 @@ let check_string s =
   let own_imports = index (Kernel.registered_theorems ()) in
   (* certificate state: ids are dense and sequential (the emitter
      numbers each table 0,1,2,... in order of first use), so plain
-     growable arrays serve as the dag tables *)
-  let tys = ref ([||] : Ty.t array) in
-  let tyn = ref 0 in
-  let tms = ref ([||] : Term.t array) in
-  let tmn = ref 0 in
-  let steps = ref ([||] : Kernel.thm array) in
-  let stepn = ref 0 in
+     growable arrays serve as the dag tables: (entries, count) *)
+  let tys = (ref [||], ref 0) in
+  let tms = (ref [||], ref 0) in
+  let steps = (ref [||], ref 0) in
   let prims = ref 0 in
   let result : Kernel.thm option ref = ref None in
   let n = String.length s in
@@ -405,47 +396,25 @@ let check_string s =
       try unesc (raw_str r)
       with Failure m -> bad ("bad name token: " ^ m)
   in
-  let ty i =
-    if i >= 0 && i < !tyn then Array.unsafe_get !tys i
-    else bad ("undefined type id " ^ string_of_int i)
+  let get (a, n) what i =
+    if i >= 0 && i < !n then Array.unsafe_get !a i
+    else bad (Printf.sprintf "undefined %s id %d" what i)
   in
-  let tm i =
-    if i >= 0 && i < !tmn then Array.unsafe_get !tms i
-    else bad ("undefined term id " ^ string_of_int i)
-  in
+  let ty i = get tys "type" i and tm i = get tms "term" i in
   let step ix i =
-    if i >= 0 && i < !stepn then Array.unsafe_get !steps i
+    let a, n = steps in
+    if i >= 0 && i < !n then Array.unsafe_get !a i
     else rej (Replay_failure (ix, "undefined step operand " ^ string_of_int i))
   in
-  let define_ty i t =
-    if i <> !tyn then bad ("non-sequential type id " ^ string_of_int i);
-    if !tyn = Array.length !tys then begin
-      let a = Array.make (max 256 (2 * !tyn)) t in
-      Array.blit !tys 0 a 0 !tyn;
-      tys := a
+  let define (a, n) what i x =
+    if i <> !n then bad (Printf.sprintf "non-sequential %s id %d" what i);
+    if !n = Array.length !a then begin
+      let a' = Array.make (max 1024 (2 * !n)) x in
+      Array.blit !a 0 a' 0 !n;
+      a := a'
     end;
-    !tys.(!tyn) <- t;
-    incr tyn
-  in
-  let define_tm i t =
-    if i <> !tmn then bad ("non-sequential term id " ^ string_of_int i);
-    if !tmn = Array.length !tms then begin
-      let a = Array.make (max 1024 (2 * !tmn)) t in
-      Array.blit !tms 0 a 0 !tmn;
-      tms := a
-    end;
-    !tms.(!tmn) <- t;
-    incr tmn
-  in
-  let define_step i th =
-    if i <> !stepn then bad ("non-sequential step id " ^ string_of_int i);
-    if !stepn = Array.length !steps then begin
-      let a = Array.make (max 1024 (2 * !stepn)) th in
-      Array.blit !steps 0 a 0 !stepn;
-      steps := a
-    end;
-    !steps.(!stepn) <- th;
-    incr stepn
+    !a.(!n) <- x;
+    incr n
   in
   let prim : 'a. int -> (unit -> 'a) -> 'a =
    fun ix f ->
@@ -532,7 +501,7 @@ let check_string s =
         | _ -> bad "malformed step line"
       in
       expect_eol ();
-      define_step ix th
+      define steps "step" ix th
     end
     else if raw_eq kw "T" then begin
       let i = tok_int () in
@@ -566,7 +535,7 @@ let check_string s =
         | _ -> bad "malformed term line"
       in
       expect_eol ();
-      define_tm i t
+      define tms "term" i t
     end
     else if raw_eq kw "Y" then begin
       let i = tok_int () in
@@ -586,7 +555,7 @@ let check_string s =
         | _ -> bad "malformed type line"
       in
       expect_eol ();
-      define_ty i t
+      define tys "type" i t
     end
     else if raw_eq kw "tycon" then begin
       let name = tok_name () in

@@ -45,17 +45,17 @@ let[@inline] step_index ep = function
   | Eq e -> if e.ep = ep then e.ix else -1
   | Prop p -> if p.ep = ep then p.ix else -1
 
-let pp_thm ppf th =
-  match hyp th with
-  | [] -> Format.fprintf ppf "|- %a" Term.pp (concl th)
-  | hs ->
-      Format.fprintf ppf "%a |- %a"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-           Term.pp)
-        hs Term.pp (concl th)
-
-let string_of_thm th = Format.asprintf "%a" pp_thm th
+let string_of_thm th =
+  let buf = Buffer.create 1024 and hs = hyp th in
+  List.iteri
+    (fun i h ->
+      if i > 0 then Buffer.add_string buf ", ";
+      Term.add_to_buffer buf h)
+    hs;
+  if hs <> [] then Buffer.add_char buf ' ';
+  Buffer.add_string buf "|- ";
+  Term.add_to_buffer buf (concl th);
+  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Hypothesis sets: lists sorted by alpha-order, without duplicates.   *)
@@ -166,6 +166,13 @@ let rule_count () = (Domain.DLS.get r_key).rules
 
 let set_hook h = (Domain.DLS.get r_key).hook <- h
 
+(* One rule application on the calling domain: counted, and its state
+   returned for the hook. *)
+let count_rule () =
+  let st = Domain.DLS.get r_key in
+  st.rules <- st.rules + 1;
+  st
+
 (* ------------------------------------------------------------------ *)
 (* Theory extension registries                                         *)
 (* ------------------------------------------------------------------ *)
@@ -197,14 +204,16 @@ let register_theorem name th =
 (* Primitive rules                                                     *)
 (* ------------------------------------------------------------------ *)
 
+let pair_ix h rule th1 th2 =
+  h.pair rule (step_index h.epoch th1) (step_index h.epoch th2) th1 th2
+
 (* Each rule checks its side conditions and builds its result's terms
    first, then, if a hook is set, passes the inference to it and stamps
    the result with the hook's epoch and the step index it returned.  An
    ill-formed inference therefore fails before the recorder sees it. *)
 
 let refl t =
-  let st = Domain.DLS.get r_key in
-  st.rules <- st.rules + 1;
+  let st = count_rule () in
   match st.hook with
   | None -> Eq { hyps = []; lhs = t; rhs = t; ep = 0; ix = -1 }
   | Some h ->
@@ -212,8 +221,7 @@ let refl t =
       Eq { hyps = []; lhs = t; rhs = t; ep = h.epoch; ix }
 
 let trans th1 th2 =
-  let st = Domain.DLS.get r_key in
-  st.rules <- st.rules + 1;
+  let st = count_rule () in
   match (th1, th2) with
   | Eq e1, Eq e2 -> (
       if not (Term.aconv e1.rhs e2.lhs) then
@@ -223,16 +231,12 @@ let trans th1 th2 =
         match st.hook with
         | None -> Eq { hyps; lhs = e1.lhs; rhs = e2.rhs; ep = 0; ix = -1 }
         | Some h ->
-            let ix =
-              h.pair Trans (step_index h.epoch th1) (step_index h.epoch th2)
-                th1 th2
-            in
+            let ix = pair_ix h Trans th1 th2 in
             Eq { hyps; lhs = e1.lhs; rhs = e2.rhs; ep = h.epoch; ix })
   | _ -> failwith "Kernel.trans: not an equation"
 
 let mk_comb_rule th1 th2 =
-  let st = Domain.DLS.get r_key in
-  st.rules <- st.rules + 1;
+  let st = count_rule () in
   match (th1, th2) with
   | Eq { hyps = h1; lhs = f; rhs = g; _ }, Eq { hyps = h2; lhs = x; rhs = y; _ }
     -> (
@@ -244,16 +248,12 @@ let mk_comb_rule th1 th2 =
       match st.hook with
       | None -> Eq { hyps; lhs; rhs; ep = 0; ix = -1 }
       | Some h ->
-          let ix =
-            h.pair Mk_comb (step_index h.epoch th1) (step_index h.epoch th2)
-              th1 th2
-          in
+          let ix = pair_ix h Mk_comb th1 th2 in
           Eq { hyps; lhs; rhs; ep = h.epoch; ix })
   | _ -> failwith "Kernel.mk_comb_rule: not an equation"
 
 let abs v th =
-  let st = Domain.DLS.get r_key in
-  st.rules <- st.rules + 1;
+  let st = count_rule () in
   match th with
   | Prop _ -> failwith "Kernel.abs: not an equation"
   | Eq { hyps; lhs = l; rhs = r; _ } -> (
@@ -269,8 +269,7 @@ let abs v th =
             Eq { hyps; lhs; rhs; ep = h.epoch; ix })
 
 let beta tm =
-  let st = Domain.DLS.get r_key in
-  st.rules <- st.rules + 1;
+  let st = count_rule () in
   match tm.Term.node with
   | Term.Comb ({ Term.node = Term.Abs (v, body); _ }, arg) when arg == v -> (
       match st.hook with
@@ -281,8 +280,7 @@ let beta tm =
   | _ -> failwith "Kernel.beta: not a trivial beta-redex"
 
 let assume p =
-  let st = Domain.DLS.get r_key in
-  st.rules <- st.rules + 1;
+  let st = count_rule () in
   if not (Ty.equal (Term.type_of p) Ty.bool) then
     failwith "Kernel.assume: not a proposition"
   else
@@ -305,8 +303,7 @@ let aconv_concl a = function
       Term.aconv l e.lhs && Term.aconv r e.rhs
 
 let eq_mp th1 th2 =
-  let st = Domain.DLS.get r_key in
-  st.rules <- st.rules + 1;
+  let st = count_rule () in
   match th1 with
   | Prop _ -> failwith "Kernel.eq_mp: not an equation"
   | Eq { lhs = a; rhs = b; hyps = h1; _ } -> (
@@ -317,24 +314,17 @@ let eq_mp th1 th2 =
         match st.hook with
         | None -> of_concl hyps b 0 (-1)
         | Some h ->
-            let ix =
-              h.pair Eq_mp (step_index h.epoch th1) (step_index h.epoch th2)
-                th1 th2
-            in
+            let ix = pair_ix h Eq_mp th1 th2 in
             of_concl hyps b h.epoch ix)
 
 let deduct_antisym_rule th1 th2 =
-  let st = Domain.DLS.get r_key in
-  st.rules <- st.rules + 1;
+  let st = count_rule () in
   let p = concl th1 and q = concl th2 in
   let hyps = term_union (term_remove q (hyp th1)) (term_remove p (hyp th2)) in
   match st.hook with
   | None -> Eq { hyps; lhs = p; rhs = q; ep = 0; ix = -1 }
   | Some h ->
-      let ix =
-        h.pair Deduct (step_index h.epoch th1) (step_index h.epoch th2)
-          th1 th2
-      in
+      let ix = pair_ix h Deduct th1 th2 in
       Eq { hyps; lhs = p; rhs = q; ep = h.epoch; ix }
 
 (* [inst] and [inst_type] substitute into both sides of an equation
@@ -342,8 +332,7 @@ let deduct_antisym_rule th1 th2 =
    the one substituting into the whole conclusion would give.  An empty
    substitution returns the premise itself and counts no rule. *)
 let subst_rule sub step th =
-  let st = Domain.DLS.get r_key in
-  st.rules <- st.rules + 1;
+  let st = count_rule () in
   let hyps = term_image sub (hyp th) in
   let record () = match st.hook with None -> -1 | Some h -> h.step step in
   let ep = match st.hook with None -> 0 | Some h -> h.epoch in
@@ -384,8 +373,7 @@ let new_basic_definition eq =
   then failwith "Kernel.new_basic_definition: type variables escape"
   else begin
     new_constant name ty;
-    let st = Domain.DLS.get r_key in
-    st.rules <- st.rules + 1;
+    let st = count_rule () in
     let c = mk_const name [] in
     let th =
       match st.hook with
@@ -403,8 +391,7 @@ let new_axiom name p =
   if not (Ty.equal (Term.type_of p) Ty.bool) then
     failwith "Kernel.new_axiom: not a proposition"
   else begin
-    let st = Domain.DLS.get r_key in
-    st.rules <- st.rules + 1;
+    let st = count_rule () in
     let th =
       match st.hook with
       | None -> of_concl [] p 0 (-1)

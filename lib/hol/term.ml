@@ -86,8 +86,10 @@ type state = {
   var_index_tbl : (string * int, int) Hashtbl.t;
   mutable var_terms : t option array;
   mutable n_vars : int;
-  (* Alpha-ordering memo on packed id pairs (see [orda_memo]). *)
+  (* Alpha-ordering memo on id pairs (see [orda_memo]): packed into
+     one int while both ids fit, else keyed by the pair itself. *)
   orda_cache : (int, int) Hashtbl.t;
+  orda_wide : (int * int, int) Hashtbl.t;
   (* ty.id -> the equality constant at that type.  Every primitive rule
      builds equations; this skips two type interns and a weak-table probe
      per [mk_eq].  Also pins the constants against weak-table eviction
@@ -120,6 +122,7 @@ let fresh_state () =
     var_terms = Array.make 1024 None;
     n_vars = 0;
     orda_cache = Hashtbl.create 4096;
+    orda_wide = Hashtbl.create 16;
     eq_consts = Hashtbl.create 64;
     pinned = [||];
   }
@@ -137,6 +140,7 @@ let state_of_frozen f =
     var_terms = Array.copy f.f_var_terms;
     n_vars = f.f_n_vars;
     orda_cache = Hashtbl.create 4096;
+    orda_wide = Hashtbl.create 16;
     eq_consts = Hashtbl.create 64;
     pinned = f.f_terms;
   }
@@ -332,17 +336,30 @@ let variant avoid v = variant_st (state ()) avoid v
 (* Alpha equivalence and ordering                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Alpha-ordering is memoised on packed id pairs whenever the binder
+(* Two ids below 2^31 pack into one int injectively; any other pair is
+   memoised under the pair itself.  A key shared by two pairs would let
+   [trans] accept middle terms that differ. *)
+let order_memo_key i1 i2 =
+  if i1 lor i2 < 0x8000_0000 then (i1 lsl 31) lor i2 else -1
+
+let memo_add tbl key c =
+  if Hashtbl.length tbl > 2_000_000 then Hashtbl.reset tbl;
+  Hashtbl.add tbl key c
+
+(* Alpha-ordering is memoised on id pairs whenever the binder
    environment is trivial (empty or identically-paired), which is the
    common case when comparing the dag-shaped normal forms of circuit
    terms; without the memo such comparisons would be exponential in the
    dag depth.  An environment pair (v, v) constrains nothing, so it can be
    dropped for memoisation purposes. *)
-let rec orda_memo cache t1 t2 =
+let rec orda_memo st t1 t2 =
   if t1 == t2 then 0
   else
-    let key = (t1.id lsl 31) lor t2.id in
-    match Hashtbl.find_opt cache key with
+    let key = order_memo_key t1.id t2.id in
+    match
+      if key >= 0 then Hashtbl.find_opt st.orda_cache key
+      else Hashtbl.find_opt st.orda_wide (t1.id, t2.id)
+    with
     | Some c -> c
     | None ->
         let c =
@@ -351,10 +368,10 @@ let rec orda_memo cache t1 t2 =
               (* interned: distinct nodes are unequal, order by id *)
               Int.compare t1.id t2.id
           | Comb (f1, x1), Comb (f2, x2) ->
-              let c = orda_memo cache f1 f2 in
-              if c <> 0 then c else orda_memo cache x1 x2
+              let c = orda_memo st f1 f2 in
+              if c <> 0 then c else orda_memo st x1 x2
           | Abs (v1, b1), Abs (v2, b2) ->
-              if v1 == v2 then orda_memo cache b1 b2
+              if v1 == v2 then orda_memo st b1 b2
               else
                 let c = Ty.compare v1.ty v2.ty in
                 if c <> 0 then c else orda_plain [ (v1, v2) ] b1 b2
@@ -365,8 +382,8 @@ let rec orda_memo cache t1 t2 =
           | Comb _, _ -> -1
           | _, Comb _ -> 1
         in
-        if Hashtbl.length cache > 2_000_000 then Hashtbl.reset cache;
-        Hashtbl.add cache key c;
+        if key >= 0 then memo_add st.orda_cache key c
+        else memo_add st.orda_wide (t1.id, t2.id) c;
         c
 
 and orda_plain env t1 t2 =
@@ -403,11 +420,14 @@ and ord_var env v1 v2 =
 (* Physically-equal terms compare equal without touching the domain
    state — keeps the hash-consing fast path free of the DLS lookup. *)
 let alphaorder t1 t2 =
-  if t1 == t2 then 0 else orda_memo (state ()).orda_cache t1 t2
+  if t1 == t2 then 0 else orda_memo (state ()) t1 t2
 
 let aconv t1 t2 = t1 == t2 || alphaorder t1 t2 = 0
 
-let release_order_memo () = Hashtbl.reset (state ()).orda_cache
+let release_order_memo () =
+  let st = state () in
+  Hashtbl.reset st.orda_cache;
+  Hashtbl.reset st.orda_wide
 
 (* ------------------------------------------------------------------ *)
 (* Substitution                                                        *)
@@ -604,30 +624,37 @@ let stats () =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let pp_budget_key = Domain.DLS.new_key (fun () -> ref 20_000)
-
-let rec pp_go budget ppf tm =
+(* A pre-order walk into [buf]: each node spends one unit of [budget],
+   and a node reached with none left prints as "...". *)
+let rec add_term buf budget tm =
   decr budget;
-  if !budget < 0 then Format.pp_print_string ppf "..."
+  if !budget < 0 then Buffer.add_string buf "..."
   else
     match tm.node with
-    | Var (n, _) | Const (n, _) -> Format.pp_print_string ppf n
+    | Var (n, _) | Const (n, _) -> Buffer.add_string buf n
     | Comb ({ node = Comb ({ node = Const ("=", _); _ }, l); _ }, r) ->
-        Format.fprintf ppf "(%a = %a)" (pp_go budget) l (pp_go budget) r
+        add_pair buf budget "(" l " = " r
     | Comb ({ node = Comb ({ node = Const ("/\\", _); _ }, l); _ }, r) ->
-        Format.fprintf ppf "(%a /\\ %a)" (pp_go budget) l (pp_go budget) r
+        add_pair buf budget "(" l " /\\ " r
     | Comb ({ node = Comb ({ node = Const ("==>", _); _ }, l); _ }, r) ->
-        Format.fprintf ppf "(%a ==> %a)" (pp_go budget) l (pp_go budget) r
+        add_pair buf budget "(" l " ==> " r
     | Comb ({ node = Const ("!", _); _ }, { node = Abs (v, b); _ }) ->
-        Format.fprintf ppf "(!%a. %a)" (pp_go budget) v (pp_go budget) b
+        add_pair buf budget "(!" v ". " b
     | Comb ({ node = Comb ({ node = Const (",", _); _ }, l); _ }, r) ->
-        Format.fprintf ppf "(%a, %a)" (pp_go budget) l (pp_go budget) r
-    | Comb (f, x) -> Format.fprintf ppf "(%a %a)" (pp_go budget) f (pp_go budget) x
-    | Abs (v, b) -> Format.fprintf ppf "(\\%a. %a)" (pp_go budget) v (pp_go budget) b
+        add_pair buf budget "(" l ", " r
+    | Comb (f, x) -> add_pair buf budget "(" f " " x
+    | Abs (v, b) -> add_pair buf budget "(\\" v ". " b
 
-let pp ppf tm =
-  let budget = Domain.DLS.get pp_budget_key in
-  budget := 20_000;
-  pp_go budget ppf tm
+and add_pair buf budget opening l sep r =
+  Buffer.add_string buf opening;
+  add_term buf budget l;
+  Buffer.add_string buf sep;
+  add_term buf budget r;
+  Buffer.add_char buf ')'
 
-let to_string tm = Format.asprintf "%a" pp tm
+let add_to_buffer buf tm = add_term buf (ref 20_000) tm
+
+let to_string tm =
+  let buf = Buffer.create 256 in
+  add_to_buffer buf tm;
+  Buffer.contents buf

@@ -110,6 +110,11 @@ val alphaorder : t -> t -> int
 val aconv : t -> t -> bool
 (** Alpha-equivalence; physically-equal terms are equal in O(1). *)
 
+val order_memo_key : int -> int -> int
+(** The {!alphaorder} memo's int key for node ids [(i1, i2)]: the two
+    packed while both are below 2^31, else [-1] (the pair is then its
+    own key).  Distinct pairs never share a key.  Exposed for tests. *)
+
 val release_order_memo : unit -> unit
 (** Empty the calling domain's memo of {!alphaorder} results (keyed on
     pairs of node ids).  Ids are never reused, so entries for the terms
@@ -149,5 +154,10 @@ val freeze : unit -> unit
     there.  Called by [Logic.Domain_state.prepare_spawn]; terms created
     after the freeze must not flow into the new domains. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+(** Fully parenthesised; prints at most 20 000 nodes (pre-order), each
+    node past them as [...].  Tests pin these bytes: theorem statements,
+    [check.exe] and the serve daemon's answers carry them. *)
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** [add_to_buffer buf tm] appends [to_string tm] to [buf]. *)

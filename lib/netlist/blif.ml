@@ -54,12 +54,6 @@ let internal nm base =
   done;
   !name
 
-let sig_name c nm s =
-  match c.drivers.(s) with
-  | Input i -> internal nm (Printf.sprintf "pi%d" i)
-  | Reg_out r -> internal nm (Printf.sprintf "lq%d" r)
-  | Gate (_, _) -> internal nm (Printf.sprintf "n%d" s)
-
 (* Truth-table lines for one gate, in BLIF .names conventions. *)
 let gate_table op =
   match op with
@@ -83,44 +77,63 @@ let to_string c =
       | B -> () | W _ -> invalid_netlist "Blif: word input (bit-blast first)")
     c.input_widths;
   let nm = make_names c in
-  let buf = Buffer.create 4096 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr ".model %s\n" (sanitize c.name);
-  pr ".inputs";
-  Array.iteri (fun i _ -> pr " %s" (internal nm (Printf.sprintf "pi%d" i)))
-    c.input_widths;
-  pr "\n.outputs";
-  Array.iter (fun n -> pr " %s" n) nm.out_names;
-  pr "\n";
+  let internal_name prefix i = internal nm (prefix ^ string_of_int i) in
+  (* every signal's name, resolved once *)
+  let names =
+    Array.mapi
+      (fun s -> function
+        | Input i -> internal_name "pi" i
+        | Reg_out r -> internal_name "lq" r
+        | Gate _ -> internal_name "n" s)
+      c.drivers
+  in
+  let buf = Buffer.create (4096 + (32 * Array.length c.drivers)) in
+  let add = Buffer.add_string buf in
+  let line l = add l; Buffer.add_char buf '\n' in
+  add ".model ";
+  line (sanitize c.name);
+  add ".inputs";
+  Array.iteri (fun i _ -> add " "; add (internal_name "pi" i)) c.input_widths;
+  add "\n.outputs";
+  Array.iter (fun n -> add " "; add n) nm.out_names;
+  add "\n";
   Array.iteri
     (fun r (reg : register) ->
       let init =
         match reg.init with
-        | Bit b -> if b then 1 else 0
+        | Bit b -> if b then "1" else "0"
         | Word _ -> invalid_netlist "Blif: word register (bit-blast first)"
       in
-      pr ".latch %s %s re clk %d\n"
-        (sig_name c nm reg.data)
-        (internal nm (Printf.sprintf "lq%d" r))
-        init)
+      add ".latch ";
+      add names.(reg.data);
+      add " ";
+      add (internal_name "lq" r);
+      add " re clk ";
+      line init)
     c.registers;
   List.iter
     (fun s ->
       match c.drivers.(s) with
       | Gate (op, args) ->
-          pr ".names";
-          List.iter (fun a -> pr " %s" (sig_name c nm a)) args;
-          pr " %s\n" (sig_name c nm s);
-          List.iter (fun line -> pr "%s\n" line) (gate_table op)
+          add ".names";
+          List.iter (fun a -> add " "; add names.(a)) args;
+          add " ";
+          line names.(s);
+          List.iter line (gate_table op)
       | Input _ | Reg_out _ -> ())
     (topo_order c);
   (* the output names are a namespace of their own: connect each to its
      driving net with a buffer (internal names never equal an output
      name, so this can no longer silently alias two nets) *)
   Array.iteri
-    (fun i (_, s) -> pr ".names %s %s\n1 1\n" (sig_name c nm s) nm.out_names.(i))
+    (fun i (_, s) ->
+      add ".names ";
+      add names.(s);
+      add " ";
+      add nm.out_names.(i);
+      add "\n1 1\n")
     c.outputs;
-  pr ".end\n";
+  add ".end\n";
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

@@ -184,19 +184,30 @@ module Json = struct
     | List of t list
     | Obj of (string * t) list
 
+  (* Runs of bytes that need no escape are copied whole; only '"', '\'
+     and control bytes stop the scan.  Bytes >= 0x80 pass through. *)
   let escape buf s =
-    String.iter
-      (fun c ->
+    let start = ref 0 in
+    for i = 0 to String.length s - 1 do
+      let c = String.unsafe_get s i in
+      if c = '"' || c = '\\' || c < ' ' then begin
+        Buffer.add_substring buf s !start (i - !start);
+        start := i + 1;
         match c with
         | '"' -> Buffer.add_string buf "\\\""
         | '\\' -> Buffer.add_string buf "\\\\"
         | '\n' -> Buffer.add_string buf "\\n"
         | '\r' -> Buffer.add_string buf "\\r"
         | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s
+        | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      end
+    done;
+    Buffer.add_substring buf s !start (String.length s - !start)
+
+  let add_quoted buf s =
+    Buffer.add_char buf '"';
+    escape buf s;
+    Buffer.add_char buf '"'
 
   let rec emit buf = function
     | Null -> Buffer.add_string buf "null"
@@ -211,10 +222,7 @@ module Json = struct
           let s = Printf.sprintf "%.15g" f in
           let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
           Buffer.add_string buf s
-    | Str s ->
-        Buffer.add_char buf '"';
-        escape buf s;
-        Buffer.add_char buf '"'
+    | Str s -> add_quoted buf s
     | List l ->
         Buffer.add_char buf '[';
         List.iteri

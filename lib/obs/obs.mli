@@ -109,6 +109,10 @@ module Json : sig
     | Obj of (string * t) list
 
   val to_string : t -> string
+
+  val add_quoted : Buffer.t -> string -> unit
+  (** [add_quoted buf s] appends [to_string (Str s)] to [buf]. *)
+
   val to_file : string -> t -> unit
 
   exception Parse_error of string

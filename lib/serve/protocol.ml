@@ -198,32 +198,33 @@ let wall_string w =
   else Obs.Json.to_string (Obs.Json.Float w)
 
 (* The per-entry constant fields, rendered to JSON fragments (no outer
-   braces) exactly as [Obs.Json.to_string] would emit them inline:
-   the full middle (with the proof echo) and the terse prefix
-   (["circuit":…,"retimed":…] alone). *)
+   braces) exactly as [Obs.Json.to_string] would emit them inline, in
+   one buffer: the terse prefix (["circuit":…,"retimed":…] alone) is
+   what it holds before the proof echo is appended. *)
 let render_entry_fields ~blif ~theorem ~gates ~ffs : Proof_cache.entry =
   let gb, ga = gates and fb, fa = ffs in
-  let circ g f =
-    Obs.Json.Obj [ ("gates", Obs.Json.Int g); ("flipflops", Obs.Json.Int f) ]
+  (* escaping turns each BLIF newline into two bytes *)
+  let buf =
+    Buffer.create
+      (String.length blif + (String.length blif / 8) + String.length theorem
+     + 128)
   in
-  let s =
-    Obs.Json.to_string
-      (Obs.Json.Obj
-         [
-           ("circuit", circ gb fb);
-           ("retimed", circ ga fa);
-           ("blif", Obs.Json.Str blif);
-           ("theorem", Obs.Json.Str theorem);
-         ])
+  let add = Buffer.add_string buf in
+  let circ key g f =
+    add key;
+    add (string_of_int g);
+    add ",\"flipflops\":";
+    add (string_of_int f);
+    add "}"
   in
-  let t =
-    Obs.Json.to_string
-      (Obs.Json.Obj [ ("circuit", circ gb fb); ("retimed", circ ga fa) ])
-  in
-  {
-    fields = String.sub s 1 (String.length s - 2);
-    terse = String.sub t 1 (String.length t - 2);
-  }
+  circ "\"circuit\":{\"gates\":" gb fb;
+  circ ",\"retimed\":{\"gates\":" ga fa;
+  let terse = Buffer.contents buf in
+  add ",\"blif\":";
+  Obs.Json.add_quoted buf blif;
+  add ",\"theorem\":";
+  Obs.Json.add_quoted buf theorem;
+  { fields = Buffer.contents buf; terse }
 
 (* Append a response to [buf], the one renderer behind both
    [handle_line] and the channel writer.  Everything is emitted from
@@ -259,10 +260,9 @@ let add_response buf r =
       if ok_echo then f ok_e.fields else f ok_e.terse;
       (match ok_cert with
       | Some cert ->
-          (* cold path only (a fresh proof with recording on): the
-             escape cost is dwarfed by the synthesis it certifies *)
+          (* cold path only (a fresh proof with recording on) *)
           f ",\"cert\":";
-          f (Obs.Json.to_string (Obs.Json.Str cert))
+          Obs.Json.add_quoted buf cert
       | None -> ());
       f ",\"cache\":{\"hit\":";
       b ok_hit;

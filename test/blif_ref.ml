@@ -2,7 +2,10 @@
    [Blif.of_string], kept verbatim as the reference of the differential
    test in test_netlist.ml: line list, [String.trim], recursive
    continuation join, [split_on_char] tokens, string-keyed tables.  It
-   builds through the same [Circuit] builder as the production reader. *)
+   builds through the same [Circuit] builder as the production reader.
+   The writer at the end is [Blif.to_string] as it stood before it
+   resolved each signal's name once and dropped [Printf]: the reference
+   of the writer's differential test. *)
 
 open Circuit
 
@@ -163,3 +166,126 @@ let of_string text =
     latches;
   List.iter (fun n -> Circuit.output b n (resolve n)) outputs;
   finish b
+
+(* ------------------------------------------------------------------ *)
+(* The writer                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* BLIF identifiers are whitespace-delimited tokens; '#' starts a
+   comment and '\' continues a line, so none of those may appear inside
+   a net name.  Anything suspicious becomes '_'. *)
+let sanitize name =
+  if name = "" then "out"
+  else
+    String.map
+      (fun ch ->
+        match ch with
+        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' | '[' | ']'
+        | '<' | '>' | '$' | ':' | '-' ->
+            ch
+        | _ -> '_')
+      name
+
+(* Emitted net names for a circuit.  Output names are the user's,
+   sanitized and uniquified among themselves; internal nets use the
+   pi%d / lq%d / n%d namespace but step aside (trailing '_') whenever a
+   user output already took the name, so an output called "n5" or "pi0"
+   can no longer alias an unrelated internal net. *)
+type names = {
+  out_names : string array;  (* per c.outputs entry *)
+  taken : (string, unit) Hashtbl.t;
+}
+
+let make_names c =
+  let taken = Hashtbl.create 64 in
+  let out_names =
+    Array.map
+      (fun (n, _) ->
+        let base = sanitize n in
+        let name = ref base in
+        let i = ref 1 in
+        while Hashtbl.mem taken !name do
+          incr i;
+          name := Printf.sprintf "%s_%d" base !i
+        done;
+        Hashtbl.replace taken !name ();
+        !name)
+      c.outputs
+  in
+  { out_names; taken }
+
+let internal nm base =
+  let name = ref base in
+  while Hashtbl.mem nm.taken !name do
+    name := !name ^ "_"
+  done;
+  !name
+
+let sig_name c nm s =
+  match c.drivers.(s) with
+  | Input i -> internal nm (Printf.sprintf "pi%d" i)
+  | Reg_out r -> internal nm (Printf.sprintf "lq%d" r)
+  | Gate (_, _) -> internal nm (Printf.sprintf "n%d" s)
+
+(* Truth-table lines for one gate, in BLIF .names conventions. *)
+let gate_table op =
+  match op with
+  | Buf -> [ "1 1" ]
+  | Not -> [ "0 1" ]
+  | And -> [ "11 1" ]
+  | Or -> [ "1- 1"; "-1 1" ]
+  | Nand -> [ "0- 1"; "-0 1" ]
+  | Nor -> [ "00 1" ]
+  | Xor -> [ "10 1"; "01 1" ]
+  | Xnor -> [ "11 1"; "00 1" ]
+  | Mux -> [ "11- 1"; "0-1 1" ]
+  | Constb true -> [ "1" ]
+  | Constb false -> []
+  | Winc | Wadd | Weq | Wmux | Wnot | Wand | Wor | Wxor | Wconst _ ->
+      invalid_netlist "Blif: word operator (bit-blast first)"
+
+let to_string c =
+  Array.iter
+    (function
+      | B -> () | W _ -> invalid_netlist "Blif: word input (bit-blast first)")
+    c.input_widths;
+  let nm = make_names c in
+  let buf = Buffer.create 4096 in
+  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  pr ".model %s\n" (sanitize c.name);
+  pr ".inputs";
+  Array.iteri (fun i _ -> pr " %s" (internal nm (Printf.sprintf "pi%d" i)))
+    c.input_widths;
+  pr "\n.outputs";
+  Array.iter (fun n -> pr " %s" n) nm.out_names;
+  pr "\n";
+  Array.iteri
+    (fun r (reg : register) ->
+      let init =
+        match reg.init with
+        | Bit b -> if b then 1 else 0
+        | Word _ -> invalid_netlist "Blif: word register (bit-blast first)"
+      in
+      pr ".latch %s %s re clk %d\n"
+        (sig_name c nm reg.data)
+        (internal nm (Printf.sprintf "lq%d" r))
+        init)
+    c.registers;
+  List.iter
+    (fun s ->
+      match c.drivers.(s) with
+      | Gate (op, args) ->
+          pr ".names";
+          List.iter (fun a -> pr " %s" (sig_name c nm a)) args;
+          pr " %s\n" (sig_name c nm s);
+          List.iter (fun line -> pr "%s\n" line) (gate_table op)
+      | Input _ | Reg_out _ -> ())
+    (topo_order c);
+  (* the output names are a namespace of their own: connect each to its
+     driving net with a buffer (internal names never equal an output
+     name, so this can no longer silently alias two nets) *)
+  Array.iteri
+    (fun i (_, s) -> pr ".names %s %s\n1 1\n" (sig_name c nm s) nm.out_names.(i))
+    c.outputs;
+  pr ".end\n";
+  Buffer.contents buf

@@ -342,6 +342,32 @@ let test_printer_budget () =
   let s = Term.to_string big in
   check "truncated output is finite" true (String.length s < 1_000_000)
 
+(* The printers against the Format printers they replaced
+   (test/pp_ref.ml): past the 20 000-node budget, where the output ends
+   in the "..." frontier, and on theorems with no, one and two
+   hypotheses, each hypothesis with a budget of its own. *)
+let test_printer_reference () =
+  let rec grow t n =
+    if n = 0 then t else grow (Boolean.mk_conj t t) (n - 1)
+  in
+  let big = grow (Term.mk_var "x" Ty.bool) 60 in
+  let s = Term.to_string big in
+  check_str "past the budget" (Pp_ref.to_string big) s;
+  let rec frontier i =
+    i + 3 <= String.length s && (String.sub s i 3 = "..." || frontier (i + 1))
+  in
+  check "the frontier is printed" true (frontier 0);
+  let p = Term.mk_var "p" Ty.bool and q = Term.mk_var "q" Ty.bool in
+  List.iter
+    (fun th ->
+      check_str "theorem" (Pp_ref.string_of_thm th) (Kernel.string_of_thm th))
+    [
+      Kernel.refl p;
+      Kernel.assume (Boolean.mk_conj p q);
+      Kernel.deduct_antisym_rule (Kernel.assume p) (Kernel.assume q);
+      Kernel.deduct_antisym_rule (Kernel.assume big) (Kernel.assume p);
+    ]
+
 let test_prove_hyp () =
   let p = Term.mk_var "p" Ty.bool in
   let th1 = Boolean.eqt_elim (Boolean.eqt_intro (Kernel.assume p)) in
@@ -385,6 +411,8 @@ let test_new_axiom_requires_bool () =
 
 let suite = suite @ [
     Alcotest.test_case "printer budget" `Quick test_printer_budget;
+    Alcotest.test_case "printers agree with their references" `Quick
+      test_printer_reference;
     Alcotest.test_case "prove_hyp" `Quick test_prove_hyp;
     Alcotest.test_case "gen_all/spec_all" `Quick test_gen_spec_all;
     Alcotest.test_case "rule counter" `Quick test_rule_count_monotone;

@@ -736,3 +736,68 @@ let suite = suite @ [
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xb1f0 |])
       prop_reader_differential;
   ]
+
+(* ------------------------------------------------------------------ *)
+(* Differential test: the writer against the reference                 *)
+(* ------------------------------------------------------------------ *)
+
+(* [Blif_ref.to_string] is the Printf writer that resolved a signal's
+   name on every reference.  On every circuit the two must emit the same
+   bytes or raise the same [Invalid_netlist] message. *)
+
+let write emit c =
+  match emit c with
+  | s -> Ok s
+  | exception Invalid_netlist msg -> Error msg
+
+let same_text what c =
+  let got = write Blif.to_string c and want = write Blif_ref.to_string c in
+  if got <> want then
+    Alcotest.failf "%s: writers differ:@ %s@ vs@ %s" what
+      (match got with Ok s -> s | Error m -> m)
+      (match want with Ok s -> s | Error m -> m)
+
+let test_writer_suite () =
+  List.iter
+    (fun (e : Iwls.entry) -> same_text e.name (Lazy.force e.circuit))
+    Iwls.suite;
+  same_text "hostile names" (hostile_circuit ());
+  List.iter (fun n -> same_text "fig2" (Fig2.gate n)) [ 1; 3; 6 ]
+
+(* [c] with its outputs named like its own internal nets (a gate's
+   n<k>, pi0, lq0, and pi0_ as well), so every net name must step aside,
+   some more than once. *)
+let outputs_named_like_nets c =
+  let gates =
+    List.filter
+      (fun s -> match c.drivers.(s) with Gate _ -> true | _ -> false)
+      (List.init (Array.length c.drivers) Fun.id)
+  in
+  let name i =
+    match (i mod 4, gates) with
+    | 0, _ :: _ ->
+        "n" ^ string_of_int (List.nth gates (i / 4 mod List.length gates))
+    | 1, _ -> "pi0"
+    | 2, _ -> "lq0"
+    | _ -> "pi0_"
+  in
+  { c with outputs = Array.mapi (fun i (_, s) -> (name i, s)) c.outputs }
+
+let prop_writer_differential =
+  QCheck.Test.make ~count:200 ~name:"writer = reference writer"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let c = Random_circ.generate ~seed ~max_gates:40 () in
+      same_text "bit-level" c;
+      same_text "outputs named like nets" (outputs_named_like_nets c);
+      let w = Random_circ.generate ~words:true ~seed ~max_gates:20 () in
+      same_text "word-level" w;
+      same_text "bit-blasted" (Bitblast.expand w);
+      true)
+
+let suite = suite @ [
+    Alcotest.test_case "writer = reference writer on Table II" `Quick
+      test_writer_suite;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xb1f1 |])
+      prop_writer_differential;
+  ]

@@ -116,6 +116,57 @@ let prop_roundtrip =
       | exception J.Parse_error msg ->
           QCheck.Test.fail_reportf "emitted JSON rejected: %s" msg)
 
+(* --- property: the run-copying escape equals the per-byte one ------- *)
+
+(* [Json.escape] as it stood before it copied runs of plain bytes whole:
+   the reference of the property below. *)
+let escape_ref buf s =
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s
+
+let str_ref s =
+  let buf = Buffer.create 16 in
+  Buffer.add_char buf '"';
+  escape_ref buf s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+(* Strings of every byte below 0x20, '"', '\', DEL and bytes >= 0x80,
+   among runs of plain ASCII of any length (a run may start or end the
+   string). *)
+let gen_escapable =
+  QCheck.Gen.(
+    string_size (int_bound 64)
+      ~gen:
+        (frequency
+           [
+             (2, map Char.chr (int_range 0 0x1f));
+             (1, oneofl [ '"'; '\\'; '\x7f' ]);
+             (1, map Char.chr (int_range 0x80 0xff));
+             (4, printable);
+           ]))
+
+let prop_escape_differential =
+  QCheck.Test.make ~name:"escape = reference escape" ~count:1000
+    (QCheck.make ~print:String.escaped gen_escapable) (fun s ->
+      String.equal (J.to_string (J.Str s)) (str_ref s))
+
+let test_escape_every_byte () =
+  let s = String.init 256 Char.chr in
+  Alcotest.(check string) "256 byte values" (str_ref s) (J.to_string (J.Str s));
+  Alcotest.(check string) "a key" ("{" ^ str_ref s ^ ":null}")
+    (J.to_string (J.Obj [ (s, J.Null) ]))
+
 let suite =
   [
     Alcotest.test_case "\\uXXXX decodes to UTF-8" `Quick test_unicode_escapes;
@@ -125,4 +176,9 @@ let suite =
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| 0x0b5 |])
       prop_roundtrip;
+    Alcotest.test_case "escape of every byte = reference" `Quick
+      test_escape_every_byte;
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| 0xe5c |])
+      prop_escape_differential;
   ]

@@ -259,6 +259,129 @@ let prop_alphaorder =
       let o12 = Term.alphaorder t1 t2 and o21 = Term.alphaorder t2 t1 in
       (o12 = 0) = Term.aconv t1 t2 && compare o12 0 = compare 0 o21)
 
+(* ------------------------------------------------------------------ *)
+(* The printers against their references                              *)
+(* ------------------------------------------------------------------ *)
+
+(* [gen_term]'s terms mixed with every form the printer special-cases:
+   [=] (at bool and at a product), [/\], [==>], [!] over an abstraction
+   and over a variable, [,], and the infix operators partially
+   applied. *)
+let gen_printable =
+  let open QCheck.Gen in
+  let pb = Ty.prod Ty.bool Ty.bool in
+  let bin ty = Ty.fn ty (Ty.fn ty Ty.bool) in
+  let infix =
+    oneofl [ "="; "/\\"; "==>" ] >|= fun op ->
+    Term.mk_const_raw op (bin Ty.bool)
+  in
+  let forall = Term.mk_const_raw "!" (Ty.fn bb Ty.bool) in
+  let comma = Term.mk_const_raw "," (Ty.fn Ty.bool (Ty.fn Ty.bool pb)) in
+  let rec go depth ty =
+    let sub = go (max 0 (depth - 1)) in
+    if Ty.equal ty pb then
+      sub Ty.bool >>= fun l ->
+      sub Ty.bool >|= fun r -> Term.list_mk_comb comma [ l; r ]
+    else if depth = 0 then gen_term ty
+    else if Ty.equal ty Ty.bool then
+      frequency
+        [
+          (1, gen_term Ty.bool);
+          ( 3,
+            infix >>= fun op ->
+            sub Ty.bool >>= fun l ->
+            sub Ty.bool >|= fun r -> Term.list_mk_comb op [ l; r ] );
+          (1, sub pb >>= fun l -> sub pb >|= fun r -> Term.mk_eq l r);
+          (2, sub bb >|= fun f -> Term.mk_comb forall f);
+          (1, sub bb >>= fun f -> sub Ty.bool >|= fun x -> Term.mk_comb f x);
+        ]
+    else
+      frequency
+        [
+          (1, gen_term bb);
+          ( 2,
+            oneofl [ "x"; "y" ] >>= fun n ->
+            sub Ty.bool >|= fun b -> Term.mk_abs (Term.mk_var n Ty.bool) b );
+          (1, infix >>= fun op -> sub Ty.bool >|= fun l -> Term.mk_comb op l);
+        ]
+  in
+  int_range 0 6 >>= fun depth -> go depth Ty.bool
+
+let prop_printer_differential =
+  QCheck.Test.make ~count:500 ~name:"term printer = reference printer"
+    (QCheck.make ~print:Pp_ref.to_string gen_printable) (fun t ->
+      String.equal (Term.to_string t) (Pp_ref.to_string t))
+
+(* Types over every operator the type printer special-cases, and
+   others of arity 0 to 3. *)
+let gen_ty =
+  let open QCheck.Gen in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               oneofl [ Ty.bool; Ty.num; Ty.alpha; Ty.beta ];
+               oneofl [ "op"; "word" ] >|= fun op -> Ty.app op [];
+             ]
+         in
+         if n = 0 then leaf
+         else
+           let sub = self (n - 1) in
+           frequency
+             [
+               (1, leaf);
+               (2, pair sub sub >|= fun (a, b) -> Ty.fn a b);
+               (2, pair sub sub >|= fun (a, b) -> Ty.prod a b);
+               (1, sub >|= Ty.list);
+               ( 2,
+                 oneofl [ "op"; "list"; "fun"; "prod" ] >>= fun op ->
+                 list_size (int_range 1 3) sub >|= Ty.app op );
+             ])
+
+let prop_ty_printer_differential =
+  QCheck.Test.make ~count:300 ~name:"type printer = reference printer"
+    (QCheck.make ~print:Pp_ref.ty_to_string gen_ty) (fun ty ->
+      String.equal (Ty.to_string ty) (Pp_ref.ty_to_string ty))
+
+(* ------------------------------------------------------------------ *)
+(* The alpha-order memo key                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Ids near the packing boundary 2^31 and near the largest int (2^62 - 1),
+   and small ones: the pairs a packed key would fold together.  The memo
+   stores a pair under its int key when that is >= 0, else under the
+   pair itself; no two pairs of ids may share where they are stored. *)
+let gen_ids =
+  let open QCheck.Gen in
+  list_size (int_range 2 24)
+    (oneof
+       [
+         int_range 0 15;
+         (int_range (-16) 15 >|= fun d -> (1 lsl 31) + d);
+         (int_range 0 31 >|= fun d -> max_int - d);
+       ])
+
+let prop_memo_key_injective =
+  QCheck.Test.make ~count:300 ~name:"alpha-order memo key is injective"
+    (QCheck.make ~print:QCheck.Print.(list int) gen_ids) (fun ids ->
+      let seen = Hashtbl.create 64 in
+      List.for_all
+        (fun a ->
+          List.for_all
+            (fun b ->
+              let k = Term.order_memo_key a b in
+              let where = if k >= 0 then (k, 0, 0) else (-1, a, b) in
+              match Hashtbl.find_opt seen where with
+              | Some p when p <> (a, b) ->
+                  QCheck.Test.fail_reportf "(%d, %d) and (%d, %d) share key %d"
+                    a b (fst p) (snd p) k
+              | _ ->
+                  Hashtbl.replace seen where (a, b);
+                  true)
+            ids)
+        ids)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x7e39 |]) in
   [
@@ -272,4 +395,7 @@ let suite =
     q prop_hash_consing;
     q prop_phys_iff_structural;
     q prop_alphaorder;
+    q prop_printer_differential;
+    q prop_ty_printer_differential;
+    q prop_memo_key_injective;
   ]
