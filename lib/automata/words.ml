@@ -187,10 +187,7 @@ let word_rewrites =
 (* Ground evaluation                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let eval_rewrites =
-  word_rewrites @ Boolean.and_clauses @ Boolean.or_clauses
-  @ Boolean.not_clauses @ Boolean.xor_clauses @ Boolean.eq_bool_clauses
-  @ Boolean.cond_clauses
+let eval_rewrites = word_rewrites @ Boolean.eval_rewrites
 
 (* Partial application: one memo table, shared within each step. *)
 let word_eval_conv =

@@ -39,6 +39,10 @@ val bv_and_tm : Term.t
 val bv_or_tm : Term.t
 val bv_xor_tm : Term.t
 
+val eval_rewrites : thm list
+(** The word operators' equations followed by {!Boolean.eval_rewrites}:
+    the rewrites {!word_eval_conv} tries, in its order. *)
+
 val word_eval_conv : Conv.conv
 (** Ground evaluation of a term built from word operators, [COND], boolean
     gates, pairs and literals; proves [|- tm = literal]. *)

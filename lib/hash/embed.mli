@@ -38,8 +38,6 @@ val embed : level -> Circuit.t -> t
 val mk_automaton_of : t -> Term.t
 (** [automaton fd q] for this embedding. *)
 
-val signal_ty : level -> Circuit.width -> Ty.t
-
 val circuit_norm_conv : Conv.conv
 (** Full normalisation of a circuit-shaped term: expand [LET]s,
     beta-redexes and tuple projections (no gate evaluation).  Memoised;

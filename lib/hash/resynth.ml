@@ -1,15 +1,11 @@
 open Hol
 open Logic
 
-let simp_rewrites =
-  Boolean.and_clauses @ Boolean.or_clauses @ Boolean.not_clauses
-  @ Boolean.xor_clauses @ Boolean.eq_bool_clauses @ Boolean.cond_clauses
-
 (* Beta-reduce and simplify with the clause theorems, bottom-up and
    memoised. *)
 let simp_conv =
   Conv.memo_top_depth_conv
-    (Conv.orelsec (Conv.rewrs_conv simp_rewrites) Pairs.let_proj_conv)
+    (Conv.orelsec (Conv.rewrs_conv Boolean.eval_rewrites) Pairs.let_proj_conv)
 
 let resynthesize ?budget level c =
   Conv.with_step (Synthesis.budget_poll budget) @@ fun () ->

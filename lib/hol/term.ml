@@ -516,7 +516,7 @@ let vsubst theta =
   else begin
     check_subst_types theta;
     let st = state () and dset = domain_set theta in
-    let memo = Hashtbl.create 256 in
+    let memo = Hashtbl.create 16 in
     fun tm -> vsubst_go st dset theta memo tm
   end
 

@@ -89,6 +89,10 @@ val xor_clauses : thm list
 val cond_clauses : thm list
 (** [COND T x y = x] and [COND F x y = y] (polymorphic). *)
 
+val eval_rewrites : thm list
+(** The clause lists above, in the order and/or/not/xor/eq/cond: the
+    rewrites {!bool_eval_conv} tries. *)
+
 val bool_eval_conv : Conv.conv
 (** Bottom-up evaluation of a ground boolean term built from the constants
     above; proves [|- tm = T] or [|- tm = F]. *)

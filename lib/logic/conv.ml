@@ -68,7 +68,49 @@ let rewr_conv th tm =
   let l' = Kernel.lhs th' in
   if l' == tm then th' else Kernel.trans (Drule.alpha_link tm l') th'
 
-let rewrs_conv ths = first_conv (List.map rewr_conv ths)
+(* The head constant of [tm] and the number of arguments it is applied
+   to; [None] when the head is a variable or an abstraction. *)
+let head_key tm =
+  let rec go tm n =
+    match tm.Term.node with
+    | Term.Comb (f, _) -> go f (n + 1)
+    | Term.Const (c, _) -> Some (c, n)
+    | Term.Var _ | Term.Abs _ -> None
+  in
+  go tm 0
+
+(* A left-hand side [c a1 .. an] with constant head [c] matches only a
+   term [c t1 .. tn] (the matcher is first-order), so the rewrites are
+   indexed by that key.  A bucket keeps the list order and takes in the
+   rewrites whose left-hand side has no constant head, so the first
+   rewrite that matches, and with it the proof, is the one the linear
+   scan finds. *)
+let rewrs_conv ths =
+  let keyed = List.map (fun th -> (head_key (Kernel.lhs th), th)) ths in
+  let bucket key =
+    first_conv
+      (List.filter_map
+         (fun (k, th) ->
+           if k = None || k = key then Some (rewr_conv th) else None)
+         keyed)
+  in
+  let index = Hashtbl.create 16 in
+  List.iter
+    (fun (k, _) ->
+      match k with
+      | Some key when not (Hashtbl.mem index key) ->
+          Hashtbl.add index key (bucket k)
+      | _ -> ())
+    keyed;
+  let wild = bucket None in
+  fun tm ->
+    match head_key tm with
+    | Some key -> (
+        match Hashtbl.find_opt index key with
+        | Some c -> c tm
+        | None -> wild tm)
+    | None -> wild tm
+
 let rewrite_conv ths = top_depth_conv (rewrs_conv ths)
 
 (* Hook polled once per memo miss inside the normaliser below; the

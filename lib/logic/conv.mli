@@ -39,7 +39,18 @@ val rewr_conv : thm -> conv
     with type instantiation) to the corresponding instance of [r]. *)
 
 val rewrs_conv : thm list -> conv
-(** First applicable rewrite. *)
+(** First applicable rewrite, in list order.  At partial application the
+    rewrites are indexed by the head constant and argument count of
+    their left-hand sides ([c a1 .. an] can only match a term
+    [c t1 .. tn]); a rewrite whose left-hand side has no constant head
+    goes into every bucket, in its list position.  A call tries only the
+    bucket of its term's head, so it finds the same first match, and
+    proves the same theorem with the same rules, as trying every
+    rewrite in order.  The index is built once, never changes and holds
+    only the given theorems, so it lives as long as the partially
+    applied conversion and every domain may read it.
+    @raise Failure ["Conv.first_conv: no conversion applied"] when no
+    rewrite matches. *)
 
 val rewrite_conv : thm list -> conv
 (** Exhaustive top-down rewriting with the given equations. *)

@@ -45,6 +45,10 @@ let release t =
 let rel_key : (unit -> unit) list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
+let on_release f =
+  let rels = Domain.DLS.get rel_key in
+  rels := f :: !rels
+
 let release_domain () =
   List.iter (fun f -> f ()) !(Domain.DLS.get rel_key)
 
@@ -65,8 +69,7 @@ let create ?(bits = 10) ?(cap = 2_000_000) () =
       cap;
     }
   in
-  let rels = Domain.DLS.get rel_key in
-  rels := (fun () -> release t) :: !rels;
+  on_release (fun () -> release t);
   t
 
 let new_call t = if t.count > t.cap then release t

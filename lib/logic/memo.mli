@@ -33,6 +33,12 @@ val release_domain : unit -> unit
     proof as an unresolvable input.  Like {!new_call}, only sound
     between top-level calls of the memoised functions. *)
 
+val on_release : (unit -> unit) -> unit
+(** [on_release f] adds [f] to the calling domain's release list, so
+    that {!release_domain} calls it beside the memo tables' own
+    releases.  For per-domain caches that are not memo tables (the
+    pair caches of {!Pairs}); their lookups stay out of {!stats}. *)
+
 val stats : unit -> int * int
 (** [(hits, misses)] accumulated across every memo table of the {e
     current domain} since its start. *)

@@ -27,13 +27,45 @@ let rec list_mk_pair = function
       let right = List.filteri (fun i _ -> i >= l) xs in
       mk_pair (list_mk_pair left) (list_mk_pair right)
 
-let mk_fst p =
-  let a, b = Ty.dest_prod (Term.type_of p) in
-  Term.mk_comb (Kernel.mk_const "FST" [ ("a", a); ("b", b) ]) p
+(* Two per-domain caches keyed by the interned id of a product type:
+   [consts] holds the FST and SND constants at that type, [axioms] the
+   FST_PAIR (key [2 id]) or SND_PAIR (key [2 id + 1]) axiom instantiated
+   at it, with its [x] and [y] variables.  Both are emptied with the
+   domain's memo tables ([Memo.release_domain]: when a HASH step returns
+   and when a proof recording starts), and each is emptied when it
+   outgrows [cache_cap], so neither keeps terms of past steps. *)
+type cache = {
+  consts : (int, Term.t * Term.t) Hashtbl.t;
+  axioms : (int, thm * Term.t * Term.t) Hashtbl.t;
+}
 
-let mk_snd p =
-  let a, b = Ty.dest_prod (Term.type_of p) in
-  Term.mk_comb (Kernel.mk_const "SND" [ ("a", a); ("b", b) ]) p
+let cache_cap = 4096
+
+let cache_key =
+  Domain.DLS.new_key (fun () ->
+      let c = { consts = Hashtbl.create 64; axioms = Hashtbl.create 64 } in
+      Memo.on_release (fun () ->
+          Hashtbl.reset c.consts;
+          Hashtbl.reset c.axioms);
+      c)
+
+let cached tbl key make =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+      let v = make () in
+      if Hashtbl.length tbl >= cache_cap then Hashtbl.reset tbl;
+      Hashtbl.add tbl key v;
+      v
+
+let proj_consts pty =
+  cached (Domain.DLS.get cache_key).consts pty.Ty.id (fun () ->
+      let a, b = Ty.dest_prod pty in
+      let tyin = [ ("a", a); ("b", b) ] in
+      (Kernel.mk_const "FST" tyin, Kernel.mk_const "SND" tyin))
+
+let mk_fst p = Term.mk_comb (fst (proj_consts (Term.type_of p))) p
+let mk_snd p = Term.mk_comb (snd (proj_consts (Term.type_of p))) p
 
 let rec proj tup i n =
   if n = 1 then tup
@@ -102,39 +134,32 @@ let let_conv tm =
   | _ -> failwith "Pairs.let_conv: not a LET"
 
 (* Direct instantiation of the pairing axioms — avoids the generic
-   matcher on the hottest reduction of the circuit normaliser. *)
+   matcher on the hottest reduction of the circuit normaliser.  The
+   axiom is type-instantiated once per pair type and step (see [cache]
+   above); each call is then one [inst]. *)
+let inst_pair_axiom ax k pair x y =
+  let pty = Term.type_of pair in
+  let th, xv, yv =
+    cached (Domain.DLS.get cache_key).axioms ((2 * pty.Ty.id) + k)
+      (fun () ->
+        let a = Term.type_of x and b = Term.type_of y in
+        ( Kernel.inst_type [ ("a", a); ("b", b) ] ax,
+          Term.mk_var "x" a,
+          Term.mk_var "y" b ))
+  in
+  Kernel.inst [ (xv, x); (yv, y) ] th
+
 let proj_conv tm =
   match tm.Term.node with
   | Term.Comb
-      ( { Term.node = Term.Const ("FST", _); _ },
-        {
-          Term.node =
-            Term.Comb ({ Term.node = Term.Comb ({ Term.node = Term.Const (",", _); _ }, x); _ }, y);
-          _;
-        } ) ->
-      let th =
-        Kernel.inst_type
-          [ ("a", Term.type_of x); ("b", Term.type_of y) ]
-          fst_pair
-      in
-      let xv = Term.mk_var "x" (Term.type_of x)
-      and yv = Term.mk_var "y" (Term.type_of y) in
-      Kernel.inst [ (xv, x); (yv, y) ] th
-  | Term.Comb
-      ( { Term.node = Term.Const ("SND", _); _ },
-        {
-          Term.node =
-            Term.Comb ({ Term.node = Term.Comb ({ Term.node = Term.Const (",", _); _ }, x); _ }, y);
-          _;
-        } ) ->
-      let th =
-        Kernel.inst_type
-          [ ("a", Term.type_of x); ("b", Term.type_of y) ]
-          snd_pair
-      in
-      let xv = Term.mk_var "x" (Term.type_of x)
-      and yv = Term.mk_var "y" (Term.type_of y) in
-      Kernel.inst [ (xv, x); (yv, y) ] th
+      ( { Term.node = Term.Const (("FST" | "SND") as c, _); _ },
+        ({
+           Term.node =
+             Term.Comb ({ Term.node = Term.Comb ({ Term.node = Term.Const (",", _); _ }, x); _ }, y);
+           _;
+         } as pair) ) ->
+      if c = "FST" then inst_pair_axiom fst_pair 0 pair x y
+      else inst_pair_axiom snd_pair 1 pair x y
   | _ -> failwith "Pairs.proj_conv: not a projection of a pair"
 
 let let_proj_conv tm =

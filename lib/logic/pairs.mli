@@ -16,6 +16,12 @@ val list_mk_pair : Term.t list -> Term.t
 
 val mk_fst : Term.t -> Term.t
 val mk_snd : Term.t -> Term.t
+(** [mk_fst p] is [FST p] ([mk_snd]: [SND p]).  The [FST] and [SND]
+    constants are built once per product type: a per-domain table keyed
+    by the interned id of [p]'s type holds both.  The table is emptied
+    with the domain's memo tables ({!Memo.release_domain}) and whenever
+    it outgrows 4096 types.
+    @raise Failure if [p] is not of a product type. *)
 
 val mk_let : Term.t -> Term.t -> Term.t -> Term.t
 (** [mk_let v e body] is [LET (\v. body) e], i.e. [let v = e in body]. *)
@@ -33,7 +39,17 @@ val let_conv : Conv.conv
 (** [let_conv (LET (\v. b) e)] is [|- LET (\v. b) e = b[e/v]]. *)
 
 val proj_conv : Conv.conv
-(** Reduce [FST (a, b)] or [SND (a, b)] by one step. *)
+(** Reduce [FST (a, b)] or [SND (a, b)] by one step: one [inst] of the
+    pairing axiom instantiated at the type of [(a, b)].  That
+    type-instantiated axiom, with its [x] and [y] variables, is cached
+    in a per-domain table keyed by the interned id of the pair type (and
+    by FST or SND), so a step pays one [inst_type] per pair type and
+    projection.  The table is emptied by {!Memo.release_domain}, that is
+    when a HASH step returns ({!Conv.with_step}) and when a proof
+    recording starts, so no cached theorem outlives its step or enters a
+    recording it was not proved in; it is also emptied whenever it
+    outgrows 4096 entries.  Its lookups are not counted in
+    {!Memo.stats}. *)
 
 val let_proj_conv : Conv.conv
 (** One step of [let_conv] or [proj_conv] or beta; the redex set used by

@@ -404,9 +404,9 @@ let cert_digest level c =
 
 let test_cert_digests_pinned () =
   let s298 = Lazy.force (Iwls.find "s298").Iwls.circuit in
-  check_str "fig2 n=4, bit level" "179c92eb3e8056e2eabaea8f8f81ca35"
+  check_str "fig2 n=4, bit level" "bbac86095e297818852caa3a93c69452"
     (cert_digest Hash.Embed.Bit_level (Fig2.rt 4));
-  check_str "s298, bit level" "471a9448dc64048acd909b4c0470d8c0"
+  check_str "s298, bit level" "c2a7afee0806c5a638e9e6eb568a3aca"
     (cert_digest Hash.Embed.Bit_level s298);
   check_str "fig2 n=4, RT level" "4bf97c0e8b62f495464c2851ddf6162b"
     (cert_digest Hash.Embed.Rt_level (Fig2.rt 4))

@@ -611,7 +611,7 @@ let test_rules_per_step_pinned () =
         (name ^ ": rules per retiming step") want
         (rules_of (fun () ->
              Hash.Synthesis.retime Hash.Embed.Bit_level c (Cut.maximal c))))
-    [ ("fig2 n=4 bit", fig2_bits (), 243); ("s298 bit", s298 (), 1344) ]
+    [ ("fig2 n=4 bit", fig2_bits (), 228); ("s298 bit", s298 (), 1260) ]
 
 (* A recorded retime counts exactly the inferences its certificate
    replays: every rule the kernel counts is a step of the proof. *)
@@ -738,6 +738,195 @@ let prop_normaliser_vs_ref =
                      (Term.mk_abs s
                         (Term.mk_comb (Term.mk_comb g i) (Term.mk_comb f s))))))
 
+(* ------------------------------------------------------------------ *)
+(* The rewrite index against the linear scan                           *)
+(* ------------------------------------------------------------------ *)
+
+(* [Conv.rewrs_conv] tries only the bucket of the term's head;
+   [Rewrs_ref.rewrs_conv] tries every rewrite in list order.  On every
+   subterm of a random term both must prove the same theorem with the
+   same number of rules, or fail with the same message.  Besides the two
+   evaluation lists, a list of assumed equations in which the order
+   decides the result: the variable-headed [f x = x] matches every
+   boolean term [t u] with [u] boolean ([~ u], [t /\ u], ...), so it
+   must stay behind [~T = F] and [~F = T] and ahead of the [/\]
+   rewrites, and the two [BV_NOT] rewrites (which [f x] cannot match)
+   must keep their order. *)
+let wild_rewrites =
+  let b = Ty.bool in
+  let f = Term.mk_var "f" (Ty.fn b b)
+  and x = Term.mk_var "x" b
+  and y = Term.mk_var "y" b
+  and w = Term.mk_var "w" Ty.bv in
+  let eq l r = Kernel.assume (Term.mk_eq l r) in
+  let bv_not t = Term.mk_comb Automata.Words.bv_not_tm t in
+  Boolean.not_clauses
+  @ [ eq (Term.mk_comb f x) x; eq (Boolean.mk_conj x y) x ]
+  @ Boolean.and_clauses
+  @ [
+      eq (Boolean.mk_conj x y) (Boolean.mk_conj y x);
+      eq (bv_not w) w;
+      eq (bv_not w) (bv_not (bv_not w));
+    ]
+
+let rewrite_lists =
+  List.map
+    (fun ths -> (Conv.rewrs_conv ths, Rewrs_ref.rewrs_conv ths))
+    [ Automata.Words.eval_rewrites; Boolean.eval_rewrites; wild_rewrites ]
+
+let rewrite_outcome conv tm =
+  let r0 = Kernel.rule_count () in
+  match conv tm with
+  | th ->
+      Ok (Kernel.hyp th, Kernel.lhs th, Kernel.rhs th, Kernel.rule_count () - r0)
+  | exception Failure msg -> Error msg
+
+let same_outcome a b =
+  match (a, b) with
+  | Ok (hs, l, r, n), Ok (hs', l', r', n') ->
+      List.equal ( == ) hs hs' && l == l' && r == r' && n = n'
+  | Error m, Error m' -> String.equal m m'
+  | _ -> false
+
+let rec distinct_subterms seen acc tm =
+  if Hashtbl.mem seen tm.Term.id then acc
+  else begin
+    Hashtbl.add seen tm.Term.id ();
+    let acc = tm :: acc in
+    match tm.Term.node with
+    | Term.Comb (f, x) -> distinct_subterms seen (distinct_subterms seen acc f) x
+    | Term.Abs (_, body) -> distinct_subterms seen acc body
+    | Term.Var _ | Term.Const _ -> acc
+  end
+
+let prop_rewrite_index_vs_ref =
+  QCheck.Test.make ~count:100 ~name:"rewrite index agrees with the linear scan"
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Random.State.make [| 0x1d; seed |] in
+      let tm = gen_ground rng in
+      (* a head that is a variable or an abstraction: only the rewrites
+         without a constant head may match *)
+      let tm =
+        if not (Ty.equal (Term.type_of tm) Ty.bool) then tm
+        else
+          match Random.State.int rng 3 with
+          | 0 -> Term.mk_comb (Term.mk_var "h" (Ty.fn Ty.bool Ty.bool)) tm
+          | 1 ->
+              let z = Term.mk_var "z" Ty.bool in
+              Term.mk_comb (Term.mk_abs z z) tm
+          | _ -> tm
+      in
+      List.for_all
+        (fun sub ->
+          List.for_all
+            (fun (indexed, linear) ->
+              same_outcome (rewrite_outcome indexed sub)
+                (rewrite_outcome linear sub))
+            rewrite_lists)
+        (distinct_subterms (Hashtbl.create 64) [] tm))
+
+(* ------------------------------------------------------------------ *)
+(* Split terms against their reference                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* [Split_ref.build_terms] is the quadratic builder.  On the maximal cut
+   of a random circuit the split's f, g and x type are physically the
+   reference's; on a cut perturbed into a false one, a builder that
+   rejects it rejects it with the reference's message, and one that
+   accepts it leaves the rejection to the split proof. *)
+let prop_split_terms_vs_ref =
+  QCheck.Test.make ~count:80 ~name:"split terms agree with their reference"
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Random.State.make [| 0x5b17; seed |] in
+      let words = seed mod 2 = 1 in
+      let c = Random_circ.generate ~words ~seed ~max_gates:24 () in
+      let level = if words then Hash.Embed.Rt_level else Hash.Embed.Bit_level in
+      match Cut.maximal c with
+      | exception Cut.Invalid_cut _ -> true
+      | cut -> (
+          let e = Hash.Embed.embed level c in
+          let f_gates = cut.Cut.f_gates in
+          let pick l = List.nth l (Random.State.int rng (List.length l)) in
+          let n_sig = Circuit.n_signals c in
+          let kind = Random.State.int rng 6 in
+          let gates =
+            match kind with
+            | 0 -> f_gates
+            | 1 ->
+                let drop = pick f_gates in
+                List.filter (fun s -> s <> drop) f_gates
+            | 2 -> f_gates @ [ Random.State.int rng n_sig ]
+            | 3 -> pick f_gates :: f_gates
+            | 4 -> []
+            | _ ->
+                List.filter
+                  (fun s ->
+                    (match c.Circuit.drivers.(s) with
+                    | Circuit.Gate _ -> true
+                    | _ -> false)
+                    && Random.State.bool rng)
+                  (List.init n_sig Fun.id)
+          in
+          let reference =
+            match Split_ref.build_terms e gates with
+            | r -> Ok r
+            | exception Hash.Errors.Cut_mismatch m -> Error m
+          in
+          let got =
+            Conv.with_step ignore (fun () ->
+                match Hash.Split.split_gates e gates with
+                | sp ->
+                    Ok
+                      ( sp.Hash.Split.f_term,
+                        sp.Hash.Split.g_term,
+                        sp.Hash.Split.x_ty )
+                | exception Hash.Errors.Cut_mismatch m -> Error m)
+          in
+          let from_proof m =
+            List.exists
+              (fun p -> String.starts_with ~prefix:p m)
+              [ "split proof failed"; "the split does not reproduce" ]
+          in
+          match (reference, got) with
+          | Ok (f, g, x), Ok (f', g', x') -> f == f' && g == g' && x == x'
+          | Error m, Error m' -> String.equal m m'
+          | Ok _, Error m -> kind <> 0 && from_proof m
+          | Error _, Ok _ -> false))
+
+(* [Pairs.proj] reads FST and SND from its per-domain table; the
+   reference builds every constant with [Kernel.mk_const].  Components of
+   two types make the tuple's subtypes distinct, and the table is
+   released now and then on the way. *)
+let test_proj_vs_uncached () =
+  let mk name p =
+    let a, b = Ty.dest_prod (Term.type_of p) in
+    Term.mk_comb (Kernel.mk_const name [ ("a", a); ("b", b) ]) p
+  in
+  let rec proj_ref tup i n =
+    if n = 1 then tup
+    else
+      let l = (n + 1) / 2 in
+      if i < l then proj_ref (mk "FST" tup) i l
+      else proj_ref (mk "SND" tup) (i - l) (n - l)
+  in
+  let mismatches = ref 0 in
+  for n = 1 to 300 do
+    let comps =
+      List.init n (fun k ->
+          Term.mk_var (Printf.sprintf "c%d" k)
+            (if k mod 3 = 0 then Ty.bv else Ty.bool))
+    in
+    let tup = Term.mk_var "t" (Term.type_of (Pairs.list_mk_pair comps)) in
+    for i = 0 to n - 1 do
+      if Pairs.proj tup i n != proj_ref tup i n then incr mismatches
+    done;
+    if n mod 64 = 0 then Memo.release_domain ()
+  done;
+  Alcotest.(check int) "projections that differ from the reference" 0
+    !mismatches
+
 let suite =
   suite
   @ [
@@ -750,4 +939,12 @@ let suite =
       QCheck_alcotest.to_alcotest
         ~rand:(Random.State.make [| 0xc0e7 |])
         prop_normaliser_vs_ref;
+      QCheck_alcotest.to_alcotest
+        ~rand:(Random.State.make [| 0x1d |])
+        prop_rewrite_index_vs_ref;
+      QCheck_alcotest.to_alcotest
+        ~rand:(Random.State.make [| 0x5b17 |])
+        prop_split_terms_vs_ref;
+      Alcotest.test_case "projections equal the uncached ones" `Quick
+        test_proj_vs_uncached;
     ]
