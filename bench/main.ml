@@ -414,6 +414,15 @@ let micro () =
           ignore (Sys.opaque_identity (f ()))
         done)
   in
+  (* the intern table: a constructor call that finds its node, and one
+     that makes a fresh node which dies at once, so the table's rebuilds
+     run inside the timed batches *)
+  let hit_f, hit_x = Term.dest_comb (Kernel.lhs th) in
+  let fresh = ref 0 in
+  let churn () =
+    incr fresh;
+    Term.mk_const_raw (string_of_int !fresh) Ty.bool
+  in
   let kernel_tests =
     Test.make_grouped ~name:"kernel"
       [
@@ -444,6 +453,9 @@ let micro () =
                Term.aconv subst_e.Hash.Embed.fd aconv_e.Hash.Embed.fd));
         Test.make ~name:"rewrite-memo"
           (batch (fun () -> Boolean.bool_eval_conv ground_chain));
+        Test.make ~name:"intern-hit"
+          (batch (fun () -> Term.mk_comb hit_f hit_x));
+        Test.make ~name:"intern-miss-churn" (batch churn);
       ]
   in
   let bdd_tests =

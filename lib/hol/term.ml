@@ -8,6 +8,17 @@
    needs to hold among live nodes, and ids are never reused, so entries of
    collected nodes simply vanish.
 
+   The table is open-addressed: one [Weak.t] of power-of-two capacity
+   and a parallel array of the nodes' hashes, -1 for a slot never used.
+   A lookup probes linearly and compares the stored hash before it reads
+   the weak slot.  A slot whose node was collected keeps its hash, so
+   probe chains stay intact and a new node only takes a never-used slot.
+   Once the used slots pass half the capacity the table is rebuilt from
+   its live entries into at least four times their number (and at least
+   4 096 slots), so it shrinks as readily as it grows.  Entries move only
+   through [Weak.get] and [Weak.set]: [Weak.blit] hung an earlier
+   open-addressed table.
+
    All of the mutable machinery (the weak intern table, id counter, the
    compact variable index, the alpha-order memo and the statistics
    counters) is domain-local (Domain.DLS), so parallel engine runs never
@@ -45,21 +56,55 @@ let mix h k =
 
 (* Shallow equality: children and types are already interned, so one
    physical comparison per field decides structural equality. *)
-module H = struct
-  type nonrec t = t
+let same_node a b =
+  match (a, b) with
+  | Var (n1, t1), Var (n2, t2) -> t1 == t2 && String.equal n1 n2
+  | Const (n1, t1), Const (n2, t2) -> t1 == t2 && String.equal n1 n2
+  | Comb (f1, x1), Comb (f2, x2) -> f1 == f2 && x1 == x2
+  | Abs (v1, b1), Abs (v2, b2) -> v1 == v2 && b1 == b2
+  | _ -> false
 
-  let equal a b =
-    match (a.node, b.node) with
-    | Var (n1, t1), Var (n2, t2) -> t1 == t2 && String.equal n1 n2
-    | Const (n1, t1), Const (n2, t2) -> t1 == t2 && String.equal n1 n2
-    | Comb (f1, x1), Comb (f2, x2) -> f1 == f2 && x1 == x2
-    | Abs (v1, b1), Abs (v2, b2) -> v1 == v2 && b1 == b2
-    | _ -> false
+type table = {
+  cells : t Weak.t;
+  hashes : int array; (* -1 = never used *)
+  mutable used : int; (* slots with a hash, live or collected *)
+}
 
-  let hash a = a.hash
-end
+let table_for live =
+  let n = ref 4096 in
+  while !n < 4 * live do
+    n := 2 * !n
+  done;
+  { cells = Weak.create !n; hashes = Array.make !n (-1); used = 0 }
 
-module W = Weak.Make (H)
+let set_slot tab i t =
+  tab.hashes.(i) <- t.hash;
+  Weak.set tab.cells i (Some t);
+  tab.used <- tab.used + 1
+
+(* Insert a node known to be absent. *)
+let add tab t =
+  let mask = Array.length tab.hashes - 1 in
+  let rec go i =
+    if tab.hashes.(i) < 0 then set_slot tab i t else go ((i + 1) land mask)
+  in
+  go (t.hash land mask)
+
+let iter_live f tab =
+  Array.iteri
+    (fun i h ->
+      if h >= 0 then match Weak.get tab.cells i with Some t -> f t | None -> ())
+    tab.hashes
+
+(* Slots whose node is not yet cleared.  Unlike [Weak.get], [Weak.check]
+   neither allocates nor keeps an unreachable node alive for the current
+   major cycle. *)
+let count_live tab =
+  let n = ref 0 in
+  Array.iteri
+    (fun i h -> if h >= 0 && Weak.check tab.cells i then incr n)
+    tab.hashes;
+  !n
 
 type stats = {
   intern_hits : int;
@@ -67,6 +112,7 @@ type stats = {
   live_nodes : int;
   peak_nodes : int;
   var_count : int;
+  table_slots : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -74,7 +120,7 @@ type stats = {
 (* ------------------------------------------------------------------ *)
 
 type state = {
-  itab : W.t;
+  mutable tab : table;
   mutable next_id : int;
   mutable intern_hits : int;
   mutable intern_misses : int;
@@ -113,7 +159,7 @@ let the_frozen : frozen option ref = ref None
 
 let fresh_state () =
   {
-    itab = W.create 65536;
+    tab = table_for 0;
     next_id = 0;
     intern_hits = 0;
     intern_misses = 0;
@@ -128,10 +174,10 @@ let fresh_state () =
   }
 
 let state_of_frozen f =
-  let itab = W.create (max 65536 (2 * Array.length f.f_terms)) in
-  Array.iter (fun t -> W.add itab t) f.f_terms;
+  let tab = table_for (Array.length f.f_terms) in
+  Array.iter (add tab) f.f_terms;
   {
-    itab;
+    tab;
     next_id = f.f_next_id;
     intern_hits = 0;
     intern_misses = 0;
@@ -155,10 +201,11 @@ let state () = Domain.DLS.get key
 
 let freeze () =
   let st = state () in
-  let terms = W.fold (fun t acc -> t :: acc) st.itab [] in
+  let terms = ref [] in
+  iter_live (fun t -> terms := t :: !terms) st.tab;
   let f =
     {
-      f_terms = Array.of_list terms;
+      f_terms = Array.of_list !terms;
       f_next_id = st.next_id;
       f_var_index = Hashtbl.copy st.var_index_tbl;
       f_var_terms = Array.copy st.var_terms;
@@ -167,20 +214,36 @@ let freeze () =
   in
   Mutex.protect frozen_mu (fun () -> the_frozen := Some f)
 
+(* Rebuild from the live entries, which also samples the peak. *)
+let rebuild st =
+  let old = st.tab in
+  let n = count_live old in
+  if n > st.peak then st.peak <- n;
+  st.tab <- table_for n;
+  iter_live (add st.tab) old
+
 let intern st ~hash ~ty ~fv node =
-  let candidate = { id = st.next_id; hash; ty; fv; node } in
-  let r = W.merge st.itab candidate in
-  if r == candidate then begin
-    st.next_id <- st.next_id + 1;
-    st.intern_misses <- st.intern_misses + 1;
-    (* sample the live population now and then to track the peak *)
-    if st.intern_misses land 0xFFFF = 0 then begin
-      let live = W.count st.itab in
-      if live > st.peak then st.peak <- live
+  let tab = st.tab in
+  let mask = Array.length tab.hashes - 1 in
+  let rec probe i =
+    let h = tab.hashes.(i) in
+    if h < 0 then begin
+      let t = { id = st.next_id; hash; ty; fv; node } in
+      st.next_id <- st.next_id + 1;
+      st.intern_misses <- st.intern_misses + 1;
+      set_slot tab i t;
+      if 2 * tab.used > mask then rebuild st;
+      t
     end
-  end
-  else st.intern_hits <- st.intern_hits + 1;
-  r
+    else if h = hash then
+      match Weak.get tab.cells i with
+      | Some t when same_node t.node node ->
+          st.intern_hits <- st.intern_hits + 1;
+          t
+      | _ -> probe ((i + 1) land mask)
+    else probe ((i + 1) land mask)
+  in
+  probe (hash land mask)
 
 (* ------------------------------------------------------------------ *)
 (* Variable indexing                                                   *)
@@ -610,7 +673,7 @@ let term_match lconsts pat tm =
 
 let stats () =
   let st = state () in
-  let live = W.count st.itab in
+  let live = count_live st.tab in
   if live > st.peak then st.peak <- live;
   {
     intern_hits = st.intern_hits;
@@ -618,6 +681,7 @@ let stats () =
     live_nodes = live;
     peak_nodes = st.peak;
     var_count = st.n_vars;
+    table_slots = Array.length st.tab.hashes;
   }
 
 (* ------------------------------------------------------------------ *)

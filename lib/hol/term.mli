@@ -6,6 +6,11 @@
 
     Performance note: terms are {e hash-consed} — every node is interned
     in a weak hash-set, so structurally equal terms are physically equal.
+    The set is open-addressed: a weak array of power-of-two capacity
+    beside an array of the nodes' hashes, probed linearly.  A collected
+    node's slot keeps its hash until the table is rebuilt, which happens
+    once used slots pass half the capacity, into at least four times the
+    live entries: the table shrinks after a burst as well as growing.
     [type_of] is a per-node cached field, the free-variable set of every
     node is a precomputed exact bitset ([fv]), and [aconv]/[vsubst]/
     [alphaorder] exploit physical equality and id-keyed memo tables, so
@@ -137,9 +142,14 @@ val term_match : t list -> t -> t -> (t * t) list * (string * Ty.t) list
 type stats = {
   intern_hits : int;  (** constructor calls answered by the intern table *)
   intern_misses : int;  (** distinct nodes ever created *)
-  live_nodes : int;  (** nodes currently alive in the weak table *)
-  peak_nodes : int;  (** highest sampled live population *)
+  live_nodes : int;
+      (** table slots whose node is not yet cleared.  A node that became
+          unreachable counts until the major collection that clears it,
+          so the figure follows GC timing; after [Gc.full_major] it is
+          the reachable population. *)
+  peak_nodes : int;  (** highest live population sampled (at rebuilds) *)
   var_count : int;  (** distinct (name, type) variables seen *)
+  table_slots : int;  (** the intern table's capacity, in slots *)
 }
 
 val stats : unit -> stats

@@ -3,6 +3,7 @@ let () =
     [
       ("logic", Test_logic.suite);
       ("term_props", Test_term_props.suite);
+      ("intern", Test_intern.suite);
       ("automata", Test_automata.suite);
       ("netlist", Test_netlist.suite);
       ("obs_json", Test_obs_json.suite);
