@@ -1,7 +1,8 @@
 (* Compound synthesis steps (paper §III.A): two formal retiming steps are
    composed by a single transitivity rule application, at constant cost —
    "the overall complexity of the compound synthesis step is the sum of
-   its two parts".
+   its two parts".  Exits 1 unless the compound theorem is closed and
+   speaks about the circuits it claims to.
 
      dune exec examples/compound_synthesis.exe *)
 
@@ -63,4 +64,8 @@ let () =
        (List.map (fun b -> if b then "1" else "0")
           (Automata.Words.dest_bv
              (snd (Automata.Theory.dest_automaton
-                     (Kernel.rhs compound.Hash.Synthesis.theorem))))))
+                     (Kernel.rhs compound.Hash.Synthesis.theorem))))));
+  let closed = Kernel.hyp compound.Hash.Synthesis.theorem = [] in
+  let checked = Hash.Synthesis.check compound in
+  Format.printf "closed theorem: %b, independent check: %b@." closed checked;
+  if not (closed && checked) then exit 1

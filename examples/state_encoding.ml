@@ -5,20 +5,29 @@
    Here the encoding is a permutation of the register file — the identity
    on behaviour, visible in the state type — performed by instantiating
    the kernel-derived ENCODE_THM and discharging its side condition
-   !s. dec (enc s) = s by projection normalisation.
+   !s. dec (enc s) = s by projection normalisation.  Exits 1 unless each
+   theorem it reports is closed and speaks about the circuits it claims
+   to.
 
      dune exec examples/state_encoding.exe *)
 
 open Hol
 open Logic
 
+(* A closed theorem about the circuits it claims to, or exit 1. *)
+let require what (step : Hash.Synthesis.step) =
+  let closed = Kernel.hyp step.Hash.Synthesis.theorem = [] in
+  let checked = Hash.Synthesis.check step in
+  Format.printf "%s: closed theorem = %b, independent check = %b@." what
+    closed checked;
+  if not (closed && checked) then exit 1
+
 let () =
   let c = Iwls.synth ~name:"enc_demo" ~ffs:5 ~gates:24 ~ins:2 ~outs:2 ~seed:5 in
   Format.printf "circuit:  %a@." Circuit.pp_stats c;
   let step = Hash.Encode.reverse_registers Hash.Embed.Bit_level c in
   Format.printf "encoded:  %a@." Circuit.pp_stats step.Hash.Synthesis.after;
-  Format.printf "theorem hypotheses: %d (the side condition was discharged)@."
-    (List.length (Kernel.hyp step.Hash.Synthesis.theorem));
+  require "encoding (the side condition was discharged)" step;
   (* the two initial states are reversals of each other *)
   let th = step.Hash.Synthesis.theorem in
   let _, q1 = Automata.Theory.dest_automaton (Kernel.lhs th) in
@@ -33,7 +42,5 @@ let () =
         Hash.Synthesis.retime Hash.Embed.Bit_level step.Hash.Synthesis.after
           cut
       in
-      let compound = Hash.Synthesis.compose step step2 in
-      Format.printf
-        "composed with a retiming step: closed theorem = %b@."
-        (Kernel.hyp compound.Hash.Synthesis.theorem = [])
+      require "composed with a retiming step"
+        (Hash.Synthesis.compose step step2)

@@ -1,6 +1,7 @@
 (** The state-encoding theorem (paper §VI: HASH "also provides various
     other synthesis related transformations on synchronous circuits such
-    as state encoding"), derived through the kernel like {!Retiming_thm}.
+    as state encoding"), derived through the kernel as a corollary of
+    {!Retiming_thm.retiming_thm}.
 
     {v
     (!s. dec (enc s) = s)
@@ -10,9 +11,15 @@
     v}
 
     with [enc : 'b -> 'd] the new encoding of the state and [dec] a left
-    inverse on the states actually used.  The proof is the same induction
-    over time as the retiming theorem, with invariant
-    [state fd2 (enc q) inp t = enc (state fd q inp t)]. *)
+    inverse on the states actually used.  No induction of its own: the
+    retiming theorem at [f := enc], [g := \i x. fd i (dec x)], beta-normal,
+    is [automaton (\i s. fd i (dec (enc s))) q = ] the right side above,
+    and the hypothesis turns that step function into [fd] by
+    extensionality.
+
+    Unlike [RETIMING_THM] and [COMB_EQUIV_THM], this theorem is not
+    registered with the kernel, so a certificate cannot import it: an
+    encoding step ([Hash.Encode]) cannot be certified. *)
 
 open Logic
 

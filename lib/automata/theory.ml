@@ -36,7 +36,6 @@ let eta_ax =
   Kernel.new_axiom "ETA_AX"
     (Term.mk_eq (Term.mk_abs x (Term.mk_comb t x)) t)
 
-(* Reduce all beta-redexes anywhere in a term. *)
 let beta_norm_conv =
   Conv.memo_top_depth_conv (fun tm ->
       match tm.Term.node with

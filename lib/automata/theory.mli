@@ -27,6 +27,10 @@ val induct : Term.t -> thm -> thm -> thm
     [|- !n. p ==> p[SUC n/n]], derive [|- !n. p].  The first argument is
     the induction predicate as an abstraction. *)
 
+val beta_norm_conv : Conv.conv
+(** Reduce every beta-redex anywhere in a term (through
+    {!Logic.Conv.memo_top_depth_conv}). *)
+
 val ext_rule : Term.t -> thm -> thm
 (** [ext_rule x (|- f x = g x)] is [|- f = g], provided [x] is a variable
     not free in [f], [g] or the hypotheses. *)

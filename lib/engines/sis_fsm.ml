@@ -77,7 +77,7 @@ let init_bits c =
       | Word _ -> Common.unsupported "Sis_fsm: word register (bit-blast first)")
     c.registers
 
-let equiv_stats budget ca cb =
+let traverse budget ca cb =
   if not (Common.same_interface ca cb) then
     Common.interface_mismatch "Sis_fsm: interface mismatch";
   let cca = compile ca and ccb = compile cb in
@@ -136,9 +136,9 @@ let equiv_stats budget ca cb =
     | Mismatch msg -> (Common.Not_equivalent msg, !visited_states)
   end
 
-let equiv budget ca cb = fst (equiv_stats budget ca cb)
+let equiv budget ca cb = fst (traverse budget ca cb)
 
 let equiv_report budget ca cb =
   Common.observe ~engine:"sis" (fun () ->
-      let r, states = equiv_stats budget ca cb in
+      let r, states = traverse budget ca cb in
       (r, [ ("visited_states", float_of_int states) ]))

@@ -8,10 +8,6 @@
 val equiv : Common.budget -> Circuit.t -> Circuit.t -> Common.result
 (** Both circuits must be pure bit-level with matching interfaces. *)
 
-val equiv_stats :
-  Common.budget -> Circuit.t -> Circuit.t -> Common.result * int
-(** Also returns the number of product states visited. *)
-
 val equiv_report : Common.budget -> Circuit.t -> Circuit.t -> Common.report
 (** Like {!equiv}, with wall time; [extra] carries [visited_states] (this
     engine builds no BDDs, so the kernel counters are empty). *)

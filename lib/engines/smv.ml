@@ -1,6 +1,6 @@
 (* The traversal proper, over a caller-supplied manager (so the caller can
    snapshot the kernel counters afterwards).  Raises [Common.Out_of_budget]. *)
-let equiv_stats_m m budget ca cb =
+let traverse m budget ca cb =
   Common.arm_nodes budget m;
   let p = Symbolic.product ~check:(fun () -> Common.check_nodes budget m) m ca cb in
     let k = p.Symbolic.n_regs in
@@ -98,20 +98,16 @@ let equiv_stats_m m budget ca cb =
     let r, iters, peak = bfs init_state init_state 0 (Bdd.size m init_state) in
     (r, iters, peak, !peak_image)
 
-let equiv_stats budget ca cb =
+let equiv budget ca cb =
   Common.with_manager (fun m ->
       try
-        let r, iters, peak, _ = equiv_stats_m m budget ca cb in
-        (r, iters, peak)
-      with Common.Out_of_budget -> (Common.Timeout, 0, 0))
-
-let equiv budget ca cb =
-  let r, _, _ = equiv_stats budget ca cb in
-  r
+        let r, _, _, _ = traverse m budget ca cb in
+        r
+      with Common.Out_of_budget -> Common.Timeout)
 
 let equiv_report budget ca cb =
   Common.observe_bdd ~engine:"smv" (fun m ->
-      let r, iters, peak, peak_img = equiv_stats_m m budget ca cb in
+      let r, iters, peak, peak_img = traverse m budget ca cb in
       ( r,
         [
           ("bfs_iterations", float_of_int iters);

@@ -15,12 +15,6 @@
 val equiv : Common.budget -> Circuit.t -> Circuit.t -> Common.result
 (** Both circuits must be pure bit-level with matching interfaces. *)
 
-val equiv_stats :
-  Common.budget -> Circuit.t -> Circuit.t ->
-  Common.result * int * int
-(** Like {!equiv}, also returning [(iterations, peak reached-set BDD
-    size)] for the benchmark report. *)
-
 val equiv_report : Common.budget -> Circuit.t -> Circuit.t -> Common.report
 (** Like {!equiv}, with wall time and kernel counters; [extra] carries
     [bfs_iterations], [peak_reached_size] and [peak_image_size] (largest

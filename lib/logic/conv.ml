@@ -4,7 +4,6 @@ type thm = Kernel.thm
 type conv = Term.t -> thm
 
 let all_conv = Kernel.refl
-let no_conv _ = failwith "Conv.no_conv"
 
 let thenc c1 c2 tm =
   let th1 = c1 tm in
@@ -13,15 +12,6 @@ let thenc c1 c2 tm =
 
 let orelsec c1 c2 tm = try c1 tm with Failure _ -> c2 tm
 let try_conv c = orelsec c all_conv
-
-let rec repeatc c tm =
-  (orelsec (thenc c (fun t -> repeatc c t)) all_conv) tm
-
-let changed_conv c tm =
-  let th = c tm in
-  if Term.aconv (Kernel.lhs th) (Kernel.rhs th) then
-    failwith "Conv.changed_conv: no change"
-  else th
 
 let rec first_conv cs tm =
   match cs with
@@ -35,30 +25,6 @@ let rand_conv c tm =
 let rator_conv c tm =
   let f, x = Term.dest_comb tm in
   Drule.ap_thm (c f) x
-
-let abs_conv c tm =
-  let v, body = Term.dest_abs tm in
-  Kernel.abs v (c body)
-
-let comb_conv c tm =
-  let f, x = Term.dest_comb tm in
-  Kernel.mk_comb_rule (c f) (c x)
-
-let sub_conv c tm =
-  match tm.Term.node with
-  | Term.Comb (_, _) -> comb_conv c tm
-  | Term.Abs (_, _) -> abs_conv c tm
-  | _ -> all_conv tm
-
-let rec top_depth_conv c tm =
-  thenc (repeatc c)
-    (try_conv
-       (thenc (changed_conv (sub_conv (fun t -> top_depth_conv c t)))
-          (try_conv (thenc c (fun t -> top_depth_conv c t)))))
-    tm
-
-let rec once_depth_conv c tm =
-  (try_conv (orelsec c (sub_conv (fun t -> once_depth_conv c t)))) tm
 
 let rewr_conv th tm =
   let theta, tyin = Term.term_match [] (Kernel.lhs th) tm in
@@ -110,8 +76,6 @@ let rewrs_conv ths =
         | Some c -> c tm
         | None -> wild tm)
     | None -> wild tm
-
-let rewrite_conv ths = top_depth_conv (rewrs_conv ths)
 
 (* Hook polled once per memo miss inside the normaliser below; the
    synthesis layer installs a budget check here so long normalisation runs

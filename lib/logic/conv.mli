@@ -2,37 +2,26 @@
 
     A conversion maps a term [t] to a theorem [|- t = t'].  The combinators
     below are the part of the classic HOL conversional suite this
-    repository uses; in addition,
-    {!memo_top_depth_conv} provides a physically-memoised normaliser whose
-    cost is proportional to the number of {e distinct} subterm nodes — the
-    workhorse behind HASH's linear-in-circuit-size behaviour on dag-shaped
-    circuit terms. *)
+    repository uses.  The one normaliser is {!memo_top_depth_conv}, a
+    physically-memoised top-down rewriter whose cost is proportional to
+    the number of {e distinct} subterm nodes — the workhorse behind HASH's
+    linear-in-circuit-size behaviour on dag-shaped circuit terms. *)
 
 open Hol
 
 type thm = Kernel.thm
 type conv = Term.t -> thm
 
-val all_conv : conv
-(** Always succeeds with [|- t = t]. *)
-
-val no_conv : conv
-(** Always fails. *)
-
 val thenc : conv -> conv -> conv
 val orelsec : conv -> conv -> conv
 val try_conv : conv -> conv
-
-val changed_conv : conv -> conv
-(** Fail unless the conversion changes the term. *)
+(** [try_conv c] is [c], or [|- t = t] where [c] fails. *)
 
 val rand_conv : conv -> conv
 (** Apply in the operand of a combination. *)
 
 val rator_conv : conv -> conv
 (** Apply in the operator of a combination. *)
-
-val once_depth_conv : conv -> conv
 
 val rewr_conv : thm -> conv
 (** [rewr_conv |- l = r] rewrites a term matching [l] (first-order match
@@ -52,12 +41,10 @@ val rewrs_conv : thm list -> conv
     @raise Failure ["Conv.first_conv: no conversion applied"] when no
     rewrite matches. *)
 
-val rewrite_conv : thm list -> conv
-(** Exhaustive top-down rewriting with the given equations. *)
-
 val memo_top_depth_conv : conv -> conv
-(** Like HOL's [TOP_DEPTH_CONV] (the strategy of {!rewrite_conv}), but
-    memoised on interned node ids, so
+(** Like HOL's [TOP_DEPTH_CONV] (rewrite at the top as long as possible,
+    then in the children, then retry the top), but memoised on interned
+    node ids, so
     dag-shared subterms are converted once.  The memo table is allocated
     at {e partial application} — bind the result
     ([let my_conv = memo_top_depth_conv c]) — and shared by every call

@@ -52,12 +52,31 @@ let test_retiming_thm_shape () =
   let frees = Term.frees (Kernel.concl th) in
   Alcotest.(check int) "three free variables" 3 (List.length frees)
 
-let test_comb_equiv_shape () =
+(* The exact sequent: terms are interned, so the conclusion and the one
+   hypothesis must be physically the terms built here from typed
+   variables; the printed theorem is pinned as well. *)
+let test_comb_equiv_pinned () =
   let th = Retiming_thm.comb_equiv_thm in
-  Alcotest.(check int) "one hypothesis" 1 (List.length (Kernel.hyp th));
-  let lhs, rhs = Term.dest_eq (Kernel.concl th) in
-  check "both sides automata" true
-    (Term.is_comb lhs && Term.is_comb rhs)
+  let fdty = Ty.fn Ty.alpha (Ty.fn Ty.beta (Ty.prod Ty.gamma Ty.beta)) in
+  let fd1 = Term.mk_var "fd1" fdty and fd2 = Term.mk_var "fd2" fdty in
+  let q = Term.mk_var "q" Ty.beta in
+  let i = Term.mk_var "i" Ty.alpha and s = Term.mk_var "s" Ty.beta in
+  let hyp =
+    Boolean.mk_forall i
+      (Boolean.mk_forall s
+         (Term.mk_eq
+            (Term.list_mk_comb fd1 [ i; s ])
+            (Term.list_mk_comb fd2 [ i; s ])))
+  in
+  check "conclusion" true
+    (Kernel.concl th
+    == Term.mk_eq (Theory.mk_automaton fd1 q) (Theory.mk_automaton fd2 q));
+  check "hypothesis" true
+    (match Kernel.hyp th with [ h ] -> h == hyp | _ -> false);
+  Alcotest.(check string) "printed"
+    "(!i. (!s. (((fd1 i) s) = ((fd2 i) s)))) |- (((automaton fd1) q) = \
+     ((automaton fd2) q))"
+    (Kernel.string_of_thm th)
 
 (* A sanity model-check of the theorem's statement: instantiate it on a
    tiny concrete machine and compare both sides by simulation through the
@@ -161,7 +180,8 @@ let suite =
   [
     Alcotest.test_case "axiomatic basis audit" `Quick test_axiom_audit;
     Alcotest.test_case "RETIMING_THM shape" `Quick test_retiming_thm_shape;
-    Alcotest.test_case "COMB_EQUIV shape" `Quick test_comb_equiv_shape;
+    Alcotest.test_case "COMB_EQUIV statement pinned" `Quick
+      test_comb_equiv_pinned;
     Alcotest.test_case "RETIMING_THM instance" `Quick test_retiming_instance;
     Alcotest.test_case "ext_rule" `Quick test_ext_rule;
     Alcotest.test_case "bv literals" `Quick test_bv_literals;

@@ -382,12 +382,13 @@ let test_worker_cert_after_spawner_reads () =
 (* --- pinned certificate bytes ----------------------------------------- *)
 
 (* The MD5 of the certificate for three retiming proofs at the maximal
-   cut: fig2 (4-bit words) and s298 at bit level, and fig2 at RT level.
-   "emission is deterministic" compares two runs of one build; these
-   digests hold the rendered bytes fixed across changes to the kernel,
-   the recorder and the synthesis code that feeds them.  They equal the
-   MD5 of the file `hash_retime --circuit C [-n 4] --level L --cert F`
-   writes. *)
+   cut: fig2 (4-bit words) and s298 at bit level, and fig2 at RT level;
+   and for one resynthesis proof ({!resynth_cert}).  "emission is
+   deterministic" compares two runs of one build; these digests hold the
+   rendered bytes fixed across changes to the kernel, the recorder, the
+   theory and the synthesis code that feeds them.  The three retiming
+   digests equal the MD5 of the file
+   `hash_retime --circuit C [-n 4] --level L --cert F` writes. *)
 let cert_digest level c =
   let c =
     if
@@ -402,6 +403,32 @@ let cert_digest level c =
   in
   Digest.to_hex (Digest.string (emit tr th))
 
+(* A combinational resynthesis step at bit level on a synthetic
+   6-flip-flop circuit: its proof imports COMB_EQUIV_THM, whose full
+   sequent the certificate carries and the checker compares against its
+   own derivation. *)
+let resynth_cert () =
+  let c = Iwls.synth ~name:"r" ~ffs:6 ~gates:30 ~ins:2 ~outs:2 ~seed:99 in
+  let tr, th =
+    record (fun () ->
+        (Hash.Resynth.resynthesize Hash.Embed.Bit_level c)
+          .Hash.Synthesis.theorem)
+  in
+  (emit tr th, th)
+
+let test_resynth_cert_replays () =
+  let cert, th = resynth_cert () in
+  check "imports COMB_EQUIV_THM" true
+    (List.exists
+       (fun l ->
+         match String.split_on_char ' ' l with
+         | [ "S"; _; "I"; name ] -> name = "Retiming_thm.comb_equiv_thm"
+         | _ -> false)
+       (String.split_on_char '\n' cert));
+  let th', prims = replay cert in
+  check "same sequent" true (same_sequent th th');
+  check_int "inferences replayed" 43 prims
+
 let test_cert_digests_pinned () =
   let s298 = Lazy.force (Iwls.find "s298").Iwls.circuit in
   check_str "fig2 n=4, bit level" "bbac86095e297818852caa3a93c69452"
@@ -409,12 +436,16 @@ let test_cert_digests_pinned () =
   check_str "s298, bit level" "c2a7afee0806c5a638e9e6eb568a3aca"
     (cert_digest Hash.Embed.Bit_level s298);
   check_str "fig2 n=4, RT level" "4bf97c0e8b62f495464c2851ddf6162b"
-    (cert_digest Hash.Embed.Rt_level (Fig2.rt 4))
+    (cert_digest Hash.Embed.Rt_level (Fig2.rt 4));
+  check_str "resynthesis, bit level" "983f67d84bdb014e950f60d671d9df72"
+    (Digest.to_hex (Digest.string (fst (resynth_cert ()))))
 
 let suite =
   [
     Alcotest.test_case "certificate digests pinned" `Quick
       test_cert_digests_pinned;
+    Alcotest.test_case "resynthesis certificate replays" `Quick
+      test_resynth_cert_replays;
     Alcotest.test_case "worker certificate after spawner reads theory" `Quick
       test_worker_cert_after_spawner_reads;
     Alcotest.test_case "round trip: refl/trans" `Quick test_roundtrip_basic;

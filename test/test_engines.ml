@@ -85,10 +85,11 @@ let test_smv_timeout () =
 
 let test_smv_stats () =
   let c, r = retimed_pair 3 in
-  let res, iters, peak = Engines.Smv.equiv_stats (budget ()) c r in
-  check "equivalent" true (is_equiv res);
-  check "iterations counted" true (iters >= 1);
-  check "peak size positive" true (peak >= 1)
+  let rep = Engines.Smv.equiv_report (budget ()) c r in
+  let extra k = List.assoc k rep.Engines.Common.extra in
+  check "equivalent" true (is_equiv rep.Engines.Common.result);
+  check "iterations counted" true (extra "bfs_iterations" >= 1.);
+  check "peak size positive" true (extra "peak_reached_size" >= 1.)
 
 (* ------------------------------------------------------------------ *)
 (* SIS                                                                 *)
@@ -96,9 +97,10 @@ let test_smv_stats () =
 
 let test_sis_equiv () =
   let c, r = retimed_pair 3 in
-  let res, states = Engines.Sis_fsm.equiv_stats (budget ()) c r in
-  check "equivalent" true (is_equiv res);
-  check "visited states" true (states >= 1)
+  let rep = Engines.Sis_fsm.equiv_report (budget ()) c r in
+  check "equivalent" true (is_equiv rep.Engines.Common.result);
+  check "visited states" true
+    (List.assoc "visited_states" rep.Engines.Common.extra >= 1.)
 
 let test_sis_refutes () =
   let c = Fig2.gate 3 in

@@ -361,11 +361,38 @@ let suite = suite @ [
 (* State encoding (register permutation)                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_encode_thm_shape () =
+(* The exact sequent, as in test_automata's COMB_EQUIV pin: the
+   conclusion and the one hypothesis are physically the interned terms
+   built here, and the printed theorem is pinned. *)
+let test_encode_thm_pinned () =
   let th = Automata.Encoding.encode_thm in
-  Alcotest.(check int) "one hypothesis" 1 (List.length (Kernel.hyp th));
-  let lhs, rhs = Term.dest_eq (Kernel.concl th) in
-  check "lhs/rhs automata" true (Term.is_comb lhs && Term.is_comb rhs)
+  let a = Ty.alpha and b = Ty.beta and c = Ty.gamma and d = Ty.delta in
+  let fd = Term.mk_var "fd" (Ty.fn a (Ty.fn b (Ty.prod c b))) in
+  let enc = Term.mk_var "enc" (Ty.fn b d) in
+  let dec = Term.mk_var "dec" (Ty.fn d b) in
+  let q = Term.mk_var "q" b and i = Term.mk_var "i" a in
+  let s = Term.mk_var "s" b and x = Term.mk_var "s" d in
+  let hyp =
+    Boolean.mk_forall s
+      (Term.mk_eq (Term.mk_comb dec (Term.mk_comb enc s)) s)
+  in
+  let fdx = Term.list_mk_comb fd [ i; Term.mk_comb dec x ] in
+  let fd2 =
+    Term.list_mk_abs [ i; x ]
+      (Pairs.mk_pair (Pairs.mk_fst fdx)
+         (Term.mk_comb enc (Pairs.mk_snd fdx)))
+  in
+  check "conclusion" true
+    (Kernel.concl th
+    == Term.mk_eq (Automata.Theory.mk_automaton fd q)
+         (Automata.Theory.mk_automaton fd2 (Term.mk_comb enc q)));
+  check "hypothesis" true
+    (match Kernel.hyp th with [ h ] -> h == hyp | _ -> false);
+  Alcotest.(check string) "printed"
+    "(!s. ((dec (enc s)) = s)) |- (((automaton fd) q) = ((automaton (\\i. \
+     (\\s. ((FST ((fd i) (dec s))), (enc (SND ((fd i) (dec s)))))))) \
+     (enc q)))"
+    (Kernel.string_of_thm th)
 
 let test_permute_registers () =
   let c = Iwls.synth ~name:"enc_t" ~ffs:6 ~gates:30 ~ins:2 ~outs:2 ~seed:99 in
@@ -417,7 +444,8 @@ let prop_permute =
       && cosim c step.Hash.Synthesis.after 20 (seed + 29))
 
 let suite = suite @ [
-    Alcotest.test_case "ENCODE_THM shape" `Quick test_encode_thm_shape;
+    Alcotest.test_case "ENCODE_THM statement pinned" `Quick
+      test_encode_thm_pinned;
     Alcotest.test_case "permute registers" `Quick test_permute_registers;
     Alcotest.test_case "permutation validated" `Quick test_permute_validation;
     Alcotest.test_case "encoding composes with retiming" `Quick
