@@ -557,7 +557,8 @@ let micro () =
    HASH rows are almost pure kernel inference, so replaying the very
    same inference chain through the same kernel has a hard floor near
    synthesis time — and the replay/synthesis ratio is therefore
-   reported as an ungated info row instead.  Emission time,
+   reported as an ungated info row instead.  Emission time (also as a
+   percentage of synthesis), the words one emission allocates,
    certificate size and the spread of the overhead estimate (the
    interquartile range of the per-pair deltas, as a percentage of
    synthesis time) are also ungated info rows under [certinfo/]. *)
@@ -573,9 +574,9 @@ let cert_bench () =
      gates: record overhead <= %.0f%% of synthesis, replay <= %.0f%% of van \
      Eijk verification)\n"
     cert_pairs cert_gate_pct cert_gate_pct;
-  Printf.printf "%-8s %10s %10s %9s %9s %10s %10s %9s %9s %9s %8s\n" "name"
-    "synth(ms)" "record(ms)" "over(%)" "iqr(%)" "eijk(ms)" "replay(ms)"
-    "rpl/eijk" "rpl/syn" "emit(ms)" "bytes";
+  Printf.printf "%-8s %10s %10s %9s %9s %10s %10s %9s %9s %9s %9s %9s %8s\n"
+    "name" "synth(ms)" "record(ms)" "over(%)" "iqr(%)" "eijk(ms)" "replay(ms)"
+    "rpl/eijk" "rpl/syn" "emit(ms)" "emt/syn" "emit(kw)" "bytes";
   let time f = snd (time f) in
   let min_of reps f =
     let best = ref infinity in
@@ -693,16 +694,34 @@ let cert_bench () =
               | Ok _ -> ()
               | Error msg -> failwith msg)
         in
+        (* words one emission allocates on this domain, the least of
+           three calls (a call may also pay for the term table's growth
+           when [Kernel.concl] builds an equation); the counters advance
+           at minor collections, so one brackets each side *)
+        let emit_kwords =
+          List.fold_left min infinity
+            (List.init 3 (fun _ ->
+                 Gc.minor ();
+                 let before = Obs.Gcstats.now () in
+                 ignore
+                   (Sys.opaque_identity
+                      (Cert.emit tr step.Hash.Synthesis.theorem));
+                 Gc.minor ();
+                 let d = Obs.Gcstats.delta ~before ~after:(Obs.Gcstats.now ()) in
+                 (d.Obs.Gcstats.minor_words +. d.major_words -. d.promoted_words)
+                 /. 1000.))
+        in
+        let emit_pct = t_emit /. t_synth *. 100.0 in
         let over_pct = (t_record -. t_synth) /. t_synth *. 100.0 in
         let over_iqr_pct = d_iqr /. t_synth *. 100.0 in
         let eijk_pct = t_replay /. t_eijk *. 100.0 in
         let synth_pct = t_replay /. t_synth *. 100.0 in
         Printf.printf
           "%-8s %10.2f %10.2f %8.1f%% %8.1f%% %10.1f %10.2f %8.2f%% %8.0f%% \
-           %9.2f %8d\n"
+           %9.2f %8.0f%% %9.1f %8d\n"
           name (t_synth *. 1e3) (t_record *. 1e3) over_pct over_iqr_pct
           (t_eijk *. 1e3) (t_replay *. 1e3) eijk_pct synth_pct (t_emit *. 1e3)
-          (String.length cert);
+          emit_pct emit_kwords (String.length cert);
         flush stdout;
         if over_pct > cert_gate_pct then
           failures :=
@@ -724,6 +743,10 @@ let cert_bench () =
           (Printf.sprintf "certinfo/%s/emit" name, ns t_emit);
           ( Printf.sprintf "certinfo/%s/replay_vs_synth_pct" name,
             Obs.Json.Float synth_pct );
+          ( Printf.sprintf "certinfo/%s/emit_vs_synth_pct" name,
+            Obs.Json.Float emit_pct );
+          ( Printf.sprintf "certinfo/%s/emit_kwords" name,
+            Obs.Json.Float emit_kwords );
           ( Printf.sprintf "certinfo/%s/over_iqr_pct" name,
             Obs.Json.Float over_iqr_pct );
           ( Printf.sprintf "certinfo/%s/bytes" name,

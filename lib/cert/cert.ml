@@ -36,38 +36,48 @@ let reject_to_string = function
 
 (* ------------------------------------------------------------------ *)
 (* Name escaping: tokens are space-separated, so control characters,   *)
-(* spaces, '%' and non-ASCII bytes are rendered as %XX.                *)
+(* spaces, '%' and non-ASCII bytes are rendered as %XX, with uppercase  *)
+(* hex.  The checker accepts exactly what [add_esc] writes: no other    *)
+(* escape, and no special byte left raw.                                *)
 (* ------------------------------------------------------------------ *)
 
-let esc s =
-  let special ch = ch <= ' ' || ch >= '\127' || ch = '%' in
-  if not (String.exists special s) then s
-  else begin
-    let b = Buffer.create (String.length s + 8) in
+let special ch = ch <= ' ' || ch >= '\127' || ch = '%'
+let hex = "0123456789ABCDEF"
+
+let add_esc b s =
+  if not (String.exists special s) then Buffer.add_string b s
+  else
     String.iter
       (fun ch ->
-        if special ch then
-          Buffer.add_string b (Printf.sprintf "%%%02X" (Char.code ch))
+        if special ch then begin
+          Buffer.add_char b '%';
+          Buffer.add_char b hex.[Char.code ch lsr 4];
+          Buffer.add_char b hex.[Char.code ch land 15]
+        end
         else Buffer.add_char b ch)
-      s;
-    Buffer.contents b
-  end
+      s
 
 let unesc s =
-  if not (String.contains s '%') then s
+  if not (String.exists special s) then s
   else begin
     let b = Buffer.create (String.length s) in
     let n = String.length s in
+    let digit i =
+      match s.[i] with
+      | '0' .. '9' as c -> Char.code c - 48
+      | 'A' .. 'F' as c -> Char.code c - 55
+      | _ -> failwith "bad escape"
+    in
     let i = ref 0 in
     while !i < n do
       if s.[!i] = '%' then begin
         if !i + 2 >= n then failwith "truncated escape";
-        let hex = String.sub s (!i + 1) 2 in
-        (match int_of_string_opt ("0x" ^ hex) with
-        | Some c -> Buffer.add_char b (Char.chr c)
-        | None -> failwith "bad escape");
+        let ch = Char.chr ((16 * digit (!i + 1)) + digit (!i + 2)) in
+        if not (special ch) then failwith "needless escape";
+        Buffer.add_char b ch;
         i := !i + 3
       end
+      else if special s.[!i] then failwith "unescaped byte"
       else begin
         Buffer.add_char b s.[!i];
         incr i
@@ -80,202 +90,157 @@ let unesc s =
 (* Emission                                                            *)
 (* ------------------------------------------------------------------ *)
 
-exception Emit_fail of string
+(* Every line is written straight into one Buffer.  [add_int] prints
+   what [string_of_int] prints, from the non-positive side so that
+   [min_int] needs no case of its own. *)
+let rec add_nonpos b n =
+  if n <= -10 then add_nonpos b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
 
-let deps = function
-  | Kernel.Trace.Refl _ | Kernel.Trace.Beta _ | Kernel.Trace.Assume _
-  | Kernel.Trace.Axiom_ref _ | Kernel.Trace.Def_ref _ | Kernel.Trace.Import _
-    ->
-      []
-  | Kernel.Trace.Trans (i, j)
-  | Kernel.Trace.Mk_comb (i, j)
-  | Kernel.Trace.Eq_mp (i, j)
-  | Kernel.Trace.Deduct (i, j) ->
-      [ i; j ]
-  | Kernel.Trace.Abs (_, i)
-  | Kernel.Trace.Inst (_, i)
-  | Kernel.Trace.Inst_type (_, i) ->
-      [ i ]
+let add_int b n =
+  if n < 0 then Buffer.add_char b '-';
+  add_nonpos b (if n < 0 then n else -n)
+
+(* type and term ids to certificate ids *)
+module Ids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Fun.id
+end)
+
+exception Emit_fail of string
 
 let emit tr th =
   match Kernel.step_in tr th with
   | None -> Error "theorem was not recorded in this trace"
   | Some root -> (
       try
-        let n = Kernel.Trace.length tr in
-        let events = Array.init n (Kernel.Trace.event tr) in
-        (* prune to the proof of [th]: mark steps reachable from the root *)
-        let reach = Array.make n false in
-        let stack = ref [ root ] in
-        while !stack <> [] do
-          match !stack with
-          | [] -> ()
-          | i :: rest ->
-              stack := rest;
-              if not reach.(i) then begin
-                reach.(i) <- true;
-                List.iter (fun j -> stack := j :: !stack) (deps events.(i))
-              end
+        let open Kernel.Trace in
+        (* prune to the proof of [th]: an event's operands are earlier
+           events, so one backward sweep from the root marks every step
+           the proof reaches, and reads only those; each import is
+           kept at its first use *)
+        let reach = Bytes.make (root + 1) '\000' in
+        let mark i = Bytes.set reach i '\001' in
+        let imports = ref [] in
+        mark root;
+        for i = root downto 0 do
+          if Bytes.get reach i <> '\000' then
+            match event tr i with
+            | Trans (a, b) | Mk_comb (a, b) | Eq_mp (a, b) | Deduct (a, b) ->
+                mark a; mark b
+            | Abs (_, a) | Inst (_, a) | Inst_type (_, a) -> mark a
+            | Import nm ->
+                imports := nm :: List.filter (fun m -> m <> nm) !imports
+            | _ -> ()
         done;
-        let newid = Array.make n (-1) in
+        (* every number follows a space *)
+        let buf = Buffer.create 65536 in
+        let str = Buffer.add_string buf and chr = Buffer.add_char buf in
+        let name = add_esc buf in
+        let int i = chr ' '; add_int buf i in
+        str "hashcert 1\n";
+        (* types and terms are interned into dag tables, each node
+           emitted once, before its first use *)
+        let tyids = Ids.create 64 and tmids = Ids.create 1024 in
+        let rec ty_id (t : Ty.t) =
+          match Ids.find tyids t.Ty.id with
+          | i -> i
+          | exception Not_found ->
+              (match t.Ty.node with
+              | Ty.Tyapp (_, args) -> List.iter (fun a -> ignore (ty_id a)) args
+              | Ty.Tyvar _ -> ());
+              let i = Ids.length tyids in
+              Ids.add tyids t.Ty.id i;
+              str "Y"; int i;
+              (match t.Ty.node with
+              | Ty.Tyvar v -> str " v "; name v
+              | Ty.Tyapp (op, args) ->
+                  str " a "; name op; int (List.length args);
+                  List.iter (fun a -> int (ty_id a)) args);
+              chr '\n';
+              i
+        in
+        let rec tm_id (tm : Term.t) =
+          match Ids.find tmids tm.Term.id with
+          | i -> i
+          | exception Not_found ->
+              let kind, nm, a, b =
+                match tm.Term.node with
+                | Term.Var (v, ty) -> (" v ", v, ty_id ty, -1)
+                | Term.Const (c, ty) -> (" c ", c, ty_id ty, -1)
+                | Term.Comb (f, x) -> let a = tm_id f in (" k", "", a, tm_id x)
+                | Term.Abs (v, b) -> let a = tm_id v in (" l", "", a, tm_id b)
+              in
+              let i = Ids.length tmids in
+              Ids.add tmids tm.Term.id i;
+              str "T"; int i; str kind; name nm; int a;
+              if b >= 0 then int b;
+              chr '\n';
+              i
+        in
+        (* [kw <head> <k> <hyp>* <concl>], its terms interned first *)
+        let sequent kw head ith =
+          let hyps = Kernel.hyp ith in
+          List.iter (fun h -> ignore (tm_id h)) hyps;
+          let c = tm_id (Kernel.concl ith) in
+          str kw; head (); int (List.length hyps);
+          List.iter (fun h -> int (tm_id h)) hyps;
+          int c; chr '\n'
+        in
+        (* theory context: full signature, axioms and definitions in
+           insertion order, imports in first-use order with sequents *)
+        let named kw (nm, i) = str kw; name nm; int i; chr '\n' in
+        let each kw f = List.iter (fun (nm, x) -> named kw (nm, f x)) in
+        each "tycon " Fun.id (Kernel.types ());
+        each "const " ty_id (Kernel.constants ());
+        each "axiom " (fun th -> tm_id (Kernel.concl th)) (Kernel.axioms ());
+        each "def " (fun th -> tm_id (Kernel.concl th)) (Kernel.definitions ());
+        let registered = Kernel.registered_theorems () in
+        List.iter
+          (fun nm ->
+            match List.assoc_opt nm registered with
+            | Some ith -> sequent "import " (fun () -> name nm) ith
+            | None -> raise (Emit_fail ("imported theorem vanished: " ^ nm)))
+          !imports;
+        (* the derivation, renumbered densely *)
+        let newid = Array.make (root + 1) (-1) in
         let next = ref 0 in
-        for i = 0 to n - 1 do
-          if reach.(i) then begin
+        let step kind = str "S"; int !next; str kind in
+        let step_tm kind t = let ti = tm_id t in step kind; int ti in
+        let step2 kind a b = step kind; int newid.(a); int newid.(b) in
+        for i = 0 to root do
+          if Bytes.get reach i <> '\000' then begin
+            (match event tr i with
+            | Refl t -> step_tm " r" t
+            | Beta t -> step_tm " b" t
+            | Assume t -> step_tm " a" t
+            | Trans (a, b) -> step2 " t" a b
+            | Mk_comb (a, b) -> step2 " c" a b
+            | Eq_mp (a, b) -> step2 " m" a b
+            | Deduct (a, b) -> step2 " d" a b
+            | Abs (v, a) -> step_tm " l" v; int newid.(a)
+            | Inst (theta, a) ->
+                (* each pair's term is numbered before its variable *)
+                List.iter (fun (v, t) -> ignore (tm_id t); ignore (tm_id v)) theta;
+                step " i"; int (List.length theta);
+                List.iter (fun (v, t) -> int (tm_id v); int (tm_id t)) theta;
+                int newid.(a)
+            | Inst_type (tyin, a) ->
+                List.iter (fun (_, t) -> ignore (ty_id t)) tyin;
+                step " y"; int (List.length tyin);
+                List.iter (fun (v, t) -> chr ' '; name v; int (ty_id t)) tyin;
+                int newid.(a)
+            | Axiom_ref nm -> step " A "; name nm
+            | Def_ref nm -> step " D "; name nm
+            | Import nm -> step " I "; name nm);
+            chr '\n';
             newid.(i) <- !next;
             incr next
           end
         done;
-        let buf = Buffer.create 65536 in
-        let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-        pr "hashcert 1\n";
-        (* types and terms are interned into dag tables, each node
-           emitted once, before its first use *)
-        let tyids : (int, int) Hashtbl.t = Hashtbl.create 64 in
-        let tmids : (int, int) Hashtbl.t = Hashtbl.create 1024 in
-        let tyc = ref 0 and tmc = ref 0 in
-        let rec ty_id (t : Ty.t) =
-          match Hashtbl.find_opt tyids t.Ty.id with
-          | Some i -> i
-          | None -> (
-              match t.Ty.node with
-              | Ty.Tyvar v ->
-                  let i = !tyc in
-                  incr tyc;
-                  Hashtbl.add tyids t.Ty.id i;
-                  pr "Y %d v %s\n" i (esc v);
-                  i
-              | Ty.Tyapp (op, args) ->
-                  let ids = List.map ty_id args in
-                  let i = !tyc in
-                  incr tyc;
-                  Hashtbl.add tyids t.Ty.id i;
-                  pr "Y %d a %s %d%s\n" i (esc op) (List.length ids)
-                    (String.concat ""
-                       (List.map (fun j -> " " ^ string_of_int j) ids));
-                  i)
-        in
-        let rec tm_id (tm : Term.t) =
-          match Hashtbl.find_opt tmids tm.Term.id with
-          | Some i -> i
-          | None ->
-              let fresh line =
-                let i = !tmc in
-                incr tmc;
-                Hashtbl.add tmids tm.Term.id i;
-                pr "T %d %s\n" i (line ());
-                i
-              in
-              (match tm.Term.node with
-              | Term.Var (v, ty) ->
-                  let tyi = ty_id ty in
-                  fresh (fun () -> Printf.sprintf "v %s %d" (esc v) tyi)
-              | Term.Const (c, ty) ->
-                  let tyi = ty_id ty in
-                  fresh (fun () -> Printf.sprintf "c %s %d" (esc c) tyi)
-              | Term.Comb (f, x) ->
-                  let a = tm_id f in
-                  let b = tm_id x in
-                  fresh (fun () -> Printf.sprintf "k %d %d" a b)
-              | Term.Abs (v, body) ->
-                  let a = tm_id v in
-                  let b = tm_id body in
-                  fresh (fun () -> Printf.sprintf "l %d %d" a b))
-        in
-        (* theory context: full signature, axioms and definitions in
-           insertion order, imports in first-use order with sequents *)
-        List.iter
-          (fun (name, arity) -> pr "tycon %s %d\n" (esc name) arity)
-          (Kernel.types ());
-        List.iter
-          (fun (name, gty) ->
-            let i = ty_id gty in
-            pr "const %s %d\n" (esc name) i)
-          (Kernel.constants ());
-        List.iter
-          (fun (name, ath) ->
-            let i = tm_id (Kernel.concl ath) in
-            pr "axiom %s %d\n" (esc name) i)
-          (Kernel.axioms ());
-        List.iter
-          (fun (name, dth) ->
-            let i = tm_id (Kernel.concl dth) in
-            pr "def %s %d\n" (esc name) i)
-          (Kernel.definitions ());
-        let registered = Kernel.registered_theorems () in
-        let seq_suffix ith =
-          let hids = List.map tm_id (Kernel.hyp ith) in
-          let ci = tm_id (Kernel.concl ith) in
-          Printf.sprintf "%d%s %d" (List.length hids)
-            (String.concat ""
-               (List.map (fun j -> " " ^ string_of_int j) hids))
-            ci
-        in
-        let imported = Hashtbl.create 16 in
-        for i = 0 to n - 1 do
-          if reach.(i) then
-            match events.(i) with
-            | Kernel.Trace.Import name when not (Hashtbl.mem imported name) ->
-                Hashtbl.add imported name ();
-                let ith =
-                  match List.assoc_opt name registered with
-                  | Some ith -> ith
-                  | None ->
-                      raise (Emit_fail ("imported theorem vanished: " ^ name))
-                in
-                pr "import %s %s\n" (esc name) (seq_suffix ith)
-            | _ -> ()
-        done;
-        (* the derivation *)
-        for i = 0 to n - 1 do
-          if reach.(i) then begin
-            let id = newid.(i) in
-            match events.(i) with
-            | Kernel.Trace.Refl t ->
-                let ti = tm_id t in
-                pr "S %d r %d\n" id ti
-            | Kernel.Trace.Trans (a, b) ->
-                pr "S %d t %d %d\n" id newid.(a) newid.(b)
-            | Kernel.Trace.Mk_comb (a, b) ->
-                pr "S %d c %d %d\n" id newid.(a) newid.(b)
-            | Kernel.Trace.Abs (v, a) ->
-                let vi = tm_id v in
-                pr "S %d l %d %d\n" id vi newid.(a)
-            | Kernel.Trace.Beta t ->
-                let ti = tm_id t in
-                pr "S %d b %d\n" id ti
-            | Kernel.Trace.Assume p ->
-                let pi = tm_id p in
-                pr "S %d a %d\n" id pi
-            | Kernel.Trace.Eq_mp (a, b) ->
-                pr "S %d m %d %d\n" id newid.(a) newid.(b)
-            | Kernel.Trace.Deduct (a, b) ->
-                pr "S %d d %d %d\n" id newid.(a) newid.(b)
-            | Kernel.Trace.Inst (theta, a) ->
-                let pairs =
-                  List.map (fun (v, t) -> (tm_id v, tm_id t)) theta
-                in
-                pr "S %d i %d%s %d\n" id (List.length pairs)
-                  (String.concat ""
-                     (List.map
-                        (fun (vi, ti) -> Printf.sprintf " %d %d" vi ti)
-                        pairs))
-                  newid.(a)
-            | Kernel.Trace.Inst_type (tyin, a) ->
-                let pairs =
-                  List.map (fun (v, t) -> (esc v, ty_id t)) tyin
-                in
-                pr "S %d y %d%s %d\n" id (List.length pairs)
-                  (String.concat ""
-                     (List.map
-                        (fun (v, ti) -> Printf.sprintf " %s %d" v ti)
-                        pairs))
-                  newid.(a)
-            | Kernel.Trace.Axiom_ref name -> pr "S %d A %s\n" id (esc name)
-            | Kernel.Trace.Def_ref name -> pr "S %d D %s\n" id (esc name)
-            | Kernel.Trace.Import name -> pr "S %d I %s\n" id (esc name)
-          end
-        done;
-        pr "qed %d %s\n" newid.(root) (seq_suffix th);
+        sequent "qed" (fun () -> int newid.(root)) th;
         Ok (Buffer.contents buf)
       with Emit_fail msg -> Error msg)
 
@@ -359,12 +324,11 @@ let check_string s =
     in
     go 0
   in
+  (* a natural number as [string_of_int] prints it: no sign, no
+     leading zero, and at most 18 digits, so it cannot wrap *)
   let tok_int () =
     let st = !pos in
-    let neg = !pos < n && String.unsafe_get s !pos = '-' in
-    if neg then incr pos;
     let v = ref 0 in
-    let digits = ref 0 in
     while
       !pos < n
       &&
@@ -372,11 +336,12 @@ let check_string s =
       c >= '0' && c <= '9'
     do
       v := (!v * 10) + (Char.code (String.unsafe_get s !pos) - 48);
-      incr digits;
       incr pos
     done;
+    let digits = !pos - st in
     if
-      !digits = 0
+      digits = 0 || digits > 18
+      || (digits > 1 && String.unsafe_get s st = '0')
       || not
            (!pos >= n
            || String.unsafe_get s !pos = ' '
@@ -384,10 +349,10 @@ let check_string s =
     then begin
       (* scan to the token end so the message shows the whole token *)
       let r = tok_raw () in
-      bad ("not an integer: " ^ String.sub s st (fst r + snd r - st))
+      bad ("not a canonical integer: " ^ String.sub s st (fst r + snd r - st))
     end;
     if !pos < n && String.unsafe_get s !pos = ' ' then incr pos;
-    if neg then - !v else !v
+    !v
   in
   let tok_name () =
     let r = tok_raw () in

@@ -16,7 +16,10 @@
 
     Format (version line [hashcert 1]; names are percent-escaped;
     [Y]/[T] lines intern types/terms as a shared dag and appear before
-    first use):
+    first use; the checker reads each token only in the spelling
+    {!emit} writes — integers without sign or leading zero, at most 18
+    digits, and [%XX] in uppercase hex for exactly the bytes that need
+    it: controls, space, ['%'] and non-ASCII):
     {v
     hashcert 1
     tycon <name> <arity>          declared type operator
@@ -39,7 +42,12 @@
     renumbers the pruned derivation that way and the checker {e
     enforces} it, so a step can only ever reference an
     already-replayed step and certificates for the same proof are
-    byte-identical across runs. *)
+    byte-identical across runs.
+
+    Emission costs about what its bytes cost: one [Buffer], no
+    [Printf], and only the trace events the proof reaches are read.
+    s298's certificate (bit level, 49 557 B) takes about 0.5 ms and
+    48 kwords, a quarter of its synthesis time. *)
 
 type reject =
   | Bad_version of string

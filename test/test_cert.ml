@@ -389,7 +389,7 @@ let test_worker_cert_after_spawner_reads () =
    theory and the synthesis code that feeds them.  The three retiming
    digests equal the MD5 of the file
    `hash_retime --circuit C [-n 4] --level L --cert F` writes. *)
-let cert_digest level c =
+let retime_trace level c =
   let c =
     if
       level = Hash.Embed.Bit_level
@@ -397,23 +397,24 @@ let cert_digest level c =
     then Bitblast.expand c
     else c
   in
-  let tr, th =
-    record (fun () ->
-        (Hash.Synthesis.retime level c (Cut.maximal c)).Hash.Synthesis.theorem)
-  in
+  record (fun () ->
+      (Hash.Synthesis.retime level c (Cut.maximal c)).Hash.Synthesis.theorem)
+
+let cert_digest level c =
+  let tr, th = retime_trace level c in
   Digest.to_hex (Digest.string (emit tr th))
 
 (* A combinational resynthesis step at bit level on a synthetic
    6-flip-flop circuit: its proof imports COMB_EQUIV_THM, whose full
    sequent the certificate carries and the checker compares against its
    own derivation. *)
-let resynth_cert () =
+let resynth_trace () =
   let c = Iwls.synth ~name:"r" ~ffs:6 ~gates:30 ~ins:2 ~outs:2 ~seed:99 in
-  let tr, th =
-    record (fun () ->
-        (Hash.Resynth.resynthesize Hash.Embed.Bit_level c)
-          .Hash.Synthesis.theorem)
-  in
+  record (fun () ->
+      (Hash.Resynth.resynthesize Hash.Embed.Bit_level c).Hash.Synthesis.theorem)
+
+let resynth_cert () =
+  let tr, th = resynth_trace () in
   (emit tr th, th)
 
 let test_resynth_cert_replays () =
@@ -440,6 +441,155 @@ let test_cert_digests_pinned () =
   check_str "resynthesis, bit level" "983f67d84bdb014e950f60d671d9df72"
     (Digest.to_hex (Digest.string (fst (resynth_cert ()))))
 
+(* --- the emitter against its reference --------------------------------- *)
+
+let ref_emit tr th =
+  match Cert_emit_ref.emit tr th with
+  | Ok s -> s
+  | Error msg -> Alcotest.fail ("reference emit failed: " ^ msg)
+
+let levels = [ ("bit", Hash.Embed.Bit_level); ("rt", Hash.Embed.Rt_level) ]
+
+(* A proof whose names all need escaping: a constant, variables and a
+   type variable spelled with a space, '%', a control byte and
+   non-ASCII bytes.  The constant is declared here (once per process),
+   so every certificate emitted after this test carries its [const]
+   line; the case runs last in this suite. *)
+let escaped_proof () =
+  let cname = "c%\xc3\xa9 d\t" in
+  let tv = Ty.var "\xce\xb1 %" in
+  if not (Kernel.is_constant cname) then
+    Kernel.new_constant cname (Ty.fn tv Ty.bool);
+  let x = Term.mk_var "x y%" tv and y = Term.mk_var "\xe2\x82\xac" tv in
+  let c = Kernel.mk_const_at cname (Ty.fn tv Ty.bool) in
+  let z = Term.mk_var "%%" (Ty.fn tv Ty.bool) in
+  record (fun () ->
+      let th = Kernel.mk_comb_rule (Kernel.refl z) (Kernel.assume (Term.mk_eq x y)) in
+      let th = Kernel.inst [ (z, c) ] th in
+      Kernel.inst_type [ ("\xce\xb1 %", Ty.bool) ] th)
+
+let test_emit_matches_reference () =
+  let same what (tr, th) = check_str what (ref_emit tr th) (emit tr th) in
+  List.iter
+    (fun e ->
+      let c = Lazy.force e.Iwls.circuit in
+      List.iter
+        (fun (lname, level) ->
+          same (e.Iwls.name ^ " " ^ lname) (retime_trace level c))
+        levels)
+    Iwls.suite;
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (lname, level) ->
+          same (Printf.sprintf "fig2 n=%d %s" n lname)
+            (retime_trace level (Fig2.rt n)))
+        levels)
+    [ 4; 8 ];
+  same "resynthesis" (resynth_trace ())
+
+let test_emit_escapes_match_reference () =
+  let tr, th = escaped_proof () in
+  let cert = emit tr th in
+  check_str "escaped names" (ref_emit tr th) cert;
+  let contains sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length cert && (String.sub cert i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  List.iter
+    (fun sub -> check ("writes " ^ sub) true (contains sub))
+    [ "const c%25%C3%A9%20d%09 "; " v x%20y%25 "; " v %E2%82%AC "; " v %25%25 ";
+      " v %CE%B1%20%25\n"; " y 1 %CE%B1%20%25 " ];
+  let th', _ = replay cert in
+  check "escaped names replay" true (same_sequent th th')
+
+(* The checker reads each token in the one spelling the emitter writes.
+   Every other spelling of a number or a name is a format error, even
+   where it would decode to something that checks: a step id past 2^63
+   that wraps to the real one, a needless or lowercase escape, an
+   escape of a byte no escape stands for, a special byte left raw. *)
+let test_tamper_noncanonical () =
+  let tr, th = retime_trace Hash.Embed.Rt_level (Fig2.rt 4) in
+  let cert = emit tr th in
+  let lines = String.split_on_char '\n' cert in
+  let edit what f =
+    let edited = List.map (fun l -> Option.value (f l) ~default:l) lines in
+    check (what ^ ": a line was edited") true (edited <> lines);
+    match Cert.check_string (String.concat "\n" edited) with
+    | Error (Cert.Bad_format _) -> ()
+    | Error rej ->
+        Alcotest.fail (what ^ ": wrong rejection: " ^ Cert.reject_to_string rej)
+    | Ok _ -> Alcotest.fail (what ^ ": accepted")
+  in
+  let qed_id f l =
+    match String.split_on_char ' ' l with
+    | "qed" :: ix :: rest ->
+        Some (String.concat " " ("qed" :: f (int_of_string ix) :: rest))
+    | _ -> None
+  in
+  edit "qed id plus 2^63" (qed_id (fun ix ->
+      Printf.sprintf "%Lu" (Int64.add Int64.min_int (Int64.of_int ix))));
+  edit "qed id with a leading zero" (qed_id (fun ix -> "0" ^ string_of_int ix));
+  edit "19-digit qed id" (qed_id (fun ix -> Printf.sprintf "%019d" ix));
+  edit "negative qed id" (qed_id (fun ix -> "-" ^ string_of_int ix));
+  let const_name spelt l =
+    match String.split_on_char ' ' l with
+    | [ "const"; "!"; ty ] -> Some (String.concat " " [ "const"; spelt; ty ])
+    | _ -> None
+  in
+  List.iter
+    (fun spelt -> edit ("const " ^ String.escaped spelt) (const_name spelt))
+    [ "%21"; "%1_"; "%c3"; "\xc3"; "%2" ];
+  (* the canonical escape of a byte that needs one still reads *)
+  match
+    Cert.check_string
+      (String.concat "\n"
+         (List.map
+            (fun l -> Option.value (const_name "!%20" l) ~default:l)
+            lines))
+  with
+  | Error (Cert.Unknown_constant "! ") -> ()
+  | Error rej ->
+      Alcotest.fail ("canonical escape: " ^ Cert.reject_to_string rej)
+  | Ok _ -> Alcotest.fail "canonical escape: accepted an unknown constant"
+
+(* Words [f] allocates on this domain: minor words plus the words
+   allocated directly in the major heap.  The domain's counters advance
+   at minor collections, so one brackets each side of the call. *)
+let words f =
+  Gc.minor ();
+  let before = Obs.Gcstats.now () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor ();
+  let d = Obs.Gcstats.delta ~before ~after:(Obs.Gcstats.now ()) in
+  d.Obs.Gcstats.minor_words +. d.major_words -. d.promoted_words
+
+(* The emitter's allocation on s298 (bit level), pinned between the
+   reference emitter's and a bound: the pin fails as soon as emission
+   regresses towards the reference's allocation, and it fails loudly,
+   not silently, if the reference itself ever drops under the bound.
+   Each figure is the least of three calls: [Kernel.concl] of an
+   equation builds its term, so a call may also pay for the term
+   table's growth, which is not the emitter's. *)
+let emit_kwords_bound = 120.
+
+let test_emit_allocation_pinned () =
+  let tr, th =
+    retime_trace Hash.Embed.Bit_level (Lazy.force (Iwls.find "s298").Iwls.circuit)
+  in
+  let kw f =
+    List.fold_left min infinity
+      (List.init 3 (fun _ -> words (fun () -> f tr th) /. 1000.))
+  in
+  let reference = kw Cert_emit_ref.emit and ours = kw Cert.emit in
+  Printf.printf "emit on s298: %.1f kwords (reference %.1f)\n" ours reference;
+  check "reference allocates more than the bound" true
+    (reference > emit_kwords_bound);
+  check "emit allocates at most the bound" true (ours <= emit_kwords_bound)
+
 let suite =
   [
     Alcotest.test_case "certificate digests pinned" `Quick
@@ -465,12 +615,21 @@ let suite =
     Alcotest.test_case "tamper: swapped conclusion" `Quick
       test_tamper_conclusion_swap;
     Alcotest.test_case "tamper: version" `Quick test_tamper_version;
+    Alcotest.test_case "tamper: non-canonical tokens" `Quick
+      test_tamper_noncanonical;
     Alcotest.test_case "tamper: truncation" `Quick test_tamper_truncated;
     Alcotest.test_case "registry order is stable" `Quick
       test_registry_order_stable;
     Alcotest.test_case "fault campaign under recording" `Slow
       test_faults_with_recording;
+    Alcotest.test_case "emitter agrees with its reference" `Quick
+      test_emit_matches_reference;
+    Alcotest.test_case "emit allocation pinned" `Quick
+      test_emit_allocation_pinned;
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| 0xce27 |])
       prop_random_eval_roundtrip;
+    (* declares a constant: last, see [escaped_proof] *)
+    Alcotest.test_case "escaped names agree with the reference" `Quick
+      test_emit_escapes_match_reference;
   ]
