@@ -25,7 +25,12 @@ let require what (step : Hash.Synthesis.step) =
 let () =
   let c = Iwls.synth ~name:"enc_demo" ~ffs:5 ~gates:24 ~ins:2 ~outs:2 ~seed:5 in
   Format.printf "circuit:  %a@." Circuit.pp_stats c;
-  let step = Hash.Encode.reverse_registers Hash.Embed.Bit_level c in
+  (* register r moves to position n-1-r *)
+  let n = Array.length c.Circuit.registers in
+  let step =
+    Hash.Encode.permute_registers Hash.Embed.Bit_level c
+      (Array.init n (fun r -> n - 1 - r))
+  in
   Format.printf "encoded:  %a@." Circuit.pp_stats step.Hash.Synthesis.after;
   require "encoding (the side condition was discharged)" step;
   (* the two initial states are reversals of each other *)

@@ -149,5 +149,3 @@ let automaton_expand tm =
               (Conv.thenc (Conv.rator_conv Drule.beta_conv) Drule.beta_conv)))
         tm
   | _ -> failwith "Theory.automaton_expand: not a saturated automaton"
-
-let theory_axioms () = Kernel.axioms ()

@@ -65,7 +65,3 @@ val state_suc : thm
 val automaton_expand : Conv.conv
 (** Rewrite [automaton fd q inp t] to
     [FST (fd (inp t) (state fd q inp t))]. *)
-
-val theory_axioms : unit -> (string * thm) list
-(** The audited axiom list of the whole development (delegates to the
-    kernel). *)

@@ -47,9 +47,6 @@ let rec dest_bv tm =
       false :: dest_bv t
   | _ -> failwith "Words.dest_bv: not a literal word"
 
-let is_bv tm =
-  match dest_bv tm with _ -> true | exception Failure _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Recursion equations (audited axioms)                                *)
 (* ------------------------------------------------------------------ *)

@@ -21,8 +21,6 @@ val mk_bv : bool list -> Term.t
 val dest_bv : Term.t -> bool list
 (** @raise Failure if the term is not a literal word. *)
 
-val is_bv : Term.t -> bool
-
 (** {1 Operators} *)
 
 val bv_inc_tm : Term.t
@@ -38,10 +36,6 @@ val bv_not_tm : Term.t
 val bv_and_tm : Term.t
 val bv_or_tm : Term.t
 val bv_xor_tm : Term.t
-
-val eval_rewrites : thm list
-(** The word operators' equations followed by {!Boolean.eval_rewrites}:
-    the rewrites {!word_eval_conv} tries, in its order. *)
 
 val word_eval_conv : Conv.conv
 (** Ground evaluation of a term built from word operators, [COND], boolean

@@ -9,7 +9,7 @@ type t = int
    the same treatment; the s344 jobs=2 regression was the GC walking
    every domain's tables on every major slice).
 
-   The ite computed table and the exists/compose/restrict memo table are
+   The ite computed table and the exists/compose memo table are
    direct-mapped lossy caches over packed int entries — a miss can
    recompute work, but no lookup ever allocates and the tables never
    trigger a full rehash pause.  Memo entries are validated against a
@@ -45,7 +45,7 @@ type manager = {
      f = -1 marks an empty entry *)
   mutable c_tab : ba;
   mutable c_mask : int;  (* entry-count mask *)
-  (* memo table for exists/compose/restrict: direct-mapped, 3 ints per
+  (* memo table for exists/compose: direct-mapped, 3 ints per
      entry (key node, generation stamp, result) *)
   mutable m_tab : ba;
   mutable m_mask : int;  (* entry-count mask *)
@@ -211,7 +211,6 @@ let mk m v lo hi =
   end
 
 let var m i = mk m i 0 1
-let nvar m i = mk m i 1 0
 
 (* the variable a node branches on; terminals sit below every variable *)
 let top_var m f = if f < 2 then max_int else m.var_arr.%(f)
@@ -303,25 +302,6 @@ let memo_store m gen f r =
   m_tab.%(s) <- f;
   m_tab.%(s + 1) <- gen;
   m_tab.%(s + 2) <- r
-
-let restrict m f v b =
-  let gen = new_generation m in
-  let rec go f =
-    if f < 2 then f
-    else
-      let r0 = memo_find m gen f in
-      if r0 >= 0 then r0
-      else
-        let r =
-          let fv = m.var_arr.%(f) in
-          if fv > v then f
-          else if fv = v then if b then m.high_arr.%(f) else m.low_arr.%(f)
-          else mk m fv (go m.low_arr.%(f)) (go m.high_arr.%(f))
-        in
-        memo_store m gen f r;
-        r
-  in
-  go f
 
 let exists m vars f =
   (* membership of the quantified set via a bitmask: O(1) per node with
@@ -417,14 +397,3 @@ let rec eval m f env =
   else if f = 1 then true
   else if env m.var_arr.%(f) then eval m m.high_arr.%(f) env
   else eval m m.low_arr.%(f) env
-
-let any_sat m f =
-  if f = 0 then raise Not_found
-  else
-    let rec go f acc =
-      if f = 1 then List.rev acc
-      else if m.high_arr.%(f) <> 0 then
-        go m.high_arr.%(f) ((m.var_arr.%(f), true) :: acc)
-      else go m.low_arr.%(f) ((m.var_arr.%(f), false) :: acc)
-    in
-    go f []

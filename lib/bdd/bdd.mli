@@ -27,9 +27,6 @@ val var : manager -> int -> t
 (** The function [fun env -> env.(i)].
     @raise Invalid_argument if [i] is negative. *)
 
-val nvar : manager -> int -> t
-(** The negated variable. *)
-
 val ite : manager -> t -> t -> t -> t
 val and_ : manager -> t -> t -> t
 val or_ : manager -> t -> t -> t
@@ -41,9 +38,6 @@ val equal : t -> t -> bool
 (** Semantic equality (constant time). *)
 
 val is_zero : manager -> t -> bool
-
-val restrict : manager -> t -> int -> bool -> t
-(** Cofactor with respect to a variable. *)
 
 val exists : manager -> int list -> t -> t
 (** Existential quantification over a set of variables. *)
@@ -74,6 +68,3 @@ val stats : manager -> Obs.snapshot
 
 val eval : manager -> t -> (int -> bool) -> bool
 (** Evaluate under an assignment. *)
-
-val any_sat : manager -> t -> (int * bool) list
-(** One satisfying partial assignment.  @raise Not_found on [zero]. *)

@@ -26,6 +26,3 @@ val synth :
   name:string -> ffs:int -> gates:int -> ins:int -> outs:int -> seed:int ->
   Circuit.t
 (** The underlying generator (also used by tests). *)
-
-val mult : int -> Circuit.t
-(** [mult n]: an n-bit shift-add multiplier datapath, bit level. *)

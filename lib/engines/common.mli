@@ -22,10 +22,6 @@ type budget = {
 val budget_of_seconds : ?max_bdd_nodes:int -> float -> budget
 val result_to_string : result -> string
 
-val result_tag : result -> string
-(** Stable machine-readable tag: ["equivalent"], ["not_equivalent"],
-    ["inconclusive"] or ["timeout"] (used by the benchmark JSON). *)
-
 type report = {
   engine : string;
   result : result;

@@ -21,27 +21,20 @@ type config = {
 val default : config
 (** 600 mutants, seed 1, 30 s budget, 64 co-simulation cycles. *)
 
-val classify : exn -> string option
-(** The typed taxonomy: [Some class_name] for a clean rejection, [None]
-    for anything else (including [Hash.Errors.Kernel_invariant], which
-    blames this repository rather than the heuristic). *)
-
 val default_bases : unit -> Mutate.base array
 (** Healthy subjects: Fig2 at RT and gate level plus random retimable
     circuits, each with its maximal cut. *)
 
-val run_one : config -> Random.State.t -> Mutate.subject -> Obs.Faults.outcome
-(** Run one mutant through the pipeline and classify. *)
-
-val nth_subject :
-  config -> bases:Mutate.base array -> int -> (Mutate.subject * Random.State.t) option
-(** Mutant [i], fully determined by [(config.seed, i)] — the unit of
-    deterministic work distribution. *)
-
 val run_range :
   config -> bases:Mutate.base array -> int -> int ->
   (string, Obs.Faults.t) Hashtbl.t
-(** Run mutants [lo, hi) and return per-mutator-class counters. *)
+(** Run mutants [lo, hi) and return per-mutator-class counters.  Mutant
+    [i] is fully determined by [(config.seed, i)], so a range is the unit
+    of deterministic work distribution; a rejection counts under its
+    typed class ([Invalid_cut], [Invalid_netlist], [Cut_mismatch],
+    [Join_mismatch], [Out_of_budget]), and any other exception
+    (including [Hash.Errors.Kernel_invariant], which blames this
+    repository rather than the heuristic) as a wrong exception. *)
 
 val run : config -> (string, Obs.Faults.t) Hashtbl.t
 (** [run_range] over [0, config.mutants) with {!default_bases}. *)

@@ -139,7 +139,3 @@ let permute_registers level c p =
         t_init = 0.;
       };
   }
-
-let reverse_registers level c =
-  let n = Array.length c.Circuit.registers in
-  permute_registers level c (Array.init n (fun r -> n - 1 - r))

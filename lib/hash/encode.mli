@@ -16,6 +16,3 @@ val permute_registers : Embed.level -> Circuit.t -> int array -> Synthesis.step
     [0 .. #registers-1]).
     @raise Errors.Invalid_cut if [p] is not a permutation of that size.
     @raise Errors.Join_mismatch on internal disagreement (bug trap). *)
-
-val reverse_registers : Embed.level -> Circuit.t -> Synthesis.step
-(** The reversal permutation — a convenient smoke test. *)

@@ -37,7 +37,6 @@ let rhs = function
   | Eq e -> e.rhs
   | Prop _ -> failwith "Kernel.rhs: not an equation"
 
-let dest_thm th = (hyp th, concl th)
 
 (* The step index a hook with epoch [ep] returned for [th], else -1.
    No rule reads it: the rules only pass it back to the hook. *)

@@ -29,7 +29,6 @@ val rhs : thm -> Term.t
     equation. *)
 
 val hyp : thm -> Term.t list
-val dest_thm : thm -> Term.t list * Term.t
 
 val string_of_thm : thm -> string
 

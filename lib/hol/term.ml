@@ -350,7 +350,6 @@ let dest_eq tm =
   | _ -> failwith "Term.dest_eq"
 
 let is_var tm = match tm.node with Var _ -> true | _ -> false
-let is_comb tm = match tm.node with Comb _ -> true | _ -> false
 let is_abs tm = match tm.node with Abs _ -> true | _ -> false
 
 let is_eq tm =
@@ -359,7 +358,6 @@ let is_eq tm =
   | _ -> false
 
 let rator tm = fst (dest_comb tm)
-let rand tm = snd (dest_comb tm)
 
 let strip_comb tm =
   let rec go tm acc =
@@ -623,49 +621,6 @@ let rec inst_go st env tyin tm =
         inst_go st env tyin (mk_abs_st st z body'))
 
 let inst tyin tm = if tyin = [] then tm else inst_go (state ()) [] tyin tm
-
-(* ------------------------------------------------------------------ *)
-(* First-order matching                                                *)
-(* ------------------------------------------------------------------ *)
-
-let term_match lconsts pat tm =
-  let rec go env pat tm ((insts, tyin) as acc) =
-    match (pat.node, tm.node) with
-    | Var (_, vty), _ when not (List.exists (fun (p, _) -> p == pat) env) ->
-        if List.exists (fun c -> c == pat) lconsts then
-          if tm == pat then acc
-          else failwith "Term.term_match: local constant mismatch"
-        else begin
-          (* The matched term may not mention term-side bound variables:
-             they would escape their binders. *)
-          List.iter
-            (fun (_, bv) ->
-              if free_in bv tm then
-                failwith "Term.term_match: bound variable would escape")
-            env;
-          match List.find_opt (fun (p, _) -> p == pat) insts with
-          | Some (_, prev) ->
-              if aconv prev tm then acc
-              else failwith "Term.term_match: inconsistent instantiation"
-          | None ->
-              let tyin' = Ty.match_ vty tm.ty tyin in
-              ((pat, tm) :: insts, tyin')
-        end
-    | Var _, _ -> (
-        match List.find_opt (fun (p, _) -> p == pat) env with
-        | Some (_, bv) when bv == tm -> acc
-        | _ -> failwith "Term.term_match: bound variable mismatch")
-    | Const (n1, ty1), Const (n2, ty2) when n1 = n2 ->
-        (insts, Ty.match_ ty1 ty2 tyin)
-    | Comb (f1, x1), Comb (f2, x2) -> go env x1 x2 (go env f1 f2 acc)
-    | Abs (v1, b1), Abs (v2, b2) ->
-        let tyin' = Ty.match_ v1.ty v2.ty tyin in
-        go ((v1, v2) :: env) b1 b2 (insts, tyin')
-    | _ -> failwith "Term.term_match: structural mismatch"
-  in
-  let insts, tyin = go [] pat tm ([], []) in
-  let theta = List.map (fun (v, t) -> (inst tyin v, t)) insts in
-  (theta, tyin)
 
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                          *)

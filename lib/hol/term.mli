@@ -66,11 +66,9 @@ val dest_comb : t -> t * t
 val dest_abs : t -> t * t
 val dest_eq : t -> t * t
 val is_var : t -> bool
-val is_comb : t -> bool
 val is_abs : t -> bool
 val is_eq : t -> bool
 val rator : t -> t
-val rand : t -> t
 
 val strip_comb : t -> t * t list
 (** [strip_comb (f a b c)] is [(f, [a; b; c])]. *)
@@ -126,16 +124,6 @@ val release_order_memo : unit -> unit
     of a finished HASH step can never hit again; [Logic.Conv.with_step]
     releases it when a step ends.  A caller outside any step relies on
     the memo's own reset once it holds 2M entries. *)
-
-(** {1 First-order matching} *)
-
-val term_match : t list -> t -> t -> (t * t) list * (string * Ty.t) list
-(** [term_match consts pat tm] finds [(theta, tytheta)] such that
-    [vsubst theta (inst tytheta pat)] is alpha-equivalent to [tm].  Free
-    variables of [pat] listed in [consts] are treated as fixed (they must
-    match themselves).  The match is first-order: pattern variables may
-    not be applied to bound variables.
-    @raise Failure if no match exists. *)
 
 (** {1 Statistics} *)
 

@@ -856,7 +856,7 @@ let export_findings ~root =
             let lib = String.starts_with ~prefix:"lib/" (relative ~root:build path) in
             Some (cmt_modname, references ~lib s)
         | _ -> None)
-      (trees ".cmt" [ "lib"; "bin"; "bench"; "test"; "examples" ])
+      (trees ".cmt" [ "lib"; "bin"; "bench"; "examples" ])
   in
   (* re-exports by unit: U.X stands for P when U has [module X = P], and
      U.x also for P.x when U has [include P] *)

@@ -33,7 +33,10 @@
       [Sys.time] is processor time.
     - ["unused-export"] — every [val] in a [lib/] interface, submodule
       signatures included, is referenced from another compilation unit
-      under [lib/], [bin/], [bench/], [test/] or [examples/].  References
+      under [lib/], [bin/], [bench/] or [examples/].  A reference from
+      [test/] is not a use: a val only tests reach is flagged, and a
+      test seam stays through an allow entry naming the test that needs
+      it.  References
       are resolved paths read from the [.cmt] files, so [Lib.M.x],
       [Lib__M.x] and [Lib__.M.x] name one export.  Module aliases
       ([module X = P], [let module X = P in]), re-exports from another

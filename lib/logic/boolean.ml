@@ -138,10 +138,6 @@ let disch p th =
   let expand = expand2 imp_def (mk_imp p q) in
   Kernel.eq_mp (Drule.sym expand) deq
 
-let undisch th =
-  let p, _ = dest_imp (Kernel.concl th) in
-  mp th (Kernel.assume p)
-
 let prove_hyp th1 th2 =
   if List.exists (Term.aconv (Kernel.concl th1)) (Kernel.hyp th2) then
     Kernel.eq_mp (Kernel.deduct_antisym_rule th1 th2) th1
@@ -184,8 +180,6 @@ let gen x th =
   let expand = expand1 forall_def (mk_forall x p) in
   Kernel.eq_mp (Drule.sym expand) ath
 
-let gen_all xs th = List.fold_right gen xs th
-
 let spec t th =
   let x, body = dest_forall (Kernel.concl th) in
   ignore x;
@@ -199,8 +193,6 @@ let spec t th =
       (beta_redex_conv (Kernel.rhs th2))
   in
   eqt_elim th3
-
-let spec_all ts th = List.fold_left (fun th t -> spec t th) th ts
 
 (* ------------------------------------------------------------------ *)
 (* F and ~                                                             *)

@@ -31,35 +31,18 @@ val mk_forall : Term.t -> Term.t -> Term.t
 val mk_cond : Term.t -> Term.t -> Term.t -> Term.t
 (** [mk_cond b x y] is [COND b x y] (if [b] then [x] else [y]). *)
 
-(** {1 Derived rules} *)
+(** {1 Derived rules}
 
-val truth : thm
-(** [|- T]. *)
-
-val eqt_intro : thm -> thm
-(** [|- p] to [|- p = T]. *)
-
-val eqt_elim : thm -> thm
-(** [|- p = T] to [|- p]. *)
+    The rules the evaluation clauses below are proved with ([TRUTH],
+    conjunction and disjunction introduction and elimination, [CONTR],
+    [EQT_INTRO]/[EQT_ELIM]) stay inside this module; a client reads
+    their results through {!Kernel.registered_theorems}. *)
 
 val conj : thm -> thm -> thm
-val conjunct1 : thm -> thm
-val conjunct2 : thm -> thm
 val mp : thm -> thm -> thm
 val disch : Term.t -> thm -> thm
-val undisch : thm -> thm
 val gen : Term.t -> thm -> thm
-val gen_all : Term.t list -> thm -> thm
 val spec : Term.t -> thm -> thm
-val spec_all : Term.t list -> thm -> thm
-val contr : Term.t -> thm -> thm
-(** [contr p |- F] is [|- p]. *)
-
-val disj1 : thm -> Term.t -> thm
-(** [disj1 |- p q] is [|- p \/ q]. *)
-
-val disj2 : Term.t -> thm -> thm
-(** [disj2 p |- q] is [|- p \/ q]. *)
 
 val prove_hyp : thm -> thm -> thm
 (** [prove_hyp |- p (A |- q)] is [A - {p} |- q]. *)
@@ -68,30 +51,22 @@ val prove_hyp : thm -> thm -> thm
 
     Ground rewrites sufficient to evaluate any boolean gate applied to
     constant arguments; used by the initial-state evaluation step of the
-    retiming procedure. *)
-
-val and_clauses : thm list
-(** [T /\ t = t], [t /\ T = t], [F /\ t = F], [t /\ F = F]. *)
-
-val or_clauses : thm list
-(** [T \/ t = T], [t \/ T = T], [F \/ t = t], [t \/ F = t],
-    [F \/ F = F]. *)
-
-val not_clauses : thm list
-(** [~T = F], [~F = T]. *)
-
-val eq_bool_clauses : thm list
-(** [(T = t) = t], [(F = F) = T], [(T = F) = F], [(F = T) = F]. *)
-
-val xor_clauses : thm list
-(** All four ground [XOR] evaluations. *)
-
-val cond_clauses : thm list
-(** [COND T x y = x] and [COND F x y = y] (polymorphic). *)
+    retiming procedure.  [|- T] and each clause are registered with the
+    kernel, in this order, as [Boolean.truth] and [Boolean.<list>.<i>]:
+    - [and_clauses]: [T /\ t = t], [t /\ T = t], [F /\ t = F],
+      [t /\ F = F];
+    - [or_clauses]: [T \/ t = T], [t \/ T = T], [F \/ t = t],
+      [t \/ F = t], [F \/ F = F];
+    - [eq_bool_clauses]: [(T = t) = t], [(F = F) = T], [(T = F) = F],
+      [(F = T) = F];
+    - [not_clauses]: [~T = F], [~F = T];
+    - [xor_clauses]: all four ground [XOR] evaluations.
+    The [COND] clauses [COND T x y = x] and [COND F x y = y] are the
+    axioms [COND_T] and [COND_F]. *)
 
 val eval_rewrites : thm list
-(** The clause lists above, in the order and/or/not/xor/eq/cond: the
-    rewrites {!bool_eval_conv} tries. *)
+(** The clauses, in the order and/or/not/xor/eq/cond: the rewrites
+    {!bool_eval_conv} tries. *)
 
 val bool_eval_conv : Conv.conv
 (** Bottom-up evaluation of a ground boolean term built from the constants

@@ -26,8 +26,53 @@ let rator_conv c tm =
   let f, x = Term.dest_comb tm in
   Drule.ap_thm (c f) x
 
+(* First-order matching: [term_match consts pat tm] finds [(theta,
+   tytheta)] such that [vsubst theta (inst tytheta pat)] is
+   alpha-equivalent to [tm].  Free variables of [pat] listed in [consts]
+   are treated as fixed (they must match themselves).  Pattern variables
+   may not be applied to bound variables.  Fails if no match exists. *)
+let term_match lconsts pat tm =
+  let open Term in
+  let rec go env pat tm ((insts, tyin) as acc) =
+    match (pat.node, tm.node) with
+    | Var (_, vty), _ when not (List.exists (fun (p, _) -> p == pat) env) ->
+        if List.exists (fun c -> c == pat) lconsts then
+          if tm == pat then acc
+          else failwith "Conv.term_match: local constant mismatch"
+        else begin
+          (* The matched term may not mention term-side bound variables:
+             they would escape their binders. *)
+          List.iter
+            (fun (_, bv) ->
+              if free_in bv tm then
+                failwith "Conv.term_match: bound variable would escape")
+            env;
+          match List.find_opt (fun (p, _) -> p == pat) insts with
+          | Some (_, prev) ->
+              if aconv prev tm then acc
+              else failwith "Conv.term_match: inconsistent instantiation"
+          | None ->
+              let tyin' = Ty.match_ vty tm.ty tyin in
+              ((pat, tm) :: insts, tyin')
+        end
+    | Var _, _ -> (
+        match List.find_opt (fun (p, _) -> p == pat) env with
+        | Some (_, bv) when bv == tm -> acc
+        | _ -> failwith "Conv.term_match: bound variable mismatch")
+    | Const (n1, ty1), Const (n2, ty2) when n1 = n2 ->
+        (insts, Ty.match_ ty1 ty2 tyin)
+    | Comb (f1, x1), Comb (f2, x2) -> go env x1 x2 (go env f1 f2 acc)
+    | Abs (v1, b1), Abs (v2, b2) ->
+        let tyin' = Ty.match_ v1.ty v2.ty tyin in
+        go ((v1, v2) :: env) b1 b2 (insts, tyin')
+    | _ -> failwith "Conv.term_match: structural mismatch"
+  in
+  let insts, tyin = go [] pat tm ([], []) in
+  let theta = List.map (fun (v, t) -> (inst tyin v, t)) insts in
+  (theta, tyin)
+
 let rewr_conv th tm =
-  let theta, tyin = Term.term_match [] (Kernel.lhs th) tm in
+  let theta, tyin = term_match [] (Kernel.lhs th) tm in
   let th' = Kernel.inst theta (Kernel.inst_type tyin th) in
   (* Align possible alpha-differences between the instantiated lhs and the
      original term. *)

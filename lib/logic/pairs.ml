@@ -86,12 +86,6 @@ let let_def =
        (Term.mk_var "LET" (Ty.fn (Ty.fn Ty.alpha Ty.beta) (Ty.fn Ty.alpha Ty.beta)))
        (Term.list_mk_abs [ fv; xv ] (Term.mk_comb fv xv)))
 
-let let_const a b = Kernel.mk_const "LET" [ ("a", a); ("b", b) ]
-
-let mk_let v e body =
-  let a = Term.type_of e and b = Term.type_of body in
-  Term.list_mk_comb (let_const a b) [ Term.mk_abs v body; e ]
-
 (* ------------------------------------------------------------------ *)
 (* Pairing axioms                                                      *)
 (* ------------------------------------------------------------------ *)

@@ -23,9 +23,6 @@ val mk_snd : Term.t -> Term.t
     it outgrows 4096 types.
     @raise Failure if [p] is not of a product type. *)
 
-val mk_let : Term.t -> Term.t -> Term.t -> Term.t
-(** [mk_let v e body] is [LET (\v. body) e], i.e. [let v = e in body]. *)
-
 val proj : Term.t -> int -> int -> Term.t
 (** [proj tup i n]: the [i]-th (0-based) projection term out of a term of
     [n]-tuple type, built from [FST]/[SND]. *)
@@ -34,9 +31,6 @@ val proj : Term.t -> int -> int -> Term.t
 
 val pair_eta : thm
 (** [|- (FST p, SND p) = p]. *)
-
-val let_conv : Conv.conv
-(** [let_conv (LET (\v. b) e)] is [|- LET (\v. b) e = b[e/v]]. *)
 
 val proj_conv : Conv.conv
 (** Reduce [FST (a, b)] or [SND (a, b)] by one step: one [inst] of the
@@ -52,5 +46,5 @@ val proj_conv : Conv.conv
     {!Memo.stats}. *)
 
 val let_proj_conv : Conv.conv
-(** One step of [let_conv] or [proj_conv] or beta; the redex set used by
-    the circuit-term normaliser. *)
+(** One step of the circuit-term normaliser: [|- LET (\v. b) e = b[e/v]],
+    {!proj_conv}, or a beta-reduction. *)

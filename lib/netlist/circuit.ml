@@ -279,17 +279,6 @@ let flipflop_count c =
 let topo_array c = topo_gates c.drivers
 let topo_order c = Array.to_list (topo_array c)
 
-let fanout_map c =
-  let n = n_signals c in
-  let fan = Array.make n [] in
-  Array.iteri
-    (fun s d ->
-      match d with
-      | Gate (_, args) -> List.iter (fun a -> fan.(a) <- s :: fan.(a)) args
-      | Input _ | Reg_out _ -> ())
-    c.drivers;
-  fan
-
 (* Full structural audit.  Beyond the original acyclicity / register /
    output checks this re-derives every width from the drivers, so a
    record forged with a lying [widths] array, a dangling operand, an

@@ -133,10 +133,6 @@ val topo_order : t -> signal list
 val topo_array : t -> signal array
 (** {!topo_order} as an array. *)
 
-val fanout_map : t -> signal list array
-(** [fanout_map c] maps each signal to the gate signals reading it.  Used
-    by retiming heuristics. *)
-
 val validate : t -> unit
 (** Re-check {e all} structural invariants: acyclicity, operand ranges,
     input/register index ranges, the full width table against what each

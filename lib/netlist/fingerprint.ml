@@ -49,7 +49,6 @@ type t = { digest : string; canon : string }
 
 let digest fp = fp.digest
 let canon fp = fp.canon
-let equal a b = String.equal a.digest b.digest && String.equal a.canon b.canon
 
 (* ------------------------------------------------------------------ *)
 (* Two independently mixed 63-bit label lanes                          *)

@@ -22,9 +22,6 @@ val of_circuit : Circuit.t -> t
     (e.g. forged or corrupted) circuit record, like every other consumer
     of untrusted netlists. *)
 
-val equal : t -> t -> bool
-(** Digest {e and} full canonical-form equality. *)
-
 val digest : t -> string
 (** Hex MD5 of the canonical form (stable across runs — nothing in the
     computation depends on hash-table iteration order or randomised

@@ -13,8 +13,8 @@ module Counters : sig
     mutable unique_misses : int;  (** unique-table lookups that allocated *)
     mutable cache_hits : int;  (** ite computed-table hits *)
     mutable cache_misses : int;  (** ite computed-table misses *)
-    mutable memo_hits : int;  (** exists/compose/restrict memo hits *)
-    mutable memo_misses : int;  (** exists/compose/restrict memo misses *)
+    mutable memo_hits : int;  (** exists/compose memo hits *)
+    mutable memo_misses : int;  (** exists/compose memo misses *)
   }
 
   val create : unit -> t
@@ -38,10 +38,6 @@ val snapshot_delta : before:snapshot -> after:snapshot -> snapshot
 (** Per-run counters of a manager that outlives the run (per-domain
     manager reuse): all fields subtract, including [peak_nodes], which
     for a reused manager means the run's own node allocation. *)
-
-val hit_rate : snapshot -> float
-(** Combined computed-table and memo hit rate in [0, 1]; [0.] when no
-    lookups were performed. *)
 
 (** Counters of the logic kernel: primitive-rule applications, term
     interning traffic, conversion-memo traffic and node populations.  The

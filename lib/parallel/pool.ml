@@ -60,7 +60,6 @@ type t = {
   inline_mu : Mutex.t;
 }
 
-let size pool = pool.size
 
 (* ------------------------------------------------------------------ *)
 (* Running a job                                                       *)
@@ -194,10 +193,6 @@ let await fut =
         raise Cancelled
   in
   wait ()
-
-let map_list ?deadline pool f xs =
-  let futs = List.map (fun x -> submit ?deadline pool (fun () -> f x)) xs in
-  List.map await futs
 
 let shutdown pool =
   Mutex.lock pool.q_mu;

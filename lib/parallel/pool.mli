@@ -47,9 +47,6 @@ val create : ?jobs:int -> unit -> t
     default [Domain.recommended_domain_count ()]); the workers inherit
     the kernel snapshot described above and nothing else. *)
 
-val size : t -> int
-(** The configured number of jobs (1 = inline/sequential). *)
-
 val submit : ?deadline:float -> t -> (unit -> 'a) -> 'a future
 (** Enqueue a thunk; [deadline] is an absolute {!Logic.Clock.now} time
     (monotonic — immune to wall-clock steps; compute it as
@@ -63,10 +60,6 @@ val await : 'a future -> 'a
 (** Block until the task resolves.  Re-raises the task's exception (with
     its backtrace) if it failed; raises {!Cancelled} if it was
     cancelled. *)
-
-val map_list : ?deadline:float -> t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map_list pool f xs]: submit [f x] for every element, await in list
-    order.  The first failed/cancelled element re-raises. *)
 
 val shutdown : t -> unit
 (** Drain the queue, then join all workers.  Idempotent. *)

@@ -10,10 +10,6 @@ let f_values_at_init c =
   in
   Sim.eval_comb c (Sim.initial_state c) dummy_inputs
 
-let boundary_inits c (cut : Cut.t) =
-  let vals = f_values_at_init c in
-  List.map (fun s -> vals.(s)) cut.Cut.boundary
-
 (* Audit a cut record before trusting any of its fields.  [Cut.of_gates]
    only produces valid records, but the campaign (and any external
    heuristic) can hand us a forged one: duplicated or non-topological

@@ -21,7 +21,3 @@ val retime : Circuit.t -> Cut.t -> Circuit.t
     rejected up front instead of crashing on an unset [-1] slot deep in
     [Circuit.gate].
     @raise Cut.Invalid_cut on malformed cuts. *)
-
-val boundary_inits : Circuit.t -> Cut.t -> Circuit.value list
-(** The initial values of the new boundary registers, i.e. the value of
-    each boundary gate under the original initial state — [f q]. *)

@@ -91,18 +91,6 @@ let prop_exists =
           in
           Bdd.eval m q env = expect))
 
-let prop_restrict =
-  QCheck.Test.make ~count:80 ~name:"restrict = cofactor"
-    (QCheck.make
-       QCheck.Gen.(triple (gen_expr nvars) (int_bound (nvars - 1)) bool))
-    (fun (e, v, bv) ->
-      let m = Bdd.manager () in
-      let b = build m e in
-      let r = Bdd.restrict m b v bv in
-      all_envs (fun env ->
-          Bdd.eval m r env
-          = eval (fun i -> if i = v then bv else env i) e))
-
 let prop_compose =
   QCheck.Test.make ~count:60 ~name:"compose substitutes functions"
     (QCheck.make
@@ -183,7 +171,8 @@ let bdd_of_table m tt =
       let minterm = ref (Bdd.one m) in
       for i = 0 to tt_nv - 1 do
         let v =
-          if (a lsr i) land 1 = 1 then Bdd.var m i else Bdd.nvar m i
+          if (a lsr i) land 1 = 1 then Bdd.var m i
+          else Bdd.not_ m (Bdd.var m i)
         in
         minterm := Bdd.and_ m !minterm v
       done;
@@ -205,15 +194,7 @@ let test_truth_table_exhaustive () =
         Alcotest.failf "table %d row %d" tt a
     done;
     for v = 0 to tt_nv - 1 do
-      (* restrict = cofactor *)
       let set a b = if b then a lor (1 lsl v) else a land lnot (1 lsl v) in
-      let r0 = Bdd.restrict m b v false and r1 = Bdd.restrict m b v true in
-      for a = 0 to tt_size - 1 do
-        if Bdd.eval m r0 (env_of a) <> tt_eval tt (set a false) then
-          Alcotest.failf "restrict0 table %d var %d row %d" tt v a;
-        if Bdd.eval m r1 (env_of a) <> tt_eval tt (set a true) then
-          Alcotest.failf "restrict1 table %d var %d row %d" tt v a
-      done;
       (* exists v = cofactor0 OR cofactor1 *)
       let q = Bdd.exists m [ v ] b in
       for a = 0 to tt_size - 1 do
@@ -267,22 +248,26 @@ let test_stats_counters () =
   check "memo misses counted" true (s.Obs.memo_misses > 0);
   check "peak nodes tracks manager" true
     (s.Obs.peak_nodes = Bdd.node_count m);
-  let rate = Obs.hit_rate s in
-  check "hit rate in range" true (rate >= 0.0 && rate <= 1.0)
+  (* the combined hit rate a bench row reports *)
+  let run =
+    Engines.Common.observe_bdd ~engine:"probe" (fun m ->
+        ignore (Bdd.exists m [ 1 ] (Bdd.and_ m (Bdd.var m 0) (Bdd.var m 1)));
+        (Engines.Common.Equivalent, []))
+  in
+  match
+    Option.bind
+      (Obs.Json.member "bdd"
+         (Obs.engine_run_json (Engines.Common.report_to_run run)))
+      (Obs.Json.member "cache_hit_rate")
+  with
+  | Some (Obs.Json.Float rate) ->
+      check "hit rate in range" true (rate >= 0.0 && rate <= 1.0)
+  | _ -> Alcotest.fail "bench row without bdd.cache_hit_rate"
 
 let test_support () =
   let m = Bdd.manager () in
   let b = Bdd.and_ m (Bdd.var m 3) (Bdd.xor_ m (Bdd.var m 1) (Bdd.var m 5)) in
   Alcotest.(check (list int)) "support" [ 1; 3; 5 ] (Bdd.support m b)
-
-let test_any_sat () =
-  let m = Bdd.manager () in
-  let b = Bdd.and_ m (Bdd.var m 0) (Bdd.nvar m 2) in
-  let sat = Bdd.any_sat m b in
-  check "satisfies" true
-    (Bdd.eval m b (fun i -> try List.assoc i sat with Not_found -> false));
-  Alcotest.check_raises "unsat" Not_found (fun () ->
-      ignore (Bdd.any_sat m (Bdd.zero m)))
 
 let test_size () =
   let m = Bdd.manager () in
@@ -343,7 +328,6 @@ let suite =
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_semantics;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_canonical;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_exists;
-    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_restrict;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_compose;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_exists_multi;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_compose_multi;
@@ -353,7 +337,6 @@ let suite =
       test_ite_normalization_cache;
     Alcotest.test_case "engine counters" `Quick test_stats_counters;
     Alcotest.test_case "support" `Quick test_support;
-    Alcotest.test_case "any_sat" `Quick test_any_sat;
     Alcotest.test_case "size" `Quick test_size;
     Alcotest.test_case "growth: store, unique table, caches" `Quick
       test_growth;

@@ -15,7 +15,8 @@ let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
 let same_sequent th1 th2 =
-  let h1, c1 = Kernel.dest_thm th1 and h2, c2 = Kernel.dest_thm th2 in
+  let h1 = Kernel.hyp th1 and h2 = Kernel.hyp th2 in
+  let c1 = Kernel.concl th1 and c2 = Kernel.concl th2 in
   List.length h1 = List.length h2
   && List.for_all2 (fun a b -> a == b) h1 h2
   && c1 == c2
@@ -107,7 +108,7 @@ let test_emit_deterministic () =
    final theorem has no step in the trace.  Emission must reference it
    by name, and the checker re-prove it from its own theory. *)
 let test_theory_theorem_as_proof () =
-  let eta = List.assoc "ETA_AX" (Automata.Theory.theory_axioms ()) in
+  let eta = List.assoc "ETA_AX" (Kernel.axioms ()) in
   List.iter
     (fun (what, th0, kind) ->
       let tr, th = record (fun () -> Kernel.inst [] th0) in
@@ -123,7 +124,12 @@ let test_theory_theorem_as_proof () =
       check (what ^ ": same sequent") true (same_sequent th th');
       check_int (what ^ ": no primitive inference") 0 prims;
       check_str (what ^ ": emitting again") cert (emit tr th))
-    [ ("axiom", eta, "A"); ("registered theorem", Boolean.truth, "I") ];
+    [
+      ("axiom", eta, "A");
+      ( "registered theorem",
+        List.assoc "Boolean.truth" (Kernel.registered_theorems ()),
+        "I" );
+    ];
   let tm = Boolean.mk_xor (Boolean.bool_const true) (Boolean.bool_const false) in
   let tr, th = record (fun () -> Boolean.bool_eval_conv tm) in
   let th', prims = replay (emit tr th) in
@@ -324,22 +330,17 @@ let test_faults_with_recording () =
   let i = ref 0 in
   let tried = ref 0 in
   while !tried < 8 && !i < 200 do
-    (match Campaign.nth_subject config ~bases !i with
-    | None -> ()
-    | Some (s, rng) ->
-        incr tried;
-        Kernel.start_recording ();
-        let outcome =
-          try Campaign.run_one config rng s
-          with e ->
-            ignore (Kernel.stop_recording ());
-            raise e
-        in
-        (match Kernel.stop_recording () with Ok _ | Error _ -> ());
-        (match outcome with
-        | Obs.Faults.Rejected _ | Obs.Faults.Accepted_equivalent -> ()
-        | Obs.Faults.Wrong_exception _ | Obs.Faults.Accepted_inequivalent ->
-            Alcotest.fail "outcome left the taxonomy under recording"));
+    Kernel.start_recording ();
+    let t =
+      try Campaign.totals (Campaign.run_range config ~bases !i (!i + 1))
+      with e ->
+        ignore (Kernel.stop_recording ());
+        raise e
+    in
+    (match Kernel.stop_recording () with Ok _ | Error _ -> ());
+    tried := !tried + t.Obs.Faults.mutants;
+    if t.Obs.Faults.wrong_exception + t.Obs.Faults.accepted_inequivalent > 0
+    then Alcotest.fail "outcome left the taxonomy under recording";
     incr i
   done;
   check "ran a sample of mutants" true (!tried >= 8)
@@ -360,15 +361,18 @@ let test_worker_cert_after_spawner_reads () =
       read (Kernel.definitions ());
       read (Kernel.registered_theorems ());
       let results =
-        Parallel.Pool.map_list pool
+        List.map
           (fun c ->
-            let tr, th =
-              record (fun () ->
-                  (Hash.Synthesis.retime Hash.Embed.Bit_level c (Cut.maximal c))
-                    .Hash.Synthesis.theorem)
-            in
-            (Kernel.string_of_thm th, Cert.emit tr th))
+            Parallel.Pool.submit pool (fun () ->
+                let tr, th =
+                  record (fun () ->
+                      (Hash.Synthesis.retime Hash.Embed.Bit_level c
+                         (Cut.maximal c))
+                        .Hash.Synthesis.theorem)
+                in
+                (Kernel.string_of_thm th, Cert.emit tr th)))
           circuits
+        |> List.map Parallel.Pool.await
       in
       List.iter
         (fun (text, cert) ->

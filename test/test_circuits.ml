@@ -53,7 +53,7 @@ let test_suite_retimable () =
     Iwls.suite
 
 let test_mult_is_sequential_multiplier_shape () =
-  let c = Iwls.mult 8 in
+  let c = Lazy.force (Iwls.find "mult8").Iwls.circuit in
   Circuit.validate c;
   Alcotest.(check int) "24 flip-flops" 24 (Circuit.flipflop_count c);
   check "pure bit level" true

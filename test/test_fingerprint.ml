@@ -146,7 +146,7 @@ let test_parse_deterministic () =
       let a = fp (Blif.of_string blif) in
       let b = fp (Blif.of_string blif) in
       check (Printf.sprintf "fig2 %d same text, same key" n) true
-        (Fingerprint.equal a b);
+        (a = b);
       Alcotest.(check string)
         (Printf.sprintf "fig2 %d canon is bit-identical" n)
         (Fingerprint.canon a) (Fingerprint.canon b))
@@ -157,7 +157,7 @@ let test_rename_invariance () =
   let c = Blif.of_string blif in
   let c' = Blif.of_string (rename_internal "x7" blif) in
   check "renamed nets, same fingerprint" true
-    (Fingerprint.equal (fp c) (fp c'))
+    (fp c = fp c')
 
 let test_reorder_invariance () =
   let blif = Blif.to_string (Fig2.gate 4) in
@@ -166,11 +166,11 @@ let test_reorder_invariance () =
   check "the transform changed the text" true (reordered <> blif);
   let c' = Blif.of_string reordered in
   check "reordered gates, same fingerprint" true
-    (Fingerprint.equal (fp c) (fp c'))
+    (fp c = fp c')
 
 let test_distinct_fig2 () =
   check "fig2 4 vs fig2 5" false
-    (Fingerprint.equal (fp (Fig2.gate 4)) (fp (Fig2.gate 5)))
+    (fp (Fig2.gate 4) = fp (Fig2.gate 5))
 
 (* --- canon identity with the reference ----------------------------- *)
 
@@ -242,9 +242,7 @@ let prop_rename_and_reorder =
       let c1 = Blif.of_string (rename_internal "q" blif) in
       let c2 = Blif.of_string (reorder_names blif) in
       let c3 = Blif.of_string (reorder_names (rename_internal "z" blif)) in
-      Fingerprint.equal (fp c0) (fp c1)
-      && Fingerprint.equal (fp c0) (fp c2)
-      && Fingerprint.equal (fp c0) (fp c3))
+      fp c0 = fp c1 && fp c0 = fp c2 && fp c0 = fp c3)
 
 (* The cache-soundness direction: a mutant that provably changes
    behaviour (cosim finds a diverging trace) must change the
@@ -261,7 +259,7 @@ let prop_semantic_mutant_distinct =
         (fun m ->
           Circuit.validate m;
           let equivalent = cosim c m 64 (seed + 1) in
-          let same_key = Fingerprint.equal (fp c) (fp m) in
+          let same_key = fp c = fp m in
           (not same_key) || equivalent)
         mutants)
 
@@ -294,7 +292,7 @@ let prop_fault_mutants =
               match Fingerprint.of_circuit m with
               | exception Circuit.Invalid_netlist _ -> true
               | fpm ->
-                  (not (Fingerprint.equal (fp c) fpm))
+                  fp c <> fpm
                   || cosim c m 64 (seed + 1)))
         [
           "netlist_dangling_output";

@@ -394,9 +394,14 @@ let test_encode_thm_pinned () =
      (enc q)))"
     (Kernel.string_of_thm th)
 
+(* Register r moves to position n-1-r. *)
+let reverse_registers level c =
+  let n = Array.length c.Circuit.registers in
+  Hash.Encode.permute_registers level c (Array.init n (fun r -> n - 1 - r))
+
 let test_permute_registers () =
   let c = Iwls.synth ~name:"enc_t" ~ffs:6 ~gates:30 ~ins:2 ~outs:2 ~seed:99 in
-  let step = Hash.Encode.reverse_registers Hash.Embed.Bit_level c in
+  let step = reverse_registers Hash.Embed.Bit_level c in
   check "theorem closed" true (Kernel.hyp step.Hash.Synthesis.theorem = []);
   check "behaviour preserved" true
     (cosim c step.Hash.Synthesis.after 40 21);
@@ -415,7 +420,7 @@ let test_encode_composes_with_retiming () =
   let c = Fig2.gate 4 in
   let step1 = Hash.Synthesis.retime Hash.Embed.Bit_level c (Cut.maximal c) in
   let step2 =
-    Hash.Encode.reverse_registers Hash.Embed.Bit_level
+    reverse_registers Hash.Embed.Bit_level
       step1.Hash.Synthesis.after
   in
   let compound = Hash.Synthesis.compose step1 step2 in
@@ -536,7 +541,7 @@ let test_step_timings_clock () =
   let tm = timings (Hash.Resynth.resynthesize Hash.Embed.Bit_level c) in
   at_least_one "resynth t_embed" tm.t_embed;
   at_least_one "resynth t_apply" tm.t_apply;
-  let tm = timings (Hash.Encode.reverse_registers Hash.Embed.Bit_level c) in
+  let tm = timings (reverse_registers Hash.Embed.Bit_level c) in
   at_least_one "encode t_embed" tm.t_embed;
   at_least_one "encode t_apply" tm.t_apply;
   at_least_one "encode t_join" tm.t_join
@@ -680,8 +685,7 @@ let ground_rewrites =
     if String.length n > 2 && String.sub n 0 2 = "BV" then Some th else None
   in
   List.filter_map words (Kernel.axioms () @ Kernel.definitions ())
-  @ Boolean.and_clauses @ Boolean.or_clauses @ Boolean.not_clauses
-  @ Boolean.xor_clauses @ Boolean.eq_bool_clauses @ Boolean.cond_clauses
+  @ Boolean.eval_rewrites
 
 let ground_base = Conv.orelsec (Conv.rewrs_conv ground_rewrites) Pairs.let_proj_conv
 let ground_new = Conv.memo_top_depth_conv ground_base
@@ -788,9 +792,9 @@ let wild_rewrites =
   and w = Term.mk_var "w" Ty.bv in
   let eq l r = Kernel.assume (Term.mk_eq l r) in
   let bv_not t = Term.mk_comb Automata.Words.bv_not_tm t in
-  Boolean.not_clauses
+  Test_logic.registered "Boolean.not_clauses"
   @ [ eq (Term.mk_comb f x) x; eq (Boolean.mk_conj x y) x ]
-  @ Boolean.and_clauses
+  @ Test_logic.registered "Boolean.and_clauses"
   @ [
       eq (Boolean.mk_conj x y) (Boolean.mk_conj y x);
       eq (bv_not w) w;
@@ -800,7 +804,7 @@ let wild_rewrites =
 let rewrite_lists =
   List.map
     (fun ths -> (Conv.rewrs_conv ths, Rewrs_ref.rewrs_conv ths))
-    [ Automata.Words.eval_rewrites; Boolean.eval_rewrites; wild_rewrites ]
+    [ ground_rewrites; Boolean.eval_rewrites; wild_rewrites ]
 
 let rewrite_outcome conv tm =
   let r0 = Kernel.rule_count () in

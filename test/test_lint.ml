@@ -243,27 +243,33 @@ let find_root () =
 
 (* test/lint_fixture is a miniature repository.  lib/fixlib (a wrapped
    library) and lib/fixmain (one with a main module of its own) export
-   vals; the units under bin/ and test/ reference them in each of the
-   ways the rule must resolve.  Own.self_only, used only inside its own
+   vals; the units under bin/ reference them in each of the ways the
+   rule must resolve, and one under test/ references Tested, which the
+   rule must not count as a use.  Own.self_only, used only inside its own
    unit, is referenced by nobody else, and so is the second val of each
    unit reached only through an alias, a let-module alias, a re-export
    ([module T = Target] in Reexport) or a re-exporting include
    (Incl_reexport): an alias uses what is referenced through it, not the
    whole unit. *)
+let fixture_root () =
+  match find_root () with
+  | None -> Alcotest.fail "repository root not found from test cwd"
+  | Some root ->
+      let fixture r = Filename.concat r "test/lint_fixture" in
+      let built = fixture (Filename.concat root "_build/default") in
+      if Sys.file_exists built then built else fixture root
+
 let fixture_findings =
   lazy
-    (match find_root () with
-    | None -> Alcotest.fail "repository root not found from test cwd"
-    | Some root ->
-        let fixture r = Filename.concat r "test/lint_fixture" in
-        let built = fixture (Filename.concat root "_build/default") in
-        let root = if Sys.file_exists built then built else fixture root in
-        let r = Lintpass.check_tree ~config:Lintpass.Config.empty ~root in
-        List.map
-          (fun f ->
-            Printf.sprintf "%s %s %s" f.Lintpass.rule f.Lintpass.file
-              f.Lintpass.symbol)
-          r.Lintpass.violations)
+    (let r =
+       Lintpass.check_tree ~config:Lintpass.Config.empty
+         ~root:(fixture_root ())
+     in
+     List.map
+       (fun f ->
+         Printf.sprintf "%s %s %s" f.Lintpass.rule f.Lintpass.file
+           f.Lintpass.symbol)
+       r.Lintpass.violations)
 
 let export_case file symbol ~flagged () =
   Alcotest.(check bool)
@@ -309,7 +315,26 @@ let unused_export_fixtures =
     ( "val used only inside its own unit",
       export_case (fixlib "own") "self_only" ~flagged:true );
     ( "val used only from test/",
-      export_case (fixlib "tested") "only_from_test" ~flagged:false );
+      export_case (fixlib "tested") "only_from_test" ~flagged:true );
+    ( "allow entry excuses a test seam",
+      fun () ->
+        let config =
+          Lintpass.Config.parse ~file:"test.config"
+            "allow unused-export lib/fixlib/tested.mli only_from_test -- \
+             test/check.ml needs it"
+        in
+        let r = Lintpass.check_tree ~config ~root:(fixture_root ()) in
+        let seam f =
+          f.Lintpass.rule = "unused-export"
+          && f.Lintpass.symbol = "only_from_test"
+        in
+        Alcotest.(check bool) "not a violation" false
+          (List.exists seam r.Lintpass.violations);
+        Alcotest.(check (list string)) "allowed, with its reason"
+          [ "test/check.ml needs it" ]
+          (List.filter_map
+             (fun (f, why) -> if seam f then Some why else None)
+             r.Lintpass.allowed) );
     ( "fixture: the expected findings",
       fun () ->
         Alcotest.(check (list string))
@@ -320,6 +345,7 @@ let unused_export_fixtures =
             "unused-export lib/fixlib/let_aliased.mli hidden_by_let_module";
             "unused-export lib/fixlib/own.mli self_only";
             "unused-export lib/fixlib/target.mli hidden_by_reexport";
+            "unused-export lib/fixlib/tested.mli only_from_test";
           ]
           (Lazy.force fixture_findings) );
   ]

@@ -346,10 +346,7 @@ let test_bitblast_fig2 () =
 let test_stats () =
   let c = Fig2.gate 8 in
   Alcotest.(check int) "ffs" 8 (flipflop_count c);
-  check "gates positive" true (gate_count c > 0);
-  let fan = fanout_map c in
-  check "fanout total reasonable" true
-    (Array.fold_left (fun acc l -> acc + List.length l) 0 fan > 0)
+  check "gates positive" true (gate_count c > 0)
 
 let suite =
   [

@@ -9,6 +9,13 @@
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* Submit [f x] for every element, then await the futures in list order. *)
+let map_list pool f xs =
+  List.map
+    (fun x -> Parallel.Pool.submit pool (fun () -> f x))
+    xs
+  |> List.map Parallel.Pool.await
+
 (* ------------------------------------------------------------------ *)
 (* Pool unit tests                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -16,18 +23,21 @@ let check_int = Alcotest.(check int)
 let test_map_ordering () =
   Parallel.Pool.run ~jobs:4 (fun pool ->
       let xs = List.init 40 Fun.id in
-      let ys = Parallel.Pool.map_list pool (fun x -> x * x) xs in
+      let ys = map_list pool (fun x -> x * x) xs in
       Alcotest.(check (list int)) "results in submission order"
         (List.map (fun x -> x * x) xs)
         ys)
 
 let test_inline_pool () =
-  Parallel.Pool.run ~jobs:1 (fun pool ->
-      check_int "size clamps to 1" 1 (Parallel.Pool.size pool);
-      let ran = ref false in
-      let fut = Parallel.Pool.submit pool (fun () -> ran := true; 7) in
-      check "inline task ran before await" true !ran;
-      check_int "inline result" 7 (Parallel.Pool.await fut))
+  (* jobs below 1 clamp to 1: inline too *)
+  List.iter
+    (fun jobs ->
+      Parallel.Pool.run ~jobs (fun pool ->
+          let ran = ref false in
+          let fut = Parallel.Pool.submit pool (fun () -> ran := true; 7) in
+          check "inline task ran before await" true !ran;
+          check_int "inline result" 7 (Parallel.Pool.await fut)))
+    [ 1; 0 ]
 
 let test_exception_propagation () =
   Parallel.Pool.run ~jobs:2 (fun pool ->
@@ -93,15 +103,15 @@ let test_deadline_injected_clock () =
 
 let budget () = Engines.Common.budget_of_seconds 60.0
 
-(* Every engine on the same circuit pair, as plain-data outcomes (tags
-   and strings only — terms must not cross domains). *)
+(* Every engine on the same circuit pair, as plain-data outcomes (strings
+   only — terms must not cross domains). *)
 let engine_outcomes c r =
-  let tag f = Engines.Common.result_tag (f (budget ()) c r) in
+  let outcome f = Engines.Common.result_to_string (f (budget ()) c r) in
   [
-    ("smv", tag Engines.Smv.equiv);
-    ("sis", tag Engines.Sis_fsm.equiv);
-    ("eijk", tag Engines.Eijk.equiv);
-    ("eijk_star", tag Engines.Eijk.equiv_star);
+    ("smv", outcome Engines.Smv.equiv);
+    ("sis", outcome Engines.Sis_fsm.equiv);
+    ("eijk", outcome Engines.Eijk.equiv);
+    ("eijk_star", outcome Engines.Eijk.equiv_star);
   ]
 
 let hash_outcome c =
@@ -175,7 +185,7 @@ let test_worker_state_stays_local () =
   let circuits = List.map Fig2.gate [ 2; 3; 3; 4 ] in
   let round () =
     Parallel.Pool.run ~jobs:2 (fun pool ->
-        Parallel.Pool.map_list pool retime_rule_apps circuits)
+        map_list pool retime_rule_apps circuits)
   in
   let worker_apps = List.nth (round ()) 3 in
   check_int "worker delta equals the main domain's" main_apps worker_apps;
@@ -205,7 +215,7 @@ let test_worker_manager_fresh_and_reused () =
         ])
       [ 2; 3; 4 ]
   in
-  let verdict (f, c, r) = Engines.Common.result_tag (f (budget ()) c r) in
+  let verdict (f, c, r) = Engines.Common.result_to_string (f (budget ()) c r) in
   let seq = List.map verdict cells in
   check "main domain's manager holds nodes" true
     (Engines.Common.with_manager Bdd.node_count > fresh_nodes);
@@ -218,7 +228,7 @@ let test_worker_manager_fresh_and_reused () =
                   Engines.Common.with_manager Bdd.node_count))
           |> List.map Parallel.Pool.await
         in
-        (probes, Parallel.Pool.map_list pool verdict cells))
+        (probes, map_list pool verdict cells))
   in
   List.iteri
     (fun i nodes ->
@@ -238,7 +248,7 @@ let test_stress_interning_integrity () =
   let seeded_ty = Hol.Ty.bool in
   let probes =
     Parallel.Pool.run ~jobs:4 (fun pool ->
-        Parallel.Pool.map_list pool
+        map_list pool
           (fun i ->
             let open Hol in
             let open Logic in

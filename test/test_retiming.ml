@@ -1,4 +1,4 @@
-(* Tests for cuts, conventional forward retiming and Leiserson-Saxe. *)
+(* Tests for cuts and conventional forward retiming. *)
 
 open Circuit
 
@@ -89,9 +89,10 @@ let test_retime_fig2 () =
   let r = Forward.retime c (Cut.maximal c) in
   validate r;
   check "cosim" true (cosim c r 50 7);
-  (* initial state of the boundary register is f(q) = 1 *)
-  match Forward.boundary_inits c (Cut.maximal c) with
-  | [ Word (6, 1) ] -> ()
+  (* the boundary register, the retimed circuit's first, starts at
+     f(q) = 1 *)
+  match Array.to_list r.registers with
+  | { init = Word (6, 1); _ } :: _ -> ()
   | _ -> Alcotest.fail "boundary init should be the 6-bit word 1"
 
 let prop_retime_preserves =
@@ -124,31 +125,6 @@ let test_retime_register_count () =
   Alcotest.(check int) "register count preserved on fig2"
     (flipflop_count c) (flipflop_count r)
 
-(* ------------------------------------------------------------------ *)
-(* Leiserson-Saxe                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_leiserson_fig2 () =
-  let c = Fig2.gate 8 in
-  let a = Leiserson.analyse c in
-  check "period improves or stays" true
-    (a.Leiserson.period_after <= a.Leiserson.period_before);
-  check "period positive" true (a.Leiserson.period_after >= 1);
-  Alcotest.(check int) "depth = period before"
-    (Leiserson.combinational_depth c)
-    a.Leiserson.period_before
-
-let prop_leiserson =
-  QCheck.Test.make ~count:40 ~name:"Leiserson-Saxe period sane"
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let c = Random_circ.generate ~seed ~max_gates:40 () in
-      match Leiserson.analyse c with
-      | a ->
-          a.Leiserson.period_after >= 1
-          && a.Leiserson.period_after <= a.Leiserson.period_before
-      | exception Circuit.Invalid_netlist _ -> true)
-
 let suite =
   [
     Alcotest.test_case "fig2 maximal cut" `Quick test_fig2_cut;
@@ -159,6 +135,4 @@ let suite =
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_retime_preserves;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_retime_words;
     Alcotest.test_case "register counts" `Quick test_retime_register_count;
-    Alcotest.test_case "leiserson fig2" `Quick test_leiserson_fig2;
-    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_leiserson;
   ]
