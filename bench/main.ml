@@ -46,49 +46,42 @@ let deadline =
 let max_n = min 63 (max 1 (env_int "BENCH_MAX_N" 63))
 let jobs = max 1 (env_int "BENCH_JOBS" (Domain.recommended_domain_count ()))
 
-let time f =
-  let t0 = Logic.Clock.now () in
-  let r = f () in
-  (r, Logic.Clock.now () -. t0)
+(* Wall seconds of [f ()], observed like every table cell: the
+   ablations and the certificate rows time HASH steps, replays and
+   emissions through the same bracket as the engines. *)
+let wall_s f =
+  (Engines.Common.observe ~engine:"hash" (fun () -> (f (), []))).Obs.wall_s
 
 let fmt_time ok t = if ok then Printf.sprintf "%8.2f" t else "       -"
 
-let engine_cell (r : Engines.Common.report) =
-  match r.Engines.Common.result with
-  | Engines.Common.Equivalent -> fmt_time true r.Engines.Common.wall_s
+let engine_cell (r : Engines.Common.result Obs.run) =
+  match r.result with
+  | Engines.Common.Equivalent -> fmt_time true r.wall_s
   | Engines.Common.Not_equivalent w -> Printf.sprintf "  BUG(%s)" w
   | Engines.Common.Inconclusive _ | Engines.Common.Timeout ->
-      fmt_time false r.Engines.Common.wall_s
+      fmt_time false r.wall_s
 
 (* The HASH synthesis step is the system under test: an exception from it
    must yield a failure cell, not abort the whole table.  The run respects
-   the same deadline as the verification engines and carries the logic
-   kernel's counter deltas. *)
+   the same deadline as the verification engines and is observed like
+   them. *)
 let hash_run level c cut =
   let budget = Engines.Common.budget_of_seconds deadline in
-  let k0 = Engines.Common.kernel_now () in
-  let t0 = Logic.Clock.now () in
-  let status =
-    match Hash.Synthesis.retime ~budget level c cut with
-    | (_ : Hash.Synthesis.step) -> "ok"
-    | exception Engines.Common.Out_of_budget -> "timeout"
-    | exception e -> "error: " ^ Printexc.to_string e
-  in
-  {
-    Obs.engine = "hash";
-    wall_s = Logic.Clock.now () -. t0;
-    status;
-    snap = Obs.empty;
-    kern = Obs.kernel_delta ~before:k0 ~after:(Engines.Common.kernel_now ());
-    extra = [];
-  }
+  Engines.Common.observe ~engine:"hash" (fun () ->
+      ( (match Hash.Synthesis.retime ~budget level c cut with
+        | (_ : Hash.Synthesis.step) -> Engines.Common.Retimed
+        | exception Engines.Common.Out_of_budget -> Engines.Common.Out_of_time
+        | exception e -> Engines.Common.Raised e),
+        [] ))
 
-let hash_cell (r : Obs.engine_run) =
-  if r.Obs.status = "ok" then fmt_time true r.Obs.wall_s
-  else if r.Obs.status = "timeout" then fmt_time false r.Obs.wall_s
-  else "    FAIL"
+let hash_cell (r : Engines.Common.hash_outcome Obs.run) =
+  match r.result with
+  | Engines.Common.Retimed -> fmt_time true r.wall_s
+  | Engines.Common.Out_of_time -> fmt_time false r.wall_s
+  | Engines.Common.Raised _ -> "    FAIL"
 
-let report_json r = Obs.engine_run_json (Engines.Common.report_to_run r)
+let engine_json = Obs.run_json Engines.Common.status
+let hash_json = Obs.run_json Engines.Common.hash_status
 
 let write_table_json path table rows_json =
   let created, reused = Engines.Common.bdd_domain_stats () in
@@ -113,8 +106,8 @@ let write_table_json path table rows_json =
    exactly the old sequential loop. *)
 let cell pool f = Parallel.Pool.submit pool f
 
-let engine_task pool report_fn a b =
-  cell pool (fun () -> report_fn (Engines.Common.budget_of_seconds deadline) a b)
+let engine_task pool equiv a b =
+  cell pool (fun () -> equiv (Engines.Common.budget_of_seconds deadline) a b)
 
 (* ------------------------------------------------------------------ *)
 (* Table I                                                             *)
@@ -137,8 +130,8 @@ let table1 pool =
         let g = Fig2.gate n in
         let gcut = Cut.maximal g in
         let retimed_g = Forward.retime g gcut in
-        let sis = engine_task pool Engines.Sis_fsm.equiv_report g retimed_g in
-        let smv = engine_task pool Engines.Smv.equiv_report g retimed_g in
+        let sis = engine_task pool Engines.Sis_fsm.equiv g retimed_g in
+        let smv = engine_task pool Engines.Smv.equiv g retimed_g in
         let hash =
           cell pool (fun () -> hash_run Hash.Embed.Rt_level rt (Cut.maximal rt))
         in
@@ -162,11 +155,7 @@ let table1 pool =
             ("gates", Obs.Json.Int (Circuit.gate_count g));
             ( "engines",
               Obs.Json.List
-                [
-                  report_json sis;
-                  report_json smv;
-                  Obs.engine_run_json hash;
-                ] );
+                [ engine_json sis; engine_json smv; hash_json hash ] );
           ])
       submitted
   in
@@ -191,13 +180,13 @@ let table2 pool =
         let c = Lazy.force e.Iwls.circuit in
         let cut = Cut.maximal c in
         let retimed = Forward.retime c cut in
-        let eijk = engine_task pool Engines.Eijk.equiv_report c retimed in
+        let eijk = engine_task pool Engines.Eijk.equiv c retimed in
         let eijks =
           engine_task pool
-            (Engines.Eijk.equiv_report ~exploit_dependencies:true)
+            (Engines.Eijk.equiv ~exploit_dependencies:true)
             c retimed
         in
-        let sis = engine_task pool Engines.Sis_fsm.equiv_report c retimed in
+        let sis = engine_task pool Engines.Sis_fsm.equiv c retimed in
         let hash = cell pool (fun () -> hash_run Hash.Embed.Bit_level c cut) in
         (e, c, eijk, eijks, sis, hash))
       Iwls.suite
@@ -222,10 +211,10 @@ let table2 pool =
             ( "engines",
               Obs.Json.List
                 [
-                  report_json eijk;
-                  report_json eijks;
-                  report_json sis;
-                  Obs.engine_run_json hash;
+                  engine_json eijk;
+                  engine_json eijks;
+                  engine_json sis;
+                  hash_json hash;
                 ] );
           ])
       submitted
@@ -246,9 +235,8 @@ let cuts pool =
       (fun cut ->
         ( List.length cut.Cut.f_gates,
           cell pool (fun () ->
-              snd
-                (time (fun () ->
-                     Hash.Synthesis.retime Hash.Embed.Bit_level c cut))) ))
+              wall_s (fun () ->
+                  Hash.Synthesis.retime Hash.Embed.Bit_level c cut)) ))
       (Cut.prefixes c 6)
   in
   List.iter
@@ -268,15 +256,16 @@ let levels pool =
   Printf.printf "%4s %6s %10s %10s %10s\n" "n" "level" "steps1-3" "step4"
     "total";
   let run level c () =
-    let step, t =
-      time (fun () -> Hash.Synthesis.retime level c (Cut.maximal c))
+    let r =
+      Engines.Common.observe ~engine:"hash" (fun () ->
+          (Hash.Synthesis.retime level c (Cut.maximal c), []))
     in
-    let tg = step.Hash.Synthesis.timings in
+    let tg = r.result.Hash.Synthesis.timings in
     let s13 =
       tg.Hash.Synthesis.t_split +. tg.Hash.Synthesis.t_apply
       +. tg.Hash.Synthesis.t_join
     in
-    (s13, tg.Hash.Synthesis.t_init, t)
+    (s13, tg.Hash.Synthesis.t_init, r.wall_s)
   in
   let submitted =
     List.concat_map
@@ -577,11 +566,10 @@ let cert_bench () =
   Printf.printf "%-8s %10s %10s %9s %9s %10s %10s %9s %9s %9s %9s %9s %8s\n"
     "name" "synth(ms)" "record(ms)" "over(%)" "iqr(%)" "eijk(ms)" "replay(ms)"
     "rpl/eijk" "rpl/syn" "emit(ms)" "emt/syn" "emit(kw)" "bytes";
-  let time f = snd (time f) in
   let min_of reps f =
     let best = ref infinity in
     for _ = 1 to reps do
-      let dt = time f in
+      let dt = f () in
       if dt < !best then best := dt
     done;
     !best
@@ -633,9 +621,9 @@ let cert_bench () =
           let recs = Array.make cert_pairs 0.0 in
           for i = 0 to cert_pairs - 1 do
             synths.(i) <-
-              time (fun () -> ignore (Hash.Synthesis.retime level c cut));
+              wall_s (fun () -> ignore (Hash.Synthesis.retime level c cut));
             recs.(i) <-
-              time (fun () ->
+              wall_s (fun () ->
                   Logic.Kernel.start_recording ();
                   ignore (Hash.Synthesis.retime level c cut);
                   match Logic.Kernel.stop_recording () with
@@ -669,11 +657,9 @@ let cert_bench () =
         let t_eijk =
           min_of cert_eijk_reps (fun () ->
               let budget = Engines.Common.budget_of_seconds deadline in
-              match
-                (Engines.Eijk.equiv_report budget c retimed)
-                  .Engines.Common.result
-              with
-              | Engines.Common.Equivalent -> ()
+              let r = Engines.Eijk.equiv budget c retimed in
+              match r.result with
+              | Engines.Common.Equivalent -> r.wall_s
               | _ ->
                   failwith
                     "cert bench: van Eijk baseline did not prove equivalence")
@@ -684,29 +670,28 @@ let cert_bench () =
         Gc.compact ();
         let t_replay =
           min_of cert_replay_reps (fun () ->
-              match Cert.check_string cert with
-              | Ok _ -> ()
-              | Error rej -> failwith (Cert.reject_to_string rej))
+              wall_s (fun () ->
+                  match Cert.check_string cert with
+                  | Ok _ -> ()
+                  | Error rej -> failwith (Cert.reject_to_string rej)))
         in
         let t_emit =
           min_of cert_replay_reps (fun () ->
-              match Cert.emit tr step.Hash.Synthesis.theorem with
-              | Ok _ -> ()
-              | Error msg -> failwith msg)
+              wall_s (fun () ->
+                  match Cert.emit tr step.Hash.Synthesis.theorem with
+                  | Ok _ -> ()
+                  | Error msg -> failwith msg))
         in
         (* words one emission allocates on this domain, the least of
            three calls (a call may also pay for the term table's growth
-           when [Kernel.concl] builds an equation); the counters advance
-           at minor collections, so one brackets each side *)
+           when [Kernel.concl] builds an equation) *)
         let emit_kwords =
           List.fold_left min infinity
             (List.init 3 (fun _ ->
-                 Gc.minor ();
                  let before = Obs.Gcstats.now () in
                  ignore
                    (Sys.opaque_identity
                       (Cert.emit tr step.Hash.Synthesis.theorem));
-                 Gc.minor ();
                  let d = Obs.Gcstats.delta ~before ~after:(Obs.Gcstats.now ()) in
                  (d.Obs.Gcstats.minor_words +. d.major_words -. d.promoted_words)
                  /. 1000.))

@@ -82,16 +82,17 @@ let run list_them name n level_str show_theorem verify deadline cert_file =
               (List.length cut.Cut.f_gates)
               (List.length cut.Cut.boundary)
               (List.length cut.Cut.passthrough);
-            let t0 = Logic.Clock.now () in
             if cert_file <> None then Logic.Kernel.start_recording ();
-            match Hash.Synthesis.retime level c cut with
+            match
+              Engines.Common.observe ~engine:"hash" (fun () ->
+                  (Hash.Synthesis.retime level c cut, []))
+            with
             | exception Hash.Errors.Cut_mismatch msg ->
                 if cert_file <> None then
                   ignore (Logic.Kernel.stop_recording ());
                 Printf.eprintf "cut mismatch: %s\n" msg;
                 1
-            | step ->
-                let dt = Logic.Clock.now () -. t0 in
+            | { Obs.result = step; wall_s = dt; _ } ->
                 Format.printf "retimed: %a@." Circuit.pp_stats
                   step.Hash.Synthesis.after;
                 Format.printf
@@ -150,21 +151,22 @@ let run list_them name n level_str show_theorem verify deadline cert_file =
                       then step.Hash.Synthesis.after
                       else Bitblast.expand step.Hash.Synthesis.after
                     in
-                    let t0 = Logic.Clock.now () in
-                    let result =
+                    let run =
                       match engine with
                       | "smv" -> Engines.Smv.equiv budget ca cb
                       | "sis" -> Engines.Sis_fsm.equiv budget ca cb
                       | "eijk" -> Engines.Eijk.equiv budget ca cb
-                      | "eijk*" -> Engines.Eijk.equiv_star budget ca cb
+                      | "eijk*" ->
+                          Engines.Eijk.equiv ~exploit_dependencies:true budget
+                            ca cb
                       | "match" -> Engines.Retime_match.equiv budget ca cb
                       | other ->
                           Printf.eprintf "unknown engine %s\n" other;
                           exit 1
                     in
                     Format.printf "%s cross-check: %s (%.3fs)@." engine
-                      (Engines.Common.result_to_string result)
-                      (Logic.Clock.now () -. t0));
+                      (Engines.Common.result_to_string run.Obs.result)
+                      run.Obs.wall_s);
                 0))
 
 let cmd =

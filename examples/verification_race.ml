@@ -5,14 +5,9 @@
 
      dune exec examples/verification_race.exe *)
 
-let time f =
-  let t0 = Logic.Clock.now () in
-  let r = f () in
-  (r, Logic.Clock.now () -. t0)
-
-let cell result t =
-  match result with
-  | Engines.Common.Equivalent -> Printf.sprintf "%8.3fs" t
+let cell (r : Engines.Common.result Obs.run) =
+  match r.result with
+  | Engines.Common.Equivalent -> Printf.sprintf "%8.3fs" r.wall_s
   | Engines.Common.Not_equivalent _ -> "     BUG!"
   | Engines.Common.Inconclusive _ -> "  inconcl"
   | Engines.Common.Timeout -> "        -"
@@ -26,22 +21,15 @@ let () =
       let cut = Cut.maximal c in
       let retimed = Forward.retime c cut in
       let budget () = Engines.Common.budget_of_seconds 5.0 in
-      let sis, t_sis =
-        time (fun () -> Engines.Sis_fsm.equiv (budget ()) c retimed)
+      let sis = Engines.Sis_fsm.equiv (budget ()) c retimed in
+      let smv = Engines.Smv.equiv (budget ()) c retimed in
+      let eijk = Engines.Eijk.equiv (budget ()) c retimed in
+      let m = Engines.Retime_match.equiv (budget ()) c retimed in
+      let hash =
+        Engines.Common.observe ~engine:"hash" (fun () ->
+            (Hash.Synthesis.retime Hash.Embed.Bit_level c cut, []))
       in
-      let smv, t_smv =
-        time (fun () -> Engines.Smv.equiv (budget ()) c retimed)
-      in
-      let eijk, t_eijk =
-        time (fun () -> Engines.Eijk.equiv (budget ()) c retimed)
-      in
-      let m, t_m =
-        time (fun () -> Engines.Retime_match.equiv (budget ()) c retimed)
-      in
-      let _, t_hash =
-        time (fun () -> Hash.Synthesis.retime Hash.Embed.Bit_level c cut)
-      in
-      Printf.printf "%4d %10s %10s %10s %10s %11.3fs\n" n (cell sis t_sis)
-        (cell smv t_smv) (cell eijk t_eijk) (cell m t_m) t_hash;
+      Printf.printf "%4d %10s %10s %10s %10s %11.3fs\n" n (cell sis)
+        (cell smv) (cell eijk) (cell m) hash.wall_s;
       flush stdout)
     [ 2; 4; 6; 8 ]

@@ -189,4 +189,4 @@ let eval_rewrites = word_rewrites @ Boolean.eval_rewrites
 (* Partial application: one memo table, shared within each step. *)
 let word_eval_conv =
   Conv.memo_top_depth_conv
-    (Conv.orelsec (Conv.rewrs_conv eval_rewrites) Pairs.let_proj_conv)
+    (Conv.orelsec (Conv.rewrs_conv eval_rewrites) Pairs.proj_beta_conv)

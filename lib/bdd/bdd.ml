@@ -390,7 +390,7 @@ let size m f =
 
 let node_count m = m.next
 
-let stats m = Obs.snapshot ~peak_nodes:m.next m.counters
+let stats m = { m.counters with Obs.Counters.peak_nodes = m.next }
 
 let rec eval m f env =
   if f = 0 then false

@@ -60,11 +60,11 @@ val node_count : manager -> int
 (** Total nodes allocated in the manager (monotone: nodes are never
     reclaimed). *)
 
-val stats : manager -> Obs.snapshot
-(** Engine counters: hash-consing calls, unique-table and computed-table
-    hit/miss counts, and the peak node count (equal to {!node_count},
-    which is monotone).  Counters are cumulative over the manager's
-    lifetime. *)
+val stats : manager -> Obs.Counters.t
+(** A copy of the engine counters: hash-consing calls, unique-table and
+    computed-table hit/miss counts, and the peak node count (equal to
+    {!node_count}, which is monotone).  Counters are cumulative over the
+    manager's lifetime. *)
 
 val eval : manager -> t -> (int -> bool) -> bool
 (** Evaluate under an assignment. *)

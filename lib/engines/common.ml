@@ -35,7 +35,7 @@ let check_nodes b m =
   if Bdd.node_count m - b.bdd_base > b.max_bdd_nodes then raise Out_of_budget
   else check b
 
-let result_tag = function
+let status = function
   | Equivalent -> "equivalent"
   | Not_equivalent _ -> "not_equivalent"
   | Inconclusive _ -> "inconclusive"
@@ -53,14 +53,12 @@ let result_to_string r = Format.asprintf "%a" pp_result r
 (* Observed runs                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type report = {
-  engine : string;
-  result : result;
-  wall_s : float;
-  bdd : Obs.snapshot;
-  kern : Obs.kernel_snapshot;
-  extra : (string * float) list;
-}
+type hash_outcome = Retimed | Out_of_time | Raised of exn
+
+let hash_status = function
+  | Retimed -> "ok"
+  | Out_of_time -> "timeout"
+  | Raised e -> "error: " ^ Printexc.to_string e
 
 (* Read the logic kernel's counters.  This module is the lowest layer that
    sees both Logic and Obs, so it owns the translation. *)
@@ -125,14 +123,14 @@ let observe ~engine f =
   let k0 = kernel_now () in
   let g0 = Obs.Gcstats.now () in
   let t0 = Logic.Clock.now () in
-  let result, extra = try f () with Out_of_budget -> (Timeout, []) in
+  let result, extra = f () in
   let wall_s = Logic.Clock.now () -. t0 in
   let gc = Obs.Gcstats.delta ~before:g0 ~after:(Obs.Gcstats.now ()) in
   {
-    engine;
+    Obs.engine;
     result;
     wall_s;
-    bdd = Obs.empty;
+    bdd = Obs.Counters.create ();
     kern = Obs.kernel_delta ~before:k0 ~after:(kernel_now ());
     extra = extra @ Obs.Gcstats.extras gc;
   }
@@ -140,18 +138,11 @@ let observe ~engine f =
 let observe_bdd ~engine f =
   with_manager (fun m ->
       let s0 = Bdd.stats m in
-      let r = observe ~engine (fun () -> f m) in
-      { r with bdd = Obs.snapshot_delta ~before:s0 ~after:(Bdd.stats m) })
-
-let report_to_run r =
-  {
-    Obs.engine = r.engine;
-    wall_s = r.wall_s;
-    status = result_tag r.result;
-    snap = r.bdd;
-    kern = r.kern;
-    extra = r.extra;
-  }
+      let r =
+        observe ~engine (fun () ->
+            try f m with Out_of_budget -> (Timeout, []))
+      in
+      { r with bdd = Obs.Counters.delta ~before:s0 ~after:(Bdd.stats m) })
 
 let bit_inputs c =
   Array.fold_left

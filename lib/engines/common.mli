@@ -1,4 +1,6 @@
-(** Shared result and budget types for the verification engines. *)
+(** Shared result and budget types for the verification engines, and
+    {!observe}: the one way a run — an engine's [equiv] or a HASH
+    step — is measured, as one {!Obs.run} record. *)
 
 type result =
   | Equivalent
@@ -22,53 +24,55 @@ type budget = {
 val budget_of_seconds : ?max_bdd_nodes:int -> float -> budget
 val result_to_string : result -> string
 
-type report = {
-  engine : string;
-  result : result;
-  wall_s : float;
-  bdd : Obs.snapshot;  (** BDD counters; {!Obs.empty} for non-BDD engines *)
-  kern : Obs.kernel_snapshot;
-      (** logic-kernel counter deltas over the run (rule applications,
-          term interning, conversion memos) *)
-  extra : (string * float) list;  (** engine-specific scalars *)
-}
-(** An observed engine run: result plus wall time and kernel counters. *)
+val status : result -> string
+(** The BENCH_table [status] of a result: ["equivalent"],
+    ["not_equivalent"], ["inconclusive"] or ["timeout"]. *)
+
+(** What a timed HASH synthesis step ended in: a bench cell's outcome. *)
+type hash_outcome =
+  | Retimed
+  | Out_of_time  (** the step raised {!Out_of_budget} *)
+  | Raised of exn  (** any other exception: a failure cell *)
+
+val hash_status : hash_outcome -> string
+(** ["ok"], ["timeout"] or ["error: "] followed by [Printexc.to_string]
+    of the exception. *)
 
 val kernel_now : unit -> Obs.kernel_snapshot
 (** Current cumulative logic-kernel counters of the {e current domain};
     diff two with {!Obs.kernel_delta} to attribute work to a run. *)
 
 val observe :
-  engine:string -> (unit -> result * (string * float) list) -> report
-(** Time a non-BDD engine run; [Out_of_budget] maps to [Timeout].  The
-    report's [extra] gains [Gc.quick_stat] deltas ([gc_minor_words],
-    [gc_major_words], …). *)
+  engine:string -> (unit -> 'r * (string * float) list) -> 'r Obs.run
+(** [observe ~engine f] runs [f], which returns its result and its
+    engine-specific scalars, and records the run: monotonic wall time,
+    logic-kernel counter deltas, and [extra] extended with
+    {!Obs.Gcstats} deltas ([gc_minor_words], [gc_major_words], …).  Its
+    BDD counters are a fresh zero record.  An exception from [f]
+    propagates.  The one way a run is measured. *)
 
 val observe_bdd :
-  engine:string -> (Bdd.manager -> result * (string * float) list) -> report
-(** {!observe} run inside {!with_manager}, with the BDD counters reported
-    as deltas over the run — for a reused manager, [peak_nodes] is the
-    run's own node allocation. *)
-
-val with_manager : (Bdd.manager -> 'a) -> 'a
-(** [with_manager f] applies [f] to the calling domain's BDD manager: an
-    empty [Bdd.manager ()] on the domain's first call, the same manager
-    on every later one, so its tables stay grown.  However [f] ends, a
-    manager grown past the recycle threshold is dropped (the next call
-    builds a fresh one), so a blowup cell cannot pin hundreds of MB per
-    domain.  The one way an engine gets a manager. *)
+  engine:string ->
+  (Bdd.manager -> result * (string * float) list) ->
+  result Obs.run
+(** {!observe} applied to the calling domain's BDD manager, with
+    {!Out_of_budget} mapped to [Timeout] and the BDD counters reported as
+    deltas over the run — for a reused manager, [peak_nodes] is the run's
+    own node allocation.  The manager is an empty [Bdd.manager ()] on the
+    domain's first run and the same one on every later run, so its
+    tables stay grown.  However the run ends, a manager grown past the
+    recycle threshold is dropped (the next run builds a fresh one), so a
+    blowup cell cannot pin hundreds of MB per domain.  The one way an
+    engine gets a manager. *)
 
 val bdd_domain_stats : unit -> int * int
-(** [(created, reused)] counts of {!with_manager} calls across all
+(** [(created, reused)] counts of {!observe_bdd} managers across all
     domains — the bench asserts [reused > 0] under multi-cell sweeps so
     the per-cell manager-rebuild regression cannot silently return. *)
 
 val arm_nodes : budget -> Bdd.manager -> unit
 (** Set [budget.bdd_base] to the manager's current population; engines
     call it at entry so {!check_nodes} measures their own allocation. *)
-
-val report_to_run : report -> Obs.engine_run
-(** Convert to the serialisable {!Obs.engine_run} form. *)
 
 exception Out_of_budget
 

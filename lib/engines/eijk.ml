@@ -775,13 +775,6 @@ let equiv_m ~exploit_dependencies m budget ca cb =
       List.length classes )
 
 let equiv ?(exploit_dependencies = false) budget ca cb =
-  Common.with_manager (fun m ->
-      try fst (equiv_m ~exploit_dependencies m budget ca cb)
-      with Common.Out_of_budget -> Common.Timeout)
-
-let equiv_star budget ca cb = equiv ~exploit_dependencies:true budget ca cb
-
-let equiv_report ?(exploit_dependencies = false) budget ca cb =
   let engine = if exploit_dependencies then "eijk_star" else "eijk" in
   Common.observe_bdd ~engine (fun m ->
       let r, classes = equiv_m ~exploit_dependencies m budget ca cb in

@@ -16,10 +16,10 @@
     class.  The method is incomplete: a failed match is reported as
     [Inconclusive], never as [Not_equivalent].
 
-    The [star] variant first eliminates functionally dependent registers
-    (duplicate/complementary/constant next-state functions), shrinking the
-    BDD variable support before the fixpoint — the paper's "Eijk*"
-    column.
+    The star variant ([~exploit_dependencies:true]) first eliminates
+    functionally dependent registers (duplicate/complementary/constant
+    next-state functions), shrinking the BDD variable support before the
+    fixpoint — the paper's "Eijk*" column.
 
     Simulation traces are packed 62-to-a-word into int arrays with a
     canonical polarity bit, and the refinement runs over a union-find on
@@ -29,18 +29,12 @@
 
 val equiv :
   ?exploit_dependencies:bool ->
-  Common.budget -> Circuit.t -> Circuit.t -> Common.result
-(** Plain van Eijk ([exploit_dependencies] defaults to [false]).  Both
+  Common.budget -> Circuit.t -> Circuit.t -> Common.result Obs.run
+(** The observed run ({!Common.observe_bdd}): plain van Eijk, engine
+    ["eijk"], or with [~exploit_dependencies:true] the star variant,
+    engine ["eijk_star"] (default [false]).  [extra] carries
+    [inductive_classes] (surviving classes at the fixpoint).  Both
     circuits must be pure bit-level with matching interfaces. *)
-
-val equiv_star : Common.budget -> Circuit.t -> Circuit.t -> Common.result
-(** [equiv ~exploit_dependencies:true]. *)
-
-val equiv_report :
-  ?exploit_dependencies:bool ->
-  Common.budget -> Circuit.t -> Circuit.t -> Common.report
-(** Like {!equiv}, with wall time and kernel counters; [extra] carries
-    [inductive_classes] (surviving classes at the fixpoint). *)
 
 val candidate_classes : Circuit.t -> Circuit.t -> int * int
 (** [(classes, members)] of the simulation-seeded candidate partition

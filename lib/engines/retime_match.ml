@@ -120,7 +120,7 @@ let match_graphs ga gb =
   if Array.length ga.outs <> Array.length gb.outs then raise No_match;
   Array.iteri (fun k oa -> go oa gb.outs.(k)) ga.outs
 
-let equiv budget ca cb =
+let decide budget ca cb =
   if not (Common.same_interface ca cb) then
     Common.interface_mismatch "Retime_match: interface mismatch";
   try
@@ -135,3 +135,6 @@ let equiv budget ca cb =
   with
   | No_match -> Common.Inconclusive "no structural match after normalisation"
   | Common.Out_of_budget -> Common.Timeout
+
+let equiv budget ca cb =
+  Common.observe ~engine:"match" (fun () -> (decide budget ca cb, []))

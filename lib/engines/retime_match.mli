@@ -9,5 +9,8 @@
     and initial-value consistency is re-checked), so a positive answer is
     trustworthy; failure to match is reported as [Inconclusive]. *)
 
-val equiv : Common.budget -> Circuit.t -> Circuit.t -> Common.result
-(** Both circuits must be pure bit-level with matching interfaces. *)
+val equiv :
+  Common.budget -> Circuit.t -> Circuit.t -> Common.result Obs.run
+(** The observed run ({!Common.observe}, engine ["match"]; no BDDs, no
+    [extra] beyond the GC deltas).  Both circuits must be pure bit-level
+    with matching interfaces. *)

@@ -136,9 +136,7 @@ let traverse budget ca cb =
     | Mismatch msg -> (Common.Not_equivalent msg, !visited_states)
   end
 
-let equiv budget ca cb = fst (traverse budget ca cb)
-
-let equiv_report budget ca cb =
+let equiv budget ca cb =
   Common.observe ~engine:"sis" (fun () ->
       let r, states = traverse budget ca cb in
       (r, [ ("visited_states", float_of_int states) ]))

@@ -5,9 +5,9 @@
     Exact and complete, but exponential both in flip-flops (states) and in
     primary inputs (alphabet); the paper's "SIS" baseline. *)
 
-val equiv : Common.budget -> Circuit.t -> Circuit.t -> Common.result
-(** Both circuits must be pure bit-level with matching interfaces. *)
-
-val equiv_report : Common.budget -> Circuit.t -> Circuit.t -> Common.report
-(** Like {!equiv}, with wall time; [extra] carries [visited_states] (this
-    engine builds no BDDs, so the kernel counters are empty). *)
+val equiv :
+  Common.budget -> Circuit.t -> Circuit.t -> Common.result Obs.run
+(** The observed run ({!Common.observe}, engine ["sis"]); [extra] carries
+    [visited_states].  This engine builds no BDDs, so its BDD counters
+    are zero.  Both circuits must be pure bit-level with matching
+    interfaces. *)

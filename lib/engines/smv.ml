@@ -99,13 +99,6 @@ let traverse m budget ca cb =
     (r, iters, peak, !peak_image)
 
 let equiv budget ca cb =
-  Common.with_manager (fun m ->
-      try
-        let r, _, _, _ = traverse m budget ca cb in
-        r
-      with Common.Out_of_budget -> Common.Timeout)
-
-let equiv_report budget ca cb =
   Common.observe_bdd ~engine:"smv" (fun m ->
       let r, iters, peak, peak_img = traverse m budget ca cb in
       ( r,

@@ -12,10 +12,9 @@
     intermediate products small.  This is the paper's "SMV" baseline:
     exact, complete, and exponential in the number of state variables. *)
 
-val equiv : Common.budget -> Circuit.t -> Circuit.t -> Common.result
-(** Both circuits must be pure bit-level with matching interfaces. *)
-
-val equiv_report : Common.budget -> Circuit.t -> Circuit.t -> Common.report
-(** Like {!equiv}, with wall time and kernel counters; [extra] carries
-    [bfs_iterations], [peak_reached_size] and [peak_image_size] (largest
-    intermediate BDD during early-quantified image computation). *)
+val equiv :
+  Common.budget -> Circuit.t -> Circuit.t -> Common.result Obs.run
+(** The observed run ({!Common.observe_bdd}, engine ["smv"]); [extra]
+    carries [bfs_iterations], [peak_reached_size] and [peak_image_size]
+    (largest intermediate BDD during early-quantified image computation).
+    Both circuits must be pure bit-level with matching interfaces. *)

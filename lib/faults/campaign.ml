@@ -106,7 +106,7 @@ let bdd_equiv budget_s c1 c2 =
     try
       let b1 = Bitblast.expand c1 and b2 = Bitblast.expand c2 in
       let budget = Engines.Common.budget_of_seconds budget_s in
-      Some (Engines.Smv.equiv budget b1 b2)
+      Some (Engines.Smv.equiv budget b1 b2).Obs.result
     with
     | Circuit.Invalid_netlist _ | Engines.Common.Unsupported _
     | Engines.Common.Interface_mismatch _ | Engines.Common.Out_of_budget ->

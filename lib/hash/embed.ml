@@ -140,7 +140,7 @@ let embed level (c : Circuit.t) =
 let mk_automaton_of e = Automata.Theory.mk_automaton e.fd e.q
 
 (* Partial application: one memo table, shared within each step. *)
-let circuit_norm_conv = Conv.memo_top_depth_conv Pairs.let_proj_conv
+let circuit_norm_conv = Conv.memo_top_depth_conv Pairs.proj_beta_conv
 
 let equal_by_norm conv ~mismatch t1 t2 =
   let th1 = conv t1 in

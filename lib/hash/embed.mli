@@ -39,8 +39,8 @@ val mk_automaton_of : t -> Term.t
 (** [automaton fd q] for this embedding. *)
 
 val circuit_norm_conv : Conv.conv
-(** Full normalisation of a circuit-shaped term: expand [LET]s,
-    beta-redexes and tuple projections (no gate evaluation).  Memoised;
+(** Full normalisation of a circuit-shaped term: expand beta-redexes
+    and tuple projections (no gate evaluation).  Memoised;
     linear in the number of distinct subterm nodes per pass. *)
 
 val equal_by_norm : Conv.conv -> mismatch:exn -> Term.t -> Term.t -> Kernel.thm

@@ -46,7 +46,7 @@ let permute_netlist (c : Circuit.t) p =
 (* Partial application: one memo table, shared within each step. *)
 let proj_eta_conv =
   Conv.memo_top_depth_conv
-    (Conv.orelsec Pairs.let_proj_conv (Conv.rewr_conv Pairs.pair_eta))
+    (Conv.orelsec Pairs.proj_beta_conv (Conv.rewr_conv Pairs.pair_eta))
 
 let permute_registers level c p =
   if not (is_permutation p) then

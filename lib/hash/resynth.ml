@@ -5,7 +5,7 @@ open Logic
    memoised. *)
 let simp_conv =
   Conv.memo_top_depth_conv
-    (Conv.orelsec (Conv.rewrs_conv Boolean.eval_rewrites) Pairs.let_proj_conv)
+    (Conv.orelsec (Conv.rewrs_conv Boolean.eval_rewrites) Pairs.proj_beta_conv)
 
 let resynthesize ?budget level c =
   Conv.with_step (Synthesis.budget_poll budget) @@ fun () ->

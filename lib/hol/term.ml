@@ -350,7 +350,6 @@ let dest_eq tm =
   | _ -> failwith "Term.dest_eq"
 
 let is_var tm = match tm.node with Var _ -> true | _ -> false
-let is_abs tm = match tm.node with Abs _ -> true | _ -> false
 
 let is_eq tm =
   match tm.node with

@@ -66,7 +66,6 @@ val dest_comb : t -> t * t
 val dest_abs : t -> t * t
 val dest_eq : t -> t * t
 val is_var : t -> bool
-val is_abs : t -> bool
 val is_eq : t -> bool
 val rator : t -> t
 

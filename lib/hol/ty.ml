@@ -170,27 +170,3 @@ let rec match_ pat concrete acc =
 
 let compare a b = Int.compare a.id b.id
 let equal a b = a == b
-
-let rec add_ty buf ty =
-  match ty.node with
-  | Tyvar v -> Buffer.add_char buf ':'; Buffer.add_string buf v
-  | Tyapp ("fun", [ a; b ]) -> add_args buf [ a; b ] " -> " ""
-  | Tyapp ("prod", [ a; b ]) -> add_args buf [ a; b ] " # " ""
-  | Tyapp (op, []) -> Buffer.add_string buf op
-  | Tyapp (op, args) -> add_args buf args "," op
-
-(* "(a1<sep>a2...)<close>" *)
-and add_args buf args sep close =
-  Buffer.add_char buf '(';
-  List.iteri
-    (fun i a ->
-      if i > 0 then Buffer.add_string buf sep;
-      add_ty buf a)
-    args;
-  Buffer.add_char buf ')';
-  Buffer.add_string buf close
-
-let to_string ty =
-  let buf = Buffer.create 64 in
-  add_ty buf ty;
-  Buffer.contents buf

@@ -102,4 +102,3 @@ val freeze : unit -> unit
     Called by [Logic.Domain_state.prepare_spawn]; terms and types created
     after the freeze must not flow into the new domains. *)
 
-val to_string : t -> string

@@ -75,18 +75,6 @@ let rec proj tup i n =
     else proj (mk_snd tup) (i - l) (n - l)
 
 (* ------------------------------------------------------------------ *)
-(* LET                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let let_def =
-  let fv = Term.mk_var "f" (Ty.fn Ty.alpha Ty.beta) in
-  let xv = Term.mk_var "x" Ty.alpha in
-  Kernel.new_basic_definition
-    (Term.mk_eq
-       (Term.mk_var "LET" (Ty.fn (Ty.fn Ty.alpha Ty.beta) (Ty.fn Ty.alpha Ty.beta)))
-       (Term.list_mk_abs [ fv; xv ] (Term.mk_comb fv xv)))
-
-(* ------------------------------------------------------------------ *)
 (* Pairing axioms                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -109,23 +97,6 @@ let pair_eta =
 (* ------------------------------------------------------------------ *)
 (* Conversions                                                         *)
 (* ------------------------------------------------------------------ *)
-
-let let_conv tm =
-  match tm.Term.node with
-  | Term.Comb
-      ({ Term.node = Term.Comb ({ Term.node = Term.Const ("LET", _); _ }, f); _ }, _)
-    ->
-      let th1 =
-        Conv.rator_conv (Conv.rator_conv (Conv.rewr_conv let_def)) tm
-      in
-      (* th1 : LET f e = (\f x. f x) f e *)
-      let th2 = Conv.rator_conv Drule.beta_conv (Kernel.rhs th1) in
-      let th3 = Drule.beta_conv (Kernel.rhs th2) in
-      (* rhs th3 = f e; if f is an abstraction, reduce once more *)
-      let th = Kernel.trans (Kernel.trans th1 th2) th3 in
-      if Term.is_abs f then Kernel.trans th (Drule.beta_conv (Kernel.rhs th))
-      else th
-  | _ -> failwith "Pairs.let_conv: not a LET"
 
 (* Direct instantiation of the pairing axioms — avoids the generic
    matcher on the hottest reduction of the circuit normaliser.  The
@@ -156,13 +127,9 @@ let proj_conv tm =
       else inst_pair_axiom snd_pair 1 pair x y
   | _ -> failwith "Pairs.proj_conv: not a projection of a pair"
 
-let let_proj_conv tm =
+let proj_beta_conv tm =
   match tm.Term.node with
-  | Term.Comb
-      ({ Term.node = Term.Comb ({ Term.node = Term.Const ("LET", _); _ }, _); _ }, _)
-    ->
-      let_conv tm
   | Term.Comb ({ Term.node = Term.Const (("FST" | "SND"), _); _ }, _) ->
       proj_conv tm
   | Term.Comb ({ Term.node = Term.Abs (_, _); _ }, _) -> Drule.beta_conv tm
-  | _ -> failwith "Pairs.let_proj_conv: no redex"
+  | _ -> failwith "Pairs.proj_beta_conv: no redex"

@@ -1,9 +1,9 @@
-(** Products and local definitions ([LET]).
+(** Products.
 
     The pairing axioms ([FST (x,y) = x], [SND (x,y) = y],
     [(FST p, SND p) = p]) are part of the audited axiomatic basis: in full
     HOL they follow from a type definition over [bool -> bool -> bool];
-    here the product type is primitive.  [LET] is definitional. *)
+    here the product type is primitive. *)
 
 open Hol
 
@@ -45,6 +45,6 @@ val proj_conv : Conv.conv
     outgrows 4096 entries.  Its lookups are not counted in
     {!Memo.stats}. *)
 
-val let_proj_conv : Conv.conv
-(** One step of the circuit-term normaliser: [|- LET (\v. b) e = b[e/v]],
-    {!proj_conv}, or a beta-reduction. *)
+val proj_beta_conv : Conv.conv
+(** One step of the circuit-term normaliser: {!proj_conv} or a
+    beta-reduction. *)

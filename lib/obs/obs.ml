@@ -1,5 +1,5 @@
 (* Engine observability: cheap mutable counters updated from the BDD
-   kernel's hot path, immutable snapshots for reporting, and a tiny JSON
+   kernel's hot path, one record per observed run, and a tiny JSON
    emitter so the benchmark harness can persist machine-readable results
    without external dependencies. *)
 
@@ -12,6 +12,7 @@ module Counters = struct
     mutable cache_misses : int;
     mutable memo_hits : int;
     mutable memo_misses : int;
+    mutable peak_nodes : int;
   }
 
   let create () =
@@ -23,65 +24,25 @@ module Counters = struct
       cache_misses = 0;
       memo_hits = 0;
       memo_misses = 0;
+      peak_nodes = 0;
     }
 
+  (* Per-run deltas of a manager that outlives the run (the engines layer
+     reuses one manager per domain): every monotone counter subtracts, and
+     so does [peak_nodes] — for a reused manager it carries [node_count],
+     so the delta is the run's own node allocation. *)
+  let delta ~before ~after =
+    {
+      mk_calls = after.mk_calls - before.mk_calls;
+      unique_hits = after.unique_hits - before.unique_hits;
+      unique_misses = after.unique_misses - before.unique_misses;
+      cache_hits = after.cache_hits - before.cache_hits;
+      cache_misses = after.cache_misses - before.cache_misses;
+      memo_hits = after.memo_hits - before.memo_hits;
+      memo_misses = after.memo_misses - before.memo_misses;
+      peak_nodes = after.peak_nodes - before.peak_nodes;
+    }
 end
-
-type snapshot = {
-  mk_calls : int;
-  unique_hits : int;
-  unique_misses : int;
-  cache_hits : int;
-  cache_misses : int;
-  memo_hits : int;
-  memo_misses : int;
-  peak_nodes : int;
-}
-
-let empty =
-  {
-    mk_calls = 0;
-    unique_hits = 0;
-    unique_misses = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    memo_hits = 0;
-    memo_misses = 0;
-    peak_nodes = 0;
-  }
-
-let snapshot ?(peak_nodes = 0) (c : Counters.t) =
-  {
-    mk_calls = c.Counters.mk_calls;
-    unique_hits = c.Counters.unique_hits;
-    unique_misses = c.Counters.unique_misses;
-    cache_hits = c.Counters.cache_hits;
-    cache_misses = c.Counters.cache_misses;
-    memo_hits = c.Counters.memo_hits;
-    memo_misses = c.Counters.memo_misses;
-    peak_nodes;
-  }
-
-(* Per-run deltas of a manager that outlives the run (the engines layer
-   reuses one manager per domain): every monotone counter subtracts, and
-   so does [peak_nodes] — for a reused manager it carries [node_count],
-   so the delta is the run's own node allocation. *)
-let snapshot_delta ~before ~after =
-  {
-    mk_calls = after.mk_calls - before.mk_calls;
-    unique_hits = after.unique_hits - before.unique_hits;
-    unique_misses = after.unique_misses - before.unique_misses;
-    cache_hits = after.cache_hits - before.cache_hits;
-    cache_misses = after.cache_misses - before.cache_misses;
-    memo_hits = after.memo_hits - before.memo_hits;
-    memo_misses = after.memo_misses - before.memo_misses;
-    peak_nodes = after.peak_nodes - before.peak_nodes;
-  }
-
-let hit_rate s =
-  let hits = s.cache_hits + s.memo_hits in
-  let total = hits + s.cache_misses + s.memo_misses in
-  if total = 0 then 0.0 else float_of_int hits /. float_of_int total
 
 (* Counters of the logic kernel (term interning, rule applications,
    conversion memos).  Populated by the engines layer, which is the lowest
@@ -114,20 +75,21 @@ let kernel_delta ~before ~after =
     ty_nodes = after.ty_nodes;
   }
 
-type engine_run = {
+type 'r run = {
   engine : string;
+  result : 'r;
   wall_s : float;
-  status : string;
-  snap : snapshot;
+  bdd : Counters.t;
   kern : kernel_snapshot;
   extra : (string * float) list;
 }
 
-(* GC pressure per bench row: [Gc.quick_stat] deltas bracketing a run.
-   quick_stat reads per-domain counters without forcing a collection, so
-   sampling it around every cell is free; the deltas make "off-heap
-   tables reduced GC work" a machine-checkable claim instead of an
-   anecdote. *)
+(* GC pressure per bench row: allocation and collection deltas
+   bracketing a run, read without forcing a collection.  Words come from
+   [Gc.minor_words] and [Gc.counters], which include the current minor
+   heap's allocation; [Gc.quick_stat]'s word counters advance only at
+   minor collections, so through them a bracket shorter than one minor
+   heap would read 0. *)
 module Gcstats = struct
   type t = {
     minor_words : float;
@@ -139,11 +101,13 @@ module Gcstats = struct
   }
 
   let now () =
+    let minor_words = Gc.minor_words () in
+    let _, promoted_words, major_words = Gc.counters () in
     let s = Gc.quick_stat () in
     {
-      minor_words = s.Gc.minor_words;
-      major_words = s.Gc.major_words;
-      promoted_words = s.Gc.promoted_words;
+      minor_words;
+      major_words;
+      promoted_words;
       minor_collections = s.Gc.minor_collections;
       major_collections = s.Gc.major_collections;
       compactions = s.Gc.compactions;
@@ -569,7 +533,9 @@ module Faults = struct
       ]
 end
 
-let snapshot_json s =
+let counters_json (s : Counters.t) =
+  let hits = s.cache_hits + s.memo_hits in
+  let total = hits + s.cache_misses + s.memo_misses in
   Json.Obj
     [
       ("mk_calls", Json.Int s.mk_calls);
@@ -580,7 +546,10 @@ let snapshot_json s =
       ("memo_hits", Json.Int s.memo_hits);
       ("memo_misses", Json.Int s.memo_misses);
       ("peak_nodes", Json.Int s.peak_nodes);
-      ("cache_hit_rate", Json.Float (hit_rate s));
+      ( "cache_hit_rate",
+        Json.Float
+          (if total = 0 then 0.0 else float_of_int hits /. float_of_int total)
+      );
     ]
 
 let kernel_snapshot_json k =
@@ -597,13 +566,13 @@ let kernel_snapshot_json k =
       ("ty_nodes", Json.Int k.ty_nodes);
     ]
 
-let engine_run_json r =
+let run_json status r =
   Json.Obj
     ([
        ("engine", Json.Str r.engine);
        ("wall_s", Json.Float r.wall_s);
-       ("status", Json.Str r.status);
-       ("bdd", snapshot_json r.snap);
+       ("status", Json.Str (status r.result));
+       ("bdd", counters_json r.bdd);
        ("kernel", kernel_snapshot_json r.kern);
      ]
     @ List.map (fun (k, v) -> (k, Json.Float v)) r.extra)

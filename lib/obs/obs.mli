@@ -2,9 +2,10 @@
 
     The BDD kernel updates a {!Counters.t} record in its hot path (plain
     mutable integer fields — no allocation, no indirection through
-    closures); engines snapshot it into an immutable {!snapshot} for
-    reporting, and the benchmark harness serialises {!engine_run} records
-    with the dependency-free {!Json} emitter. *)
+    closures); a run's counters are a copy of it.  Every observed run,
+    engine or HASH step, is one {!run} record, and the benchmark harness
+    serialises it with {!run_json} through the dependency-free {!Json}
+    emitter. *)
 
 module Counters : sig
   type t = {
@@ -15,29 +16,20 @@ module Counters : sig
     mutable cache_misses : int;  (** ite computed-table misses *)
     mutable memo_hits : int;  (** exists/compose memo hits *)
     mutable memo_misses : int;  (** exists/compose memo misses *)
+    mutable peak_nodes : int;
+        (** manager population; written only in a copy ([Bdd.stats]),
+            never in the hot path *)
   }
 
   val create : unit -> t
+  (** A fresh record, all zero: the counters of a run that builds no
+      BDDs. *)
+
+  val delta : before:t -> after:t -> t
+  (** Per-run counters of a manager that outlives the run (per-domain
+      manager reuse): all fields subtract, including [peak_nodes], which
+      for a reused manager means the run's own node allocation. *)
 end
-
-type snapshot = {
-  mk_calls : int;
-  unique_hits : int;
-  unique_misses : int;
-  cache_hits : int;
-  cache_misses : int;
-  memo_hits : int;
-  memo_misses : int;
-  peak_nodes : int;
-}
-
-val empty : snapshot
-val snapshot : ?peak_nodes:int -> Counters.t -> snapshot
-
-val snapshot_delta : before:snapshot -> after:snapshot -> snapshot
-(** Per-run counters of a manager that outlives the run (per-domain
-    manager reuse): all fields subtract, including [peak_nodes], which
-    for a reused manager means the run's own node allocation. *)
 
 (** Counters of the logic kernel: primitive-rule applications, term
     interning traffic, conversion-memo traffic and node populations.  The
@@ -62,18 +54,22 @@ val kernel_delta :
     ([live_term_nodes], [peak_term_nodes], [ty_nodes]) are taken from
     [after] as-is. *)
 
-type engine_run = {
+type 'r run = {
   engine : string;
-  wall_s : float;
-  status : string;
-  snap : snapshot;
-  kern : kernel_snapshot;  (** logic-kernel counters (HASH engine work) *)
+  result : 'r;  (** what the run ended in *)
+  wall_s : float;  (** monotonic seconds *)
+  bdd : Counters.t;  (** BDD counter deltas; all zero for non-BDD runs *)
+  kern : kernel_snapshot;  (** logic-kernel counter deltas over the run *)
   extra : (string * float) list;  (** engine-specific scalars *)
 }
+(** One observed run: the engines' results and the bench's HASH cells
+    alike. *)
 
-(** [Gc.quick_stat] deltas bracketing a bench cell, reported as [extra]
-    fields ([gc_minor_words], [gc_major_words], [gc_compactions], …) so
-    GC pressure is machine-readable per row. *)
+(** Allocation and collection deltas bracketing a bench cell, reported
+    as [extra] fields ([gc_minor_words], [gc_major_words],
+    [gc_compactions], …) so GC pressure is machine-readable per row.
+    Words are read with [Gc.minor_words] and [Gc.counters], so a bracket
+    shorter than one minor heap still counts what it allocated. *)
 module Gcstats : sig
   type t = {
     minor_words : float;
@@ -88,7 +84,7 @@ module Gcstats : sig
   val delta : before:t -> after:t -> t
 
   val extras : t -> (string * float) list
-  (** Render a delta as [engine_run.extra] fields. *)
+  (** Render a delta as [run.extra] fields. *)
 end
 
 (** Minimal JSON tree and compact emitter (strings are escaped; NaN and
@@ -127,7 +123,10 @@ module Json : sig
   (** Field lookup on [Obj]; [None] on missing fields or non-objects. *)
 end
 
-val engine_run_json : engine_run -> Json.t
+val run_json : ('r -> string) -> 'r run -> Json.t
+(** A BENCH_table engine row: [engine], [wall_s], [status] (the run's
+    result rendered by the first argument), [bdd] (the counters and their
+    [cache_hit_rate]), [kernel], then each [extra] field. *)
 
 (** Outcome counters of the fault-injection campaign (lib/faults updates
     them, bench/faults serialises them).  Rejections are keyed by typed

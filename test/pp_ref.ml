@@ -1,8 +1,8 @@
 (* The Format-based printers as they stood before the single-Buffer
-   rewrite of [Term.to_string], [Ty.to_string] and
-   [Kernel.string_of_thm], kept verbatim (module paths aside) as the
-   reference of the differential tests in test_term_props.ml: the
-   production printers must emit the same bytes. *)
+   rewrite of [Term.to_string] and [Kernel.string_of_thm], kept verbatim
+   (module paths aside) as the reference of the differential tests in
+   test_term_props.ml: the production printers must emit the same
+   bytes. *)
 
 open Hol
 open Term
@@ -54,25 +54,3 @@ let pp_thm ppf th =
         hs pp (Kernel.concl th)
 
 let string_of_thm th = Format.asprintf "%a" pp_thm th
-
-(* ------------------------------------------------------------------ *)
-(* Types                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let rec pp_ty ppf (ty : Ty.t) =
-  match ty.node with
-  | Tyvar v -> Format.fprintf ppf ":%s" v
-  | Tyapp ("bool", []) -> Format.pp_print_string ppf "bool"
-  | Tyapp ("num", []) -> Format.pp_print_string ppf "num"
-  | Tyapp ("fun", [ a; b ]) -> Format.fprintf ppf "(%a -> %a)" pp_ty a pp_ty b
-  | Tyapp ("prod", [ a; b ]) -> Format.fprintf ppf "(%a # %a)" pp_ty a pp_ty b
-  | Tyapp ("list", [ a ]) -> Format.fprintf ppf "(%a)list" pp_ty a
-  | Tyapp (op, []) -> Format.pp_print_string ppf op
-  | Tyapp (op, args) ->
-      Format.fprintf ppf "(%a)%s"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-           pp_ty)
-        args op
-
-let ty_to_string ty = Format.asprintf "%a" pp_ty ty

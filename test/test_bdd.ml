@@ -223,41 +223,40 @@ let test_ite_normalization_cache () =
   let f = Bdd.xor_ m (Bdd.var m 0) (Bdd.var m 1) in
   let g = Bdd.xnor_ m (Bdd.var m 2) (Bdd.var m 3) in
   let ab = Bdd.and_ m f g in
-  let hits_before = (Bdd.stats m).Obs.cache_hits in
+  let hits_before = (Bdd.stats m).Obs.Counters.cache_hits in
   (* the commuted operands must canonicalize onto the same cache entry *)
   let ba = Bdd.and_ m g f in
-  let hits_after = (Bdd.stats m).Obs.cache_hits in
+  let hits_after = (Bdd.stats m).Obs.Counters.cache_hits in
   check "and commutes" true (Bdd.equal ab ba);
   check "commuted and hits the cache" true (hits_after > hits_before);
   let o1 = Bdd.or_ m f g in
-  let hits_before = (Bdd.stats m).Obs.cache_hits in
+  let hits_before = (Bdd.stats m).Obs.Counters.cache_hits in
   let o2 = Bdd.or_ m g f in
-  let hits_after = (Bdd.stats m).Obs.cache_hits in
+  let hits_after = (Bdd.stats m).Obs.Counters.cache_hits in
   check "or commutes" true (Bdd.equal o1 o2);
   check "commuted or hits the cache" true (hits_after > hits_before)
 
 let test_stats_counters () =
   let m = Bdd.manager () in
   let s0 = Bdd.stats m in
-  Alcotest.(check int) "fresh manager: no mk calls" 0 s0.Obs.mk_calls;
+  Alcotest.(check int) "fresh manager: no mk calls" 0 s0.Obs.Counters.mk_calls;
   let f = Bdd.and_ m (Bdd.var m 0) (Bdd.or_ m (Bdd.var m 1) (Bdd.var m 2)) in
   ignore (Bdd.exists m [ 1 ] f);
   let s = Bdd.stats m in
-  check "mk calls counted" true (s.Obs.mk_calls > 0);
-  check "unique misses counted" true (s.Obs.unique_misses > 0);
-  check "memo misses counted" true (s.Obs.memo_misses > 0);
+  check "mk calls counted" true (s.Obs.Counters.mk_calls > 0);
+  check "unique misses counted" true (s.Obs.Counters.unique_misses > 0);
+  check "memo misses counted" true (s.Obs.Counters.memo_misses > 0);
   check "peak nodes tracks manager" true
-    (s.Obs.peak_nodes = Bdd.node_count m);
-  (* the combined hit rate a bench row reports *)
+    (s.Obs.Counters.peak_nodes = Bdd.node_count m);
+  (* the combined hit rate a bench row reports, of an engine run *)
+  let c = Fig2.gate 2 in
   let run =
-    Engines.Common.observe_bdd ~engine:"probe" (fun m ->
-        ignore (Bdd.exists m [ 1 ] (Bdd.and_ m (Bdd.var m 0) (Bdd.var m 1)));
-        (Engines.Common.Equivalent, []))
+    Engines.Smv.equiv (Engines.Common.budget_of_seconds 20.0) c
+      (Forward.retime c (Cut.maximal c))
   in
   match
     Option.bind
-      (Obs.Json.member "bdd"
-         (Obs.engine_run_json (Engines.Common.report_to_run run)))
+      (Obs.Json.member "bdd" (Obs.run_json Engines.Common.status run))
       (Obs.Json.member "cache_hit_rate")
   with
   | Some (Obs.Json.Float rate) ->

@@ -66,28 +66,30 @@ let retimed_pair n =
 
 let test_smv_equiv () =
   let c, r = retimed_pair 4 in
-  check "equivalent" true (is_equiv (Engines.Smv.equiv (budget ()) c r))
+  check "equivalent" true (is_equiv (Engines.Smv.equiv (budget ()) c r).result)
 
 let test_smv_self () =
   let c = Fig2.gate 3 in
-  check "self-equivalent" true (is_equiv (Engines.Smv.equiv (budget ()) c c))
+  check "self-equivalent" true
+    (is_equiv (Engines.Smv.equiv (budget ()) c c).result)
 
 let test_smv_refutes () =
   let c = Fig2.gate 3 in
   let bad, flipped = sabotage c in
   check "sabotage applied" true flipped;
-  check "refuted" true (is_refuted (Engines.Smv.equiv (budget ()) c bad))
+  check "refuted" true (is_refuted (Engines.Smv.equiv (budget ()) c bad).result)
 
 let test_smv_timeout () =
   let c, r = retimed_pair 8 in
   let b = Engines.Common.budget_of_seconds 0.0 in
-  check "times out" true (Engines.Smv.equiv b c r = Engines.Common.Timeout)
+  check "times out" true
+    ((Engines.Smv.equiv b c r).result = Engines.Common.Timeout)
 
 let test_smv_stats () =
   let c, r = retimed_pair 3 in
-  let rep = Engines.Smv.equiv_report (budget ()) c r in
-  let extra k = List.assoc k rep.Engines.Common.extra in
-  check "equivalent" true (is_equiv rep.Engines.Common.result);
+  let rep = Engines.Smv.equiv (budget ()) c r in
+  let extra k = List.assoc k rep.extra in
+  check "equivalent" true (is_equiv rep.result);
   check "iterations counted" true (extra "bfs_iterations" >= 1.);
   check "peak size positive" true (extra "peak_reached_size" >= 1.)
 
@@ -97,19 +99,19 @@ let test_smv_stats () =
 
 let test_sis_equiv () =
   let c, r = retimed_pair 3 in
-  let rep = Engines.Sis_fsm.equiv_report (budget ()) c r in
-  check "equivalent" true (is_equiv rep.Engines.Common.result);
-  check "visited states" true
-    (List.assoc "visited_states" rep.Engines.Common.extra >= 1.)
+  let rep = Engines.Sis_fsm.equiv (budget ()) c r in
+  check "equivalent" true (is_equiv rep.result);
+  check "visited states" true (List.assoc "visited_states" rep.extra >= 1.)
 
 let test_sis_refutes () =
   let c = Fig2.gate 3 in
   let bad, _ = sabotage c in
-  check "refuted" true (is_refuted (Engines.Sis_fsm.equiv (budget ()) c bad))
+  check "refuted" true
+    (is_refuted (Engines.Sis_fsm.equiv (budget ()) c bad).result)
 
 let test_sis_too_many_inputs () =
   let c, r = retimed_pair 16 in
-  match Engines.Sis_fsm.equiv (budget ()) c r with
+  match (Engines.Sis_fsm.equiv (budget ()) c r).result with
   | Engines.Common.Inconclusive _ -> ()
   | _ -> Alcotest.fail "expected inconclusive on 32 inputs"
 
@@ -119,17 +121,18 @@ let test_sis_too_many_inputs () =
 
 let test_eijk_equiv () =
   let c, r = retimed_pair 4 in
-  check "equivalent" true (is_equiv (Engines.Eijk.equiv (budget ()) c r))
+  check "equivalent" true (is_equiv (Engines.Eijk.equiv (budget ()) c r).result)
 
 let test_eijk_star_equiv () =
   let c, r = retimed_pair 4 in
   check "equivalent" true
-    (is_equiv (Engines.Eijk.equiv_star (budget ()) c r))
+    (is_equiv
+       (Engines.Eijk.equiv ~exploit_dependencies:true (budget ()) c r).result)
 
 let test_eijk_incomplete_never_refutes () =
   let c = Fig2.gate 3 in
   let bad, _ = sabotage c in
-  match Engines.Eijk.equiv (budget ()) c bad with
+  match (Engines.Eijk.equiv (budget ()) c bad).result with
   | Engines.Common.Equivalent -> Alcotest.fail "must not claim equivalence"
   | Engines.Common.Not_equivalent _ ->
       Alcotest.fail "correspondence cannot refute"
@@ -139,7 +142,8 @@ let test_eijk_synthetic () =
   let e = Iwls.find "s298" in
   let c = Lazy.force e.Iwls.circuit in
   let r = Forward.retime c (Cut.maximal c) in
-  check "s298 verified" true (is_equiv (Engines.Eijk.equiv (budget ()) c r))
+  check "s298 verified" true
+    (is_equiv (Engines.Eijk.equiv (budget ()) c r).result)
 
 (* ------------------------------------------------------------------ *)
 (* Structural retiming matcher                                         *)
@@ -148,13 +152,13 @@ let test_eijk_synthetic () =
 let test_retime_match () =
   let c, r = retimed_pair 5 in
   check "matches retimed pair" true
-    (is_equiv (Engines.Retime_match.equiv (budget ()) c r))
+    (is_equiv (Engines.Retime_match.equiv (budget ()) c r).result)
 
 let test_retime_match_limits () =
   (* a resynthesised (non-retiming) change defeats the matcher *)
   let c = Fig2.gate 3 in
   let bad, _ = sabotage c in
-  match Engines.Retime_match.equiv (budget ()) c bad with
+  match (Engines.Retime_match.equiv (budget ()) c bad).result with
   | Engines.Common.Inconclusive _ -> ()
   | Engines.Common.Equivalent -> Alcotest.fail "must not match"
   | Engines.Common.Not_equivalent _ | Engines.Common.Timeout ->
@@ -197,9 +201,10 @@ let prop_engines_agree =
       | cut ->
           let r = Forward.retime c cut in
           let b = Engines.Common.budget_of_seconds 10.0 in
-          let smv = Engines.Smv.equiv b c r in
+          let smv = (Engines.Smv.equiv b c r).result in
           let sis =
-            Engines.Sis_fsm.equiv (Engines.Common.budget_of_seconds 10.0) c r
+            (Engines.Sis_fsm.equiv (Engines.Common.budget_of_seconds 10.0) c r)
+              .result
           in
           is_equiv smv
           && (is_equiv sis

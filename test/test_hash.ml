@@ -24,12 +24,13 @@ let cosim c1 c2 cycles seed =
 (* Embedding                                                           *)
 (* ------------------------------------------------------------------ *)
 
+let is_abs t = match t.Term.node with Term.Abs _ -> true | _ -> false
+
 let test_embed_shapes () =
   let c = Fig2.rt 4 in
   let e = Hash.Embed.embed Hash.Embed.Rt_level c in
   check "fd is a double abstraction" true
-    (Term.is_abs e.Hash.Embed.fd
-    && Term.is_abs (snd (Term.dest_abs e.Hash.Embed.fd)));
+    (is_abs e.Hash.Embed.fd && is_abs (snd (Term.dest_abs e.Hash.Embed.fd)));
   check "q is the zero word" true
     (Automata.Words.dest_bv e.Hash.Embed.q = [ false; false; false; false ]);
   check "state type is a word" true (Ty.equal e.Hash.Embed.s_ty Ty.bv)
@@ -221,7 +222,7 @@ let test_hash_vs_smv () =
   let step = Hash.Synthesis.retime Hash.Embed.Bit_level c (Cut.maximal c) in
   let budget = Engines.Common.budget_of_seconds 20.0 in
   check "SMV confirms the theorem" true
-    (Engines.Smv.equiv budget c step.Hash.Synthesis.after
+    ((Engines.Smv.equiv budget c step.Hash.Synthesis.after).result
     = Engines.Common.Equivalent)
 
 let prop_random_formal_retiming =
@@ -687,11 +688,12 @@ let ground_rewrites =
   List.filter_map words (Kernel.axioms () @ Kernel.definitions ())
   @ Boolean.eval_rewrites
 
-let ground_base = Conv.orelsec (Conv.rewrs_conv ground_rewrites) Pairs.let_proj_conv
+let ground_base =
+  Conv.orelsec (Conv.rewrs_conv ground_rewrites) Pairs.proj_beta_conv
 let ground_new = Conv.memo_top_depth_conv ground_base
 let ground_ref = Conv_ref.memo_top_depth_conv ground_base
-let circuit_new = Conv.memo_top_depth_conv Pairs.let_proj_conv
-let circuit_ref = Conv_ref.memo_top_depth_conv Pairs.let_proj_conv
+let circuit_new = Conv.memo_top_depth_conv Pairs.proj_beta_conv
+let circuit_ref = Conv_ref.memo_top_depth_conv Pairs.proj_beta_conv
 
 let agrees_with_ref conv conv_ref tm =
   let run c =

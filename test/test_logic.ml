@@ -13,7 +13,6 @@ let thm_str th = Kernel.string_of_thm th
 
 let test_ty_basics () =
   let ty = Ty.fn Ty.bool (Ty.prod Ty.alpha Ty.num) in
-  check_str "pp" "(bool -> (:a # num))" (Ty.to_string ty);
   let a, b = Ty.dest_fn ty in
   check "dom" true (Ty.equal a Ty.bool);
   let x, y = Ty.dest_prod b in
@@ -163,9 +162,7 @@ let test_deduct () =
 let test_definitions_audit () =
   check "T is defined" true (List.mem_assoc "T" (Kernel.definitions ()));
   check "/\\ is defined" true
-    (List.mem_assoc "/\\" (Kernel.definitions ()));
-  check "LET is defined" true
-    (List.mem_assoc "LET" (Kernel.definitions ()))
+    (List.mem_assoc "/\\" (Kernel.definitions ()))
 
 (* ------------------------------------------------------------------ *)
 (* Boolean derived rules                                               *)
@@ -267,7 +264,7 @@ let prop_bool_eval =
       Kernel.hyp th = [] && rhs = Boolean.bool_const (f_eval f))
 
 (* ------------------------------------------------------------------ *)
-(* Pairs and LET                                                       *)
+(* Pairs                                                               *)
 (* ------------------------------------------------------------------ *)
 
 let test_pairs () =
@@ -285,25 +282,12 @@ let test_balanced_tuples () =
   List.iteri
     (fun i x ->
       let proj = Pairs.proj tup i 5 in
-      let th = Conv.memo_top_depth_conv Pairs.let_proj_conv proj in
+      let th = Conv.memo_top_depth_conv Pairs.proj_beta_conv proj in
       Alcotest.(check bool)
         (Printf.sprintf "proj %d" i)
         true
         (Term.aconv (snd (Term.dest_eq (Kernel.concl th))) x))
     xs
-
-let test_let_conv () =
-  let v = Term.mk_var "v" Ty.bool in
-  let let_c = Kernel.mk_const "LET" [ ("a", Ty.bool); ("b", Ty.bool) ] in
-  let tm =
-    Term.list_mk_comb let_c
-      [ Term.mk_abs v (Boolean.mk_neg v); Boolean.bool_const true ]
-  in
-  let th = Pairs.let_proj_conv tm in
-  check "let" true
-    (Term.aconv
-       (snd (Term.dest_eq (Kernel.concl th)))
-       (Boolean.mk_neg Boolean.t_tm))
 
 (* ------------------------------------------------------------------ *)
 (* Conversions                                                         *)
@@ -348,7 +332,6 @@ let suite =
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_bool_eval;
     Alcotest.test_case "pairs" `Quick test_pairs;
     Alcotest.test_case "balanced tuples" `Quick test_balanced_tuples;
-    Alcotest.test_case "let conv" `Quick test_let_conv;
     Alcotest.test_case "conv combinators" `Quick test_conv_combinators;
   ]
 

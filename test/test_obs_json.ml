@@ -1,7 +1,8 @@
 (* Obs.Json: the emitter and the reader must round-trip losslessly —
    including strings of arbitrary bytes — and the [\uXXXX] decoder must
    produce UTF-8, pair surrogates, and reject unpaired or malformed
-   escapes. *)
+   escapes.  Also the bytes of a BENCH_table engine row, and the GC
+   brackets every row carries. *)
 
 module J = Obs.Json
 
@@ -167,6 +168,92 @@ let test_escape_every_byte () =
   Alcotest.(check string) "a key" ("{" ^ str_ref s ^ ":null}")
     (J.to_string (J.Obj [ (s, J.Null) ]))
 
+(* One BENCH_table row per outcome, from fixed counters.  Readers of
+   BENCH_table*.json depend on these keys, their order and the status
+   strings, so the bytes are pinned. *)
+let pinned_kern =
+  {
+    Obs.rule_apps = 1260;
+    term_mk_calls = 900;
+    term_intern_hits = 600;
+    term_intern_misses = 300;
+    conv_memo_hits = 5;
+    conv_memo_misses = 6;
+    live_term_nodes = 1234;
+    peak_term_nodes = 4321;
+    ty_nodes = 17;
+  }
+
+let pinned_row status engine result bdd extra =
+  J.to_string
+    (Obs.run_json status
+       { Obs.engine; result; wall_s = 0.125; bdd; kern = pinned_kern; extra })
+
+let test_rows_pinned () =
+  let bdd = Obs.Counters.create () in
+  bdd.mk_calls <- 11;
+  bdd.unique_hits <- 7;
+  bdd.unique_misses <- 4;
+  bdd.cache_hits <- 3;
+  bdd.cache_misses <- 1;
+  bdd.memo_hits <- 1;
+  bdd.memo_misses <- 2;
+  bdd.peak_nodes <- 42;
+  let engine =
+    [
+      Engines.Common.Equivalent;
+      Engines.Common.Not_equivalent "witness";
+      Engines.Common.Inconclusive "no match";
+      Engines.Common.Timeout;
+    ]
+  in
+  let hash =
+    [
+      Engines.Common.Retimed;
+      Engines.Common.Out_of_time;
+      Engines.Common.Raised (Failure "boom");
+    ]
+  in
+  List.iter2
+    (fun r expected ->
+      Alcotest.(check string) "engine row" expected
+        (pinned_row Engines.Common.status "smv" r bdd
+           [ ("bfs_iterations", 3.0); ("gc_minor_words", 1024.0) ]))
+    engine
+    [
+      {|{"engine":"smv","wall_s":0.125,"status":"equivalent","bdd":{"mk_calls":11,"unique_hits":7,"unique_misses":4,"cache_hits":3,"cache_misses":1,"memo_hits":1,"memo_misses":2,"peak_nodes":42,"cache_hit_rate":0.5714285714285714},"kernel":{"rule_apps":1260,"term_mk_calls":900,"term_intern_hits":600,"term_intern_misses":300,"conv_memo_hits":5,"conv_memo_misses":6,"live_term_nodes":1234,"peak_term_nodes":4321,"ty_nodes":17},"bfs_iterations":3,"gc_minor_words":1024}|};
+      {|{"engine":"smv","wall_s":0.125,"status":"not_equivalent","bdd":{"mk_calls":11,"unique_hits":7,"unique_misses":4,"cache_hits":3,"cache_misses":1,"memo_hits":1,"memo_misses":2,"peak_nodes":42,"cache_hit_rate":0.5714285714285714},"kernel":{"rule_apps":1260,"term_mk_calls":900,"term_intern_hits":600,"term_intern_misses":300,"conv_memo_hits":5,"conv_memo_misses":6,"live_term_nodes":1234,"peak_term_nodes":4321,"ty_nodes":17},"bfs_iterations":3,"gc_minor_words":1024}|};
+      {|{"engine":"smv","wall_s":0.125,"status":"inconclusive","bdd":{"mk_calls":11,"unique_hits":7,"unique_misses":4,"cache_hits":3,"cache_misses":1,"memo_hits":1,"memo_misses":2,"peak_nodes":42,"cache_hit_rate":0.5714285714285714},"kernel":{"rule_apps":1260,"term_mk_calls":900,"term_intern_hits":600,"term_intern_misses":300,"conv_memo_hits":5,"conv_memo_misses":6,"live_term_nodes":1234,"peak_term_nodes":4321,"ty_nodes":17},"bfs_iterations":3,"gc_minor_words":1024}|};
+      {|{"engine":"smv","wall_s":0.125,"status":"timeout","bdd":{"mk_calls":11,"unique_hits":7,"unique_misses":4,"cache_hits":3,"cache_misses":1,"memo_hits":1,"memo_misses":2,"peak_nodes":42,"cache_hit_rate":0.5714285714285714},"kernel":{"rule_apps":1260,"term_mk_calls":900,"term_intern_hits":600,"term_intern_misses":300,"conv_memo_hits":5,"conv_memo_misses":6,"live_term_nodes":1234,"peak_term_nodes":4321,"ty_nodes":17},"bfs_iterations":3,"gc_minor_words":1024}|};
+    ];
+  List.iter2
+    (fun r expected ->
+      Alcotest.(check string) "HASH row" expected
+        (pinned_row Engines.Common.hash_status "hash" r
+           (Obs.Counters.create ())
+           [ ("gc_minor_words", 1024.0) ]))
+    hash
+    [
+      {|{"engine":"hash","wall_s":0.125,"status":"ok","bdd":{"mk_calls":0,"unique_hits":0,"unique_misses":0,"cache_hits":0,"cache_misses":0,"memo_hits":0,"memo_misses":0,"peak_nodes":0,"cache_hit_rate":0},"kernel":{"rule_apps":1260,"term_mk_calls":900,"term_intern_hits":600,"term_intern_misses":300,"conv_memo_hits":5,"conv_memo_misses":6,"live_term_nodes":1234,"peak_term_nodes":4321,"ty_nodes":17},"gc_minor_words":1024}|};
+      {|{"engine":"hash","wall_s":0.125,"status":"timeout","bdd":{"mk_calls":0,"unique_hits":0,"unique_misses":0,"cache_hits":0,"cache_misses":0,"memo_hits":0,"memo_misses":0,"peak_nodes":0,"cache_hit_rate":0},"kernel":{"rule_apps":1260,"term_mk_calls":900,"term_intern_hits":600,"term_intern_misses":300,"conv_memo_hits":5,"conv_memo_misses":6,"live_term_nodes":1234,"peak_term_nodes":4321,"ty_nodes":17},"gc_minor_words":1024}|};
+      {|{"engine":"hash","wall_s":0.125,"status":"error: Failure(\"boom\")","bdd":{"mk_calls":0,"unique_hits":0,"unique_misses":0,"cache_hits":0,"cache_misses":0,"memo_hits":0,"memo_misses":0,"peak_nodes":0,"cache_hit_rate":0},"kernel":{"rule_apps":1260,"term_mk_calls":900,"term_intern_hits":600,"term_intern_misses":300,"conv_memo_hits":5,"conv_memo_misses":6,"live_term_nodes":1234,"peak_term_nodes":4321,"ty_nodes":17},"gc_minor_words":1024}|};
+    ]
+
+(* A bracket shorter than one minor heap counts what it allocated, with
+   no collection forced on either side. *)
+let test_gc_short_brackets () =
+  let words f =
+    let before = Obs.Gcstats.now () in
+    ignore (Sys.opaque_identity (f ()));
+    Obs.Gcstats.delta ~before ~after:(Obs.Gcstats.now ())
+  in
+  let d = words (fun () -> List.init 3_000 Fun.id) in
+  if d.minor_words < 3_000.0 then
+    Alcotest.failf "List.init 3000: %.0f minor words" d.minor_words;
+  let d = words (fun () -> Bytes.create 65_536) in
+  if d.major_words < 8_000.0 then
+    Alcotest.failf "Bytes.create 64 KiB: %.0f major words" d.major_words
+
 let suite =
   [
     Alcotest.test_case "\\uXXXX decodes to UTF-8" `Quick test_unicode_escapes;
@@ -181,4 +268,7 @@ let suite =
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| 0xe5c |])
       prop_escape_differential;
+    Alcotest.test_case "engine and HASH rows pinned" `Quick test_rows_pinned;
+    Alcotest.test_case "gc brackets count short allocations" `Quick
+      test_gc_short_brackets;
   ]

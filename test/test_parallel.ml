@@ -106,12 +106,14 @@ let budget () = Engines.Common.budget_of_seconds 60.0
 (* Every engine on the same circuit pair, as plain-data outcomes (strings
    only — terms must not cross domains). *)
 let engine_outcomes c r =
-  let outcome f = Engines.Common.result_to_string (f (budget ()) c r) in
+  let outcome f =
+    Engines.Common.result_to_string (f (budget ()) c r).Obs.result
+  in
   [
     ("smv", outcome Engines.Smv.equiv);
     ("sis", outcome Engines.Sis_fsm.equiv);
-    ("eijk", outcome Engines.Eijk.equiv);
-    ("eijk_star", outcome Engines.Eijk.equiv_star);
+    ("eijk", outcome (Engines.Eijk.equiv ~exploit_dependencies:false));
+    ("eijk_star", outcome (Engines.Eijk.equiv ~exploit_dependencies:true));
   ]
 
 let hash_outcome c =
@@ -198,6 +200,16 @@ let test_worker_state_stays_local () =
     Alcotest.failf "8 pool rounds grew the live heap by %d kB (bound 1024)"
       grown_kb
 
+(* Nodes in the calling domain's manager, read through the engines' own
+   entry to it. *)
+let manager_nodes () =
+  let r =
+    Engines.Common.observe_bdd ~engine:"probe" (fun m ->
+        ( Engines.Common.Equivalent,
+          [ ("nodes", float_of_int (Bdd.node_count m)) ] ))
+  in
+  int_of_float (List.assoc "nodes" r.Obs.extra)
+
 let test_worker_manager_fresh_and_reused () =
   (* A worker's BDD manager is its own: it starts as empty as a fresh
      [Bdd.manager ()], whatever the spawning domain's manager holds, and
@@ -210,22 +222,23 @@ let test_worker_manager_fresh_and_reused () =
         let r = Forward.retime c (Cut.maximal c) in
         [
           (Engines.Smv.equiv, c, r);
-          (Engines.Eijk.equiv ?exploit_dependencies:None, c, r);
-          (Engines.Eijk.equiv_star, c, r);
+          (Engines.Eijk.equiv ~exploit_dependencies:false, c, r);
+          (Engines.Eijk.equiv ~exploit_dependencies:true, c, r);
         ])
       [ 2; 3; 4 ]
   in
-  let verdict (f, c, r) = Engines.Common.result_to_string (f (budget ()) c r) in
+  let verdict (f, c, r) =
+    Engines.Common.result_to_string (f (budget ()) c r).Obs.result
+  in
   let seq = List.map verdict cells in
   check "main domain's manager holds nodes" true
-    (Engines.Common.with_manager Bdd.node_count > fresh_nodes);
+    (manager_nodes () > fresh_nodes);
   let _, reused0 = Engines.Common.bdd_domain_stats () in
   let probes, par =
     Parallel.Pool.run ~jobs:2 (fun pool ->
         let probes =
           List.init 2 (fun _ ->
-              Parallel.Pool.submit pool (fun () ->
-                  Engines.Common.with_manager Bdd.node_count))
+              Parallel.Pool.submit pool manager_nodes)
           |> List.map Parallel.Pool.await
         in
         (probes, map_list pool verdict cells))
