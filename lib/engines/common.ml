@@ -62,21 +62,25 @@ let hash_status = function
 
 (* Read the logic kernel's counters.  This module is the lowest layer that
    sees both Logic and Obs, so it owns the translation. *)
-let kernel_now () =
-  let t = Hol.Term.stats () in
+let snapshot ~live ~peak (hits, misses) =
   let memo_hits, memo_misses = Logic.Memo.stats () in
   {
     Obs.rule_apps = Logic.Kernel.rule_count ();
     (* every constructor call is an intern hit or a miss *)
-    term_mk_calls = t.Hol.Term.intern_hits + t.Hol.Term.intern_misses;
-    term_intern_hits = t.Hol.Term.intern_hits;
-    term_intern_misses = t.Hol.Term.intern_misses;
+    term_mk_calls = hits + misses;
+    term_intern_hits = hits;
+    term_intern_misses = misses;
     conv_memo_hits = memo_hits;
     conv_memo_misses = memo_misses;
-    live_term_nodes = t.Hol.Term.live_nodes;
-    peak_term_nodes = t.Hol.Term.peak_nodes;
+    live_term_nodes = live;
+    peak_term_nodes = peak;
     ty_nodes = Hol.Ty.node_count ();
   }
+
+let kernel_now () =
+  let t = Hol.Term.stats () in
+  snapshot ~live:t.Hol.Term.live_nodes ~peak:t.Hol.Term.peak_nodes
+    (t.Hol.Term.intern_hits, t.Hol.Term.intern_misses)
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain BDD managers                                             *)
@@ -120,7 +124,10 @@ let with_manager f =
     (fun () -> f m)
 
 let observe ~engine f =
-  let k0 = kernel_now () in
+  (* [Obs.kernel_delta] reads the populations from [after] only, so the
+     before-snapshot skips the scan of the intern table that
+     [Hol.Term.stats] makes for them *)
+  let k0 = snapshot ~live:0 ~peak:0 (Hol.Term.intern_counts ()) in
   let g0 = Obs.Gcstats.now () in
   let t0 = Logic.Clock.now () in
   let result, extra = f () in

@@ -13,6 +13,12 @@
 open Hol
 open Logic
 
+(** [f] binds the embedding's [s_var], and [g] binds its [i_var] and
+    then ["s"] at [x_ty], the names [RETIMING_THM]'s [fd2] binds.  This
+    is on purpose: the split's [f s] and [g i] and the join's
+    [(\s. B) s] are then trivial beta-redexes, one rule each.  Renaming
+    these binders would make each of them cost an [inst] that copies
+    the body of [f] or [g]. *)
 type t = {
   f_term : Term.t;  (** [f : s_ty -> x_ty] *)
   g_term : Term.t;  (** [g : i_ty -> x_ty -> o_ty # s_ty] *)

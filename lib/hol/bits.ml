@@ -54,11 +54,6 @@ let remove i (s : t) : t =
     if !n = Array.length r then r else Array.sub r 0 !n
   end
 
-let disjoint (a : t) (b : t) =
-  let l = min (Array.length a) (Array.length b) in
-  let rec go i = i >= l || (a.(i) land b.(i) = 0 && go (i + 1)) in
-  go 0
-
 let iter f (s : t) =
   for w = 0 to Array.length s - 1 do
     let bits = ref s.(w) in
@@ -78,14 +73,8 @@ let elements (s : t) =
 
 let choose (s : t) =
   if is_empty s then failwith "Bits.choose: empty set"
-  else begin
-    let r = ref (-1) in
-    (try
-       iter
-         (fun i ->
-           r := i;
-           raise Exit)
-         s
-     with Exit -> ());
-    !r
-  end
+  else
+    let rec word w = if s.(w) = 0 then word (w + 1) else w in
+    let w = word 0 in
+    let rec bit b = if s.(w) land (1 lsl b) = 0 then bit (b + 1) else b in
+    (w * bits_per_word) + bit 0

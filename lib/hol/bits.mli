@@ -19,8 +19,6 @@ val union : t -> t -> t
 val remove : int -> t -> t
 (** Returns the set itself when the element is absent. *)
 
-val disjoint : t -> t -> bool
-
 val elements : t -> int list
 (** Ascending order. *)
 

@@ -502,71 +502,76 @@ let check_subst_types theta =
       | _ -> failwith "Term.vsubst: domain element is not a variable")
     theta
 
-let domain_set theta =
-  List.fold_left (fun acc (dv, _) -> Bits.union acc dv.fv) Bits.empty theta
+(* The worker reads each binding with the compact index of its variable:
+   a node's [fv] is tested with one [Bits.mem] per binding (theta has
+   one to three), not against a set as wide as the variable table. *)
+let rec meets fv = function
+  | [] -> false
+  | (_, _, i) :: rest -> Bits.mem i fv || meets fv rest
 
-(* The recursive worker carries a memo table (keyed on node id, valid for
-   the current substitution [theta]); entering a binder that forces
-   filtering or renaming switches to a fresh table for that subtree.
-   [dset] is the exact free-variable set of the substitution's domain:
-   subtrees whose own set is disjoint from it are returned unchanged. *)
-let rec vsubst_go st dset theta memo tm =
-  if Bits.disjoint tm.fv dset then tm
+let rec image tm = function
+  | [] -> tm
+  | (v, t, _) :: rest -> if v == tm then t else image tm rest
+
+module Id_table = Hashtbl.Make (struct
+  type t = int
+  let equal = Int.equal
+  let hash i = i
+end)
+
+(* The recursive worker carries a memo on node ids (valid for the
+   current bindings [bs]); entering a binder that forces filtering or
+   renaming switches to a fresh memo for that subtree.  A subtree whose
+   exact free-variable set holds no binding's variable is returned
+   unchanged; a variable is answered from [bs] without the memo. *)
+let rec vsubst_go st bs memo tm =
+  if not (meets tm.fv bs) then tm
   else
-    match Hashtbl.find_opt memo tm.id with
-    | Some r -> r
-    | None ->
-        let r =
-          match tm.node with
-          | Var _ -> (
-              match List.find_opt (fun (v, _) -> v == tm) theta with
-              | Some (_, t) -> t
-              | None -> tm)
-          | Const _ -> tm
-          | Comb (f, x) ->
-              let f' = vsubst_go st dset theta memo f in
-              let x' = vsubst_go st dset theta memo x in
-              if f' == f && x' == x then tm else mk_comb_st st f' x'
-          | Abs (v, body) ->
-              (* The per-node sets are exact, so bindings whose variable
-                 does not occur below are dropped without any traversal. *)
-              let theta' =
-                List.filter
-                  (fun (dv, t) ->
-                    dv != v && t != dv && Bits.mem (var_index dv) body.fv)
-                  theta
-              in
-              if theta' = [] then tm
-              else if List.exists (fun (_, t) -> free_in v t) theta' then begin
-                (* Capture: rename the binder before substituting. *)
-                let avoid =
-                  List.concat_map (fun (_, t) -> frees_st st t) theta'
-                  @ frees_st st body
-                in
-                let v' = variant_st st avoid v in
-                let body' =
-                  vsubst_go st v.fv [ (v, v') ] (Hashtbl.create 16) body
-                in
-                let body'' =
-                  vsubst_go st (domain_set theta') theta' (Hashtbl.create 16)
-                    body'
-                in
-                mk_abs_st st v' body''
-              end
-              else if List.length theta' = List.length theta then begin
-                let body' = vsubst_go st dset theta memo body in
-                if body' == body then tm else mk_abs_st st v body'
-              end
-              else begin
-                let body' =
-                  vsubst_go st (domain_set theta') theta' (Hashtbl.create 16)
-                    body
-                in
-                if body' == body then tm else mk_abs_st st v body'
-              end
+    match tm.node with
+    | Var _ -> image tm bs
+    | Const _ -> tm
+    | Comb _ | Abs _ -> (
+        match Id_table.find_opt memo tm.id with
+        | Some r -> r
+        | None ->
+            let r = vsubst_node st bs memo tm in
+            Id_table.add memo tm.id r;
+            r)
+
+and vsubst_node st bs memo tm =
+  match tm.node with
+  | Comb (f, x) ->
+      let f' = vsubst_go st bs memo f in
+      let x' = vsubst_go st bs memo x in
+      if f' == f && x' == x then tm else mk_comb_st st f' x'
+  | Abs (v, body) ->
+      (* The per-node sets are exact, so bindings whose variable does
+         not occur below are dropped without any traversal. *)
+      let bs' =
+        List.filter
+          (fun (dv, t, i) -> dv != v && t != dv && Bits.mem i body.fv)
+          bs
+      in
+      if bs' = [] then tm
+      else if List.exists (fun (_, t, _) -> free_in v t) bs' then begin
+        (* Capture: rename the binder before substituting. *)
+        let avoid =
+          List.concat_map (fun (_, t, _) -> frees_st st t) bs'
+          @ frees_st st body
         in
-        Hashtbl.add memo tm.id r;
-        r
+        let v' = variant_st st avoid v in
+        let body' =
+          vsubst_go st [ (v, v', var_index v) ] (Id_table.create 16) body
+        in
+        mk_abs_st st v' (vsubst_go st bs' (Id_table.create 16) body')
+      end
+      else
+        let same = List.compare_lengths bs' bs = 0 in
+        let body' =
+          vsubst_go st bs' (if same then memo else Id_table.create 16) body
+        in
+        if body' == body then tm else mk_abs_st st v body'
+  | Var _ | Const _ -> tm
 
 (* One memo per partial application: [vsubst theta] applied to several
    terms (a theorem's hypotheses and both sides) shares their common
@@ -575,9 +580,10 @@ let vsubst theta =
   if theta = [] then Fun.id
   else begin
     check_subst_types theta;
-    let st = state () and dset = domain_set theta in
-    let memo = Hashtbl.create 16 in
-    fun tm -> vsubst_go st dset theta memo tm
+    let st = state () in
+    let bs = List.map (fun (v, t) -> (v, t, var_index v)) theta in
+    let memo = Id_table.create 16 in
+    fun tm -> vsubst_go st bs memo tm
   end
 
 (* ------------------------------------------------------------------ *)
@@ -624,6 +630,10 @@ let inst tyin tm = if tyin = [] then tm else inst_go (state ()) [] tyin tm
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                          *)
 (* ------------------------------------------------------------------ *)
+
+let intern_counts () =
+  let st = state () in
+  (st.intern_hits, st.intern_misses)
 
 let stats () =
   let st = state () in

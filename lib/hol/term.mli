@@ -143,6 +143,9 @@ val stats : unit -> stats
 (** Interning statistics of the {e current domain} (counters start at
     zero in every domain, including seeded worker domains). *)
 
+val intern_counts : unit -> int * int
+(** {!stats}' intern hits and misses, read without its table scan. *)
+
 val freeze : unit -> unit
 (** Snapshot the calling domain's live nodes as the seed for domains
     spawned afterwards: their intern tables start as a copy and their id

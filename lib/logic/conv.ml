@@ -192,7 +192,7 @@ let memo_top_depth_conv c =
       | Some th2 ->
           let th12 = then_ th1 (Some th2) in
           let tm2 = Kernel.rhs th2 in
-          if Term.aconv tm2 tm1 then th12 else then_ th12 (try_top tm2)
+          if tm2 == tm1 then th12 else then_ th12 (try_top tm2)
     and repeat_top tm =
       match (try Some (c tm) with Failure _ -> None) with
       | None -> None

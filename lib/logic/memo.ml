@@ -10,6 +10,14 @@
    Releases must only happen between top-level calls of the memoised
    function, never mid-recursion. *)
 
+(* Hit/miss counters across all memo tables, for Obs snapshots.  The
+   counters are per-domain, like the tables themselves (every domain
+   allocates its own via the DLS wrapper in Conv), so a table keeps the
+   counters of the domain that created it and a lookup reads no DLS. *)
+type counters = { mutable hits : int; mutable misses : int }
+
+let c_key = Domain.DLS.new_key (fun () -> { hits = 0; misses = 0 })
+
 type 'a t = {
   mutable keys : int array; (* -1 = empty *)
   mutable vals : 'a option array;
@@ -17,16 +25,8 @@ type 'a t = {
   mutable count : int;
   bits : int;
   cap : int; (* entries allowed before [new_call] releases the table *)
+  counters : counters;
 }
-
-(* Hit/miss counters across all memo tables, for Obs snapshots.  The
-   counters are per-domain, like the tables themselves (every domain
-   allocates its own via the DLS wrapper in Conv). *)
-type counters = { mutable hits : int; mutable misses : int }
-
-let c_key = Domain.DLS.new_key (fun () -> { hits = 0; misses = 0 })
-
-let counters () = Domain.DLS.get c_key
 
 let release t =
   if t.count > 0 then begin
@@ -67,6 +67,7 @@ let create ?(bits = 10) ?(cap = 2_000_000) () =
       count = 0;
       bits;
       cap;
+      counters = Domain.DLS.get c_key;
     }
   in
   on_release (fun () -> release t);
@@ -75,8 +76,7 @@ let create ?(bits = 10) ?(cap = 2_000_000) () =
 let new_call t = if t.count > t.cap then release t
 
 let find t id =
-  let mask = t.mask in
-  let c = counters () in
+  let mask = t.mask and c = t.counters in
   let rec go i =
     let k = t.keys.(i) in
     if k < 0 then begin
@@ -129,5 +129,5 @@ let add t id v =
   go (hash_key id land t.mask)
 
 let stats () =
-  let c = counters () in
+  let c = Domain.DLS.get c_key in
   (c.hits, c.misses)

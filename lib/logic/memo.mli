@@ -12,7 +12,8 @@ type 'a t
 val create : ?bits:int -> ?cap:int -> unit -> 'a t
 (** [create ~bits ~cap ()] makes a table with initial size [2^bits]
     (default 10) that {!new_call} releases once it holds more than [cap]
-    (default 2M) entries. *)
+    (default 2M) entries.  Its lookups count toward the {!stats} of the
+    creating domain, so a table is used only on that domain. *)
 
 val new_call : 'a t -> unit
 (** Declare a top-level call boundary: the only point where a release

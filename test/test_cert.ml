@@ -436,11 +436,11 @@ let test_resynth_cert_replays () =
 
 let test_cert_digests_pinned () =
   let s298 = Lazy.force (Iwls.find "s298").Iwls.circuit in
-  check_str "fig2 n=4, bit level" "b0d6f101f2555d7f1e8111289e7fe258"
+  check_str "fig2 n=4, bit level" "cfd5be15b783100bee87f5d480827af8"
     (cert_digest Hash.Embed.Bit_level (Fig2.rt 4));
-  check_str "s298, bit level" "ef2d2200fccaaef7bcbb5f267bd2d102"
+  check_str "s298, bit level" "3a0be4f754ce03333b780cd48d0b0335"
     (cert_digest Hash.Embed.Bit_level s298);
-  check_str "fig2 n=4, RT level" "3c91171a52d5485d0f4722258b21e33f"
+  check_str "fig2 n=4, RT level" "3da2577e2003a5853e8e2153c359b591"
     (cert_digest Hash.Embed.Rt_level (Fig2.rt 4));
   check_str "resynthesis, bit level" "2b73743c94d9f584c17ea003a1fa8c51"
     (Digest.to_hex (Digest.string (fst (resynth_cert ()))))

@@ -645,7 +645,7 @@ let test_rules_per_step_pinned () =
         (name ^ ": rules per retiming step") want
         (rules_of (fun () ->
              Hash.Synthesis.retime Hash.Embed.Bit_level c (Cut.maximal c))))
-    [ ("fig2 n=4 bit", fig2_bits (), 228); ("s298 bit", s298 (), 1260) ]
+    [ ("fig2 n=4 bit", fig2_bits (), 225); ("s298 bit", s298 (), 1257) ]
 
 (* A recorded retime counts exactly the inferences its certificate
    replays: every rule the kernel counts is a step of the proof. *)
@@ -864,11 +864,14 @@ let prop_rewrite_index_vs_ref =
 (* Split terms against their reference                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* [Split_ref.build_terms] is the quadratic builder.  On the maximal cut
-   of a random circuit the split's f, g and x type are physically the
-   reference's; on a cut perturbed into a false one, a builder that
-   rejects it rejects it with the reference's message, and one that
-   accepts it leaves the rejection to the split proof. *)
+(* [Split_ref.build_terms] is the quadratic builder, whose f and g bind
+   fresh variables.  On the maximal cut of a random circuit the split's
+   f and g are alpha-equivalent to the reference's and its x type is
+   physically the reference's; f binds the embedding's [s], and g binds
+   its [i] and then ["s"] at the x type.  On a cut perturbed into a false
+   one, a builder that rejects it rejects it with the reference's
+   message, and one that accepts it leaves the rejection to the split
+   proof. *)
 let prop_split_terms_vs_ref =
   QCheck.Test.make ~count:80 ~name:"split terms agree with their reference"
     QCheck.(int_range 0 100_000)
@@ -924,7 +927,12 @@ let prop_split_terms_vs_ref =
               [ "split proof failed"; "the split does not reproduce" ]
           in
           match (reference, got) with
-          | Ok (f, g, x), Ok (f', g', x') -> f == f' && g == g' && x == x'
+          | Ok (f, g, x), Ok (f', g', x') ->
+              let binder tm = fst (Term.dest_abs tm) in
+              Term.aconv f f' && Term.aconv g g' && x == x'
+              && binder f' == e.Hash.Embed.s_var
+              && binder g' == e.Hash.Embed.i_var
+              && binder (snd (Term.dest_abs g')) == Term.mk_var "s" x'
           | Error m, Error m' -> String.equal m m'
           | Ok _, Error m -> kind <> 0 && from_proof m
           | Error _, Ok _ -> false))

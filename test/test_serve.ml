@@ -358,7 +358,7 @@ let wire_digests =
     ("echo:false hit", "550cea601f4744d21aab8b450e6ba960");
     ("echo:false miss", "912b3db79dda0f92098264ca64f26b43");
     ("gate-list cut", "3601acf72766a688d8497dcfbed6d779");
-    ("certified miss", "06a5a5ddd234b1a3af00d78cfdb653e6");
+    ("certified miss", "8cf34d041204eab1710d38c594a782d3");
     ("certificate on a hit", "f7c9a585f5039820233d07a6e71df0bd");
     ("batch", "96a6ad718727f33e94e1206a9dfd0719");
     ("malformed JSON", "2acda2132682e187193080cfc6b56e83");

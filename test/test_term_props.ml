@@ -118,13 +118,14 @@ let rec rsubst theta t =
 (* Generators                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Simply-typed terms over bool and bool -> bool.  The tiny name pool
-   ({x, y, z} for booleans, {f, g} for functions) maximises shadowing;
+(* Simply-typed terms over bool and bool -> bool, with boolean variables
+   named from [names].  The tiny name pool of [gen_term] ({x, y, z} for
+   booleans, {f, g} for functions) maximises shadowing;
    redexes [(\x. b) a] arise whenever the function side generates an
    abstraction. *)
-let gen_term ty0 =
+let gen_term_over names ty0 =
   let open QCheck.Gen in
-  let name_b = oneofl [ "x"; "y"; "z" ] in
+  let name_b = oneofl names in
   let var_b = name_b >|= fun n -> Term.mk_var n Ty.bool in
   let var_f = oneofl [ "f"; "g" ] >|= fun n -> Term.mk_var n bb in
   let const_b = oneofl [ "T"; "F" ] >|= fun n -> Term.mk_const_raw n Ty.bool in
@@ -150,6 +151,8 @@ let gen_term ty0 =
         ]
   in
   int_range 0 5 >>= fun depth -> go depth ty0
+
+let gen_term = gen_term_over [ "x"; "y"; "z" ]
 
 let arb_bool_term =
   QCheck.make ~print:Term.to_string (gen_term Ty.bool)
@@ -244,6 +247,50 @@ let prop_vsubst_capture =
       && not
            (Term.free_in x kernel
            && not (rfree_in ("x", Ty.bool) (reflect t))))
+
+(* The pool of [prop_vsubst_wide]: six boolean variables whose compact
+   indices lie in six different 63-bit words of a free-variable set.
+   Four hundred variables are registered in a row, here at module
+   initialisation, so before any property runs, and the pool takes the
+   ones at offsets 0, 62, 63, 126, 250 and 399. *)
+let wide_pool =
+  let names = List.init 400 (Printf.sprintf "wide%d") in
+  List.iter (fun n -> ignore (Term.mk_var n Ty.bool)) names;
+  List.filteri (fun i _ -> List.mem i [ 0; 62; 63; 126; 250; 399 ]) names
+
+let prop_vsubst_wide =
+  (* one to three simultaneous bindings over the wide pool: a binding's
+     variable may not occur, and an image may mention a variable that a
+     binder of the term shadows, so capture is forced now and then *)
+  let gen =
+    let open QCheck.Gen in
+    gen_term_over wide_pool Ty.bool >>= fun t ->
+    int_range 1 3 >>= fun k ->
+    shuffle_l wide_pool >>= fun names ->
+    list_repeat k (gen_term_over wide_pool Ty.bool) >|= fun imgs ->
+    (t, List.combine (List.filteri (fun i _ -> i < k) names) imgs)
+  in
+  QCheck.Test.make ~count:500
+    ~name:"vsubst = naive substitution, variables across bitset words"
+    (QCheck.make
+       ~print:(fun (t, theta) ->
+         Term.to_string t ^ "  ["
+         ^ String.concat "; "
+             (List.map (fun (n, s) -> n ^ " := " ^ Term.to_string s) theta)
+         ^ "]")
+       gen)
+    (fun (t, theta) ->
+      let kernel =
+        Term.vsubst
+          (List.map (fun (n, s) -> (Term.mk_var n Ty.bool, s)) theta)
+          t
+      in
+      let naive =
+        rsubst
+          (List.map (fun (n, s) -> ((n, Ty.bool), reflect s)) theta)
+          (reflect t)
+      in
+      raconv (reflect kernel) naive)
 
 let prop_hash_consing =
   (* structural equality is physical equality: rebuilding a term through
@@ -362,6 +409,7 @@ let suite =
     q prop_vsubst;
     q prop_vsubst_swap;
     q prop_vsubst_capture;
+    q prop_vsubst_wide;
     q prop_hash_consing;
     q prop_phys_iff_structural;
     q prop_alphaorder;
