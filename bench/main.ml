@@ -773,7 +773,7 @@ let () =
     if needs_pool then Parallel.Pool.create ~jobs ()
     else Parallel.Pool.create ~jobs:1 ()
   in
-  if needs_pool && jobs > 1 then Printf.printf "running with %d worker domains\n" jobs;
+  if needs_pool && jobs > 1 then Printf.printf "running with up to %d worker domains\n" jobs;
   (match what with
   | "table1" -> table1 pool
   | "table2" -> table2 pool

@@ -31,10 +31,10 @@ let host_port =
 
 let run socket tcp jobs cache shards max_connections deadline =
   (* In listener mode, block SIGINT/SIGTERM before spawning ANY thread
-     or domain — [Serve.create] starts worker domains, and a signal is
-     delivered to whichever thread has it unblocked, so masking after
-     [create] leaves a window where a worker domain takes the default
-     (terminating) action.  The blocked signals are consumed
+     or domain — connection threads spawn worker domains as requests
+     arrive, each inheriting its creator's mask, and a signal is
+     delivered to whichever thread has it unblocked, so a domain spawned
+     unmasked could take the default (terminating) action.  The blocked signals are consumed
      synchronously in a dedicated thread below: an asynchronous
      [Sys.Signal_handle] is not guaranteed to run while every thread of
      the daemon is parked in [select]/condition waits, but
@@ -117,7 +117,9 @@ let cmd =
     Arg.(
       value & opt int 1
       & info [ "jobs" ] ~docv:"N"
-          ~doc:"Worker domains (1 = run requests inline).")
+          ~doc:
+            "At most $(docv) worker domains, each spawned when a request \
+             would otherwise wait for one (1 = run requests inline).")
   in
   let cache =
     Arg.(

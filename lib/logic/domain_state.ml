@@ -16,7 +16,9 @@
    property in every worker.  The discipline is:
 
    - call [prepare_spawn] once, after all module initialisation, while no
-     other domain is running, immediately before spawning workers;
+     other domain is running, before spawning workers (the pool calls it
+     when it is created and spawns its workers later, on demand; a
+     domain starts from the last snapshot taken before it spawns);
    - never let a term or type built *after* the freeze flow into another
      domain (ids are only unique per domain beyond the frozen prefix).
 

@@ -12,6 +12,8 @@ val prepare_spawn : unit -> unit
 (** Snapshot the calling domain's {!Ty} and {!Term} intern tables (after
     a major GC, so only live nodes are carried) as the seed for
     subsequently spawned domains.  Call it after module initialisation,
-    while no other domain runs, immediately before spawning workers — the
-    domain pool ([Parallel.Pool.create]) does this for you.  Terms and
-    types created after the freeze must not flow into other domains. *)
+    while no other domain runs, before spawning workers — the domain
+    pool ([Parallel.Pool.create]) does this for you.  A domain starts
+    from the last snapshot taken before it spawns, however long after
+    (the pool spawns its workers on demand).  Terms and types created
+    after the freeze must not flow into other domains. *)

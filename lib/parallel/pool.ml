@@ -1,4 +1,4 @@
-(* A fixed-size pool of OCaml 5 domains with a shared work queue and
+(* A pool of at most [size] OCaml 5 domains with a shared work queue and
    futures.  Built for the bench fleet: every (circuit, engine) cell is an
    independent computation, so the pool only needs submit/await, per-task
    exception capture and dropping queued tasks whose deadline has passed
@@ -12,17 +12,25 @@
    futures.  Workers pop, flip Pending -> Running outside the queue lock,
    run the thunk, and publish Done/Failed under the future's lock.
 
+   Workers are spawned on demand: [submit] spawns one only when the task
+   it enqueues would otherwise wait (more queued tasks than free
+   workers), until [size] exist.  Every domain takes part in every
+   stop-the-world collection, so an idle worker still costs CPU: a
+   client that keeps one task in flight runs on one worker, not [size].  A
+   worker counts itself free before it publishes its result, so the
+   next task of such a client finds it free and spawns nothing.
+
    [size <= 1] spawns no domains at all: [submit] runs the thunk inline
    in the calling domain, in submission order — bit-for-bit the
    sequential behaviour, which is what makes `BENCH_JOBS=1` a faithful
    baseline.
 
-   Spawning is preceded by [Logic.Domain_state.prepare_spawn], which
-   snapshots the logic kernel's intern tables so the worker domains
-   inherit every term/type built during module initialisation with
-   physical equality intact (see that module for the discipline).  That
-   is all a worker inherits: any other state a task uses (BDD managers,
-   memo tables) it builds in its own domain. *)
+   [create] calls [Logic.Domain_state.prepare_spawn], which snapshots the
+   logic kernel's intern tables so the worker domains, whenever they are
+   spawned, inherit every term/type built during module initialisation
+   with physical equality intact (see that module for the discipline).
+   That is all a worker inherits: any other state a task uses (BDD
+   managers, memo tables) it builds in its own domain. *)
 
 exception Cancelled
 exception Shutdown
@@ -49,7 +57,8 @@ type t = {
   q_cv : Condition.t;
   q : job Queue.t;
   mutable closed : bool;
-  mutable workers : unit Domain.t list;
+  mutable workers : unit Domain.t list; (* every worker spawned so far *)
+  mutable free : int; (* workers not running a task *)
   (* Serializes inline execution when [size <= 1].  The serve layer's
      connection-handler threads all live in one domain and share its
      kernel DLS state (intern tables, memo caches); letting two of them
@@ -69,27 +78,27 @@ let expired = function
   | Some d -> Logic.Clock.now () > d
   | None -> false
 
-let run_job (type a) (fut : a future) =
+(* [finished] runs after the task and before its result is published. *)
+let run_job (type a) ~finished (fut : a future) =
   Mutex.lock fut.f_mu;
-  match fut.status with
-  | Pending thunk when not (expired fut.deadline) ->
-      fut.status <- Running;
-      Mutex.unlock fut.f_mu;
-      let outcome =
-        try Ok (thunk ()) with e -> Error (e, Printexc.get_raw_backtrace ())
-      in
-      Mutex.lock fut.f_mu;
-      (match outcome with
-      | Ok v -> fut.status <- Done v
-      | Error (e, bt) -> fut.status <- Failed (e, bt));
-      Condition.broadcast fut.f_cv;
-      Mutex.unlock fut.f_mu
-  | _ ->
-      (* dead on arrival: its deadline passed while it sat in the queue
-         (a job runs once, so its status is still [Pending] here) *)
-      fut.status <- Killed;
-      Condition.broadcast fut.f_cv;
-      Mutex.unlock fut.f_mu
+  let status =
+    match fut.status with
+    | Pending thunk when not (expired fut.deadline) ->
+        fut.status <- Running;
+        Mutex.unlock fut.f_mu;
+        (try Done (thunk ())
+         with e -> Failed (e, Printexc.get_raw_backtrace ()))
+    | _ ->
+        (* dead on arrival: its deadline passed while it sat in the queue
+           (a job runs once, so its status is still [Pending] here) *)
+        Mutex.unlock fut.f_mu;
+        Killed
+  in
+  finished ();
+  Mutex.lock fut.f_mu;
+  fut.status <- status;
+  Condition.broadcast fut.f_cv;
+  Mutex.unlock fut.f_mu
 
 (* ------------------------------------------------------------------ *)
 (* Workers                                                             *)
@@ -98,7 +107,10 @@ let run_job (type a) (fut : a future) =
 let rec worker_loop pool =
   Mutex.lock pool.q_mu;
   let rec next () =
-    if not (Queue.is_empty pool.q) then Some (Queue.pop pool.q)
+    if not (Queue.is_empty pool.q) then begin
+      pool.free <- pool.free - 1;
+      Some (Queue.pop pool.q)
+    end
     else if pool.closed then None
     else begin
       Condition.wait pool.q_cv pool.q_mu;
@@ -110,8 +122,20 @@ let rec worker_loop pool =
   match job with
   | None -> ()
   | Some (Job fut) ->
-      run_job fut;
+      run_job fut ~finished:(fun () ->
+          Mutex.protect pool.q_mu (fun () -> pool.free <- pool.free + 1));
       worker_loop pool
+
+(* Called under [q_mu].  A spawn that fails for want of resources
+   (Failure) is harmless while another worker is left to drain the
+   queue; with none, the exception leaves [submit] before its task is
+   queued. *)
+let spawn_worker pool =
+  match Domain.spawn (fun () -> worker_loop pool) with
+  | d ->
+      pool.workers <- d :: pool.workers;
+      pool.free <- pool.free + 1
+  | exception Failure _ when pool.workers <> [] -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Public interface                                                    *)
@@ -123,23 +147,17 @@ let create ?jobs () =
     | Some j -> max 1 j
     | None -> Domain.recommended_domain_count ()
   in
-  let pool =
-    {
-      size;
-      q_mu = Mutex.create ();
-      q_cv = Condition.create ();
-      q = Queue.create ();
-      closed = false;
-      workers = [];
-      inline_mu = Mutex.create ();
-    }
-  in
-  if size > 1 then begin
-    Logic.Domain_state.prepare_spawn ();
-    pool.workers <-
-      List.init size (fun _ -> Domain.spawn (fun () -> worker_loop pool))
-  end;
-  pool
+  if size > 1 then Logic.Domain_state.prepare_spawn ();
+  {
+    size;
+    q_mu = Mutex.create ();
+    q_cv = Condition.create ();
+    q = Queue.create ();
+    closed = false;
+    workers = [];
+    free = 0;
+    inline_mu = Mutex.create ();
+  }
 
 let submit ?deadline pool thunk =
   let fut =
@@ -161,18 +179,18 @@ let submit ?deadline pool thunk =
     Mutex.lock pool.inline_mu;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock pool.inline_mu)
-      (fun () -> run_job fut)
+      (fun () -> run_job fut ~finished:ignore)
   end
-  else begin
-    Mutex.lock pool.q_mu;
-    if pool.closed then begin
-      Mutex.unlock pool.q_mu;
-      raise Shutdown
-    end;
-    Queue.push (Job fut) pool.q;
-    Condition.signal pool.q_cv;
-    Mutex.unlock pool.q_mu
-  end;
+  else
+    Mutex.protect pool.q_mu (fun () ->
+        if pool.closed then raise Shutdown;
+        (* this task would wait: one more worker, up to [size] *)
+        if
+          Queue.length pool.q >= pool.free
+          && List.length pool.workers < pool.size
+        then spawn_worker pool;
+        Queue.push (Job fut) pool.q;
+        Condition.signal pool.q_cv);
   fut
 
 let await fut =
@@ -195,14 +213,15 @@ let await fut =
   wait ()
 
 let shutdown pool =
-  Mutex.lock pool.q_mu;
-  pool.closed <- true;
-  Condition.broadcast pool.q_cv;
-  Mutex.unlock pool.q_mu;
-  if pool.size > 1 then begin
-    List.iter Domain.join pool.workers;
-    pool.workers <- []
-  end
+  let workers =
+    Mutex.protect pool.q_mu (fun () ->
+        pool.closed <- true;
+        Condition.broadcast pool.q_cv;
+        let workers = pool.workers in
+        pool.workers <- [];
+        workers)
+  in
+  List.iter Domain.join workers
 
 let run ?jobs f =
   let pool = create ?jobs () in

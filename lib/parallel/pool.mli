@@ -1,4 +1,5 @@
-(** A fixed-size pool of OCaml 5 domains with a work queue and futures.
+(** A pool of at most [jobs] OCaml 5 worker domains with a work queue
+    and futures.
 
     Built for fleets of independent computations (the bench's
     (circuit, engine) cells): submit thunks, await results in whatever
@@ -19,14 +20,21 @@
     submit to that same pool — it would deadlock on the inline mutex.
     Thunks are leaf computations everywhere in this codebase.
 
-    Creating a pool of size [> 1] first calls
-    [Logic.Domain_state.prepare_spawn], so worker domains inherit every
-    term/type interned so far (theorem libraries, constants) with
-    physical equality intact.  The discipline that implies: create pools
-    from the initial domain after module initialisation, and do not let
-    terms built after pool creation flow between domains.  Nothing else
-    is handed to the workers: a task builds any other state it needs
-    (a BDD manager, memo tables) in its own domain. *)
+    A pool of size [> 1] spawns its workers on demand: {!submit} spawns
+    one only when the task it queues would otherwise wait (more queued
+    tasks than free workers), until [jobs] exist.  A caller that awaits
+    each task before submitting the next runs on one worker, and no idle
+    domain joins its stop-the-world collections.
+
+    Creating a pool of size [> 1] calls
+    [Logic.Domain_state.prepare_spawn], so worker domains, whenever they
+    are spawned, inherit every term/type interned before the pool was
+    created (theorem libraries, constants) with physical equality
+    intact.  The discipline that implies: create pools from the initial
+    domain after module initialisation, and do not let terms built
+    after pool creation flow between domains.  Nothing else is handed
+    to the workers: a task builds any other state it needs (a BDD
+    manager, memo tables) in its own domain. *)
 
 type t
 (** A pool.  Thread-safe: any domain may submit. *)
@@ -43,9 +51,11 @@ exception Shutdown
     structured error). *)
 
 val create : ?jobs:int -> unit -> t
-(** [create ~jobs ()] spawns [jobs] worker domains ([jobs <= 1]: none;
-    default [Domain.recommended_domain_count ()]); the workers inherit
-    the kernel snapshot described above and nothing else. *)
+(** [create ~jobs ()] makes a pool of at most [jobs] worker domains
+    ([jobs <= 1]: none, tasks run inline; default
+    [Domain.recommended_domain_count ()]).  It spawns none yet: see
+    {!submit}.  The workers inherit the kernel snapshot described above
+    and nothing else. *)
 
 val submit : ?deadline:float -> t -> (unit -> 'a) -> 'a future
 (** Enqueue a thunk; [deadline] is an absolute {!Logic.Clock.now} time
@@ -53,8 +63,11 @@ val submit : ?deadline:float -> t -> (unit -> 'a) -> 'a future
     [Logic.Clock.now () +. budget_s]).  The deadline is judged once,
     when a worker takes the task: past it, the task is dropped and
     {!await} raises {!Cancelled}; before it, the task runs to the end.
-    On an inline pool the thunk runs before [submit] returns.
-    @raise Shutdown if the pool has been shut down. *)
+    On an inline pool the thunk runs before [submit] returns; otherwise
+    [submit] spawns a worker when the task would wait for one.
+    @raise Shutdown if the pool has been shut down.
+    @raise Failure if the pool has no worker and cannot spawn one; the
+    task is then not queued. *)
 
 val await : 'a future -> 'a
 (** Block until the task resolves.  Re-raises the task's exception (with
@@ -62,7 +75,8 @@ val await : 'a future -> 'a
     cancelled. *)
 
 val shutdown : t -> unit
-(** Drain the queue, then join all workers.  Idempotent. *)
+(** Drain the queue, then join every worker spawned so far.
+    Idempotent. *)
 
 val run : ?jobs:int -> (t -> 'a) -> 'a
 (** [run ~jobs f]: [create], apply [f], always [shutdown]. *)

@@ -83,7 +83,8 @@ val create :
   ?default_deadline_s:float ->
   unit ->
   t
-(** [jobs] worker domains (default 1 = inline, serialized across
+(** At most [jobs] worker domains, each spawned when a request would
+    otherwise wait for one (default 1 = inline, serialized across
     submitting threads); [cache_capacity] total LRU entries per level
     (default 64, split over the shards, each shard holding at least 1);
     [shards] cache shards (default 8, clamped to >= 1; [~shards:1]

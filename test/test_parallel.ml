@@ -97,6 +97,49 @@ let test_deadline_injected_clock () =
       | exception Parallel.Pool.Cancelled -> ());
       check "expired task never ran" false !ran)
 
+(* Workers are spawned on demand; [Domain.self] tells them apart. *)
+let domain_id () = (Domain.self () :> int)
+
+let test_closed_loop_one_worker () =
+  (* Each task is awaited before the next is submitted, so one worker
+     always suffices: the pool must not spawn a second. *)
+  let ids =
+    Parallel.Pool.run ~jobs:4 (fun pool ->
+        List.init 20 (fun _ ->
+            Parallel.Pool.await (Parallel.Pool.submit pool domain_id)))
+  in
+  check_int "one domain ran every task" 1
+    (List.length (List.sort_uniq compare ids));
+  check "and it is not the caller's" true (List.hd ids <> domain_id ())
+
+let test_waiting_tasks_get_workers () =
+  (* Two tasks that only finish together: each needs a worker of its own.
+     The spin is bounded, so too few workers fail the test, not hang it. *)
+  let arrived = Atomic.make 0 in
+  let meet () =
+    Atomic.incr arrived;
+    let give_up = Logic.Clock.now () +. 5.0 in
+    while Atomic.get arrived < 2 && Logic.Clock.now () < give_up do
+      Domain.cpu_relax ()
+    done;
+    (Atomic.get arrived = 2, domain_id ())
+  in
+  match Parallel.Pool.run ~jobs:2 (fun pool -> map_list pool meet [ (); () ])
+  with
+  | [ (met_a, id_a); (met_b, id_b) ] ->
+      check "the first task met the second" true met_a;
+      check "the second task met the first" true met_b;
+      check "on two domains" true (id_a <> id_b)
+  | _ -> Alcotest.fail "expected two results"
+
+let test_burst_bounded_by_jobs () =
+  let ids =
+    Parallel.Pool.run ~jobs:3 (fun pool ->
+        map_list pool (fun _ -> domain_id ()) (List.init 40 Fun.id))
+  in
+  check "at most 3 worker domains" true
+    (List.length (List.sort_uniq compare ids) <= 3)
+
 (* ------------------------------------------------------------------ *)
 (* Concurrency stress: engines across domains                          *)
 (* ------------------------------------------------------------------ *)
@@ -303,6 +346,12 @@ let suite =
       test_deadline_expired_in_queue;
     Alcotest.test_case "deadline against an injected clock" `Quick
       test_deadline_injected_clock;
+    Alcotest.test_case "closed-loop tasks run on one worker" `Quick
+      test_closed_loop_one_worker;
+    Alcotest.test_case "tasks that wait for each other get their own workers"
+      `Quick test_waiting_tasks_get_workers;
+    Alcotest.test_case "a burst spawns at most jobs workers" `Quick
+      test_burst_bounded_by_jobs;
     Alcotest.test_case "stress: verdicts match sequential" `Slow
       test_stress_verdicts_match_sequential;
     Alcotest.test_case "stress: interning integrity" `Quick
