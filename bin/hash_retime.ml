@@ -30,6 +30,21 @@ let get_circuit name n =
       | e -> Some (Lazy.force e.Iwls.circuit)
       | exception Not_found -> None)
 
+(* The circuit as single bits: [Bitblast.expand] unless every width is
+   already [Circuit.B]. *)
+let bit_blasted c =
+  if Array.for_all (fun w -> w = Circuit.B) c.Circuit.widths then c
+  else Bitblast.expand c
+
+(* The [--verify] baselines, by name. *)
+let engines =
+  [
+    ("smv", Engines.Smv.equiv);
+    ("sis", Engines.Sis_fsm.equiv);
+    ("eijk", fun budget -> Engines.Eijk.equiv budget);
+    ("eijk*", Engines.Eijk.equiv ~exploit_dependencies:true);
+  ]
+
 (* The inferences a certificate replays: its step lines other than the
    theory references (kinds A, D and I). *)
 let cert_inferences text =
@@ -40,7 +55,7 @@ let cert_inferences text =
          | _ -> false)
   |> List.length
 
-let run list_them name n level_str show_theorem verify deadline cert_file =
+let run list_them name n level show_theorem verify deadline cert_file =
   if list_them then begin
     Printf.printf "built-in circuits:\n";
     Printf.printf "  fig2        the paper's Figure-2 example, RT level (-n = width)\n";
@@ -57,21 +72,7 @@ let run list_them name n level_str show_theorem verify deadline cert_file =
         Printf.eprintf "unknown circuit %s (try --list)\n" name;
         1
     | Some c -> (
-        let level =
-          match level_str with
-          | "rt" -> Hash.Embed.Rt_level
-          | "bit" -> Hash.Embed.Bit_level
-          | _ ->
-              Printf.eprintf "bad --level (rt|bit)\n";
-              exit 1
-        in
-        let c =
-          if
-            level = Hash.Embed.Bit_level
-            && not (Array.for_all (fun w -> w = Circuit.B) c.Circuit.widths)
-          then Bitblast.expand c
-          else c
-        in
+        let c = if level = Hash.Embed.Bit_level then bit_blasted c else c in
         Format.printf "circuit: %a@." Circuit.pp_stats c;
         match Cut.maximal c with
         | exception Failure msg ->
@@ -131,38 +132,12 @@ let run list_them name n level_str show_theorem verify deadline cert_file =
                               (String.length text))));
                 (match verify with
                 | None -> ()
-                | Some engine ->
-                    let budget =
-                      Engines.Common.budget_of_seconds deadline
-                    in
-                    let ca =
-                      if
-                        Array.for_all
-                          (fun w -> w = Circuit.B)
-                          c.Circuit.widths
-                      then c
-                      else Bitblast.expand c
-                    in
-                    let cb =
-                      if
-                        Array.for_all
-                          (fun w -> w = Circuit.B)
-                          step.Hash.Synthesis.after.Circuit.widths
-                      then step.Hash.Synthesis.after
-                      else Bitblast.expand step.Hash.Synthesis.after
-                    in
+                | Some (engine, equiv) ->
                     let run =
-                      match engine with
-                      | "smv" -> Engines.Smv.equiv budget ca cb
-                      | "sis" -> Engines.Sis_fsm.equiv budget ca cb
-                      | "eijk" -> Engines.Eijk.equiv budget ca cb
-                      | "eijk*" ->
-                          Engines.Eijk.equiv ~exploit_dependencies:true budget
-                            ca cb
-                      | "match" -> Engines.Retime_match.equiv budget ca cb
-                      | other ->
-                          Printf.eprintf "unknown engine %s\n" other;
-                          exit 1
+                      equiv
+                        (Engines.Common.budget_of_seconds deadline)
+                        (bit_blasted c)
+                        (bit_blasted step.Hash.Synthesis.after)
                     in
                     Format.printf "%s cross-check: %s (%.3fs)@." engine
                       (Engines.Common.result_to_string run.Obs.result)
@@ -186,7 +161,10 @@ let cmd =
   in
   let level =
     Arg.(
-      value & opt string "rt"
+      value
+      & opt
+          (enum [ ("rt", Hash.Embed.Rt_level); ("bit", Hash.Embed.Bit_level) ])
+          Hash.Embed.Rt_level
       & info [ "level" ] ~docv:"rt|bit" ~doc:"Embedding level.")
   in
   let show =
@@ -195,8 +173,10 @@ let cmd =
   let verify =
     Arg.(
       value
-      & opt (some string) None
-      & info [ "verify" ] ~docv:"smv|sis|eijk|eijk*|match"
+      & opt
+          (some (enum (List.map (fun ((name, _) as e) -> (name, e)) engines)))
+          None
+      & info [ "verify" ] ~docv:"smv|sis|eijk|eijk*"
           ~doc:"Also run a post-synthesis verification baseline.")
   in
   let deadline =

@@ -1,10 +1,11 @@
 (** Embedding netlists into the Automata theory.
 
     A circuit becomes a pair [(fd, q)]: the step function
-    [fd = \i s. let w0 = ... in ... ((o1, ..., ok), (s1', ..., sm'))] — a
-    let-chain with one binding per gate, in topological order — and the
-    literal initial state [q].  Inputs, state and outputs are right-nested
-    tuples in declaration order.
+    [fd = \i s. ((o1, ..., ok), (s1', ..., sm'))] and the literal initial
+    state [q].  Each gate's term is built once, in topological order, and
+    shared in the heap wherever the gate's signal is read, so [fd] is a
+    dag in memory with no binder per gate.  Inputs, state and outputs are
+    balanced tuples in declaration order.
 
     Two levels (paper §V): [Bit_level] maps every signal to [:bool];
     [Rt_level] maps word signals to [:(bool)list], so an n-bit operator is
@@ -27,8 +28,9 @@ type t = {
   i_var : Term.t;
   s_var : Term.t;
   wire : Term.t array;
-      (** for every signal: the term that references it inside the
-          let-chain body (a projection of [i]/[s], or a wire variable) *)
+      (** for every signal: its term inside [fd]'s body — a projection
+          of [i]/[s] for an input or a register output, else the gate's
+          shared term *)
 }
 
 val embed : level -> Circuit.t -> t

@@ -11,7 +11,8 @@ type thm = Kernel.thm
 
 val mk_pair : Term.t -> Term.t -> Term.t
 val list_mk_pair : Term.t list -> Term.t
-(** Right-nested tuple; the singleton case is the term itself.
+(** Balanced tuple: the first half (rounded up) on the left, the rest
+    on the right; the singleton case is the term itself.
     @raise Failure on the empty list. *)
 
 val mk_fst : Term.t -> Term.t

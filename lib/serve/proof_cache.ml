@@ -64,6 +64,9 @@ module Lru = struct
         push_front t n;
         Some n.value
 
+  (* Insert (or replace) as most recently used; true if the insert
+     pushed the table over capacity and evicted the least recently used
+     entry. *)
   let add t key value =
     (match Hashtbl.find_opt t.tbl key with
     | Some old ->
@@ -78,16 +81,9 @@ module Lru = struct
       | Some lru ->
           unlink t lru;
           Hashtbl.remove t.tbl lru.key;
-          Some lru.key
-      | None -> None)
-    else None
-
-  let keys t =
-    let rec walk acc = function
-      | None -> List.rev acc
-      | Some n -> walk (n.key :: acc) n.next
-    in
-    walk [] t.first
+          true
+      | None -> false)
+    else false
 end
 
 (* ------------------------------------------------------------------ *)
@@ -150,9 +146,8 @@ let locked sh f =
   Mutex.lock sh.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock sh.mu) f
 
-let count_eviction sh = function
-  | Some _ -> Atomic.incr sh.counters.evictions
-  | None -> ()
+let count_eviction sh evicted =
+  if evicted then Atomic.incr sh.counters.evictions
 
 let level_tag = function
   | Hash.Embed.Bit_level -> "bit"

@@ -17,30 +17,7 @@
 
     Each level is split over [shards] independent LRU shards, each
     behind its own mutex; counters are per-shard atomics, aggregated
-    lock-free by {!totals}.  Every function outside {!Lru} is thread-
-    and domain-safe. *)
-
-(** Bounded LRU table with string keys.  Not synchronised: the caller
-    locks. *)
-module Lru : sig
-  type 'v t
-
-  val create : int -> 'v t
-  (** Capacity, clamped to >= 1. *)
-
-  val length : 'v t -> int
-
-  val find : 'v t -> string -> 'v option
-  (** A hit makes the key the most recently used. *)
-
-  val add : 'v t -> string -> 'v -> string option
-  (** Insert (or replace) as most recently used; returns the key of the
-      least recently used entry if the insert pushed the table over
-      capacity and evicted it. *)
-
-  val keys : 'v t -> string list
-  (** Most recently used first. *)
-end
+    lock-free by {!totals}.  Every function is thread- and domain-safe. *)
 
 type entry = {
   fields : string;

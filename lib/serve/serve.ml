@@ -18,8 +18,8 @@
    Responses within a connection are written in request order by a
    per-connection writer thread.  [request_stop] (async-signal-safe: an
    atomic flag plus a self-pipe write) wakes the accept loop;
-   [stop]/[await] then close the listening socket, unlink the Unix
-   path and drain in-flight connections. *)
+   [await] then closes the listening socket, unlinks the Unix
+   path and drains in-flight connections. *)
 
 open Protocol
 
@@ -511,7 +511,7 @@ let await l =
   (* best-effort join during shutdown: the accept loop already saw the
      self-pipe wakeup and is exiting; a [Sys_error] from systhreads'
      join machinery must not abort the drain of live connections below.
-     Other exceptions propagate — stop() must not mask real failures. *)
+     Other exceptions propagate — [await] must not mask real failures. *)
   | Some th -> ( try Thread.join th with Sys_error _ -> ())
   | None -> ());
   Mutex.lock l.l_mu;
@@ -554,7 +554,3 @@ let await l =
     (try Unix.close l.l_stop_r with Unix.Unix_error _ -> ());
     try Unix.close l.l_stop_w with Unix.Unix_error _ -> ()
   end
-
-let stop l =
-  request_stop l;
-  await l

@@ -162,7 +162,3 @@ val drain_deadline_s : float
     (2 s).  Then it shuts each remaining connection down both ways, so a
     writer blocked on a client that stopped reading fails and its
     handler exits. *)
-
-val stop : listener -> unit
-(** [request_stop] + {!await}: a clean synchronous shutdown — no new
-    connections, path unlinked, in-flight connections drained. *)

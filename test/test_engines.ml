@@ -145,25 +145,6 @@ let test_eijk_synthetic () =
   check "s298 verified" true
     (is_equiv (Engines.Eijk.equiv (budget ()) c r).result)
 
-(* ------------------------------------------------------------------ *)
-(* Structural retiming matcher                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_retime_match () =
-  let c, r = retimed_pair 5 in
-  check "matches retimed pair" true
-    (is_equiv (Engines.Retime_match.equiv (budget ()) c r).result)
-
-let test_retime_match_limits () =
-  (* a resynthesised (non-retiming) change defeats the matcher *)
-  let c = Fig2.gate 3 in
-  let bad, _ = sabotage c in
-  match (Engines.Retime_match.equiv (budget ()) c bad).result with
-  | Engines.Common.Inconclusive _ -> ()
-  | Engines.Common.Equivalent -> Alcotest.fail "must not match"
-  | Engines.Common.Not_equivalent _ | Engines.Common.Timeout ->
-      Alcotest.fail "unexpected result"
-
 (* The union-find refiner and the retained list-based reference refiner
    must reach the same inductive fixpoint from one shared setup — on
    equivalent (retimed) pairs and on sabotaged ones.  The partitions are
@@ -228,9 +209,6 @@ let suite =
     Alcotest.test_case "eijk never refutes" `Quick
       test_eijk_incomplete_never_refutes;
     Alcotest.test_case "eijk s298" `Slow test_eijk_synthetic;
-    Alcotest.test_case "retime matcher" `Quick test_retime_match;
-    Alcotest.test_case "retime matcher limits" `Quick
-      test_retime_match_limits;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_eijk_refiners_agree;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_engines_agree;
   ]

@@ -762,36 +762,6 @@ let arb_ops =
         (String.concat "; " (List.map print_op ops)))
     QCheck.Gen.(pair (int_range 1 4) gen_ops)
 
-(* [Lru] against the model: every lookup's answer, every evicted key and
-   the recency order after every operation.  A bare table has no text
-   level, so [Find_text] is read as one more add. *)
-let test_lru_model () =
-  QCheck.Test.check_exn
-    ~rand:(Random.State.make [| 0x1e0 |])
-    (QCheck.Test.make ~count:500 ~name:"Lru = list model" arb_ops
-       (fun (cap, ops) ->
-         let lru = Proof_cache.Lru.create cap in
-         let model = ref [] in
-         List.for_all
-           (fun op ->
-             let agrees =
-               match op with
-               | Add k | Find_text (k, _) ->
-                   let key = string_of_int k in
-                   let m, evicted = model_add cap !model key k in
-                   model := m;
-                   Proof_cache.Lru.add lru key k = evicted
-               | Find k ->
-                   let key = string_of_int k in
-                   let m, found = model_find !model key in
-                   model := m;
-                   Proof_cache.Lru.find lru key = found
-             in
-             agrees
-             && Proof_cache.Lru.keys lru = List.map fst !model
-             && Proof_cache.Lru.length lru = List.length !model)
-           ops))
-
 (* One shard against the model of its two levels: [Add k] stores
    circuit k under spelling "a k", [Find k] looks it up by fingerprint
    under spelling "f k" (remembered on a hit), and [Find_text] tries one
@@ -946,7 +916,8 @@ let test_interleaved_clients () =
   Fun.protect
     ~finally:(fun () ->
       hang_up ();
-      Serve.stop l;
+      Serve.request_stop l;
+      Serve.await l;
       Serve.shutdown srv)
   @@ fun () ->
   (* warm the cache over connection B *)
@@ -1008,7 +979,8 @@ let test_interleaved_clients () =
   | _ -> Alcotest.fail "batch response is not a JSON array");
   hang_up ();
   (* clean stop unlinks the socket path *)
-  Serve.stop l;
+  Serve.request_stop l;
+  Serve.await l;
   check "socket path unlinked on stop" false (Sys.file_exists path)
 
 (* An inline pool (jobs:1) runs each front-door task in the submitting
@@ -1019,7 +991,10 @@ let test_inline_pool_two_clients () =
   let srv = mk_server () in
   let path = sock_path "inline" in
   let l = Serve.listen_unix srv ~path in
-  Fun.protect ~finally:(fun () -> Serve.stop l; Serve.shutdown srv)
+  Fun.protect ~finally:(fun () ->
+      Serve.request_stop l;
+      Serve.await l;
+      Serve.shutdown srv)
   @@ fun () ->
   let _fd_a, ic_a, oc_a = connect_unix path in
   let _fd_b, ic_b, oc_b = connect_unix path in
@@ -1075,7 +1050,8 @@ let test_tcp_listener () =
   Alcotest.(check string) "malformed rejected over TCP" "bad_request"
     (error_code r3);
   close_out_noerr oc;
-  Serve.stop l;
+  Serve.request_stop l;
+  Serve.await l;
   Serve.shutdown srv;
   (* the port no longer accepts connections *)
   let fd2 = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -1088,7 +1064,10 @@ let test_bounded_connections () =
   let srv = mk_server () in
   let path = sock_path "bounded" in
   let l = Serve.listen_unix ~max_connections:1 srv ~path in
-  Fun.protect ~finally:(fun () -> Serve.stop l; Serve.shutdown srv)
+  Fun.protect ~finally:(fun () ->
+      Serve.request_stop l;
+      Serve.await l;
+      Serve.shutdown srv)
   @@ fun () ->
   (* A occupies the single handler slot (the kernel accepts A first:
      connections are handed out in arrival order) *)
@@ -1106,7 +1085,7 @@ let test_bounded_connections () =
   close_out_noerr oc_b
 
 (* A client sends a batch whose answers overflow the socket buffers and
-   never reads them, so its connection's writer blocks.  [stop] must
+   never reads them, so its connection's writer blocks.  [await] must
    still return once the drain deadline has passed.  It runs under a
    watchdog: if it hangs, the client hangs up (which unblocks the
    writer) and the test fails instead of hanging the run. *)
@@ -1129,7 +1108,14 @@ let test_stop_unread_client () =
   let slack = 5.0 in
   let t0 = Logic.Clock.now () in
   let returned = Atomic.make false in
-  let stopper = Thread.create (fun () -> Serve.stop l; Atomic.set returned true) () in
+  let stopper =
+    Thread.create
+      (fun () ->
+        Serve.request_stop l;
+        Serve.await l;
+        Atomic.set returned true)
+      ()
+  in
   while
     (not (Atomic.get returned))
     && Logic.Clock.now () -. t0 < Serve.drain_deadline_s +. slack
@@ -1283,7 +1269,10 @@ let test_batched_2x_sync () =
   let srv = mk_server () in
   let path = sock_path "gate" in
   let l = Serve.listen_unix srv ~path in
-  Fun.protect ~finally:(fun () -> Serve.stop l; Serve.shutdown srv)
+  Fun.protect ~finally:(fun () ->
+      Serve.request_stop l;
+      Serve.await l;
+      Serve.shutdown srv)
   @@ fun () ->
   ignore
     (handle_rate srv (List.map (fun n -> request n (blif_of n)) [ 2; 3; 4 ]));
@@ -1337,7 +1326,6 @@ let suite =
       test_default_deadline_fallback;
     Alcotest.test_case "a digest collision is a miss" `Quick
       test_digest_collision;
-    Alcotest.test_case "Lru agrees with a list model" `Quick test_lru_model;
     Alcotest.test_case "one shard agrees with a list model" `Quick
       test_shard_model;
     Alcotest.test_case "wall_s on the deadline clock" `Quick
