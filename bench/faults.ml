@@ -65,7 +65,7 @@ let () =
   let table =
     if jobs <= 1 then Faults.Campaign.run config
     else
-      Parallel.Pool.run ~jobs (fun pool ->
+      Parallel.Pool.run ~workers:jobs (fun pool ->
           (* chunked fan-out: each chunk is a deterministic mutant range,
              so the merged result is independent of the schedule *)
           let n = config.Faults.Campaign.mutants in

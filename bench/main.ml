@@ -769,11 +769,9 @@ let () =
   let needs_pool =
     match what with "table1" | "table2" | "cuts" | "levels" | "all" -> true | _ -> false
   in
-  let pool =
-    if needs_pool then Parallel.Pool.create ~jobs ()
-    else Parallel.Pool.create ~jobs:1 ()
-  in
-  if needs_pool && jobs > 1 then Printf.printf "running with up to %d worker domains\n" jobs;
+  let workers = if needs_pool && jobs > 1 then jobs else 0 in
+  let pool = Parallel.Pool.create ~workers in
+  if workers > 0 then Printf.printf "running with up to %d worker domains\n" workers;
   (match what with
   | "table1" -> table1 pool
   | "table2" -> table2 pool

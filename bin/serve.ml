@@ -118,8 +118,10 @@ let cmd =
       value & opt int 1
       & info [ "jobs" ] ~docv:"N"
           ~doc:
-            "At most $(docv) worker domains, each spawned when a request \
-             would otherwise wait for one (1 = run requests inline).")
+            "At most $(docv) worker domains, and no more than the host's \
+             CPUs minus the connection domain (but at least one), each \
+             spawned when a request would otherwise wait for one (1 = run \
+             requests inline).")
   in
   let cache =
     Arg.(

@@ -20,10 +20,15 @@
    worker counts itself free before it publishes its result, so the
    next task of such a client finds it free and spawns nothing.
 
-   [size <= 1] spawns no domains at all: [submit] runs the thunk inline
+   [size = 0] spawns no domains at all: [submit] runs the thunk inline
    in the calling domain, in submission order — bit-for-bit the
    sequential behaviour, which is what makes `BENCH_JOBS=1` a faithful
-   baseline.
+   baseline.  [size = 1] is one worker domain, not the caller: the
+   daemon runs its proofs there while the connection domain keeps
+   answering exact-text hits.  The pool caps nothing at the host's CPU
+   count: a caller that idles in [await] (the bench fleet) may keep
+   every worker it asks for, and the daemon, whose calling domain stays
+   busy, sizes its own pool (lib/serve).
 
    [create] calls [Logic.Domain_state.prepare_spawn], which snapshots the
    logic kernel's intern tables so the worker domains, whenever they are
@@ -59,7 +64,7 @@ type t = {
   mutable closed : bool;
   mutable workers : unit Domain.t list; (* every worker spawned so far *)
   mutable free : int; (* workers not running a task *)
-  (* Serializes inline execution when [size <= 1].  The serve layer's
+  (* Serializes inline execution when [size = 0].  The serve layer's
      connection-handler threads all live in one domain and share its
      kernel DLS state (intern tables, memo caches); letting two of them
      interleave kernel work at allocation points would corrupt it.  A
@@ -141,13 +146,9 @@ let spawn_worker pool =
 (* Public interface                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let create ?jobs () =
-  let size =
-    match jobs with
-    | Some j -> max 1 j
-    | None -> Domain.recommended_domain_count ()
-  in
-  if size > 1 then Logic.Domain_state.prepare_spawn ();
+let create ~workers =
+  let size = max 0 workers in
+  if size > 0 then Logic.Domain_state.prepare_spawn ();
   {
     size;
     q_mu = Mutex.create ();
@@ -168,7 +169,7 @@ let submit ?deadline pool thunk =
       deadline;
     }
   in
-  if pool.size <= 1 then begin
+  if pool.size = 0 then begin
     (* inline pool: same contract as the queued path.  Concurrent
        submitters (connection-handler threads) take turns — one kernel
        computation at a time, exactly like a single worker domain. *)
@@ -223,6 +224,6 @@ let shutdown pool =
   in
   List.iter Domain.join workers
 
-let run ?jobs f =
-  let pool = create ?jobs () in
+let run ~workers f =
+  let pool = create ~workers in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)

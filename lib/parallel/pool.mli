@@ -1,5 +1,5 @@
-(** A pool of at most [jobs] OCaml 5 worker domains with a work queue
-    and futures.
+(** A pool of at most [workers] OCaml 5 worker domains with a work
+    queue and futures.
 
     Built for fleets of independent computations (the bench's
     (circuit, engine) cells): submit thunks, await results in whatever
@@ -10,23 +10,27 @@
     it, so a long computation bounds itself with its own budget (the
     engines' [Common.budget_of_seconds], HASH's [Conv.with_step]).
 
-    A pool of size [<= 1] spawns no domains: {!submit} runs each thunk
+    A pool of [0] workers spawns no domains: {!submit} runs each thunk
     inline in the calling domain, in submission order — bit-for-bit the
-    sequential behaviour ([BENCH_JOBS=1]).  Inline execution is
-    serialized under an internal mutex, so several systhreads of one
-    domain (the serve layer's connection handlers) may submit
-    concurrently without interleaving kernel work in the domain's DLS
-    state.  Consequence: a thunk running on an inline pool must not
+    sequential behaviour ([BENCH_JOBS=1], [serve --jobs 1]).  Inline
+    execution is serialized under an internal mutex, so several
+    systhreads of one domain (the serve layer's connection handlers) may
+    submit concurrently without interleaving kernel work in the domain's
+    DLS state.  Consequence: a thunk running on an inline pool must not
     submit to that same pool — it would deadlock on the inline mutex.
     Thunks are leaf computations everywhere in this codebase.
 
-    A pool of size [> 1] spawns its workers on demand: {!submit} spawns
+    A pool of [n >= 1] workers spawns them on demand: {!submit} spawns
     one only when the task it queues would otherwise wait (more queued
-    tasks than free workers), until [jobs] exist.  A caller that awaits
+    tasks than free workers), until [n] exist.  A caller that awaits
     each task before submitting the next runs on one worker, and no idle
-    domain joins its stop-the-world collections.
+    domain joins its stop-the-world collections.  [n = 1] runs every
+    task on one worker domain, never the caller's.  The pool does not
+    cap [n] at the host's CPUs: a caller that sits idle in {!await} may
+    use them all, while one that keeps working beside its tasks (the
+    daemon's connection domain) counts itself and asks for fewer.
 
-    Creating a pool of size [> 1] calls
+    Creating a pool of [n >= 1] workers calls
     [Logic.Domain_state.prepare_spawn], so worker domains, whenever they
     are spawned, inherit every term/type interned before the pool was
     created (theorem libraries, constants) with physical equality
@@ -50,10 +54,9 @@ exception Shutdown
     long-lived callers like the retiming server can map it to a
     structured error). *)
 
-val create : ?jobs:int -> unit -> t
-(** [create ~jobs ()] makes a pool of at most [jobs] worker domains
-    ([jobs <= 1]: none, tasks run inline; default
-    [Domain.recommended_domain_count ()]).  It spawns none yet: see
+val create : workers:int -> t
+(** [create ~workers] makes a pool of at most [workers] worker domains
+    ([workers <= 0]: none, tasks run inline).  It spawns none yet: see
     {!submit}.  The workers inherit the kernel snapshot described above
     and nothing else. *)
 
@@ -78,5 +81,5 @@ val shutdown : t -> unit
 (** Drain the queue, then join every worker spawned so far.
     Idempotent. *)
 
-val run : ?jobs:int -> (t -> 'a) -> 'a
-(** [run ~jobs f]: [create], apply [f], always [shutdown]. *)
+val run : workers:int -> (t -> 'a) -> 'a
+(** [run ~workers f]: [create], apply [f], always [shutdown]. *)

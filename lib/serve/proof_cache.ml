@@ -110,9 +110,11 @@ type shard = {
   by_fp : (string * entry) Lru.t;  (* L2: key -> (canonical form, entry) *)
   (* L1: level-tagged raw BLIF bytes -> (L2 digest, entry).  The key is
      the request text itself — the table's key equality is the
-     byte-compare, so no hashing of the payload happens beyond
-     [Hashtbl.hash]'s bounded prefix, and a hash collision can only
-     cause a bucket scan, never a wrong answer. *)
+     byte-compare, so a hash collision can only cause a bucket scan,
+     never a wrong answer.  The payload is not hashed cheaply, though:
+     [Hashtbl.hash] reads a string's whole length, so a lookup reads the
+     full request text three times before the compare — [text_key]
+     copies it, then [shard_for] and this table each hash it. *)
   by_text : (string * entry) Lru.t;
   counters : counters;
 }

@@ -14,7 +14,14 @@
    parse, fingerprint, L2 lookup and kernel work — is one task on the
    shared domain pool (lib/parallel), so many light connections cost
    threads, not domains, and hits and misses alike scale with the
-   pool.
+   pool, up to the host's CPUs.  The connection domain is never idle
+   (it parses every line, answers L1 hits and writes every response),
+   so it counts as one of the domains the host recommends: [create]
+   sizes the pool at [jobs] workers but at most
+   [Domain.recommended_domain_count () - 1], and at least one, so that
+   no proof runs on the connection domain.  A domain more than the
+   host has CPUs stalls every stop-the-world collection until it is
+   scheduled again (EXPERIMENTS.md, "No more domains than CPUs").
    Responses within a connection are written in request order by a
    per-connection writer thread.  [request_stop] (async-signal-safe: an
    atomic flag plus a self-pipe write) wakes the accept loop;
@@ -31,8 +38,12 @@ type t = {
 
 let create ?(jobs = 1) ?(cache_capacity = 64) ?(shards = 8)
     ?(default_deadline_s = 30.0) () =
+  let workers =
+    if jobs <= 1 then 0
+    else max 1 (min jobs (Domain.recommended_domain_count () - 1))
+  in
   {
-    pool = Parallel.Pool.create ~jobs ();
+    pool = Parallel.Pool.create ~workers;
     cache = Proof_cache.create ~capacity:cache_capacity ~shards;
     default_deadline_s =
       (if default_deadline_s > 0.0 then default_deadline_s else 30.0);

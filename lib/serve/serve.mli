@@ -83,14 +83,16 @@ val create :
   ?default_deadline_s:float ->
   unit ->
   t
-(** At most [jobs] worker domains, each spawned when a request would
-    otherwise wait for one (default 1 = inline, serialized across
-    submitting threads); [cache_capacity] total LRU entries per level
-    (default 64, split over the shards, each shard holding at least 1);
-    [shards] cache shards (default 8, clamped to >= 1; [~shards:1]
-    restores a single globally-ordered LRU); [default_deadline_s] for
-    requests that carry none (default 30; a value that is not positive
-    means the default). *)
+(** At most [jobs] worker domains, and no more than the host's CPUs
+    minus the connection domain: [max 1 (min jobs
+    (Domain.recommended_domain_count () - 1))] when [jobs >= 2], each
+    spawned when a request would otherwise wait for one (default 1 =
+    inline, serialized across submitting threads); [cache_capacity]
+    total LRU entries per level (default 64, split over the shards, each
+    shard holding at least 1); [shards] cache shards (default 8, clamped
+    to >= 1; [~shards:1] restores a single globally-ordered LRU);
+    [default_deadline_s] for requests that carry none (default 30; a
+    value that is not positive means the default). *)
 
 val shutdown : t -> unit
 

@@ -355,7 +355,7 @@ let test_worker_cert_after_spawner_reads () =
   let circuits =
     List.map (fun n -> Lazy.force (Iwls.find n).Iwls.circuit) [ "s298"; "s344" ]
   in
-  Parallel.Pool.run ~jobs:2 (fun pool ->
+  Parallel.Pool.run ~workers:2 (fun pool ->
       let read l = List.iter (fun (_, th) -> ignore (Kernel.concl th)) l in
       read (Kernel.axioms ());
       read (Kernel.definitions ());

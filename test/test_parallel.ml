@@ -21,7 +21,7 @@ let map_list pool f xs =
 (* ------------------------------------------------------------------ *)
 
 let test_map_ordering () =
-  Parallel.Pool.run ~jobs:4 (fun pool ->
+  Parallel.Pool.run ~workers:4 (fun pool ->
       let xs = List.init 40 Fun.id in
       let ys = map_list pool (fun x -> x * x) xs in
       Alcotest.(check (list int)) "results in submission order"
@@ -29,18 +29,18 @@ let test_map_ordering () =
         ys)
 
 let test_inline_pool () =
-  (* jobs below 1 clamp to 1: inline too *)
+  (* worker counts below 0 clamp to 0: inline too *)
   List.iter
-    (fun jobs ->
-      Parallel.Pool.run ~jobs (fun pool ->
+    (fun workers ->
+      Parallel.Pool.run ~workers (fun pool ->
           let ran = ref false in
           let fut = Parallel.Pool.submit pool (fun () -> ran := true; 7) in
           check "inline task ran before await" true !ran;
           check_int "inline result" 7 (Parallel.Pool.await fut)))
-    [ 1; 0 ]
+    [ 0; -1 ]
 
 let test_exception_propagation () =
-  Parallel.Pool.run ~jobs:2 (fun pool ->
+  Parallel.Pool.run ~workers:2 (fun pool ->
       let fut = Parallel.Pool.submit pool (fun () -> failwith "boom") in
       let ok = Parallel.Pool.submit pool (fun () -> 1) in
       (match Parallel.Pool.await fut with
@@ -51,7 +51,7 @@ let test_exception_propagation () =
 let test_deadline_expired_in_queue () =
   (* Both workers sleep; by the time the dated task is dequeued its
      deadline has passed, so it must be cancelled without running. *)
-  Parallel.Pool.run ~jobs:2 (fun pool ->
+  Parallel.Pool.run ~workers:2 (fun pool ->
       let blockers =
         List.init 2 (fun _ ->
             Parallel.Pool.submit pool (fun () -> Unix.sleepf 0.5))
@@ -77,7 +77,7 @@ let test_deadline_injected_clock () =
   let fake = Atomic.make 1_000_000.0 in
   Logic.Clock.set_source (fun () -> Atomic.get fake);
   Fun.protect ~finally:Logic.Clock.use_monotonic @@ fun () ->
-  Parallel.Pool.run ~jobs:1 (fun pool ->
+  Parallel.Pool.run ~workers:0 (fun pool ->
       let deadline = Logic.Clock.now () +. 0.001 in
       let fut =
         Parallel.Pool.submit ~deadline pool (fun () ->
@@ -104,7 +104,7 @@ let test_closed_loop_one_worker () =
   (* Each task is awaited before the next is submitted, so one worker
      always suffices: the pool must not spawn a second. *)
   let ids =
-    Parallel.Pool.run ~jobs:4 (fun pool ->
+    Parallel.Pool.run ~workers:4 (fun pool ->
         List.init 20 (fun _ ->
             Parallel.Pool.await (Parallel.Pool.submit pool domain_id)))
   in
@@ -124,7 +124,7 @@ let test_waiting_tasks_get_workers () =
     done;
     (Atomic.get arrived = 2, domain_id ())
   in
-  match Parallel.Pool.run ~jobs:2 (fun pool -> map_list pool meet [ (); () ])
+  match Parallel.Pool.run ~workers:2 (fun pool -> map_list pool meet [ (); () ])
   with
   | [ (met_a, id_a); (met_b, id_b) ] ->
       check "the first task met the second" true met_a;
@@ -134,11 +134,22 @@ let test_waiting_tasks_get_workers () =
 
 let test_burst_bounded_by_jobs () =
   let ids =
-    Parallel.Pool.run ~jobs:3 (fun pool ->
+    Parallel.Pool.run ~workers:3 (fun pool ->
         map_list pool (fun _ -> domain_id ()) (List.init 40 Fun.id))
   in
   check "at most 3 worker domains" true
     (List.length (List.sort_uniq compare ids) <= 3)
+
+let test_one_worker_pool () =
+  (* One worker is a worker domain, not the caller: a burst that queues
+     behind it waits for it rather than running inline or spawning. *)
+  let ids =
+    Parallel.Pool.run ~workers:1 (fun pool ->
+        map_list pool (fun _ -> domain_id ()) (List.init 40 Fun.id))
+  in
+  check_int "one domain ran every task" 1
+    (List.length (List.sort_uniq compare ids));
+  check "and it is not the caller's" true (List.hd ids <> domain_id ())
 
 (* ------------------------------------------------------------------ *)
 (* Concurrency stress: engines across domains                          *)
@@ -177,7 +188,7 @@ let test_stress_verdicts_match_sequential () =
   (* sequential reference, in the main domain *)
   let seq_engines = List.map (fun (_, c, r) -> engine_outcomes c r) pairs in
   let seq_hash = List.map (fun (_, c, _) -> hash_outcome c) pairs in
-  Parallel.Pool.run ~jobs:4 (fun pool ->
+  Parallel.Pool.run ~workers:4 (fun pool ->
       let eng_futs =
         List.map
           (fun (_, c, r) ->
@@ -229,7 +240,7 @@ let test_worker_state_stays_local () =
   check "main domain counted kernel work" true (main_apps > 0);
   let circuits = List.map Fig2.gate [ 2; 3; 3; 4 ] in
   let round () =
-    Parallel.Pool.run ~jobs:2 (fun pool ->
+    Parallel.Pool.run ~workers:2 (fun pool ->
         map_list pool retime_rule_apps circuits)
   in
   let worker_apps = List.nth (round ()) 3 in
@@ -278,7 +289,7 @@ let test_worker_manager_fresh_and_reused () =
     (manager_nodes () > fresh_nodes);
   let _, reused0 = Engines.Common.bdd_domain_stats () in
   let probes, par =
-    Parallel.Pool.run ~jobs:2 (fun pool ->
+    Parallel.Pool.run ~workers:2 (fun pool ->
         let probes =
           List.init 2 (fun _ ->
               Parallel.Pool.submit pool manager_nodes)
@@ -303,7 +314,7 @@ let test_stress_interning_integrity () =
      table, not a corrupt copy. *)
   let seeded_ty = Hol.Ty.bool in
   let probes =
-    Parallel.Pool.run ~jobs:4 (fun pool ->
+    Parallel.Pool.run ~workers:4 (fun pool ->
         map_list pool
           (fun i ->
             let open Hol in
@@ -328,7 +339,7 @@ let test_stress_interning_integrity () =
     probes
 
 let test_submit_after_shutdown () =
-  let pool = Parallel.Pool.create ~jobs:2 () in
+  let pool = Parallel.Pool.create ~workers:2 in
   Parallel.Pool.shutdown pool;
   match Parallel.Pool.submit pool (fun () -> 1) with
   | _ -> Alcotest.fail "submit after shutdown must raise"
@@ -352,6 +363,8 @@ let suite =
       `Quick test_waiting_tasks_get_workers;
     Alcotest.test_case "a burst spawns at most jobs workers" `Quick
       test_burst_bounded_by_jobs;
+    Alcotest.test_case "a one-worker pool runs a burst on one worker domain"
+      `Quick test_one_worker_pool;
     Alcotest.test_case "stress: verdicts match sequential" `Slow
       test_stress_verdicts_match_sequential;
     Alcotest.test_case "stress: interning integrity" `Quick
