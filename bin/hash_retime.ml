@@ -67,82 +67,87 @@ let run list_them name n level show_theorem verify deadline cert_file =
     0
   end
   else
-    match get_circuit name n with
+    (* the circuit's builder rejects a width it cannot represent, and
+       [Cut.maximal] a circuit with no retimable cut *)
+    match
+      Option.map
+        (fun c ->
+          let c = if level = Hash.Embed.Bit_level then bit_blasted c else c in
+          (c, Cut.maximal c))
+        (get_circuit name n)
+    with
+    | exception (Circuit.Invalid_netlist msg | Cut.Invalid_cut msg) ->
+        Printf.eprintf "%s: %s\n" name msg;
+        1
     | None ->
         Printf.eprintf "unknown circuit %s (try --list)\n" name;
         1
-    | Some c -> (
-        let c = if level = Hash.Embed.Bit_level then bit_blasted c else c in
+    | Some (c, cut) -> (
         Format.printf "circuit: %a@." Circuit.pp_stats c;
-        match Cut.maximal c with
-        | exception Failure msg ->
-            Printf.eprintf "no retimable cut: %s\n" msg;
+        Format.printf "cut: %d f-gates, %d boundary, %d pass-through@."
+          (List.length cut.Cut.f_gates)
+          (List.length cut.Cut.boundary)
+          (List.length cut.Cut.passthrough);
+        if cert_file <> None then Logic.Kernel.start_recording ();
+        match
+          Engines.Common.observe ~engine:"hash" (fun () ->
+              (Hash.Synthesis.retime level c cut, []))
+        with
+        | exception Hash.Errors.Cut_mismatch msg ->
+            if cert_file <> None then
+              ignore (Logic.Kernel.stop_recording ());
+            Printf.eprintf "cut mismatch: %s\n" msg;
             1
-        | cut -> (
-            Format.printf "cut: %d f-gates, %d boundary, %d pass-through@."
-              (List.length cut.Cut.f_gates)
-              (List.length cut.Cut.boundary)
-              (List.length cut.Cut.passthrough);
-            if cert_file <> None then Logic.Kernel.start_recording ();
-            match
-              Engines.Common.observe ~engine:"hash" (fun () ->
-                  (Hash.Synthesis.retime level c cut, []))
-            with
-            | exception Hash.Errors.Cut_mismatch msg ->
-                if cert_file <> None then
-                  ignore (Logic.Kernel.stop_recording ());
-                Printf.eprintf "cut mismatch: %s\n" msg;
-                1
-            | { Obs.result = step; wall_s = dt; _ } ->
-                Format.printf "retimed: %a@." Circuit.pp_stats
-                  step.Hash.Synthesis.after;
-                Format.printf
-                  "formal synthesis time: %.3fs (split %.3f apply %.3f \
-                   join %.3f init %.3f)@."
-                  dt step.Hash.Synthesis.timings.Hash.Synthesis.t_split
-                  step.Hash.Synthesis.timings.Hash.Synthesis.t_apply
-                  step.Hash.Synthesis.timings.Hash.Synthesis.t_join
-                  step.Hash.Synthesis.timings.Hash.Synthesis.t_init;
-                if show_theorem then
-                  Format.printf "@.%s@."
-                    (Logic.Kernel.string_of_thm step.Hash.Synthesis.theorem);
-                (match cert_file with
-                | None -> ()
-                | Some file -> (
-                    match Logic.Kernel.stop_recording () with
+        | { Obs.result = step; wall_s = dt; _ } ->
+            Format.printf "retimed: %a@." Circuit.pp_stats
+              step.Hash.Synthesis.after;
+            Format.printf
+              "formal synthesis time: %.3fs (split %.3f apply %.3f \
+               join %.3f init %.3f)@."
+              dt step.Hash.Synthesis.timings.Hash.Synthesis.t_split
+              step.Hash.Synthesis.timings.Hash.Synthesis.t_apply
+              step.Hash.Synthesis.timings.Hash.Synthesis.t_join
+              step.Hash.Synthesis.timings.Hash.Synthesis.t_init;
+            if show_theorem then
+              Format.printf "@.%s@."
+                (Logic.Kernel.string_of_thm step.Hash.Synthesis.theorem);
+            (match cert_file with
+            | None -> ()
+            | Some file -> (
+                match Logic.Kernel.stop_recording () with
+                | Error msg ->
+                    Printf.eprintf "certificate recording failed: %s\n"
+                      msg;
+                    exit 1
+                | Ok tr -> (
+                    match Cert.emit tr step.Hash.Synthesis.theorem with
                     | Error msg ->
-                        Printf.eprintf "certificate recording failed: %s\n"
-                          msg;
+                        Printf.eprintf
+                          "certificate emission failed: %s\n" msg;
                         exit 1
-                    | Ok tr -> (
-                        match Cert.emit tr step.Hash.Synthesis.theorem with
-                        | Error msg ->
-                            Printf.eprintf
-                              "certificate emission failed: %s\n" msg;
-                            exit 1
-                        | Ok text ->
-                            let oc = open_out_bin file in
-                            output_string oc text;
-                            close_out oc;
-                            Format.printf
-                              "certificate: %s (%d inference steps, %d \
-                               bytes)@."
-                              file
-                              (cert_inferences text)
-                              (String.length text))));
-                (match verify with
-                | None -> ()
-                | Some (engine, equiv) ->
-                    let run =
-                      equiv
-                        (Engines.Common.budget_of_seconds deadline)
-                        (bit_blasted c)
-                        (bit_blasted step.Hash.Synthesis.after)
-                    in
-                    Format.printf "%s cross-check: %s (%.3fs)@." engine
-                      (Engines.Common.result_to_string run.Obs.result)
-                      run.Obs.wall_s);
-                0))
+                    | Ok text ->
+                        let oc = open_out_bin file in
+                        output_string oc text;
+                        close_out oc;
+                        Format.printf
+                          "certificate: %s (%d inference steps, %d \
+                           bytes)@."
+                          file
+                          (cert_inferences text)
+                          (String.length text))));
+            (match verify with
+            | None -> ()
+            | Some (engine, equiv) ->
+                let run =
+                  equiv
+                    (Engines.Common.budget_of_seconds deadline)
+                    (bit_blasted c)
+                    (bit_blasted step.Hash.Synthesis.after)
+                in
+                Format.printf "%s cross-check: %s (%.3fs)@." engine
+                  (Engines.Common.result_to_string run.Obs.result)
+                  run.Obs.wall_s);
+            0)
 
 let cmd =
   let list_them =

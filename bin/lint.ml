@@ -2,9 +2,10 @@
 
    Two modes:
    - tree mode (no file arguments): scan lib/**/*.ml and bin/**/*.ml
-     under --root with the scopes of --config, check the lib/ exports
-     against the typed trees dune wrote (unused-export), report stale
-     allowlist entries, and exit non-zero on any unallowlisted finding;
+     under --root, each rule within its path scope, check the lib/
+     exports against the typed trees dune wrote (unused-export), report
+     stale allowlist entries, and exit non-zero on any finding that
+     --config does not exempt;
    - file mode (explicit .ml paths): check each file with every per-file
      rule in force regardless of scopes — what the CI seeded-violation
      check and ad-hoc fixture runs want.
@@ -22,7 +23,7 @@ let () =
   let files = ref [] in
   let spec =
     [
-      ("--config", Arg.Set_string config_path, "FILE allowlist/scope config");
+      ("--config", Arg.Set_string config_path, "FILE exemption inventory (lint.config)");
       ("--root", Arg.Set_string root, "DIR repository root (tree mode)");
       ("--json", Arg.Set_string json_out, "FILE write a BENCH_lint summary");
       ("-v", Arg.Set verbose, " also print the exemption inventory");
@@ -45,7 +46,7 @@ let () =
                 ~finally:(fun () -> close_in_noerr ic)
                 (fun () -> really_input_string ic (in_channel_length ic))
             in
-            let r = Lintpass.check_source ~config ~scoped:false ~file:f src in
+            let r = Lintpass.check_source ~config ~file:f src in
             {
               Lintpass.files = acc.Lintpass.files + r.Lintpass.files;
               violations = acc.Lintpass.violations @ r.Lintpass.violations;

@@ -44,12 +44,15 @@ let rules =
 
 let known_rule r = List.mem_assoc r rules
 
-(* Default path scopes, overridable per rule by `scope` lines.  The
-   HOL-style [Failure] surface of lib/hol, lib/logic and lib/automata is
-   the documented kernel idiom (dest_* / conversions signal "no match"
-   with Failure, exactly as in HOL Light), so those libraries are outside
-   the typed-errors scope by default rather than drowning the allowlist. *)
-let default_scopes =
+(* Where each rule applies.  The HOL-style [Failure] surface of lib/hol,
+   lib/logic and lib/automata is the documented kernel idiom (dest_* /
+   conversions signal "no match" with Failure, exactly as in HOL Light,
+   and Drule/Conv combinators catch it to sequence proof attempts), so
+   those libraries are outside the typed-errors scope rather than
+   drowning the allowlist.  Everything the outside world calls through
+   (netlist parsing, the daemon, the engines, the fault campaign,
+   retiming, circuit generators) must raise the typed taxonomy. *)
+let scopes =
   [
     (rule_kernel, [ "lib/"; "bin/" ]);
     (rule_typed,
@@ -83,7 +86,7 @@ type report = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Configuration: scopes, exceptions, and the allowlist                *)
+(* Configuration: exceptions and the allowlist                        *)
 (* ------------------------------------------------------------------ *)
 
 module Config = struct
@@ -95,12 +98,11 @@ module Config = struct
   }
 
   type t = {
-    scopes : (string * string list) list;  (* overrides default_scopes *)
     excepts : (string * string) list;  (* rule, path prefix *)
     entries : entry list;
   }
 
-  let empty = { scopes = []; excepts = []; entries = [] }
+  let empty = { excepts = []; entries = [] }
 
   let config_error fmt = Format.kasprintf (fun s -> raise (Config_error s)) fmt
 
@@ -114,7 +116,7 @@ module Config = struct
 
   let parse ~file text =
     let lines = String.split_on_char '\n' text in
-    let scopes = ref [] and excepts = ref [] and entries = ref [] in
+    let excepts = ref [] and entries = ref [] in
     List.iteri
       (fun i line ->
         let lnum = i + 1 in
@@ -122,9 +124,6 @@ module Config = struct
         if line = "" || line.[0] = '#' then ()
         else
           match split_ws line with
-          | "scope" :: rule :: (_ :: _ as prefixes) ->
-              check_rule ~file ~lnum rule;
-              scopes := (rule, prefixes) :: !scopes
           | "except" :: [ rule; prefix ] ->
               check_rule ~file ~lnum rule;
               excepts := (rule, prefix) :: !excepts
@@ -145,11 +144,7 @@ module Config = struct
           | w :: _ -> config_error "%s:%d unknown directive %S" file lnum w
           | [] -> ())
       lines;
-    {
-      scopes = List.rev !scopes;
-      excepts = List.rev !excepts;
-      entries = List.rev !entries;
-    }
+    { excepts = List.rev !excepts; entries = List.rev !entries }
 
   let of_file path =
     let ic = open_in_bin path in
@@ -159,19 +154,12 @@ module Config = struct
 
   let allow_count t = List.length t.entries
 
-  let prefixes t rule =
-    match List.assoc_opt rule t.scopes with
-    | Some ps -> ps
-    | None -> ( match List.assoc_opt rule default_scopes with
-      | Some ps -> ps
-      | None -> [])
-
   let starts_with ~prefix s =
     String.length s >= String.length prefix
     && String.sub s 0 (String.length prefix) = prefix
 
   let in_scope t ~file rule =
-    List.exists (fun p -> starts_with ~prefix:p file) (prefixes t rule)
+    List.exists (fun p -> starts_with ~prefix:p file) (List.assoc rule scopes)
     && not
          (List.exists
             (fun (r, p) -> r = rule && starts_with ~prefix:p file)
@@ -203,22 +191,6 @@ let last_two p =
   match List.rev p with b :: a :: _ -> Some (a, b) | _ -> None
 
 let line_of loc = loc.Location.loc_start.Lexing.pos_lnum
-
-let allow_rules_of_attr (a : attribute) =
-  if a.attr_name.txt <> "lint.allow" then []
-  else
-    match a.attr_payload with
-    | PStr items ->
-        List.filter_map
-          (fun it ->
-            match it.pstr_desc with
-            | Pstr_eval
-                ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _)
-              ->
-                Some s
-            | _ -> None)
-          items
-    | _ -> []
 
 (* A pattern that matches every exception: `_`, possibly aliased,
    constrained, or reached through an or-pattern arm. *)
@@ -363,25 +335,13 @@ let is_function_body e =
 (* One compilation unit                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Raw findings plus the [@lint.allow]-covered subset. *)
+(* Raw findings, before the allowlist. *)
 let scan_unit ~active ~file structure =
-  let findings = ref [] and attr_allowed = ref [] in
+  let findings = ref [] in
   let symbol = ref "" in
-  (* active [@lint.allow] scopes: file-wide floating attributes plus a
-     stack entry per attributed node currently being visited *)
-  let file_allows =
-    List.concat_map
-      (fun it ->
-        match it.pstr_desc with
-        | Pstr_attribute a -> allow_rules_of_attr a
-        | _ -> [])
-      structure
-  in
-  let allow_stack = ref [ file_allows ] in
-  let allowed_now rule = List.exists (List.mem rule) !allow_stack in
   let emit ?(sym = None) rule loc msg =
-    if active rule then begin
-      let f =
+    if active rule then
+      findings :=
         {
           file;
           line = line_of loc;
@@ -389,10 +349,7 @@ let scan_unit ~active ~file structure =
           symbol = (match sym with Some s -> s | None -> !symbol);
           msg;
         }
-      in
-      if allowed_now rule then attr_allowed := f :: !attr_allowed
-      else findings := f :: !findings
-    end
+        :: !findings
   in
   (* field names declared mutable anywhere in this file *)
   let mutable_fields = Hashtbl.create 16 in
@@ -514,21 +471,14 @@ let scan_unit ~active ~file structure =
       Ast_iterator.default_iterator with
       expr =
         (fun self e ->
-          let pushed = List.concat_map allow_rules_of_attr e.pexp_attributes in
-          allow_stack := pushed :: !allow_stack;
           check_expr e;
-          Ast_iterator.default_iterator.expr self e;
-          allow_stack := List.tl !allow_stack);
+          Ast_iterator.default_iterator.expr self e);
       structure_item =
         (fun self it ->
           (match it.pstr_desc with
           | Pstr_value (_, vbs) ->
               List.iter
                 (fun vb ->
-                  let pushed =
-                    List.concat_map allow_rules_of_attr vb.pvb_attributes
-                  in
-                  allow_stack := pushed :: !allow_stack;
                   (match binding_name vb.pvb_pat with
                   | Some n ->
                       symbol := n;
@@ -547,14 +497,13 @@ let scan_unit ~active ~file structure =
                                  what n))
                           (strip_constraint vb.pvb_expr)
                   | None -> ());
-                  self.value_binding self vb;
-                  allow_stack := List.tl !allow_stack)
+                  self.value_binding self vb)
                 vbs
           | _ -> Ast_iterator.default_iterator.structure_item self it));
     }
   in
   iter.structure iter structure;
-  (List.rev !findings, List.rev !attr_allowed)
+  List.rev !findings
 
 let parse_structure ~file source =
   let lexbuf = Lexing.from_string source in
@@ -590,23 +539,14 @@ let split_allowed config findings =
     findings;
   (List.rev !violations, List.rev !allowed, used)
 
-let check_source ?(config = Config.empty) ?(scoped = false) ~file source =
-  let active rule =
-    (not scoped) || Config.in_scope config ~file rule
-  in
+let check_source ?(config = Config.empty) ~file source =
   match parse_structure ~file source with
   | exception ((Syntaxerr.Error _ | Lexer.Error _) as e) ->
       { files = 1; violations = [ parse_error_finding ~file e ]; allowed = [] }
   | structure ->
-      let findings, attr_allowed = scan_unit ~active ~file structure in
+      let findings = scan_unit ~active:(fun _ -> true) ~file structure in
       let violations, allowed, _ = split_allowed config findings in
-      {
-        files = 1;
-        violations;
-        allowed =
-          allowed
-          @ List.map (fun f -> (f, "[@lint.allow] attribute")) attr_allowed;
-      }
+      { files = 1; violations; allowed }
 
 (* ------------------------------------------------------------------ *)
 (* Exports and their references (rule unused-export)                   *)
@@ -958,7 +898,7 @@ let check_tree ~config ~root =
         let active rule = Config.in_scope config ~file rule in
         match parse_structure ~file (read_file path) with
         | exception ((Syntaxerr.Error _ | Lexer.Error _) as e) ->
-            ([ parse_error_finding ~file e ], [])
+            [ parse_error_finding ~file e ]
         | structure -> scan_unit ~active ~file structure)
       files
   in
@@ -969,7 +909,7 @@ let check_tree ~config ~root =
       (export_findings ~root)
   in
   let violations, allowed, used =
-    split_allowed config (List.concat_map fst scanned @ exports)
+    split_allowed config (List.concat scanned @ exports)
   in
   (* an allow entry that excuses nothing is itself a finding: the
      inventory must shrink with the code it describes *)
@@ -987,18 +927,13 @@ let check_tree ~config ~root =
                  e.Config.e_rule e.Config.e_path e.Config.e_symbol;
            })
   in
-  let attr_allowed =
-    List.concat_map
-      (fun (_, a) -> List.map (fun f -> (f, "[@lint.allow] attribute")) a)
-      scanned
-  in
   let by_pos a b =
     match compare a.file b.file with 0 -> compare a.line b.line | c -> c
   in
   {
     files = List.length files;
     violations = List.sort by_pos (violations @ stale);
-    allowed = List.sort (fun (a, _) (b, _) -> by_pos a b) (allowed @ attr_allowed);
+    allowed = List.sort (fun (a, _) (b, _) -> by_pos a b) allowed;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -12,7 +12,8 @@
     disciplines are properties of the tree that CI re-checks on every
     change.
 
-    Six rules (names are what [lint.config] and [\[@lint.allow\]] use):
+    Six rules (names are what [lint.config] uses), each applied to the
+    paths fixed beside it in [lintpass.ml]:
 
     - ["kernel-boundary"] — outside the kernel, no [Obj.magic] /
       [Obj.repr] / [Obj.obj], no [Marshal], no record literal shaped like
@@ -53,11 +54,11 @@ module Config : sig
   type t
 
   val empty : t
-  (** No allowlist, default scopes. *)
+  (** No exemptions. *)
 
   val parse : file:string -> string -> t
-  (** Parse [lint.config] text.  Directives, one per line:
-      [scope RULE PREFIX..] replaces the rule's default path scope;
+  (** Parse [lint.config] text, the only inventory of exemptions.
+      Directives, one per line:
       [except RULE PREFIX] exempts a subtree (the kernel itself);
       [allow RULE PATH SYMBOL -- justification] exempts one finding,
       identified by repo-relative path and nearest enclosing top-level
@@ -86,20 +87,19 @@ type report = {
   allowed : (finding * string) list;  (** exempted, with justification *)
 }
 
-val check_source : ?config:Config.t -> ?scoped:bool -> file:string ->
-  string -> report
+val check_source : ?config:Config.t -> file:string -> string -> report
 (** Analyse one compilation unit given as text.  [file] is the
-    repo-relative path used for scoping and reporting.  With
-    [~scoped:false] (the default) every per-file rule (all but
-    ["unused-export"]) applies regardless of the config's path scopes —
-    what fixture tests and the CI seeded-violation check want.  A file
-    that does not parse yields a ["parse-error"] violation rather than
-    an exception. *)
+    repo-relative path used for reporting and for the config's allow
+    entries.  Every per-file rule (all but ["unused-export"]) applies
+    whatever the path — what fixture tests and the CI seeded-violation
+    check want.  A file that does not parse yields a ["parse-error"]
+    violation rather than an exception. *)
 
 val check_tree : config:Config.t -> root:string -> report
-(** Scan [root/lib/**/*.ml] and [root/bin/**/*.ml] with the config's
-    scopes, and apply ["unused-export"] to the typed trees under [root]
-    (or under [root/_build/default] when [root] is a source checkout);
+(** Scan [root/lib/**/*.ml] and [root/bin/**/*.ml], each rule within
+    its path scope and outside the config's [except] subtrees, and apply
+    ["unused-export"] to the typed trees under [root] (or under
+    [root/_build/default] when [root] is a source checkout);
     without any [lib/] [.cmti] that rule reports a violation instead of
     passing.  Then append one ["stale-allow"] violation for every
     allowlist entry that matched nothing — so the inventory cannot

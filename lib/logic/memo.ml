@@ -23,14 +23,15 @@ type 'a t = {
   mutable vals : 'a option array;
   mutable mask : int;
   mutable count : int;
-  bits : int;
-  cap : int; (* entries allowed before [new_call] releases the table *)
   counters : counters;
 }
 
+let bits = 12 (* a table starts at 2^bits slots *)
+let cap = 2_000_000 (* entries allowed before [new_call] releases a table *)
+
 let release t =
   if t.count > 0 then begin
-    let size = 1 lsl t.bits in
+    let size = 1 lsl bits in
     t.keys <- Array.make size (-1);
     t.vals <- Array.make size None;
     t.mask <- size - 1;
@@ -57,7 +58,7 @@ let hash_key k =
   let h = (h lxor (h lsr 16)) * 0x85ebca6b in
   (h lxor (h lsr 13)) land max_int
 
-let create ?(bits = 10) ?(cap = 2_000_000) () =
+let create () =
   let size = 1 lsl bits in
   let t =
     {
@@ -65,15 +66,13 @@ let create ?(bits = 10) ?(cap = 2_000_000) () =
       vals = Array.make size None;
       mask = size - 1;
       count = 0;
-      bits;
-      cap;
       counters = Domain.DLS.get c_key;
     }
   in
   on_release (fun () -> release t);
   t
 
-let new_call t = if t.count > t.cap then release t
+let new_call t = if t.count > cap then release t
 
 let find t id =
   let mask = t.mask and c = t.counters in

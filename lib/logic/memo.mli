@@ -5,15 +5,15 @@
     in use (eviction mid-recursion on a shared dag spine would cause
     exponential re-expansion).  A table is released wholesale instead:
     at the end of each HASH step ({!release_domain}), or by {!new_call}
-    once it holds more than [cap] entries. *)
+    once it holds more than 2M entries. *)
 
 type 'a t
 
-val create : ?bits:int -> ?cap:int -> unit -> 'a t
-(** [create ~bits ~cap ()] makes a table with initial size [2^bits]
-    (default 10) that {!new_call} releases once it holds more than [cap]
-    (default 2M) entries.  Its lookups count toward the {!stats} of the
-    creating domain, so a table is used only on that domain. *)
+val create : unit -> 'a t
+(** [create ()] makes a table with initial size [2^12] that {!new_call}
+    releases once it holds more than 2M entries.  Its lookups count
+    toward the {!stats} of the creating domain, so a table is used only
+    on that domain. *)
 
 val new_call : 'a t -> unit
 (** Declare a top-level call boundary: the only point where a release
@@ -27,7 +27,7 @@ val add : 'a t -> int -> 'a -> unit
 
 val release_domain : unit -> unit
 (** Empty every memo table ever created on the calling domain, resetting
-    each to its initial [2^bits] arrays so no cached value stays
+    each to its initial [2^12] arrays so no cached value stays
     reachable.  Called when a HASH step returns or raises
     ({!Conv.with_step}), and by [Kernel.start_recording] so that no
     theorem memoised before the trace began can leak into a recorded

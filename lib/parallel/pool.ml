@@ -1,16 +1,16 @@
 (* A pool of at most [size] OCaml 5 domains with a shared work queue and
    futures.  Built for the bench fleet: every (circuit, engine) cell is an
-   independent computation, so the pool only needs submit/await, per-task
-   exception capture and dropping queued tasks whose deadline has passed
-   — no work stealing, no nested parallelism.  A running task is never
-   interrupted: engines poll their own budgets.
+   independent computation, so the pool only needs submit/await and
+   per-task exception capture — no deadlines, no work stealing, no
+   nested parallelism.  A task runs to the end: engines poll their own
+   budgets, and a caller that must not start a task late (the daemon's
+   front door) checks its own deadline when the task starts.
 
    Concurrency structure: the queue is guarded by one mutex/condition
    pair; each future carries its own pair, so awaiting one future never
-   wakes unrelated waiters.  A future's thunk lives inside the future
-   (status [Pending thunk]); the queue holds only existentially-boxed
-   futures.  Workers pop, flip Pending -> Running outside the queue lock,
-   run the thunk, and publish Done/Failed under the future's lock.
+   wakes unrelated waiters.  The queue holds existentially-boxed
+   (future, thunk) pairs.  Workers pop one, run the thunk outside every
+   lock, and publish Done/Failed under the future's lock.
 
    Workers are spawned on demand: [submit] spawns one only when the task
    it enqueues would otherwise wait (more queued tasks than free
@@ -37,24 +37,20 @@
    That is all a worker inherits: any other state a task uses (BDD
    managers, memo tables) it builds in its own domain. *)
 
-exception Cancelled
 exception Shutdown
 
 type 'a status =
-  | Pending of (unit -> 'a)
-  | Running
+  | Pending
   | Done of 'a
   | Failed of exn * Printexc.raw_backtrace
-  | Killed  (* its deadline passed before it started *)
 
 type 'a future = {
   f_mu : Mutex.t;
   f_cv : Condition.t;
   mutable status : 'a status;
-  deadline : float option; (* absolute monotonic time (Logic.Clock.now) *)
 }
 
-type job = Job : 'a future -> job
+type job = Job : 'a future * (unit -> 'a) -> job
 
 type t = {
   size : int;
@@ -79,25 +75,10 @@ type t = {
 (* Running a job                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let expired = function
-  | Some d -> Logic.Clock.now () > d
-  | None -> false
-
 (* [finished] runs after the task and before its result is published. *)
-let run_job (type a) ~finished (fut : a future) =
-  Mutex.lock fut.f_mu;
+let run_job ~finished fut thunk =
   let status =
-    match fut.status with
-    | Pending thunk when not (expired fut.deadline) ->
-        fut.status <- Running;
-        Mutex.unlock fut.f_mu;
-        (try Done (thunk ())
-         with e -> Failed (e, Printexc.get_raw_backtrace ()))
-    | _ ->
-        (* dead on arrival: its deadline passed while it sat in the queue
-           (a job runs once, so its status is still [Pending] here) *)
-        Mutex.unlock fut.f_mu;
-        Killed
+    try Done (thunk ()) with e -> Failed (e, Printexc.get_raw_backtrace ())
   in
   finished ();
   Mutex.lock fut.f_mu;
@@ -126,8 +107,8 @@ let rec worker_loop pool =
   Mutex.unlock pool.q_mu;
   match job with
   | None -> ()
-  | Some (Job fut) ->
-      run_job fut ~finished:(fun () ->
+  | Some (Job (fut, thunk)) ->
+      run_job fut thunk ~finished:(fun () ->
           Mutex.protect pool.q_mu (fun () -> pool.free <- pool.free + 1));
       worker_loop pool
 
@@ -160,14 +141,9 @@ let create ~workers =
     inline_mu = Mutex.create ();
   }
 
-let submit ?deadline pool thunk =
+let submit pool thunk =
   let fut =
-    {
-      f_mu = Mutex.create ();
-      f_cv = Condition.create ();
-      status = Pending thunk;
-      deadline;
-    }
+    { f_mu = Mutex.create (); f_cv = Condition.create (); status = Pending }
   in
   if pool.size = 0 then begin
     (* inline pool: same contract as the queued path.  Concurrent
@@ -180,7 +156,7 @@ let submit ?deadline pool thunk =
     Mutex.lock pool.inline_mu;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock pool.inline_mu)
-      (fun () -> run_job fut ~finished:ignore)
+      (fun () -> run_job fut thunk ~finished:ignore)
   end
   else
     Mutex.protect pool.q_mu (fun () ->
@@ -190,7 +166,7 @@ let submit ?deadline pool thunk =
           Queue.length pool.q >= pool.free
           && List.length pool.workers < pool.size
         then spawn_worker pool;
-        Queue.push (Job fut) pool.q;
+        Queue.push (Job (fut, thunk)) pool.q;
         Condition.signal pool.q_cv);
   fut
 
@@ -198,7 +174,7 @@ let await fut =
   Mutex.lock fut.f_mu;
   let rec wait () =
     match fut.status with
-    | Pending _ | Running ->
+    | Pending ->
         Condition.wait fut.f_cv fut.f_mu;
         wait ()
     | Done v ->
@@ -207,9 +183,6 @@ let await fut =
     | Failed (e, bt) ->
         Mutex.unlock fut.f_mu;
         Printexc.raise_with_backtrace e bt
-    | Killed ->
-        Mutex.unlock fut.f_mu;
-        raise Cancelled
   in
   wait ()
 

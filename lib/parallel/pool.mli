@@ -4,11 +4,11 @@
     Built for fleets of independent computations (the bench's
     (circuit, engine) cells): submit thunks, await results in whatever
     order you like, exceptions are captured per task and re-raised at
-    {!await}.  Tasks may carry an absolute deadline; a task whose
-    deadline passes while it is still queued is cancelled instead of run.
-    A task that has started runs to the end: the pool never interrupts
-    it, so a long computation bounds itself with its own budget (the
-    engines' [Common.budget_of_seconds], HASH's [Conv.with_step]).
+    {!await}.  The pool knows no deadlines: every task runs, and runs to
+    the end, so a long computation bounds itself with its own budget
+    (the engines' [Common.budget_of_seconds], HASH's [Conv.with_step]),
+    and a task that must not start late checks the clock itself when it
+    starts (the daemon's front door, lib/serve).
 
     A pool of [0] workers spawns no domains: {!submit} runs each thunk
     inline in the calling domain, in submission order — bit-for-bit the
@@ -45,10 +45,6 @@ type t
 
 type 'a future
 
-exception Cancelled
-(** Raised by {!await} on a task whose deadline passed before it
-    started. *)
-
 exception Shutdown
 (** Raised by {!submit} on a pool that has been shut down (typed, so
     long-lived callers like the retiming server can map it to a
@@ -60,22 +56,17 @@ val create : workers:int -> t
     {!submit}.  The workers inherit the kernel snapshot described above
     and nothing else. *)
 
-val submit : ?deadline:float -> t -> (unit -> 'a) -> 'a future
-(** Enqueue a thunk; [deadline] is an absolute {!Logic.Clock.now} time
-    (monotonic — immune to wall-clock steps; compute it as
-    [Logic.Clock.now () +. budget_s]).  The deadline is judged once,
-    when a worker takes the task: past it, the task is dropped and
-    {!await} raises {!Cancelled}; before it, the task runs to the end.
-    On an inline pool the thunk runs before [submit] returns; otherwise
-    [submit] spawns a worker when the task would wait for one.
+val submit : t -> (unit -> 'a) -> 'a future
+(** Enqueue a thunk.  On an inline pool the thunk runs before [submit]
+    returns; otherwise [submit] spawns a worker when the task would wait
+    for one.
     @raise Shutdown if the pool has been shut down.
     @raise Failure if the pool has no worker and cannot spawn one; the
     task is then not queued. *)
 
 val await : 'a future -> 'a
 (** Block until the task resolves.  Re-raises the task's exception (with
-    its backtrace) if it failed; raises {!Cancelled} if it was
-    cancelled. *)
+    its backtrace) if it failed. *)
 
 val shutdown : t -> unit
 (** Drain the queue, then join every worker spawned so far.

@@ -44,7 +44,6 @@ let error_of_exn = function
   | Engines.Common.Unsupported msg -> (Unsupported, msg)
   | Engines.Common.Interface_mismatch msg -> (Interface_mismatch, msg)
   | Engines.Common.Out_of_budget -> (Deadline_exceeded, "deadline exceeded")
-  | Parallel.Pool.Cancelled -> (Deadline_exceeded, "deadline exceeded")
   | Parallel.Pool.Shutdown -> (Shutdown, "server is shutting down")
   | e -> (Internal, Printexc.to_string e)
 

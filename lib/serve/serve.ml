@@ -163,35 +163,41 @@ let hit_response t (req : request) ~digest e ~t0m =
    then — on a miss — the kernel work in the same task.  L2 hits and
    trust-boundary rejections are answered by a worker too, so the front
    door scales with the pool instead of saturating the one domain the
-   connection threads share.  [tkey] is the L1 key of a cacheable
-   (maximal-cut) request; explicit gate lists name signal indices of
-   this particular representation and are never served from (or stored
-   into) the caches.  No term crosses a domain: the netlist layer keeps
-   no mutable state beyond the call, and the cache holds strings behind
-   shard mutexes. *)
+   connection threads share.  A task that starts after its deadline
+   does none of it: the wait for a worker used the whole budget.  [tkey]
+   is the L1 key of a cacheable (maximal-cut) request; explicit gate
+   lists name signal indices of this particular representation and are
+   never served from (or stored into) the caches.  No term crosses a
+   domain: the netlist layer keeps no mutable state beyond the call, and
+   the cache holds strings behind shard mutexes. *)
 let front_door t (req : request) tkey ~deadline ~t0m () =
-  try
-    let circuit = Blif.of_string req.blif in
-    match tkey with
-    | None ->
-        Circuit.validate circuit;
-        run_and_respond t req circuit None ~deadline ~t0m
-    | Some text -> (
-        let fp = Fingerprint.of_circuit circuit in
-        match Proof_cache.find t.cache ~text req.level fp with
-        | Some e -> hit_response t req ~digest:(Fingerprint.digest fp) e ~t0m
-        | None ->
-            run_and_respond t req circuit (Some (text, fp)) ~deadline ~t0m)
-  with e ->
-    let code, msg = error_of_exn e in
-    error_response ?id:req.id code msg
+  if Logic.Clock.now () > deadline then
+    error_response ?id:req.id Deadline_exceeded
+      "deadline passed before the request was scheduled"
+  else
+    try
+      let circuit = Blif.of_string req.blif in
+      match tkey with
+      | None ->
+          Circuit.validate circuit;
+          run_and_respond t req circuit None ~deadline ~t0m
+      | Some text -> (
+          let fp = Fingerprint.of_circuit circuit in
+          match Proof_cache.find t.cache ~text req.level fp with
+          | Some e ->
+              hit_response t req ~digest:(Fingerprint.digest fp) e ~t0m
+          | None ->
+              run_and_respond t req circuit (Some (text, fp)) ~deadline ~t0m)
+    with e ->
+      let code, msg = error_of_exn e in
+      error_response ?id:req.id code msg
 
 (* The connection thread keeps only what needs no worker: the L1
    exact-text lookup, answered before the BLIF is even parsed, however
    the JSON line around it was spelled.  Everything else is one
    {!front_door} task, so an L1 miss — L2 hit and rejection included —
-   is bounded by its deadline from arrival: a task still queued when
-   the deadline passes answers [deadline_exceeded].  Deadlines are
+   is bounded by its deadline from arrival: a task that a worker starts
+   after the deadline answers [deadline_exceeded].  Deadlines are
    monotonic arithmetic: [t0m] came from {!Logic.Clock.now}, so a
    wall-clock step (NTP, manual reset) cannot expire — or resurrect —
    an in-flight request. *)
@@ -210,8 +216,7 @@ let submit_request t ~t0m (req : request) =
          that submitted again would deadlock there: [front_door] runs
          the kernel work itself and never touches the pool. *)
       match
-        Parallel.Pool.submit ~deadline t.pool
-          (front_door t req tkey ~deadline ~t0m)
+        Parallel.Pool.submit t.pool (front_door t req tkey ~deadline ~t0m)
       with
       | fut -> Queued (req.id, fut)
       | exception Parallel.Pool.Shutdown ->
@@ -268,9 +273,6 @@ let submit_line t line =
 let await_queued id fut =
   match Parallel.Pool.await fut with
   | r -> r
-  | exception Parallel.Pool.Cancelled ->
-      error_response ?id Deadline_exceeded
-        "deadline passed before the request was scheduled"
   | exception e ->
       let code, msg = error_of_exn e in
       error_response ?id code msg

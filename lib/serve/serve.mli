@@ -42,8 +42,8 @@
     A request's deadline runs from the moment its line is read.  It
     bounds waiting for a worker domain and running on it: every request
     that misses the exact-text cache — fingerprint hits and malformed
-    netlists included — is one pool task, and a task still queued when
-    the deadline passes answers ["deadline_exceeded"].  Exact-text
+    netlists included — is one pool task, and a task that starts after
+    the deadline answers ["deadline_exceeded"].  Exact-text
     repeats need no worker and are answered whatever the deadline.
 
     {3 Batching}

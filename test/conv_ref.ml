@@ -28,7 +28,7 @@ let memo_top_depth_conv c =
      theorems mention terms, and terms must not cross domains, so a
      worker always starts from an empty table.  All application sites
      are module-level bindings, so the number of DLS keys is bounded. *)
-  let memo_key = Domain.DLS.new_key (fun () : thm Memo.t -> Memo.create ~bits:12 ()) in
+  let memo_key = Domain.DLS.new_key (fun () : thm Memo.t -> Memo.create ()) in
   fun tm0 ->
     let memo = Domain.DLS.get memo_key in
     Memo.new_call memo;

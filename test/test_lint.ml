@@ -6,7 +6,7 @@
    lane gates. *)
 
 let check ?config src =
-  Lintpass.check_source ?config ~scoped:false ~file:"fixture.ml" src
+  Lintpass.check_source ?config ~file:"fixture.ml" src
 
 let violations ?config rule src =
   List.filter
@@ -169,12 +169,17 @@ let clock_fixtures =
 (* Allowlist mechanics                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let test_attribute_allow () =
+(* lint.config is the only inventory of exemptions: an attribute in the
+   source, which neither the allowlist ceiling nor stale-allow sees,
+   exempts nothing. *)
+let test_attribute_exempts_nothing () =
   let r =
     check "let table = Hashtbl.create 16 [@@lint.allow \"domain-safety\"]"
   in
-  Alcotest.(check int) "no violations" 0 (List.length r.Lintpass.violations);
-  Alcotest.(check int) "one allowed" 1 (List.length r.Lintpass.allowed)
+  Alcotest.(check (list string)) "the binding is a violation"
+    [ "domain-safety" ]
+    (List.map (fun f -> f.Lintpass.rule) r.Lintpass.violations);
+  Alcotest.(check int) "nothing allowed" 0 (List.length r.Lintpass.allowed)
 
 let test_config_allow () =
   let config =
@@ -182,7 +187,7 @@ let test_config_allow () =
       "allow domain-safety fixture.ml table -- guarded by mutex test_mu"
   in
   let r =
-    Lintpass.check_source ~config ~scoped:false ~file:"fixture.ml"
+    Lintpass.check_source ~config ~file:"fixture.ml"
       "let table = Hashtbl.create 16"
   in
   Alcotest.(check int) "no violations" 0 (List.length r.Lintpass.violations);
@@ -200,6 +205,14 @@ let test_config_rejects_unknown_rule () =
     (fun () ->
       ignore (Lintpass.Config.parse ~file:"test.config"
                 "allow no-such-rule a.ml x -- why"))
+
+(* Rule scopes live beside the rules in lintpass.ml, not in the config. *)
+let test_config_rejects_scope () =
+  Alcotest.check_raises "scope directive"
+    (Lintpass.Config_error "test.config:1 unknown directive \"scope\"")
+    (fun () ->
+      ignore (Lintpass.Config.parse ~file:"test.config"
+                "scope domain-safety lib/"))
 
 let test_parse_error_is_violation () =
   let r = check "let let let" in
@@ -397,9 +410,11 @@ let suite =
     (kernel_boundary_fixtures @ typed_errors_fixtures @ catch_all_fixtures
    @ domain_safety_fixtures @ clock_fixtures @ unused_export_fixtures
     @ [
-        ("attribute allow", test_attribute_allow);
+        ("an in-source [@lint.allow] exempts nothing",
+          test_attribute_exempts_nothing);
         ("config allow with justification", test_config_allow);
         ("config rejects unknown rule", test_config_rejects_unknown_rule);
+        ("a scope line is rejected", test_config_rejects_scope);
         ("parse error is a violation", test_parse_error_is_violation);
         ("multiple rules in one file", test_multiple_rules_one_file);
         ("whole tree runs clean", test_tree_is_clean);

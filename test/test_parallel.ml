@@ -1,6 +1,6 @@
 (* The domain pool and the domain-safety of the shared kernel state:
-   ordering and exception behaviour of futures, deadline cancellation,
-   and a concurrency stress test checking that engine verdicts from
+   ordering and exception behaviour of futures, workers spawned on
+   demand, and a concurrency stress test checking that engine verdicts from
    worker domains match the sequential run, that the seeded intern
    tables keep the physical-equality invariant inside workers, that a
    worker counts its own kernel work and leaves no state behind when it
@@ -47,55 +47,6 @@ let test_exception_propagation () =
       | _ -> Alcotest.fail "expected the task's exception"
       | exception Failure msg -> check "message survives" true (msg = "boom"));
       check_int "other tasks unaffected" 1 (Parallel.Pool.await ok))
-
-let test_deadline_expired_in_queue () =
-  (* Both workers sleep; by the time the dated task is dequeued its
-     deadline has passed, so it must be cancelled without running. *)
-  Parallel.Pool.run ~workers:2 (fun pool ->
-      let blockers =
-        List.init 2 (fun _ ->
-            Parallel.Pool.submit pool (fun () -> Unix.sleepf 0.5))
-      in
-      let ran = Atomic.make false in
-      let fut =
-        Parallel.Pool.submit
-          ~deadline:(Logic.Clock.now () +. 0.05)
-          pool
-          (fun () -> Atomic.set ran true)
-      in
-      (match Parallel.Pool.await fut with
-      | () -> Alcotest.fail "expected cancellation"
-      | exception Parallel.Pool.Cancelled -> ());
-      check "never ran" false (Atomic.get ran);
-      List.iter Parallel.Pool.await blockers)
-
-let test_deadline_injected_clock () =
-  (* Deadlines are judged against [Logic.Clock.now], not the wall clock:
-     with an injected source, expiry is driven purely by advancing the
-     fake time.  Real elapsed time while the clock is frozen must not
-     cancel anything; a simulated jump past the deadline must. *)
-  let fake = Atomic.make 1_000_000.0 in
-  Logic.Clock.set_source (fun () -> Atomic.get fake);
-  Fun.protect ~finally:Logic.Clock.use_monotonic @@ fun () ->
-  Parallel.Pool.run ~workers:0 (fun pool ->
-      let deadline = Logic.Clock.now () +. 0.001 in
-      let fut =
-        Parallel.Pool.submit ~deadline pool (fun () ->
-            (* real milliseconds pass; fake time does not *)
-            Unix.sleepf 0.01;
-            7)
-      in
-      check_int "frozen clock never expires a deadline" 7
-        (Parallel.Pool.await fut);
-      Atomic.set fake (deadline +. 1.0);
-      let ran = ref false in
-      let late =
-        Parallel.Pool.submit ~deadline pool (fun () -> ran := true)
-      in
-      (match Parallel.Pool.await late with
-      | () -> Alcotest.fail "expected cancellation after the clock jump"
-      | exception Parallel.Pool.Cancelled -> ());
-      check "expired task never ran" false !ran)
 
 (* Workers are spawned on demand; [Domain.self] tells them apart. *)
 let domain_id () = (Domain.self () :> int)
@@ -353,10 +304,6 @@ let suite =
       test_submit_after_shutdown;
     Alcotest.test_case "exception propagation" `Quick
       test_exception_propagation;
-    Alcotest.test_case "deadline expires in queue" `Quick
-      test_deadline_expired_in_queue;
-    Alcotest.test_case "deadline against an injected clock" `Quick
-      test_deadline_injected_clock;
     Alcotest.test_case "closed-loop tasks run on one worker" `Quick
       test_closed_loop_one_worker;
     Alcotest.test_case "tasks that wait for each other get their own workers"

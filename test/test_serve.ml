@@ -244,6 +244,28 @@ let test_tiny_deadline_front_door () =
   expect_error srv (request ~extra:tiny 4 "not blif at all")
     "deadline_exceeded"
 
+(* Deadlines are judged on [Logic.Clock.now], not the wall clock.
+   Under a frozen injected clock an L1 miss with a tiny deadline is
+   served however long its proof takes in real time; when the clock
+   jumps past the deadline between the request's arrival (the first
+   reading) and its start on a worker, it answers deadline_exceeded. *)
+let test_deadline_injected_clock () =
+  let srv = mk_server () in
+  Fun.protect
+    ~finally:(fun () ->
+      Logic.Clock.use_monotonic ();
+      Serve.shutdown srv)
+  @@ fun () ->
+  let tiny = [ ("deadline_s", J.Float 1e-6) ] in
+  let t0 = 1_000_000.0 in
+  Logic.Clock.set_source (fun () -> t0);
+  Alcotest.(check string) "frozen clock never expires a deadline" "ok"
+    (status (parse (Serve.handle_line srv (request ~extra:tiny 1 (blif_of 3)))));
+  let reads = Atomic.make 0 in
+  Logic.Clock.set_source (fun () ->
+      if Atomic.fetch_and_add reads 1 = 0 then t0 else t0 +. 1.0);
+  expect_error srv (request ~extra:tiny 2 (blif_of 4)) "deadline_exceeded"
+
 (* After the pool shuts down, the connection thread still answers what
    it owns (exact-text repeats); a respelling needs a worker. *)
 let test_shutdown_keeps_l1 () =
@@ -674,7 +696,6 @@ let test_error_of_exn () =
       check (Printexc.to_string e) true (fst (Protocol.error_of_exn e) = code))
     [
       (Engines.Common.Out_of_budget, Protocol.Deadline_exceeded);
-      (Parallel.Pool.Cancelled, Protocol.Deadline_exceeded);
       (Parallel.Pool.Shutdown, Protocol.Shutdown);
       (Failure "m", Protocol.Internal);
       (Not_found, Protocol.Internal);
@@ -1302,6 +1323,8 @@ let suite =
     Alcotest.test_case "unmeetable deadline" `Quick test_tiny_deadline;
     Alcotest.test_case "deadline covers the wait for a worker" `Quick
       test_tiny_deadline_front_door;
+    Alcotest.test_case "deadline against an injected clock" `Quick
+      test_deadline_injected_clock;
     Alcotest.test_case "shutdown leaves exact-text hits" `Quick
       test_shutdown_keeps_l1;
     Alcotest.test_case "worker hit reads as inline hit" `Quick
