@@ -55,8 +55,12 @@ let build_terms (e : Embed.t) f_gate_list =
      copy of the body.  Renaming a binder would cost that copy. *)
   let s_var = e.Embed.s_var in
   (* a gate's slot is read only once the topological pass below has
-     filled it: an f-gate reading a non-f gate is a false cut *)
-  let fwire = Array.make (Circuit.n_signals c) s_var in
+     filled it: an f-gate reading a non-f gate is a false cut.  The
+     wire arrays are made with an old constant term and then filled: an
+     [Array.make] of more than 256 slots with a young value (a fresh
+     variable) empties the minor heap first. *)
+  let fwire = Array.make (Circuit.n_signals c) Boolean.t_tm in
+  Array.fill fwire 0 (Array.length fwire) s_var;
   Array.iteri
     (fun s d ->
       match d with
@@ -103,7 +107,8 @@ let build_terms (e : Embed.t) f_gate_list =
   let x_var = Term.mk_var "s" x_ty in
   let i_var = e.Embed.i_var in
   let n_x = List.length x_components in
-  let gwire = Array.make (Circuit.n_signals c) x_var in
+  let gwire = Array.make (Circuit.n_signals c) Boolean.t_tm in
+  Array.fill gwire 0 (Array.length gwire) x_var;
   let n_in = Circuit.n_inputs c in
   (* the component of x holding a boundary gate (its first occurrence)
      or a passthrough register; -1 for none *)

@@ -58,9 +58,8 @@ module Config : sig
 
   val parse : file:string -> string -> t
   (** Parse [lint.config] text, the only inventory of exemptions.
-      Directives, one per line:
-      [except RULE PREFIX] exempts a subtree (the kernel itself);
-      [allow RULE PATH SYMBOL -- justification] exempts one finding,
+      One directive per line,
+      [allow RULE PATH SYMBOL -- justification], exempts one finding,
       identified by repo-relative path and nearest enclosing top-level
       binding ([*] matches any symbol).  The justification is mandatory:
       the file doubles as the reviewable TCB inventory.

@@ -78,15 +78,19 @@ let to_string c =
     c.input_widths;
   let nm = make_names c in
   let internal_name prefix i = internal nm (prefix ^ string_of_int i) in
-  (* every signal's name, resolved once *)
-  let names =
-    Array.mapi
-      (fun s -> function
+  (* every signal's name, resolved once, into an array made with a
+     constant: [Array.mapi] would make it with the first (young) name,
+     and an [Array.make] of more than 256 slots with a young value
+     empties the minor heap first *)
+  let names = Array.make (Array.length c.drivers) "" in
+  Array.iteri
+    (fun s d ->
+      names.(s) <-
+        (match d with
         | Input i -> internal_name "pi" i
         | Reg_out r -> internal_name "lq" r
-        | Gate _ -> internal_name "n" s)
-      c.drivers
-  in
+        | Gate _ -> internal_name "n" s))
+    c.drivers;
   let buf = Buffer.create (4096 + (32 * Array.length c.drivers)) in
   let add = Buffer.add_string buf in
   let line l = add l; Buffer.add_char buf '\n' in
@@ -140,11 +144,14 @@ let to_string c =
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The reader is one index-driven pass over the text.  Net names are
-   interned into dense ids as they are read, so definitions, resolved
-   signals and the cycle guard are int arrays, and truth tables are
-   matched as ints ([row_key]).  The circuit is built through the
-   [Circuit] builder, so the arity and width checks stay in one place. *)
+(* The reader is one index-driven pass over the text: each byte of a
+   line is read once, and that read tokenises it, steps its token's hash
+   and, on a line that may be a truth-table row, the line's row key
+   ([row_step]).  Net names are interned into dense ids with the hash
+   already computed, so definitions, resolved signals and the cycle
+   guard are int arrays, and truth tables are matched as ints.  The
+   circuit is built through the [Circuit] builder, so the arity and
+   width checks stay in one place. *)
 
 (* [a] at twice its length [n], padded with [x] *)
 let doubled a n x =
@@ -182,12 +189,11 @@ type nets = {
   mutable slots : int array;  (* id + 1, 0 when free; power-of-two length *)
 }
 
-let hash_range text start len =
-  let h = ref 0x811c9dc5 in
-  for i = start to start + len - 1 do
-    h := (!h lxor Char.code (String.unsafe_get text i)) * 0x100000001b3
-  done;
-  !h lxor (!h lsr 31)
+(* A token's hash, FNV-1a, stepped once per byte as the line reader
+   reads it *)
+let hash_start = 0x811c9dc5
+let hash_step h ch = (h lxor Char.code ch) * 0x100000001b3
+let hash_done h = h lxor (h lsr 31)
 
 let place slots h id =
   let mask = Array.length slots - 1 in
@@ -222,9 +228,13 @@ and add t text start len h =
   place t.slots h id;
   id
 
-let intern t text start len =
-  let h = hash_range text start len in
-  probe t text start len h (h land (Array.length t.slots - 1))
+(* A truth-table row as an int: its tokens joined by single blanks, read
+   as bijective base-5 digits ('0' '1' '-' ' ' are 1..4); -1 for any
+   other character or a row longer than any [gate_table] writes.  Rows
+   that get a key get distinct keys. *)
+let row_step key ch =
+  let d = match ch with '0' -> 1 | '1' -> 2 | '-' -> 3 | ' ' -> 4 | _ -> 0 in
+  if key < 0 || d = 0 || key > 100_000 then -1 else (key * 5) + d
 
 (* The logical line under the cursor: one physical line, or several
    joined by a trailing '\'.  Each physical line loses everything from
@@ -234,77 +244,143 @@ let intern t text start len =
 type line = {
   text : string;
   mutable next : int;  (* start of the next physical line; > length at the end *)
-  toks : ints;  (* start and length of each token, interleaved *)
+  toks : ints;  (* start, length and hash of each token, interleaved *)
   mutable first : int;  (* code of the joined line's first char; -1 if empty *)
+  mutable key : int;  (* the joined line's row key, if read as a row *)
   mutable start : int;  (* source span of the line, for error messages *)
   mutable stop : int;
 }
 
 let trimmed = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
 
-(* the tokens of text.[s .. e - 1], a range inside the text *)
-let add_tokens l s e =
-  let text = l.text in
-  let i = ref s in
-  while !i < e do
-    let c = String.unsafe_get text !i in
-    if c = ' ' || c = '\t' then incr i
-    else begin
-      let j = ref (!i + 1) in
-      while
-        !j < e
-        &&
-        let c = String.unsafe_get text !j in
-        c <> ' ' && c <> '\t'
-      do
-        incr j
-      done;
-      push l.toks !i;
-      push l.toks (!j - !i);
-      i := !j
-    end
-  done
+(* The row key of the current line's tokens, read again: for the rare
+   line whose end [read_segment] had to trim after stepping over it. *)
+let row_key l =
+  let key = ref 0 in
+  for k = 0 to (l.toks.n / 3) - 1 do
+    if k > 0 then key := row_step !key ' ';
+    for i = l.toks.a.(3 * k) to l.toks.a.(3 * k) + l.toks.a.((3 * k) + 1) - 1 do
+      key := row_step !key (String.unsafe_get l.text i)
+    done
+  done;
+  !key
 
-(* Load the next logical line; false when the text is used up. *)
-let read_line l =
-  let text = l.text in
+(* Read the physical line at [l.next] in one pass: append its tokens,
+   each with its hash, and step [l.key] over them when [row].  Returns
+   whether a kept trailing '\' continues the line.
+
+   ' ' and '\t' separate tokens.  '\r' and '\012' are token bytes that
+   [String.trim] also strips from the ends of a line: a leading run of
+   them is skipped, and at the end of the line the tokens are cut back
+   to its last kept byte (a trailing '\' goes too).  Only a line that
+   ends in such bytes pays for that: its last token is hashed again and
+   its row key recomputed. *)
+let read_segment l ~row =
+  let text = l.text and toks = l.toks in
   let len = String.length text in
+  let first_tok = toks.n in
+  let i = ref l.next and stop = ref false and key = ref l.key in
+  while not !stop do
+    (* separators; before the line's first token, '\r' and '\012' too *)
+    while
+      !i < len
+      &&
+      match String.unsafe_get text !i with
+      | ' ' | '\t' -> true
+      | '\r' | '\012' -> toks.n = first_tok
+      | _ -> false
+    do
+      incr i
+    done;
+    if !i >= len then stop := true
+    else
+      match String.unsafe_get text !i with
+      | '\n' | '#' -> stop := true
+      | _ ->
+          let start = !i in
+          let h = ref hash_start in
+          if row && toks.n > 0 && !key >= 0 then key := row_step !key ' ';
+          while
+            !i < len
+            &&
+            match String.unsafe_get text !i with
+            | ' ' | '\t' | '\n' | '#' -> false
+            | ch ->
+                h := hash_step !h ch;
+                if row && !key >= 0 then key := row_step !key ch;
+                true
+          do
+            incr i
+          done;
+          push toks start;
+          push toks (!i - start);
+          push toks (hash_done !h)
+  done;
+  l.key <- !key;
+  (* [!i] is where the line's text ends: its '\n', its '#' or the end
+     of the text *)
+  let e = ref !i in
+  while !e < len && String.unsafe_get text !e <> '\n' do
+    incr e
+  done;
+  let p = l.next in
+  l.next <- !e + 1;
+  l.stop <- !e;
+  if toks.n = first_tok then false
+  else begin
+    (* the line's kept text ends before [t] *)
+    let t = ref !i in
+    while !t > p && trimmed (String.unsafe_get text (!t - 1)) do
+      decr t
+    done;
+    let cont = String.unsafe_get text (!t - 1) = '\\' in
+    if cont then decr t;
+    let cut = ref false in
+    while toks.n > first_tok && toks.a.(toks.n - 3) >= !t do
+      toks.n <- toks.n - 3;
+      cut := true
+    done;
+    if toks.n > first_tok then begin
+      let start = toks.a.(toks.n - 3) in
+      if start + toks.a.(toks.n - 2) > !t then begin
+        let h = ref hash_start in
+        for j = start to !t - 1 do
+          h := hash_step !h (String.unsafe_get text j)
+        done;
+        toks.a.(toks.n - 2) <- !t - start;
+        toks.a.(toks.n - 1) <- hash_done !h;
+        cut := true
+      end
+    end;
+    if row && !cut then l.key <- row_key l;
+    cont
+  end
+
+(* Load the next logical line; false when the text is used up.  [row]:
+   the line may be a truth-table row, so its row key is wanted. *)
+let read_line l ~row =
+  let len = String.length l.text in
   if l.next > len then false
   else begin
     l.toks.n <- 0;
     l.first <- -1;
+    l.key <- 0;
     l.start <- l.next;
-    let segment = ref 0 and continued = ref true in
+    (* the joined text is seg0 ^ " " ^ seg1 ^ ...: it starts with a
+       blank when seg0 is empty and another segment follows *)
+    let cont = read_segment l ~row in
+    if l.toks.n > 0 then l.first <- Char.code l.text.[l.toks.a.(0)];
+    let continued = ref (cont && l.stop < len) in
     while !continued do
-      let p = l.next in
-      let e = ref p and comment = ref (-1) in
-      while !e < len && String.unsafe_get text !e <> '\n' do
-        if !comment < 0 && String.unsafe_get text !e = '#' then comment := !e;
-        incr e
-      done;
-      let e = !e in
-      let s = ref p and t = ref (if !comment < 0 then e else !comment) in
-      while !s < !t && trimmed text.[!s] do incr s done;
-      while !t > !s && trimmed text.[!t - 1] do decr t done;
-      let s = !s and t = !t in
-      let cont = t > s && text.[t - 1] = '\\' in
-      let t = if cont then t - 1 else t in
-      (* the joined text is seg0 ^ " " ^ seg1 ^ ...: it starts with a
-         blank when seg0 is empty and another segment follows *)
-      if !segment = 0 then (if t > s then l.first <- Char.code text.[s])
-      else if l.first < 0 then l.first <- Char.code ' ';
-      add_tokens l s t;
-      l.next <- e + 1;
-      l.stop <- e;
-      incr segment;
-      continued := cont && e < len
+      if l.first < 0 then l.first <- Char.code ' ';
+      continued := read_segment l ~row && l.stop < len
     done;
     true
   end
 
-let ntoks l = l.toks.n / 2
-let tok_start l k = l.toks.a.(2 * k)
-let tok_len l k = l.toks.a.((2 * k) + 1)
+let ntoks l = l.toks.n / 3
+let tok_start l k = l.toks.a.(3 * k)
+let tok_len l k = l.toks.a.((3 * k) + 1)
 let tok l k = String.sub l.text (tok_start l k) (tok_len l k)
 let tok_is l k lit = same_name lit l.text (tok_start l k) (tok_len l k)
 
@@ -322,24 +398,6 @@ let joined l =
          let n = String.length pl in
          if n > 0 && pl.[n - 1] = '\\' then String.sub pl 0 (n - 1) else pl)
   |> String.concat " "
-
-(* A truth-table row as an int: its tokens joined by single blanks, read
-   as bijective base-5 digits ('0' '1' '-' ' ' are 1..4); -1 for any
-   other character or a row longer than any [gate_table] writes.  Rows
-   that get a key get distinct keys. *)
-let row_step key ch =
-  let d = match ch with '0' -> 1 | '1' -> 2 | '-' -> 3 | ' ' -> 4 | _ -> 0 in
-  if key < 0 || d = 0 || key > 100_000 then -1 else (key * 5) + d
-
-let row_key l =
-  let key = ref 0 in
-  for k = 0 to ntoks l - 1 do
-    if k > 0 then key := row_step !key ' ';
-    for i = tok_start l k to tok_start l k + tok_len l k - 1 do
-      key := row_step !key l.text.[i]
-    done
-  done;
-  !key
 
 (* A table read so far: (row count, smaller key, larger key).  No table
    [gate_table] writes has more than two rows. *)
@@ -371,21 +429,34 @@ let rec table_index n_args ((n, lo, hi) as rows) i =
     else table_index n_args rows (i + 1)
 
 let of_string text =
-  let l = { text; next = 0; toks = ints (); first = -1; start = 0; stop = 0 } in
-  let nets =
-    { names = Array.make 64 ""; hashes = Array.make 64 0; count = 0;
-      slots = Array.make 128 0 }
+  let l =
+    { text; next = 0; toks = ints (); first = -1; key = 0; start = 0; stop = 0 }
   in
-  let net k = intern nets text (tok_start l k) (tok_len l k) in
+  (* sized for a net per 16 bytes of text, about what the writer's
+     netlists take, so the table seldom grows *)
+  let nets =
+    let n = max 64 (String.length text / 16) in
+    let slots = ref 128 in
+    while !slots < 2 * n do
+      slots := 2 * !slots
+    done;
+    { names = Array.make n ""; hashes = Array.make n 0; count = 0;
+      slots = Array.make !slots 0 }
+  in
+  let net k =
+    let h = l.toks.a.((3 * k) + 2) in
+    probe nets text (tok_start l k) (tok_len l k) h
+      (h land (Array.length nets.slots - 1))
+  in
   let name id = nets.names.(id) in
   let model = ref "blif" in
   let inputs = ints () and outputs = ints () in
   let latches = ints () (* data, out, init: 3 per latch *) in
   let blocks = ints () (* out, first arg, arg count, table: 4 per .names *) in
   let args = ints () in
-  let more = ref (read_line l) in
+  let more = ref (read_line l ~row:false) in
   while !more do
-    if ntoks l = 0 then more := read_line l
+    if ntoks l = 0 then more := read_line l ~row:false
     else if tok_is l 0 ".names" then begin
       let n = ntoks l in
       if n < 2 then invalid_netlist "Blif: .names with no output";
@@ -397,10 +468,10 @@ let of_string text =
       done;
       (* the table: the following lines up to one that starts with '.' *)
       let rows = ref (0, 0, 0) in
-      more := read_line l;
+      more := read_line l ~row:true;
       while !more && l.first <> Char.code '.' do
-        if l.first >= 0 then rows := add_row !rows (row_key l);
-        more := read_line l
+        if l.first >= 0 then rows := add_row !rows l.key;
+        more := read_line l ~row:true
       done;
       push blocks (table_index (n - 2) !rows 0)
     end
@@ -436,7 +507,7 @@ let of_string text =
       else if text.[tok_start l 0] = '.' then
         invalid_netlist "Blif: unsupported directive %s" (tok l 0)
       else invalid_netlist "Blif: stray line %S" (joined l);
-      more := read_line l
+      more := read_line l ~row:false
     end
   done;
   let n_latches = latches.n / 3 and n_blocks = blocks.n / 4 in

@@ -75,7 +75,10 @@ let create name =
     n_bregs = 0; bouts = [] }
 
 (* [a] with room for index [n] (the first [n] slots kept), doubling when
-   full, so every builder operation is amortised O(1) *)
+   full, so every builder operation is amortised O(1).  The new slots
+   hold [x] until written; callers pass a constant, never a fresh block:
+   [Array.make] of more than 256 slots with a young value empties the
+   minor heap first. *)
 let room a n x =
   if n < Array.length a then a
   else begin
@@ -94,8 +97,8 @@ let check_width = function
 
 let push b d w =
   let id = b.count in
-  b.bdrivers <- room b.bdrivers id d;
-  b.bwidths <- room b.bwidths id w;
+  b.bdrivers <- room b.bdrivers id (Input 0);
+  b.bwidths <- room b.bwidths id B;
   b.bdrivers.(id) <- d;
   b.bwidths.(id) <- w;
   b.count <- id + 1;
@@ -114,7 +117,7 @@ let reg b ~init w =
   check_width w;
   if width_of_value init <> w then invalid_netlist "Circuit.reg: init width mismatch";
   let ridx = b.n_bregs in
-  b.breg_init <- room b.breg_init ridx init;
+  b.breg_init <- room b.breg_init ridx (Bit false);
   b.breg_data <- room b.breg_data ridx None;
   b.breg_init.(ridx) <- init;
   b.n_bregs <- ridx + 1;
@@ -216,6 +219,9 @@ let topo_gates drivers =
   done;
   Array.sub order 0 !n_gates
 
+(* No cycle check: [gate] takes only signals that already exist as
+   operands, so every gate's operands precede it and the combinational
+   part of a built circuit is acyclic by construction. *)
 let finish b =
   let registers =
     Array.init b.n_bregs (fun ridx ->
@@ -223,12 +229,10 @@ let finish b =
         | Some data -> { data; init = b.breg_init.(ridx) }
         | None -> invalid_netlist "Circuit.finish: unconnected register")
   in
-  let drivers = Array.sub b.bdrivers 0 b.count in
-  ignore (topo_gates drivers);
   {
     name = b.bname;
     input_widths = Array.of_list (List.rev b.binputs);
-    drivers;
+    drivers = Array.sub b.bdrivers 0 b.count;
     widths = Array.sub b.bwidths 0 b.count;
     registers;
     outputs = Array.of_list (List.rev b.bouts);
@@ -286,8 +290,9 @@ let topo_order c = Array.to_list (topo_array c)
    rejected with [Invalid_netlist] instead of crashing (or silently
    mis-simulating) deep inside a consumer.  [Embed.embed] runs this
    before the formal step, which is what lets the fault campaign promise
-   a typed rejection for every corrupted netlist. *)
-let validate c =
+   a typed rejection for every corrupted netlist.  It returns the
+   topological order it computed, for callers that walk the gates next. *)
+let validate_topo c =
   let n = n_signals c in
   if Array.length c.widths <> n then
     invalid_netlist "Circuit.validate: widths table has %d entries for %d \
@@ -313,7 +318,7 @@ let validate c =
                                  signal %d" s a)
             args)
     c.drivers;
-  ignore (topo_array c);
+  let topo = topo_array c in
   (* widths must agree with what the drivers produce *)
   Array.iteri
     (fun s d ->
@@ -345,7 +350,10 @@ let validate c =
       if Hashtbl.mem out_names name then
         invalid_netlist "Circuit.validate: duplicate output name %S" name;
       Hashtbl.replace out_names name ())
-    c.outputs
+    c.outputs;
+  topo
+
+let validate c = ignore (validate_topo c)
 
 let pp_stats ppf c =
   Format.fprintf ppf "%s: %d inputs, %d outputs, %d flipflops, %d gates"

@@ -101,8 +101,9 @@ val gate : builder -> op -> signal list -> signal
 val output : builder -> string -> signal -> unit
 
 val finish : builder -> t
-(** Freeze the builder.  @raise Invalid_netlist if a register is left
-    unconnected or the combinational part is cyclic. *)
+(** Freeze the builder.  The combinational part is acyclic by
+    construction: {!gate} accepts only existing signals as operands.
+    @raise Invalid_netlist if a register is left unconnected. *)
 
 (** {1 Convenience gate constructors} *)
 
@@ -130,9 +131,6 @@ val topo_order : t -> signal list
 (** Gate signals in topological order (inputs and register outputs are
     ready at the start; every gate appears after its operands). *)
 
-val topo_array : t -> signal array
-(** {!topo_order} as an array. *)
-
 val validate : t -> unit
 (** Re-check {e all} structural invariants: acyclicity, operand ranges,
     input/register index ranges, the full width table against what each
@@ -141,6 +139,10 @@ val validate : t -> unit
     performs its range checks before anything indexes, so a corrupt
     circuit yields a diagnostic, never an [Invalid_argument] crash.
     @raise Invalid_netlist with a diagnostic. *)
+
+val validate_topo : t -> signal array
+(** {!validate}, returning {!topo_order} as an array: the order the
+    acyclicity check computes anyway. *)
 
 val pp_stats : Format.formatter -> t -> unit
 

@@ -26,22 +26,31 @@
    distinct multipliers; a label collision would have to hit both lanes
    at once.
 
-   This runs on every service request (hit or miss), so the refinement
-   loop is arrays-of-ints all the way: the topological order is computed
-   once, per-gate operator hashes are precomputed, and the two label
-   lanes live in twin int arrays (no tuple allocation per signal per
-   round).
+   This runs on every service request that misses the exact-text cache,
+   so the refinement loop is arrays-of-ints all the way: the topological
+   order is the one [Circuit.validate_topo] computes while validating,
+   per-gate operator hashes are precomputed, and the two label lanes
+   live in twin int arrays (no tuple allocation per signal per round).
 
-   The canon is built from text rendered once per signal.  A small
-   decimal writer (no [string_of_int], no format interpretation) renders
-   every signal's label "s1.s2," back to back into one string, with an
-   offset table.  Each register entry "r:<init>d=<data label>;l=<own
-   label>" and gate entry "g:<op>a=<operand labels>;l=<own label>" is
-   then assembled in one shared buffer by copying those label texts, the
-   entries are sorted, and the whole form is digested with MD5.  The
-   format ("fp1") is fixed byte for byte: the decimal writer prints
-   exactly what [string_of_int] would, since cache keys and recorded
-   digests depend on it. *)
+   The canon ("fp2") is binary: every int is one 8-byte little-endian
+   lane, a label two lanes.  After the tag "fp2" come the input count
+   and widths; the output count and, per output, the length of its name,
+   the name's bytes and its signal's label; the register count and one
+   fixed-width entry per register (own label, initial value as kind,
+   width and value, data label); the gate count and one entry per gate
+   (a lane [op code + 32 * arity], the operator's parameters, the
+   operands' labels), whose first lane fixes its length.  The encoding
+   is injective, so two canons are equal exactly when the interfaces and
+   the entry multisets are.  Entries are sorted as rows of ints, keyed
+   first by a label.  The digest is two lanes folded over the canon's
+   8-byte words, printed as 32 hex digits.
+
+   The previous canon ("fp1") printed every label in decimal, built one
+   string per entry, sorted the strings and digested the result with
+   MD5: it was 2.6 times the size of the BLIF text it described, and
+   rendering, sorting and hashing it took most of a fingerprint.  The
+   lanes carry the same labels, so both canons split circuits alike
+   (test/fingerprint_ref.ml keeps fp1 as the reference of that check). *)
 
 open Circuit
 
@@ -108,11 +117,9 @@ let parametric = function
       false
 
 (* For the operators without parameters, whose ints are just the code,
-   per code: the operator part of a gate's label in each lane, and the
-   head "g:<code>,a=" of its canon entry. *)
+   per code: the operator part of a gate's label in each lane. *)
 let plain_base1 = Array.init 20 (fun code -> fold1 (seed1 3) [ code ])
 let plain_base2 = Array.init 20 (fun code -> fold2 (seed2 3) [ code ])
-let plain_head = Array.init 20 (fun code -> "g:" ^ string_of_int code ^ ",a=")
 
 (* ------------------------------------------------------------------ *)
 (* Refinement                                                          *)
@@ -139,10 +146,9 @@ let classes_of rl1 rl2 =
           Labels.add tbl l id;
           id)
 
-let refine c =
+let refine c topo =
   let nsig = Array.length c.drivers in
   let nregs = Array.length c.registers in
-  let topo = topo_array c in
   (* per-gate operator base hashes, and per-register initial labels *)
   let gate_base1 = Array.make nsig 0 and gate_base2 = Array.make nsig 0 in
   Array.iteri
@@ -261,163 +267,200 @@ let refine c =
 (* Canonical form                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* "00" "01" .. "99", for two digits per division in [put_decimal] *)
-let digit_pairs =
-  String.init 200 (fun i ->
-      let k = i / 2 in
-      Char.chr (48 + if i mod 2 = 0 then k / 10 else k mod 10))
-
-(* 10^k for k = 0 .. 18 *)
-let pow10 =
-  let a = Array.make 19 1 in
-  for k = 1 to 18 do
-    a.(k) <- 10 * a.(k - 1)
+(* The row indices 0 .. n - 1 of [rows], [w] ints per row, in a
+   canonical order: by the top bits of each row's first int (a label,
+   so the n rows spread over about n buckets), then lexicographically
+   over the whole row.  The order is total on entries, so the sorted
+   sequence depends only on the multiset.  A counting pass places the
+   rows in their buckets; a bucket of a few rows is insertion-sorted,
+   a larger one merge-sorted. *)
+let sorted_rows rows w n =
+  let bits = ref 1 in
+  while 1 lsl !bits < n do incr bits done;
+  let shift = 63 - !bits in
+  let bucket i = rows.(i * w) lsr shift in
+  (* [ends.(b)]: first the start of bucket b, then its end *)
+  let ends = Array.make ((1 lsl !bits) + 1) 0 in
+  for i = 0 to n - 1 do
+    let b = bucket i + 1 in
+    ends.(b) <- ends.(b) + 1
   done;
-  a
-
-(* The digit count of a negative [m]: 1 + the greatest k <= [k] with
-   m <= -10^k, searched downwards from [k] = 18 since labels mostly have 18
-   or 19 digits. *)
-let rec digit_count m k =
-  if k = 0 || m <= -pow10.(k) then k + 1 else digit_count m (k - 1)
-
-(* Write the digits of a non-positive [m] to end just before [i], two
-   per division ([r] is in 0..99, so the table reads are in range). *)
-let rec put_digits buf m i =
-  if m <= -10 then begin
-    let q = m / 100 in
-    let r = (q * 100) - m in
-    Bytes.set buf (i - 2) (String.unsafe_get digit_pairs (2 * r));
-    Bytes.set buf (i - 1) (String.unsafe_get digit_pairs ((2 * r) + 1));
-    put_digits buf q (i - 2)
-  end
-  else if m < 0 then Bytes.set buf (i - 1) (Char.chr (48 - m))
-
-(* Write the decimal text of [n] into [buf] at [pos], exactly as
-   [string_of_int] prints it, and return the position after it.  Digits
-   come from a non-positive copy of [n], so min_int needs no special
-   case.  [buf] must have room for 20 bytes at [pos]. *)
-let put_decimal buf pos n =
-  if n = 0 then begin
-    Bytes.set buf pos '0';
-    pos + 1
-  end
-  else begin
-    let m = if n < 0 then n else -n in
-    let pos =
-      if n < 0 then begin
-        Bytes.set buf pos '-';
-        pos + 1
-      end
-      else pos
+  for b = 1 to 1 lsl !bits do
+    ends.(b) <- ends.(b) + ends.(b - 1)
+  done;
+  let order = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let b = bucket i in
+    order.(ends.(b)) <- i;
+    ends.(b) <- ends.(b) + 1
+  done;
+  let cmp i j =
+    let rec go k =
+      if k = w then 0
+      else
+        let c = Int.compare rows.((i * w) + k) rows.((j * w) + k) in
+        if c <> 0 then c else go (k + 1)
     in
-    let stop = pos + digit_count m 18 in
-    put_digits buf m stop;
-    stop
-  end
+    go 0
+  in
+  let start = ref 0 in
+  for b = 0 to (1 lsl !bits) - 1 do
+    let lo = !start and hi = ends.(b) in
+    if hi - lo > 8 then begin
+      let run = Array.sub order lo (hi - lo) in
+      Array.stable_sort cmp run;
+      Array.blit run 0 order lo (hi - lo)
+    end
+    else
+      for k = lo + 1 to hi - 1 do
+        let x = order.(k) in
+        let j = ref k in
+        while !j > lo && cmp order.(!j - 1) x > 0 do
+          order.(!j) <- order.(!j - 1);
+          decr j
+        done;
+        order.(!j) <- x
+      done;
+    start := hi
+  done;
+  order
 
-let put_char buf pos ch =
-  Bytes.set buf pos ch;
-  pos + 1
+(* A register row: its own label, its initial value as (kind, width,
+   value), its data signal's label.  The canon writes all of it. *)
+let reg_width = 7
 
-let put_string buf pos str =
-  Bytes.blit_string str 0 buf pos (String.length str);
-  pos + String.length str
+(* A gate row: its own label, which is only the sort key (a function of
+   the rest, so the canon leaves it out), then the entry: the lane
+   [code + 32 * arity], the operator's parameters, two lanes per
+   operand.  The first lane fixes the entry's length; the ints after it
+   are 0. *)
+let gate_width = 11
 
-(* "i," *)
-let put_int buf pos i = put_char buf (put_decimal buf pos i) ','
+let entry_lanes code_lane =
+  let params = match code_lane land 31 with 10 -> 1 | 19 -> 2 | _ -> 0 in
+  1 + params + (2 * (code_lane lsr 5))
 
-(* "s1.s2," *)
-let put_label buf pos s1 s2 =
-  put_char buf (put_decimal buf (put_char buf (put_decimal buf pos s1) '.') s2) ','
+let put_lane buf pos x =
+  Bytes.set_int64_le buf pos (Int64.of_int x);
+  pos + 8
 
-(* An upper bound on one label's text: two 20-byte ints and "." "," *)
-let label_room = 42
+let put_lanes buf pos rows first n =
+  for k = 0 to n - 1 do
+    Bytes.set_int64_le buf (pos + (8 * k)) (Int64.of_int rows.(first + k))
+  done;
+  pos + (8 * n)
+
+(* Two lanes folded over the canon's 8-byte words (the first lane reads
+   a word's low 63 bits, the second its high 63), then its tail bytes,
+   printed as 32 hex digits. *)
+let digest_of canon =
+  let n = String.length canon in
+  let h1 = ref (seed1 n) and h2 = ref (seed2 n) in
+  let words = n / 8 in
+  for k = 0 to words - 1 do
+    let w = String.get_int64_le canon (8 * k) in
+    h1 := mix1 !h1 (Int64.to_int w);
+    h2 := mix2 !h2 (Int64.to_int (Int64.shift_right_logical w 1))
+  done;
+  for i = 8 * words to n - 1 do
+    h1 := mix1 !h1 (Char.code (String.unsafe_get canon i));
+    h2 := mix2 !h2 (Char.code (String.unsafe_get canon i))
+  done;
+  Printf.sprintf "%016x%016x" (mix1 !h1 !h2) (mix2 !h2 !h1)
 
 let of_circuit c =
-  validate c;
-  let sl1, sl2, rl1, rl2 = refine c in
-  (* every signal's label text rendered once, back to back: signal s owns
-     labels.[off.(s) .. off.(s + 1) - 1] *)
-  let nsig = Array.length c.drivers in
-  let labels = Bytes.create (nsig * label_room) in
-  let off = Array.make (nsig + 1) 0 in
-  for s = 0 to nsig - 1 do
-    off.(s + 1) <- put_label labels off.(s) sl1.(s) sl2.(s)
-  done;
-  let put_sig buf pos s =
-    let len = off.(s + 1) - off.(s) in
-    Bytes.blit labels off.(s) buf pos len;
-    pos + len
-  in
-  let rec put_sigs buf pos = function
-    | [] -> pos
-    | s :: tl -> put_sigs buf (put_sig buf pos s) tl
-  in
-  (* each register and gate entry is assembled in one scratch buffer
-     (operators have at most 3 operands and 3 ints) and copied out *)
-  let eb = Bytes.create (16 * label_room) in
-  let entry len = Bytes.sub_string eb 0 len in
-  let regs =
-    List.init (Array.length c.registers) (fun r ->
-        let reg = c.registers.(r) in
-        let p = put_string eb 0 "r:" in
-        let p = List.fold_left (put_int eb) p (ints_of_value reg.init) in
-        let p = put_string eb p "d=" in
-        let p = put_sig eb p reg.data in
-        let p = put_string eb p ";l=" in
-        entry (put_label eb p rl1.(r) rl2.(r)))
-  in
-  let gates = ref [] in
+  let topo = validate_topo c in
+  let sl1, sl2, rl1, rl2 = refine c topo in
+  let nregs = Array.length c.registers in
+  let regs = Array.make (nregs * reg_width) 0 in
   Array.iteri
-    (fun s d ->
-      match d with
+    (fun r reg ->
+      let o = r * reg_width in
+      regs.(o) <- rl1.(r);
+      regs.(o + 1) <- rl2.(r);
+      (match reg.init with
+      | Bit b -> regs.(o + 4) <- Bool.to_int b
+      | Word (w, v) ->
+          regs.(o + 2) <- 1;
+          regs.(o + 3) <- w;
+          regs.(o + 4) <- v);
+      regs.(o + 5) <- sl1.(reg.data);
+      regs.(o + 6) <- sl2.(reg.data))
+    c.registers;
+  (* validation bounds the arity by 3 and the parameters by 2, so an
+     entry fits its row *)
+  let ngates = Array.length topo in
+  let gates = Array.make (ngates * gate_width) 0 in
+  let gate_lanes = ref 0 in
+  Array.iteri
+    (fun k s ->
+      match c.drivers.(s) with
       | Gate (op, args) ->
+          let o = k * gate_width in
+          gates.(o) <- sl1.(s);
+          gates.(o + 1) <- sl2.(s);
           let p =
-            if parametric op then
-              let p = put_string eb 0 "g:" in
-              let p = List.fold_left (put_int eb) p (ints_of_op op) in
-              put_string eb p "a="
-            else put_string eb 0 plain_head.(op_code op)
+            match op with
+            | Constb b ->
+                gates.(o + 3) <- Bool.to_int b;
+                o + 4
+            | Wconst (w, v) ->
+                gates.(o + 3) <- w;
+                gates.(o + 4) <- v;
+                o + 5
+            | Not | And | Or | Nand | Nor | Xor | Xnor | Buf | Mux | Winc
+            | Wadd | Weq | Wmux | Wnot | Wand | Wor | Wxor ->
+                o + 3
           in
-          let p = put_sigs eb p args in
-          let p = put_string eb p ";l=" in
-          gates := entry (put_sig eb p s) :: !gates
+          let rec operands p arity = function
+            | [] ->
+                gates.(o + 2) <- op_code op + (32 * arity);
+                p
+            | a :: tl ->
+                gates.(p) <- sl1.(a);
+                gates.(p + 1) <- sl2.(a);
+                operands (p + 2) (arity + 1) tl
+          in
+          gate_lanes := !gate_lanes + operands p 0 args - (o + 2)
       | Input _ | Reg_out _ -> ())
-    c.drivers;
-  (* [List.sort] is a merge sort; on these lists it beats the array
-     sorts *)
-  let regs = List.sort String.compare regs in
-  let gates = List.sort String.compare !gates in
-  (* the interface, then both sorted entry lists, each entry followed by
-     '|', in one string of exactly the right length *)
-  let head = Buffer.create 256 in
-  let scratch = Bytes.create label_room in
-  let add_int i = Buffer.add_subbytes head scratch 0 (put_int scratch 0 i) in
-  Buffer.add_string head "fp1;in:";
-  Array.iter (fun w -> add_int (int_of_width w)) c.input_widths;
-  Buffer.add_string head ";out:";
-  Array.iter
-    (fun (name, s) ->
-      (* length-prefixed so no output name can fake the separators *)
-      add_int (String.length name);
-      Buffer.add_string head name;
-      Buffer.add_char head '=';
-      Buffer.add_subbytes head labels off.(s) (off.(s + 1) - off.(s)))
-    c.outputs;
-  let size tag entries =
-    List.fold_left (fun n e -> n + String.length e + 1) (String.length tag) entries
+    topo;
+  (* "fp2", then lanes: the input count and widths; the output count
+     and, per output, its name's length, the name's bytes and its
+     signal's label; the register count and rows in order; the gate
+     count and entries in order *)
+  let n_in = Array.length c.input_widths in
+  let outs =
+    Array.fold_left (fun n (name, _) -> n + 24 + String.length name) 0 c.outputs
   in
-  let canon =
-    Bytes.create (Buffer.length head + size ";regs:" regs + size ";gates:" gates)
+  let buf =
+    Bytes.create
+      (3 + (8 * (n_in + 4 + (nregs * reg_width) + !gate_lanes)) + outs)
   in
-  let put_entries pos tag entries =
-    List.fold_left
-      (fun p e -> put_char canon (put_string canon p e) '|')
-      (put_string canon pos tag) entries
+  Bytes.blit_string "fp2" 0 buf 0 3;
+  let p = put_lane buf 3 n_in in
+  let p = Array.fold_left (fun p w -> put_lane buf p (int_of_width w)) p c.input_widths in
+  let p = put_lane buf p (Array.length c.outputs) in
+  let p =
+    Array.fold_left
+      (fun p (name, s) ->
+        let len = String.length name in
+        let p = put_lane buf p len in
+        Bytes.blit_string name 0 buf p len;
+        put_lane buf (put_lane buf (p + len) sl1.(s)) sl2.(s))
+      p c.outputs
   in
-  Buffer.blit head 0 canon 0 (Buffer.length head);
-  let p = put_entries (Buffer.length head) ";regs:" regs in
-  ignore (put_entries p ";gates:" gates);
-  let canon = Bytes.unsafe_to_string canon in
-  { digest = Digest.to_hex (Digest.string canon); canon }
+  let p = put_lane buf p nregs in
+  let p =
+    Array.fold_left
+      (fun p r -> put_lanes buf p regs (r * reg_width) reg_width)
+      p (sorted_rows regs reg_width nregs)
+  in
+  let p = put_lane buf p ngates in
+  ignore
+    (Array.fold_left
+       (fun p g ->
+         let o = (g * gate_width) + 2 in
+         put_lanes buf p gates o (entry_lanes gates.(o)))
+       p (sorted_rows gates gate_width ngates));
+  let canon = Bytes.unsafe_to_string buf in
+  { digest = digest_of canon; canon }

@@ -11,9 +11,9 @@
     gates as sorted multisets of label entries.
 
     The serve layer keys its cross-request proof cache on fingerprints.
-    Cache lookups must compare fingerprints with {!equal} — it compares
-    the full canonical string, not just the digest, so a hash collision
-    can only cause a spurious miss, never a wrong hit. *)
+    Cache lookups compare the full canonical form, not just the digest,
+    so a hash collision can only cause a spurious miss, never a wrong
+    hit. *)
 
 type t = { digest : string; canon : string }
 
@@ -23,10 +23,10 @@ val of_circuit : Circuit.t -> t
     of untrusted netlists. *)
 
 val digest : t -> string
-(** Hex MD5 of the canonical form (stable across runs — nothing in the
-    computation depends on hash-table iteration order or randomised
-    hashing). *)
+(** 32 lowercase hex digits: two 63-bit lanes folded over the canonical
+    form (stable across runs — nothing in the computation depends on
+    hash-table iteration order or randomised hashing). *)
 
 val canon : t -> string
-(** The canonical form itself (exposed for collision auditing and
-    tests). *)
+(** The canonical form itself, a binary string (exposed for collision
+    auditing and tests). *)

@@ -257,6 +257,7 @@ module Json = struct
       end
       else fail ("expected " ^ word)
     in
+    let scratch = ref None in
     let rec parse_string () =
       expect '"';
       (* Fast path: a string with no escapes (keys, enum-ish values,
@@ -275,8 +276,24 @@ module Json = struct
         String.sub s start (!i - start)
       end
       else parse_string_slow ()
+    (* The escaped strings of one document share one buffer, made at the
+       first of them with room for the rest of the input, so it never
+       grows: decoding never lengthens a string (each escape decodes to
+       at most as many bytes as it spans), and the strings that follow
+       lie in what is left.  A request's BLIF string, ~20 KB with an
+       escape on every line, used to grow a 16-byte buffer eleven
+       times. *)
     and parse_string_slow () =
-      let buf = Buffer.create 16 in
+      let buf =
+        match !scratch with
+        | Some buf ->
+            Buffer.clear buf;
+            buf
+        | None ->
+            let buf = Buffer.create (n - !pos) in
+            scratch := Some buf;
+            buf
+      in
       let hex_digit c =
         match c with
         | '0' .. '9' -> Char.code c - Char.code '0'

@@ -25,9 +25,11 @@
 (* Bounded LRU table (caller locks)                                     *)
 (* ------------------------------------------------------------------ *)
 
-module Lru = struct
+module Lru (K : Hashtbl.HashedType) = struct
+  module H = Hashtbl.Make (K)
+
   type 'v node = {
-    key : string;
+    key : K.t;
     value : 'v;
     mutable prev : 'v node option;
     mutable next : 'v node option;
@@ -35,15 +37,15 @@ module Lru = struct
 
   type 'v t = {
     capacity : int;
-    tbl : (string, 'v node) Hashtbl.t;
+    tbl : 'v node H.t;
     mutable first : 'v node option;  (* most recently used *)
     mutable last : 'v node option;  (* least recently used *)
   }
 
   let create capacity =
-    { capacity = max 1 capacity; tbl = Hashtbl.create 64; first = None; last = None }
+    { capacity = max 1 capacity; tbl = H.create 64; first = None; last = None }
 
-  let length t = Hashtbl.length t.tbl
+  let length t = H.length t.tbl
 
   let unlink t n =
     (match n.prev with Some p -> p.next <- n.next | None -> t.first <- n.next);
@@ -57,7 +59,7 @@ module Lru = struct
     t.first <- Some n
 
   let find t key =
-    match Hashtbl.find_opt t.tbl key with
+    match H.find_opt t.tbl key with
     | None -> None
     | Some n ->
         unlink t n;
@@ -68,19 +70,19 @@ module Lru = struct
      pushed the table over capacity and evicted the least recently used
      entry. *)
   let add t key value =
-    (match Hashtbl.find_opt t.tbl key with
+    (match H.find_opt t.tbl key with
     | Some old ->
         unlink t old;
-        Hashtbl.remove t.tbl key
+        H.remove t.tbl key
     | None -> ());
     let n = { key; value; prev = None; next = None } in
-    Hashtbl.replace t.tbl key n;
+    H.replace t.tbl key n;
     push_front t n;
-    if Hashtbl.length t.tbl > t.capacity then (
+    if H.length t.tbl > t.capacity then (
       match t.last with
       | Some lru ->
           unlink t lru;
-          Hashtbl.remove t.tbl lru.key;
+          H.remove t.tbl lru.key;
           true
       | None -> false)
     else false
@@ -103,24 +105,61 @@ type counters = {
   entries : int Atomic.t;
 }
 
+let level_tag = function
+  | Hash.Embed.Bit_level -> "bit"
+  | Hash.Embed.Rt_level -> "rt"
+
+(* The L1 key: the request's level and BLIF bytes (not a copy), with
+   the bytes' hash computed once.  The shard choice and the shard's
+   table both use that hash, and two keys are equal only if their
+   levels and every byte are. *)
+type text_key = { level : Hash.Embed.level; text : string; hash : int }
+
+module Text_key = struct
+  type t = text_key
+
+  let same_level a b =
+    match (a, b) with
+    | Hash.Embed.Bit_level, Hash.Embed.Bit_level
+    | Hash.Embed.Rt_level, Hash.Embed.Rt_level ->
+        true
+    | Hash.Embed.Bit_level, Hash.Embed.Rt_level
+    | Hash.Embed.Rt_level, Hash.Embed.Bit_level ->
+        false
+
+  let equal a b =
+    a == b
+    || a.hash = b.hash && same_level a.level b.level
+       && String.equal a.text b.text
+
+  let hash k = k.hash
+end
+
+module Fp_lru = Lru (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+module Text_lru = Lru (Text_key)
+
 (* [mu] guards the two LRU tables only; the counters are atomics, bumped
    while the lock is held and read lock-free by {!totals}. *)
 type shard = {
   mu : Mutex.t;
-  by_fp : (string * entry) Lru.t;  (* L2: key -> (canonical form, entry) *)
-  (* L1: level-tagged raw BLIF bytes -> (L2 digest, entry).  The key is
-     the request text itself — the table's key equality is the
-     byte-compare, so a hash collision can only cause a bucket scan,
-     never a wrong answer.  The payload is not hashed cheaply, though:
-     [Hashtbl.hash] reads a string's whole length, so a lookup reads the
-     full request text three times before the compare — [text_key]
-     copies it, then [shard_for] and this table each hash it. *)
-  by_text : (string * entry) Lru.t;
+  by_fp : (string * entry) Fp_lru.t;  (* L2: key -> (canonical form, entry) *)
+  (* L1: a request's level and bytes -> (L2 digest, entry).  A lookup
+     reads the text once to hash it in [text_key], and once more to
+     compare it with an entry of equal hash: the byte compare is the
+     table's key equality, so a hash collision can only cause a bucket
+     scan, never a wrong answer.  Storing a spelling after an L2 hit, or
+     evicting one, hashes nothing. *)
+  by_text : (string * entry) Text_lru.t;
   counters : counters;
 }
 
 type t = shard array
-type text_key = string
 
 let create ~capacity ~shards =
   let n = max 1 shards in
@@ -130,8 +169,8 @@ let create ~capacity ~shards =
   Array.init n (fun _ ->
       {
         mu = Mutex.create ();
-        by_fp = Lru.create per_shard;
-        by_text = Lru.create per_shard;
+        by_fp = Fp_lru.create per_shard;
+        by_text = Text_lru.create per_shard;
         counters =
           {
             hits = Atomic.make 0;
@@ -142,7 +181,7 @@ let create ~capacity ~shards =
           };
       })
 
-let shard_for t key = t.(Hashtbl.hash key mod Array.length t)
+let shard_for t hash = t.(hash mod Array.length t)
 
 let locked sh f =
   Mutex.lock sh.mu;
@@ -151,17 +190,13 @@ let locked sh f =
 let count_eviction sh evicted =
   if evicted then Atomic.incr sh.counters.evictions
 
-let level_tag = function
-  | Hash.Embed.Bit_level -> "bit"
-  | Hash.Embed.Rt_level -> "rt"
-
-let text_key level blif = level_tag level ^ "\x00" ^ blif
+let text_key level text = { level; text; hash = Hashtbl.hash text }
 let fp_key level fp = Fingerprint.digest fp ^ "/" ^ level_tag level
 
 let find_text t tkey =
-  let sh = shard_for t tkey in
+  let sh = shard_for t tkey.hash in
   locked sh (fun () ->
-      match Lru.find sh.by_text tkey with
+      match Text_lru.find sh.by_text tkey with
       | Some _ as hit ->
           Atomic.incr sh.counters.hits;
           hit
@@ -170,15 +205,16 @@ let find_text t tkey =
 (* Store a spelling in its text shard.  Never called with a fingerprint
    shard's lock held: L1 lives in its own shard and locks never nest. *)
 let remember_text t tkey digest e =
-  let sh = shard_for t tkey in
-  locked sh (fun () -> count_eviction sh (Lru.add sh.by_text tkey (digest, e)))
+  let sh = shard_for t tkey.hash in
+  locked sh (fun () ->
+      count_eviction sh (Text_lru.add sh.by_text tkey (digest, e)))
 
 let find t ~text level fp =
   let key = fp_key level fp in
-  let sh = shard_for t key in
+  let sh = shard_for t (Hashtbl.hash key) in
   let cached =
     locked sh (fun () ->
-        match Lru.find sh.by_fp key with
+        match Fp_lru.find sh.by_fp key with
         | Some (canon, e) when String.equal canon (Fingerprint.canon fp) ->
             Atomic.incr sh.counters.hits;
             Some e
@@ -191,11 +227,11 @@ let find t ~text level fp =
 
 let add t ~text level fp e =
   let key = fp_key level fp in
-  let sh = shard_for t key in
+  let sh = shard_for t (Hashtbl.hash key) in
   locked sh (fun () ->
-      count_eviction sh (Lru.add sh.by_fp key (Fingerprint.canon fp, e));
+      count_eviction sh (Fp_lru.add sh.by_fp key (Fingerprint.canon fp, e));
       Atomic.incr sh.counters.insertions;
-      Atomic.set sh.counters.entries (Lru.length sh.by_fp));
+      Atomic.set sh.counters.entries (Fp_lru.length sh.by_fp));
   remember_text t text (Fingerprint.digest fp) e
 
 type totals = {

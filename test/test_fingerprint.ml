@@ -172,43 +172,116 @@ let test_distinct_fig2 () =
   check "fig2 4 vs fig2 5" false
     (fp (Fig2.gate 4) = fp (Fig2.gate 5))
 
-(* --- canon identity with the reference ----------------------------- *)
+(* --- partition identity with the reference -------------------------- *)
 
-(* [Fingerprint_ref] is the canon builder before labels were rendered
-   once per signal.  The canonical string and digest must match it byte
-   for byte: cache keys, and the service benchmark's de-duplicated
-   request streams, are built on them. *)
-let same_as_reference what c =
-  let got = fp c and want = Fingerprint_ref.of_circuit c in
-  Alcotest.(check string) (what ^ ": canon") (Fingerprint_ref.canon want)
-    (Fingerprint.canon got);
-  Alcotest.(check string) (what ^ ": digest") (Fingerprint_ref.digest want)
-    (Fingerprint.digest got)
+(* [Fingerprint_ref] builds the fp1 canon: labels in decimal, entries as
+   strings.  The canon now writes the same labels and entries as binary
+   lanes, so the two differ byte for byte, but they must split circuits
+   alike: for every pair, equal canons exactly when equal reference
+   canons.  The cache compares canons, and the service benchmark
+   de-duplicates its request streams by digest, so this is what keeps
+   both unchanged. *)
 
-let test_canon_identity () =
-  (* every Table II profile of the IWLS generator: the suite's own
-     circuit and two more seeds *)
-  List.iter
-    (fun (e : Iwls.entry) ->
-      let c = Lazy.force e.circuit in
-      same_as_reference e.name c;
-      if e.name.[0] = 's' then
-        List.iter
-          (fun seed ->
-            same_as_reference
-              (Printf.sprintf "%s seed %d" e.name seed)
-              (Iwls.synth ~name:e.name ~ffs:(Circuit.flipflop_count c)
-                 ~gates:(Circuit.gate_count c) ~ins:(Circuit.n_inputs c)
-                 ~outs:(Array.length c.outputs) ~seed))
-          [ 1; 2 ])
-    Iwls.suite;
-  for n = 1 to 8 do
-    same_as_reference (Printf.sprintf "fig2 rt %d" n) (Fig2.rt n);
-    same_as_reference (Printf.sprintf "fig2 gate %d" n) (Fig2.gate n)
-  done;
-  same_as_reference "fig2 rt 63" (Fig2.rt 63);
-  (* the canon prints constants and initial values in decimal: 63-bit
-     words reach every int, so these hit the writer's edge cases *)
+(* A respelling of a circuit record: signals and registers renumbered by
+   a random permutation (input order and output names are part of the
+   interface and stay). *)
+let permute rng (c : Circuit.t) =
+  let open Circuit in
+  let perm n =
+    let p = Array.init n Fun.id in
+    for i = n - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let x = p.(i) in
+      p.(i) <- p.(j);
+      p.(j) <- x
+    done;
+    p
+  in
+  let ps = perm (Array.length c.drivers)
+  and pr = perm (Array.length c.registers) in
+  let drivers = Array.make (Array.length c.drivers) (Input 0)
+  and widths = Array.make (Array.length c.drivers) B
+  and registers = Array.copy c.registers in
+  Array.iteri
+    (fun s d ->
+      drivers.(ps.(s)) <-
+        (match d with
+        | Input i -> Input i
+        | Reg_out r -> Reg_out pr.(r)
+        | Gate (op, args) -> Gate (op, List.map (fun a -> ps.(a)) args));
+      widths.(ps.(s)) <- c.widths.(s))
+    c.drivers;
+  Array.iteri
+    (fun r (reg : register) -> registers.(pr.(r)) <- { reg with data = ps.(reg.data) })
+    c.registers;
+  { c with drivers; widths; registers;
+    outputs = Array.map (fun (n, s) -> (n, ps.(s))) c.outputs }
+
+(* The first gate whose operator has a sibling of the same signature,
+   switched to it; None when there is none. *)
+let mutate_gate (c : Circuit.t) =
+  let open Circuit in
+  let sibling = function
+    | And -> Some Or | Or -> Some And | Nand -> Some Nor | Nor -> Some Nand
+    | Xor -> Some Xnor | Xnor -> Some Xor | Not -> Some Buf | Buf -> Some Not
+    | Constb b -> Some (Constb (not b))
+    | Winc -> Some Wnot | Wnot -> Some Winc | Wand -> Some Wor
+    | Wor -> Some Wxor | Wxor -> Some Wand
+    | Wconst (w, v) -> Some (Wconst (w, v lxor 1))
+    | Mux | Wadd | Weq | Wmux -> None
+  in
+  let site = ref None in
+  Array.iteri
+    (fun s d ->
+      match (d, !site) with
+      | Gate (op, args), None -> (
+          match sibling op with
+          | Some op' -> site := Some (s, Gate (op', args))
+          | None -> ())
+      | _ -> ())
+    c.drivers;
+  Option.map
+    (fun (s, d) ->
+      let drivers = Array.copy c.drivers in
+      drivers.(s) <- d;
+      { c with drivers })
+    !site
+
+(* Both canons of a circuit, computed once. *)
+let canons c =
+  (Fingerprint.canon (fp c), Fingerprint_ref.canon (Fingerprint_ref.of_circuit c))
+
+let same_split (a2, a1) (b2, b1) = String.equal a2 b2 = String.equal a1 b1
+
+(* The corpus: every Table II profile of the IWLS generator (the suite's
+   own circuit and two more seeds), Figure 2 at both levels, 80 random
+   circuits, and 63-bit constants at the edges of the int range. *)
+let corpus () =
+  let iwls =
+    List.concat_map
+      (fun (e : Iwls.entry) ->
+        let c = Lazy.force e.circuit in
+        (e.name, c)
+        ::
+        (if e.name.[0] = 's' then
+           List.map
+             (fun seed ->
+               ( Printf.sprintf "%s seed %d" e.name seed,
+                 Iwls.synth ~name:e.name ~ffs:(Circuit.flipflop_count c)
+                   ~gates:(Circuit.gate_count c) ~ins:(Circuit.n_inputs c)
+                   ~outs:(Array.length c.outputs) ~seed ))
+             [ 1; 2 ]
+         else []))
+      Iwls.suite
+  in
+  let fig2 =
+    List.concat_map
+      (fun n ->
+        [ (Printf.sprintf "fig2 rt %d" n, Fig2.rt n);
+          (Printf.sprintf "fig2 gate %d" n, Fig2.gate n) ])
+      [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+    @ [ ("fig2 rt 63", Fig2.rt 63) ]
+  in
   let edges =
     [ 0; 1; -1; 9; 10; -10; 99; 100; -100; 1_000_000_000_000_000_000;
       -1_000_000_000_000_000_000; max_int; min_int; min_int + 1 ]
@@ -222,13 +295,34 @@ let test_canon_identity () =
       Circuit.connect_reg b r ~data:(Circuit.gate b Circuit.Wxor [ x; k ]);
       Circuit.output b (string_of_int v) r)
     edges;
-  same_as_reference "decimal edge cases" (Circuit.finish b);
-  for seed = 0 to 39 do
-    same_as_reference (Printf.sprintf "random %d" seed)
-      (Random_circ.generate ~seed ~max_gates:30 ());
-    same_as_reference (Printf.sprintf "random words %d" seed)
-      (Random_circ.generate ~words:true ~seed ~max_gates:30 ())
-  done
+  let random =
+    List.concat_map
+      (fun seed ->
+        [ (Printf.sprintf "random %d" seed,
+           Random_circ.generate ~seed ~max_gates:30 ());
+          (Printf.sprintf "random words %d" seed,
+           Random_circ.generate ~words:true ~seed ~max_gates:30 ()) ])
+      (List.init 40 Fun.id)
+  in
+  iwls @ fig2 @ [ ("edge constants", Circuit.finish b) ] @ random
+
+let test_partition_identity () =
+  let rng = Random.State.make [| 0xfb2 |] in
+  let all = Array.of_list (List.map (fun (name, c) -> (name, c, canons c)) (corpus ())) in
+  Array.iteri
+    (fun i (name, c, k) ->
+      check (name ^ " vs its respelling") true
+        (same_split k (canons (permute rng c)));
+      Option.iter
+        (fun m -> check (name ^ " vs a one-gate mutant") true (same_split k (canons m)))
+        (mutate_gate c);
+      for j = i + 1 to Array.length all - 1 do
+        let name', _, k' = all.(j) in
+        if not (same_split k k') then
+          Alcotest.failf "%s vs %s: the canons split them unlike the reference"
+            name name'
+      done)
+    all
 
 (* --- properties ----------------------------------------------------- *)
 
@@ -301,6 +395,25 @@ let prop_fault_mutants =
           "netlist_reg_width";
         ])
 
+(* The same over random pairs: two small circuits (small enough that
+   draws are sometimes isomorphic), a respelling and a mutant. *)
+let prop_partition_identity =
+  QCheck.Test.make ~name:"canons split random pairs like the reference"
+    ~count:200
+    (QCheck.pair gen_seed gen_seed)
+    (fun (s1, s2) ->
+      let rng = Random.State.make [| s1; s2 |] in
+      let words = s1 mod 2 = 0 in
+      let a = Random_circ.generate ~words ~seed:s1 ~max_gates:4 () in
+      let b = Random_circ.generate ~words ~seed:s2 ~max_gates:4 () in
+      let ka = canons a in
+      same_split ka (canons b)
+      && same_split ka (canons (permute rng a))
+      && same_split (canons (permute rng b)) ka
+      && match mutate_gate a with
+         | Some m -> same_split ka (canons m)
+         | None -> true)
+
 let suite =
   [
     Alcotest.test_case "parsing is deterministic" `Quick
@@ -308,8 +421,8 @@ let suite =
     Alcotest.test_case "rename invariance" `Quick test_rename_invariance;
     Alcotest.test_case "reorder invariance" `Quick test_reorder_invariance;
     Alcotest.test_case "distinct widths differ" `Quick test_distinct_fig2;
-    Alcotest.test_case "canon identical to the reference" `Quick
-      test_canon_identity;
+    Alcotest.test_case "canons partition like the reference" `Quick
+      test_partition_identity;
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| 0xf1a9 |])
       prop_rename_and_reorder;
@@ -319,4 +432,7 @@ let suite =
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| 0xf1ab |])
       prop_fault_mutants;
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| 0xf1ac |])
+      prop_partition_identity;
   ]

@@ -214,6 +214,15 @@ let test_config_rejects_scope () =
       ignore (Lintpass.Config.parse ~file:"test.config"
                 "scope domain-safety lib/"))
 
+(* A rule's carve-outs live beside its scope too: a config line cannot
+   exempt a whole subtree. *)
+let test_config_rejects_except () =
+  Alcotest.check_raises "except directive"
+    (Lintpass.Config_error "test.config:1 unknown directive \"except\"")
+    (fun () ->
+      ignore (Lintpass.Config.parse ~file:"test.config"
+                "except kernel-boundary lib/hol/kernel.ml"))
+
 let test_parse_error_is_violation () =
   let r = check "let let let" in
   match r.Lintpass.violations with
@@ -415,6 +424,7 @@ let suite =
         ("config allow with justification", test_config_allow);
         ("config rejects unknown rule", test_config_rejects_unknown_rule);
         ("a scope line is rejected", test_config_rejects_scope);
+        ("an except line is rejected", test_config_rejects_except);
         ("parse error is a violation", test_parse_error_is_violation);
         ("multiple rules in one file", test_multiple_rules_one_file);
         ("whole tree runs clean", test_tree_is_clean);

@@ -339,7 +339,9 @@ let test_worker_hit_identical () =
    daemon was split into Protocol, Proof_cache and Serve, so any byte
    that a refactor moves (a field, its order, a counter, an escape)
    shows here.  Should the wire format change on purpose, recompute
-   them and say so. *)
+   them and say so.  The lines whose answer carries a "digest" were
+   recomputed when the fingerprint canon moved to binary lanes; with
+   the digest masked, every answer is byte-identical to before. *)
 let wire_lines () =
   let b3 = blif_of 3 and b2 = Fig2.gate 2 in
   let cut2 =
@@ -374,15 +376,15 @@ let wire_lines () =
 
 let wire_digests =
   [
-    ("miss", "0dabdd868666e861799f85904189e34b");
-    ("exact-text hit", "7745127dc4591033293b2832879b1361");
-    ("fingerprint hit", "3652de9081ff3bb1eb1279ce7af8d7e6");
-    ("echo:false hit", "550cea601f4744d21aab8b450e6ba960");
-    ("echo:false miss", "912b3db79dda0f92098264ca64f26b43");
+    ("miss", "82823ad74e3891fc870727e40738ea57");
+    ("exact-text hit", "5ae9a7cd8b131fe6a1b4b44efb25d14f");
+    ("fingerprint hit", "c0be491619326fba0098d2a4b03335ee");
+    ("echo:false hit", "8a342c04f9f45b77537cb9ed9135712a");
+    ("echo:false miss", "aa346cb80b9a3bc7d21e04a3f5461ad4");
     ("gate-list cut", "3601acf72766a688d8497dcfbed6d779");
-    ("certified miss", "8cf34d041204eab1710d38c594a782d3");
+    ("certified miss", "698ac5b4a9a023d355705e12b3fc574e");
     ("certificate on a hit", "f7c9a585f5039820233d07a6e71df0bd");
-    ("batch", "96a6ad718727f33e94e1206a9dfd0719");
+    ("batch", "5e2145d1b96e8069b996329b79b5d85b");
     ("malformed JSON", "2acda2132682e187193080cfc6b56e83");
     ("malformed BLIF", "18ba392c7a69f414987c1f88afd1b54b");
   ]
@@ -848,6 +850,53 @@ let test_shard_model () =
              && s.insertions = !insertions
              && s.entries = List.length !l2)
            ops))
+
+(* The exact-text key hashes the bytes once and compares level and
+   bytes on a hash match.  Checked through [find_text] on one shard:
+   a text one byte away from a stored one (at any position, the last
+   included) never hits, the same bytes at the other level never hit,
+   and equal bytes (a fresh copy) at the same level always do. *)
+let arb_text =
+  QCheck.(
+    pair
+      (string_gen_of_size Gen.(int_range 1 300) Gen.char)
+      small_nat)
+
+let stored text =
+  let c = Proof_cache.create ~capacity:4 ~shards:1 in
+  Proof_cache.add c
+    ~text:(Proof_cache.text_key bit text)
+    bit
+    { Fingerprint.digest = "d"; canon = "c" }
+    (cache_entry "x");
+  c
+
+let prop_text_key_byte_apart =
+  QCheck.Test.make ~count:300 ~name:"L1: one byte apart never hits" arb_text
+    (fun (text, k) ->
+      let c = stored text in
+      let flip i =
+        String.mapi
+          (fun j ch -> if j = i then Char.chr ((Char.code ch + 1) land 255) else ch)
+          text
+      in
+      List.for_all
+        (fun i -> Proof_cache.find_text c (Proof_cache.text_key bit (flip i)) = None)
+        [ k mod String.length text; String.length text - 1 ])
+
+let prop_text_key_level =
+  QCheck.Test.make ~count:300 ~name:"L1: the other level never hits" arb_text
+    (fun (text, _) ->
+      Proof_cache.find_text (stored text)
+        (Proof_cache.text_key Hash.Embed.Rt_level text)
+      = None)
+
+let prop_text_key_equal =
+  QCheck.Test.make ~count:300 ~name:"L1: equal bytes always hit" arb_text
+    (fun (text, _) ->
+      Proof_cache.find_text (stored text)
+        (Proof_cache.text_key bit (Bytes.to_string (Bytes.of_string text)))
+      = Some ("d", cache_entry "x"))
 
 (* --- timing --------------------------------------------------------- *)
 
@@ -1351,6 +1400,15 @@ let suite =
       test_digest_collision;
     Alcotest.test_case "one shard agrees with a list model" `Quick
       test_shard_model;
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| 0x11a |])
+      prop_text_key_byte_apart;
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| 0x11b |])
+      prop_text_key_level;
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| 0x11c |])
+      prop_text_key_equal;
     Alcotest.test_case "wall_s on the deadline clock" `Quick
       test_wall_s_one_clock;
     Alcotest.test_case "sharded counters aggregate" `Quick
